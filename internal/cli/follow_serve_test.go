@@ -57,6 +57,10 @@ func TestFollowServe(t *testing.T) {
 	var stdout, stderrBuf bytes.Buffer
 	runDone := make(chan error, 1)
 	go func() {
+		// publishEvery of 1ns publishes with every batch: runFollow
+		// publishes only when a batch arrives, and the few batches fed
+		// below decode faster than any cadence worth waiting for, after
+		// which the feed stalls with the pipe open.
 		runDone <- runFollow(pr, &stdout, &stderrBuf, followOpts{
 			interval:     50 * time.Millisecond,
 			window:       2 * time.Minute,
@@ -64,7 +68,7 @@ func TestFollowServe(t *testing.T) {
 			shards:       4,
 			metrics:      true,
 			listen:       "127.0.0.1:0",
-			publishEvery: 20 * time.Millisecond,
+			publishEvery: time.Nanosecond,
 			listenReady:  func(addr string) { addrCh <- addr },
 		})
 	}()

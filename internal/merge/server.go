@@ -50,6 +50,9 @@ type Server struct {
 	quit   chan struct{} // closed by Close: stops the loops
 	done   chan struct{} // closed once the core is finished
 	final  *stream.Snapshot
+	// echoing counts accepted Goodbyes whose echo is not yet written.
+	// Event goroutine only.
+	echoing int
 
 	// evMu gates event submission: do() holds the read lock across its
 	// enqueue, Close sets evClosed under the write lock *before*
@@ -313,9 +316,8 @@ func (s *Server) session(conn net.Conn) {
 		case wire.TypeGoodbye:
 			var aerr error
 			if !s.do(func() {
-				aerr = s.core.EOF(node, f.Goodbye.FinalSeq)
-				if aerr == nil && s.core.Done() {
-					s.finish()
+				if aerr = s.core.EOF(node, f.Goodbye.FinalSeq); aerr == nil {
+					s.echoing++
 				}
 			}) {
 				return
@@ -326,11 +328,19 @@ func (s *Server) session(conn net.Conn) {
 			}
 			// Echo the Goodbye: the agent's confirmation that the full
 			// stream is applied. The agent closes; our read sees EOF.
+			// Done may close only after every owed echo is flushed: its
+			// waiter is entitled to Close, which cuts every connection,
+			// and an agent cut before its echo redials a head that is gone.
 			conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
 			if err := w.WriteGoodbye(wire.Goodbye{FinalSeq: f.Goodbye.FinalSeq, Reason: "ack"}); err == nil {
 				w.Flush()
 			}
 			s.cfg.Logf("merge: node %q finished its stream at seq %d", node, f.Goodbye.FinalSeq)
+			s.do(func() {
+				if s.echoing--; s.echoing == 0 && s.core.Done() {
+					s.finish()
+				}
+			})
 		case wire.TypeError:
 			s.cfg.Logf("merge: node %q reported: %s", node, f.Error.Msg)
 			return

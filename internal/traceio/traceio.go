@@ -10,6 +10,17 @@
 // process ever holding a second full copy of the trace; its memory use is
 // O(batch), independent of trace length.
 //
+// # Decoding
+//
+// Both schemas are fixed and flat, so a line in canonical form — what the
+// writers here and ntiersim emit, in any key order, with blanks between
+// tokens (see scanner) — is decoded without reflection or per-record
+// allocation. Any other line goes through encoding/json, which alone
+// decides whether it is accepted, what it decodes to and what the error
+// says; the input picks the path, no option does. Names are interned per
+// read (internCap names of at most internMaxLen bytes). A line past
+// maxLineBytes is dropped up to its newline and counts as malformed.
+//
 // # Degraded inputs
 //
 // Real passive captures are messy: truncated files, half-written final
@@ -68,21 +79,22 @@ type messageRecord struct {
 	Bytes     int64  `json:"bytes,omitempty"`
 }
 
-// WriteVisits writes visits as JSONL.
+// WriteVisits writes visits as JSONL, as json.Encoder would visitRecords.
 func WriteVisits(w io.Writer, visits []trace.Visit) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	bw := bufio.NewWriterSize(w, 64<<10)
+	var line []byte
 	for i, v := range visits {
-		rec := visitRecord{
-			Server:    v.Server,
-			Class:     v.Class,
-			TxnID:     v.TxnID,
-			HopID:     v.HopID,
-			ArriveUS:  int64(v.Arrive),
-			DepartUS:  int64(v.Depart),
-			DownstrUS: int64(v.Downstream),
+		line = appendStr(line[:0], `{"server":`, v.Server)
+		if v.Class != "" {
+			line = appendStr(line, `,"class":`, v.Class)
 		}
-		if err := enc.Encode(&rec); err != nil {
+		line = appendInt(line, `,"txn":`, v.TxnID, true)
+		line = appendInt(line, `,"hop":`, v.HopID, true)
+		line = appendInt(line, `,"arrive_us":`, int64(v.Arrive), false)
+		line = appendInt(line, `,"depart_us":`, int64(v.Depart), false)
+		line = appendInt(line, `,"downstream_us":`, int64(v.Downstream), true)
+		line = append(line, "}\n"...)
+		if _, err := bw.Write(line); err != nil {
 			return fmt.Errorf("traceio: write visit %d: %w", i, err)
 		}
 	}
@@ -163,6 +175,8 @@ func (s *Stats) record(line int, malformed bool, err error) {
 	}
 }
 
+var errLineTooLong = fmt.Errorf("line longer than %d bytes", maxLineBytes)
+
 // errAbort wraps an error that must stop the read immediately and
 // propagate verbatim (a callback failure), bypassing the line policy.
 type errAbort struct{ err error }
@@ -174,13 +188,16 @@ func (e errAbort) Error() string { return e.err.Error() }
 // malformed line (bad JSON) or an invalid record.
 func decodeLines(r io.Reader, opts StreamOptions, decode func(line int, data []byte) (malformed bool, err error)) (Stats, error) {
 	var stats Stats
-	br := bufio.NewReaderSize(r, 64<<10)
+	lr := lineReader{br: bufio.NewReaderSize(r, 64<<10)}
 	for line := 1; ; line++ {
-		data, rerr := br.ReadBytes('\n')
-		trimmed := bytes.TrimSpace(data)
-		if len(trimmed) > 0 {
+		data, rerr := lr.next()
+		if trimmed := bytes.TrimSpace(data); len(trimmed) > 0 {
 			stats.Lines++
-			if malformed, derr := decode(line, trimmed); derr != nil {
+			malformed, derr := true, errLineTooLong
+			if len(data) <= maxLineBytes {
+				malformed, derr = decode(line, trimmed)
+			}
+			if derr != nil {
 				var abort errAbort
 				if errors.As(derr, &abort) {
 					return stats, abort.err
@@ -227,10 +244,15 @@ func StreamVisitsOpts(r io.Reader, opts StreamOptions, fn func(batch []trace.Vis
 	}
 	batch := make([]trace.Visit, 0, batchSize)
 	var fnErr error
+	names := make(interner)
 	stats, err := decodeLines(r, opts, func(line int, data []byte) (bool, error) {
-		var rec visitRecord
-		if err := json.Unmarshal(data, &rec); err != nil {
-			return true, fmt.Errorf("decode visit: %w", err)
+		rec, ok := fastVisit(data, names)
+		if !ok { // its own record, so rec stays off the heap on the fast path
+			slow := new(visitRecord)
+			if err := json.Unmarshal(data, slow); err != nil {
+				return true, fmt.Errorf("decode visit: %w", err)
+			}
+			rec = *slow
 		}
 		if rec.Server == "" {
 			return false, errors.New("visit has no server")
@@ -291,24 +313,26 @@ func ReadVisitsOpts(r io.Reader, opts StreamOptions) ([]trace.Visit, Stats, erro
 	return out, stats, nil
 }
 
-// WriteMessages writes wire messages as JSONL.
+// WriteMessages writes wire messages as JSONL, as json.Encoder would
+// messageRecords.
 func WriteMessages(w io.Writer, msgs []trace.Message) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	bw := bufio.NewWriterSize(w, 64<<10)
+	var line []byte
 	for i, m := range msgs {
-		rec := messageRecord{
-			AtUS:      int64(m.At),
-			From:      m.From,
-			To:        m.To,
-			Dir:       m.Dir.String(),
-			Class:     m.Class,
-			Conn:      m.Conn,
-			TxnID:     m.TxnID,
-			HopID:     m.HopID,
-			ParentHop: m.ParentHop,
-			Bytes:     m.Bytes,
+		line = appendInt(line[:0], `{"at_us":`, int64(m.At), false)
+		line = appendStr(line, `,"from":`, m.From)
+		line = appendStr(line, `,"to":`, m.To)
+		line = appendStr(line, `,"dir":`, m.Dir.String())
+		if m.Class != "" {
+			line = appendStr(line, `,"class":`, m.Class)
 		}
-		if err := enc.Encode(&rec); err != nil {
+		line = appendInt(line, `,"conn":`, m.Conn, true)
+		line = appendInt(line, `,"txn":`, m.TxnID, true)
+		line = appendInt(line, `,"hop":`, m.HopID, true)
+		line = appendInt(line, `,"parent":`, m.ParentHop, true)
+		line = appendInt(line, `,"bytes":`, m.Bytes, true)
+		line = append(line, "}\n"...)
+		if _, err := bw.Write(line); err != nil {
 			return fmt.Errorf("traceio: write message %d: %w", i, err)
 		}
 	}
@@ -326,10 +350,15 @@ func ReadMessages(r io.Reader) ([]trace.Message, error) {
 // error policy, reporting what it skipped.
 func ReadMessagesOpts(r io.Reader, opts StreamOptions) ([]trace.Message, Stats, error) {
 	var out []trace.Message
+	names := make(interner)
 	stats, err := decodeLines(r, opts, func(line int, data []byte) (bool, error) {
-		var rec messageRecord
-		if err := json.Unmarshal(data, &rec); err != nil {
-			return true, fmt.Errorf("decode message: %w", err)
+		rec, ok := fastMessage(data, names)
+		if !ok {
+			slow := new(messageRecord)
+			if err := json.Unmarshal(data, slow); err != nil {
+				return true, fmt.Errorf("decode message: %w", err)
+			}
+			rec = *slow
 		}
 		var dir trace.Direction
 		switch rec.Dir {
