@@ -52,10 +52,12 @@ type Config struct {
 	Node string
 	// Addr is the merge head's TCP address.
 	Addr string
-	// BatchSize is the records-per-batch cut. It is part of the resume
-	// contract: sequence numbers are positional, so a restarted agent
-	// must use the same batch size to regenerate the same sequences.
-	// Default 512.
+	// BatchSize is the records-per-batch cut, made by the agent itself
+	// by record count (the decoder hands records over in whatever pieces
+	// the source's reads produce): every batch but the last holds exactly
+	// this many. It is part of the resume contract: sequence numbers are
+	// positional, so a restarted agent must use the same batch size to
+	// regenerate the same sequences. Default 512.
 	BatchSize int
 	// Window caps unacknowledged batches held in memory; the source
 	// read stalls when the window is full (backpressure, bounded
@@ -246,24 +248,44 @@ func Run(ctx context.Context, src io.Reader, cfg Config) (Metrics, error) {
 	return a.m, err
 }
 
-// readSource decodes the JSONL source into copied batches. The batch
-// slice handed to the StreamVisits callback is reused, so each batch is
-// copied before crossing the channel.
+// readSource decodes the JSONL source and cuts it into batches of exactly
+// Config.BatchSize records (the last one, at EOF, may be short). The cuts
+// are made here, by record count alone: traceio hands records over as the
+// source yields them, in pieces whose sizes depend on how its reads
+// fragment, and sequence numbers are positional — batch k must carry the
+// same records on every read of the same source.
 func (a *run) readSource(ctx context.Context, src io.Reader) {
-	opts := traceio.StreamOptions{BatchSize: a.cfg.BatchSize}
+	size := a.cfg.BatchSize
+	opts := traceio.StreamOptions{BatchSize: size}
 	if a.cfg.Lenient {
 		opts.Policy = traceio.Skip
 	}
-	stats, err := traceio.StreamVisitsOpts(src, opts, func(batch []trace.Visit) error {
-		cp := make([]trace.Visit, len(batch))
-		copy(cp, batch)
+	cut := make([]trace.Visit, 0, size)
+	send := func() error {
 		select {
-		case a.srcCh <- cp:
+		case a.srcCh <- cut:
+			cut = make([]trace.Visit, 0, size)
 			return nil
 		case <-ctx.Done():
 			return ctx.Err()
 		}
+	}
+	stats, err := traceio.StreamVisitsOpts(src, opts, func(batch []trace.Visit) error {
+		for len(batch) > 0 {
+			n := min(len(batch), size-len(cut))
+			cut = append(cut, batch[:n]...)
+			batch = batch[n:]
+			if len(cut) == size {
+				if err := send(); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
 	})
+	if err == nil && len(cut) > 0 {
+		err = send()
+	}
 	close(a.srcCh)
 	a.readRes <- readResult{stats: stats, err: err}
 }

@@ -318,10 +318,3 @@ func appliedLocked(mu *sync.Mutex, got *[]uint64) []uint64 {
 	defer mu.Unlock()
 	return *got
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

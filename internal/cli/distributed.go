@@ -14,6 +14,7 @@ import (
 	"os/signal"
 	"runtime"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -406,12 +407,26 @@ func nodeViews(sts []merge.NodeStatus) []serve.NodeView {
 	return views
 }
 
+// lockedWriter serializes writes from several goroutines to one writer.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
+}
+
 // runMerge drives the merge head to completion: every expected node
 // reaching EOF ends it naturally; SIGINT/SIGTERM drains it early —
 // buffered stragglers are released, intervals sealed, the final
 // checkpoint written (when configured) and the exit is clean (status
 // 0), even while agents are mid-reconnect.
 func runMerge(stdout, stderr io.Writer, opts mergeOpts) error {
+	// Session goroutines log to the same stderr as this one.
+	stderr = &lockedWriter{w: stderr}
 	windowIntervals := int(opts.window / opts.interval)
 	srv, err := merge.NewServer(merge.ServerConfig{
 		Core: merge.Config{

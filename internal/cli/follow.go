@@ -50,6 +50,24 @@ type followOpts struct {
 	listenReady  func(addr string)
 }
 
+// streamConfig is the detection runtime the follow flags describe.
+func (opts followOpts) streamConfig() stream.Config {
+	return stream.Config{
+		Online: core.OnlineOptions{
+			Options: core.Options{
+				Interval:      simnet.FromStdDuration(opts.interval),
+				RawThroughput: opts.raw,
+			},
+			WindowIntervals: int(opts.window / opts.interval),
+		},
+		Shards:          opts.shards,
+		FlushLag:        simnet.FromStdDuration(opts.flushLag),
+		CheckpointDir:   opts.checkpointDir,
+		CheckpointEvery: simnet.FromStdDuration(opts.ckptEvery),
+		Resume:          opts.resume,
+	}
+}
+
 // errInterrupted aborts ingestion from inside the stream callback when a
 // shutdown signal arrives; runFollow treats it as a clean stop, not an
 // error.
@@ -68,21 +86,7 @@ var errInterrupted = errors.New("interrupted")
 // sealed, remaining alerts and the final snapshot print, a final
 // checkpoint is written, and the exit is clean (status 0).
 func runFollow(r io.Reader, stdout, stderr io.Writer, opts followOpts) error {
-	windowIntervals := int(opts.window / opts.interval)
-	rt, err := stream.New(stream.Config{
-		Online: core.OnlineOptions{
-			Options: core.Options{
-				Interval:      simnet.FromStdDuration(opts.interval),
-				RawThroughput: opts.raw,
-			},
-			WindowIntervals: windowIntervals,
-		},
-		Shards:          opts.shards,
-		FlushLag:        simnet.FromStdDuration(opts.flushLag),
-		CheckpointDir:   opts.checkpointDir,
-		CheckpointEvery: simnet.FromStdDuration(opts.ckptEvery),
-		Resume:          opts.resume,
-	})
+	rt, err := stream.New(opts.streamConfig())
 	if err != nil {
 		return fmt.Errorf("tbdetect: %w", err)
 	}
@@ -175,17 +179,35 @@ func runFollow(r io.Reader, stdout, stderr io.Writer, opts followOpts) error {
 	}
 	var invalid, skipped int64
 	var lastPub time.Time
+	// Records are received as the source yields them but observed in
+	// bursts: nothing can close before the runtime has seen a departure at
+	// or past its next barrier trigger, so what arrives earlier is held
+	// until such a record does (or the hold is full) and then observed in
+	// one go. An alert waits for nothing it did not already wait for, and
+	// the shard goroutines are woken once per barrier rather than once per
+	// read. The release points are a function of the feed alone, not of how
+	// its reads fragment.
+	held := make([]trace.Visit, 0, traceio.DefaultBatch)
+	trigger := rt.NextBarrier()
+	release := func() error {
+		for i := range held {
+			if oerr := rt.Observe(held[i]); oerr != nil {
+				if opts.lenient {
+					invalid++
+					continue
+				}
+				return oerr
+			}
+		}
+		held = held[:0]
+		trigger = rt.NextBarrier()
+		return nil
+	}
 	stats, err := traceio.StreamVisitsOpts(r, ioOpts, func(batch []trace.Visit) error {
 		select {
 		case <-stop:
 			return errInterrupted
 		default:
-		}
-		if srv != nil && time.Since(lastPub) >= publishEvery {
-			// Snapshot here, on the producer goroutine (the runtime's
-			// single-producer contract); the server only swaps a pointer.
-			srv.PublishSnapshot(rt.Snapshot())
-			lastPub = time.Now()
 		}
 		for i := range batch {
 			if skipped < skip {
@@ -200,16 +222,26 @@ func runFollow(r io.Reader, stdout, stderr io.Writer, opts followOpts) error {
 				}
 				continue
 			}
-			if oerr := rt.Observe(batch[i]); oerr != nil {
-				if opts.lenient {
-					invalid++
-					continue
+			held = append(held, batch[i])
+			if batch[i].Depart >= trigger || len(held) == cap(held) {
+				if rerr := release(); rerr != nil {
+					return rerr
 				}
-				return oerr
 			}
+		}
+		if srv != nil && time.Since(lastPub) >= publishEvery {
+			// After the observe loop, so /report carries the intervals this
+			// hand-off closed. Snapshot here, on the producer goroutine (the
+			// runtime's single-producer contract); the server only swaps a
+			// pointer.
+			srv.PublishSnapshot(rt.Snapshot())
+			lastPub = time.Now()
 		}
 		return nil
 	})
+	if err == nil {
+		err = release() // end of input: nothing left to wait for
+	}
 	interrupted := errors.Is(err, errInterrupted)
 	if srv != nil {
 		// Drain starts: flip readiness off first so orchestrators stop

@@ -56,11 +56,8 @@ func TestFollowServe(t *testing.T) {
 	addrCh := make(chan string, 1)
 	var stdout, stderrBuf bytes.Buffer
 	runDone := make(chan error, 1)
+	const publishEvery = 20 * time.Millisecond
 	go func() {
-		// publishEvery of 1ns publishes with every batch: runFollow
-		// publishes only when a batch arrives, and the few batches fed
-		// below decode faster than any cadence worth waiting for, after
-		// which the feed stalls with the pipe open.
 		runDone <- runFollow(pr, &stdout, &stderrBuf, followOpts{
 			interval:     50 * time.Millisecond,
 			window:       2 * time.Minute,
@@ -68,7 +65,7 @@ func TestFollowServe(t *testing.T) {
 			shards:       4,
 			metrics:      true,
 			listen:       "127.0.0.1:0",
-			publishEvery: time.Nanosecond,
+			publishEvery: publishEvery,
 			listenReady:  func(addr string) { addrCh <- addr },
 		})
 	}()
@@ -116,13 +113,21 @@ func TestFollowServe(t *testing.T) {
 	}()
 
 	// Feed most of the trace, keeping the pipe open so the pipeline
-	// stays live while the endpoints are probed.
+	// stays live while the endpoints are probed. runFollow publishes to
+	// /report after a hand-off once publishEvery has passed, so the feed
+	// comes in two parts far enough apart for a publish to fall due while
+	// records are still arriving — the snapshot it takes then holds the
+	// intervals the first part closed, and stays up when the feed stalls.
 	feedRest := make(chan struct{})
 	feedDone := make(chan struct{})
 	split := len(data) * 3 / 4
 	go func() {
 		defer close(feedDone)
-		if _, err := pw.Write(data[:split]); err != nil {
+		if _, err := pw.Write(data[:split/2]); err != nil {
+			return
+		}
+		time.Sleep(2 * publishEvery)
+		if _, err := pw.Write(data[split/2 : split]); err != nil {
 			return
 		}
 		<-feedRest

@@ -637,6 +637,16 @@ func (r *Runtime) Observe(v trace.Visit) error {
 	return nil
 }
 
+// NextBarrier is the departure timestamp at which Observe will next
+// broadcast a watermark barrier: no interval closes, and so no alert can
+// fire, before a record departing at or after it has been observed. A
+// producer may hold records back until it has one that does. Producer
+// goroutine only.
+func (r *Runtime) NextBarrier() simnet.Time {
+	iv := r.cfg.Online.Options.Interval
+	return r.mark + simnet.Time(r.cfg.BarrierEvery)*iv + simnet.Time(r.cfg.FlushLag)
+}
+
 // flush enqueues shard si's pending batch under the backpressure policy.
 // The record count is captured before the send: once the batch is on the
 // channel the shard owns it (and may recycle it to the pool).

@@ -10,6 +10,16 @@
 // process ever holding a second full copy of the trace; its memory use is
 // O(batch), independent of trace length.
 //
+// A batch ends when it holds BatchSize records or when the source has no
+// further complete line buffered, whichever comes first: a decoded record
+// is never held back while the reader blocks for more input, so on a live
+// feed (a pipe, a socket) the wait between a line's arrival and its
+// callback is one read, whatever the feed rate. Batches are therefore
+// non-empty and of at most BatchSize records, and where they are cut
+// depends on how the source fragments its reads — a consumer that needs
+// cuts at fixed record counts (internal/agent's positional sequence
+// numbers) makes them itself.
+//
 // # Decoding
 //
 // Both schemas are fixed and flat, so a line in canonical form — what the
@@ -101,9 +111,11 @@ func WriteVisits(w io.Writer, visits []trace.Visit) error {
 	return bw.Flush()
 }
 
-// DefaultBatch is the StreamVisits batch size used by the CLI tools: big
-// enough to amortize callback dispatch, small enough that a batch stays
-// cache- and allocation-friendly.
+// DefaultBatch is the most records StreamVisits hands over at once when
+// the caller names no size: big enough to amortize callback dispatch on a
+// source that never runs dry, small enough that a batch stays cache- and
+// allocation-friendly. A batch ends early when the source has nothing
+// more buffered.
 const DefaultBatch = 8192
 
 // Policy selects what a reader does with a line it cannot use.
@@ -126,7 +138,9 @@ type StreamOptions struct {
 	// skipped (the "a trickle of corruption is fine, a flood is not"
 	// guard). 0 means unlimited.
 	MaxErrors int
-	// BatchSize is the StreamVisits batch size (<= 0 uses DefaultBatch).
+	// BatchSize is the most records one StreamVisits callback receives
+	// (<= 0 uses DefaultBatch). It is a cap, not a cut: a batch ends early
+	// whenever the next line would have to wait for the source.
 	BatchSize int
 }
 
@@ -183,14 +197,38 @@ type errAbort struct{ err error }
 
 func (e errAbort) Error() string { return e.err.Error() }
 
+// idleReader runs idle ahead of every Read of the source. bufio reads only
+// when it holds no complete line, so idle runs exactly when the next line
+// would have to wait for the source — observed from the reads the decoder
+// makes anyway, at no cost per line.
+type idleReader struct {
+	r    io.Reader
+	idle func() error
+	err  error // what idle failed with; ends the read, returned verbatim
+}
+
+func (ir *idleReader) Read(p []byte) (int, error) {
+	if ir.idle != nil {
+		if ir.err = ir.idle(); ir.err != nil {
+			return 0, ir.err
+		}
+	}
+	return ir.r.Read(p)
+}
+
 // decodeLines drives the shared line-oriented read loop: decode is called
 // with each non-blank line and reports whether the failure (if any) was a
-// malformed line (bad JSON) or an invalid record.
-func decodeLines(r io.Reader, opts StreamOptions, decode func(line int, data []byte) (malformed bool, err error)) (Stats, error) {
+// malformed line (bad JSON) or an invalid record. idle, when non-nil, is
+// called before each read of r (see idleReader).
+func decodeLines(r io.Reader, opts StreamOptions, idle func() error, decode func(line int, data []byte) (malformed bool, err error)) (Stats, error) {
 	var stats Stats
-	lr := lineReader{br: bufio.NewReaderSize(r, 64<<10)}
+	src := &idleReader{r: r, idle: idle}
+	lr := lineReader{br: bufio.NewReaderSize(src, 64<<10)}
 	for line := 1; ; line++ {
 		data, rerr := lr.next()
+		if src.err != nil {
+			return stats, src.err
+		}
 		if trimmed := bytes.TrimSpace(data); len(trimmed) > 0 {
 			stats.Lines++
 			malformed, derr := true, errLineTooLong
@@ -221,11 +259,14 @@ func decodeLines(r io.Reader, opts StreamOptions, decode func(line int, data []b
 	}
 }
 
-// StreamVisits reads JSONL visits until EOF, decoding in batches of up to
-// batchSize and passing each batch to fn. The batch slice is reused
-// between calls — fn must not retain it. A non-nil error from fn aborts
-// the stream and is returned verbatim. batchSize <= 0 uses DefaultBatch.
-// Decoding is strict; use StreamVisitsOpts for lenient reads.
+// StreamVisits reads JSONL visits until EOF, passing them to fn in
+// non-empty batches of at most batchSize records: a batch is handed over
+// when it is full or when the next line would need a blocking read of r,
+// so what has been decoded never waits for input that has not arrived.
+// The batch slice is reused between calls — fn must not retain it. A
+// non-nil error from fn aborts the stream and is returned verbatim.
+// batchSize <= 0 uses DefaultBatch. Decoding is strict; use
+// StreamVisitsOpts for lenient reads.
 func StreamVisits(r io.Reader, batchSize int, fn func(batch []trace.Visit) error) error {
 	_, err := StreamVisitsOpts(r, StreamOptions{BatchSize: batchSize}, fn)
 	return err
@@ -236,16 +277,25 @@ func StreamVisits(r io.Reader, batchSize int, fn func(batch []trace.Visit) error
 // the stream resumes at the next newline; the error is non-nil only when
 // the Skip budget (MaxErrors) is exhausted, the callback fails, or the
 // underlying reader fails. Stats are returned in every case, including
-// on error, so callers can report partial progress.
+// on error, so callers can report partial progress. A read that fails
+// hands over no record decoded since its last hand-off; how many were
+// handed over before that depends on where the source's reads fell.
 func StreamVisitsOpts(r io.Reader, opts StreamOptions, fn func(batch []trace.Visit) error) (Stats, error) {
 	batchSize := opts.BatchSize
 	if batchSize <= 0 {
 		batchSize = DefaultBatch
 	}
 	batch := make([]trace.Visit, 0, batchSize)
-	var fnErr error
+	deliver := func() error {
+		if len(batch) == 0 {
+			return nil
+		}
+		err := fn(batch)
+		batch = batch[:0]
+		return err
+	}
 	names := make(interner)
-	stats, err := decodeLines(r, opts, func(line int, data []byte) (bool, error) {
+	stats, err := decodeLines(r, opts, deliver, func(line int, data []byte) (bool, error) {
 		rec, ok := fastVisit(data, names)
 		if !ok { // its own record, so rec stays off the heap on the fast path
 			slow := new(visitRecord)
@@ -270,27 +320,17 @@ func StreamVisitsOpts(r io.Reader, opts StreamOptions, fn func(batch []trace.Vis
 			Downstream: simnet.Duration(rec.DownstrUS),
 		})
 		if len(batch) == batchSize {
-			if err := fn(batch); err != nil {
-				fnErr = err
+			if err := deliver(); err != nil {
 				return false, errAbort{err: err}
 			}
-			batch = batch[:0]
 		}
 		return false, nil
 	})
 	stats.Decoded = stats.Lines - stats.Skipped()
-	if fnErr != nil {
-		return stats, fnErr
-	}
 	if err != nil {
 		return stats, err
 	}
-	if len(batch) > 0 {
-		if err := fn(batch); err != nil {
-			return stats, err
-		}
-	}
-	return stats, nil
+	return stats, deliver()
 }
 
 // ReadVisits reads JSONL visits until EOF, materializing the whole trace.
@@ -351,7 +391,7 @@ func ReadMessages(r io.Reader) ([]trace.Message, error) {
 func ReadMessagesOpts(r io.Reader, opts StreamOptions) ([]trace.Message, Stats, error) {
 	var out []trace.Message
 	names := make(interner)
-	stats, err := decodeLines(r, opts, func(line int, data []byte) (bool, error) {
+	stats, err := decodeLines(r, opts, nil, func(line int, data []byte) (bool, error) {
 		rec, ok := fastMessage(data, names)
 		if !ok {
 			slow := new(messageRecord)
