@@ -1,12 +1,9 @@
 package transientbd
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"transientbd/internal/core"
@@ -59,11 +56,10 @@ type Config struct {
 	// ServiceTimes supplies per-class service times from a separate
 	// low-load calibration; nil estimates them from the records.
 	ServiceTimes map[string]time.Duration
-	// Parallelism bounds the worker goroutines Analyze fans record
-	// conversion, per-server grouping and per-server analyses across.
-	// 0 (the default) uses GOMAXPROCS; 1 forces the serial path. The
-	// report is identical at every setting — see PERFORMANCE.md for the
-	// determinism contract.
+	// Parallelism bounds the worker goroutines Analyze fans the
+	// per-server analyses across. 0 (the default) uses GOMAXPROCS; 1
+	// forces the serial path. The report is identical at every setting —
+	// see PERFORMANCE.md for the determinism contract.
 	Parallelism int
 	// Downstream maps each server to the servers it calls. It is not
 	// required — detection and ranking never use it — but when present
@@ -170,64 +166,91 @@ var ErrNoRecords = errors.New("transientbd: no records")
 // reports, per server, the congestion point, the congested intervals and
 // freeze episodes, ranked by transient-bottleneck frequency.
 //
-// The pipeline is embarrassingly parallel across servers (§III computes
-// load, normalized throughput and N* independently per tier), and Analyze
-// exploits that: record validation/conversion, per-server grouping and
-// the per-server analyses all fan out across a bounded worker pool sized
-// by Config.Parallelism. Results are collected deterministically — the
-// report is identical whatever the worker count — and the first error
-// cancels outstanding workers via context.
+// Analyze is a conversion facade: one serial pass validates each record
+// and appends it to its server's visits, and the grouped visits go to the
+// same batch orchestration tbdetect -in runs (core.AnalyzeSystemGrouped).
+// The per-server analyses — independent by construction, §III computes
+// load, normalized throughput and N* per tier — are the one stage fanned
+// out, across Config.Parallelism workers; the report is identical whatever
+// the worker count.
 func Analyze(records []Record, cfg Config) (*Report, error) {
 	if len(records) == 0 {
 		return nil, ErrNoRecords
 	}
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	var quality *TraceQuality
-	var visits []trace.Visit
+	opts := cfg.coreOptions()
+	var perServer map[string][]trace.Visit
 	var maxDepart simnet.Time
 	if cfg.Lenient {
-		quality = &TraceQuality{Records: len(records)}
-		visits, maxDepart = convertRecordsLenient(records, quality)
+		// Skew repair needs whole transactions, so the lenient path
+		// materializes the usable visits before grouping.
+		opts.Quality = &core.TraceQuality{}
+		visits := make([]trace.Visit, 0, len(records))
+		for i := range records {
+			if validateRecord(i, &records[i]) != nil {
+				opts.Quality.VisitsQuarantined++
+				continue
+			}
+			visits = append(visits, recordToVisit(&records[i]))
+		}
 		if len(visits) == 0 {
 			return nil, ErrNoRecords
 		}
-		repaired, srep := trace.RepairVisitSkew(visits)
-		visits = repaired
-		quality.SkewViolations = srep.Violations
-		quality.VisitsRepaired = srep.Shifted
-		if srep.Repaired() {
-			quality.ServerSkew = make(map[string]time.Duration, len(srep.Offsets))
-			for name, off := range srep.Offsets {
-				quality.ServerSkew[name] = simnet.Std(off)
-			}
-			// The repair moved clocks forward; refresh the window end.
-			for _, v := range visits {
-				if v.Depart > maxDepart {
-					maxDepart = v.Depart
-				}
-			}
-		}
+		perServer, maxDepart = core.GroupRepaired(visits, opts.Quality)
 	} else {
-		var err error
-		visits, maxDepart, err = convertRecords(records, workers)
-		if err != nil {
-			return nil, err
+		perServer = make(map[string][]trace.Visit)
+		for i := range records {
+			if err := validateRecord(i, &records[i]); err != nil {
+				return nil, err
+			}
+			v := recordToVisit(&records[i])
+			perServer[v.Server] = append(perServer[v.Server], v)
+			if v.Depart > maxDepart {
+				maxDepart = v.Depart
+			}
 		}
 	}
 
-	w := core.Window{
-		Start: simnet.FromStdDuration(cfg.WindowStart),
-		End:   simnet.FromStdDuration(cfg.WindowEnd),
+	sys, err := core.AnalyzeSystemGrouped(perServer, cfg.window(maxDepart), opts)
+	if sys != nil && !cfg.Lenient && len(sys.Skipped) > 0 {
+		first := sys.Skipped[0]
+		return nil, fmt.Errorf("transientbd: analyze %q: %w", first.Server, first.Err)
 	}
-	if w.End <= w.Start {
-		w.End = maxDepart + 1
+	if err != nil {
+		return nil, fmt.Errorf("transientbd: no server produced an analysis")
 	}
-	opts := core.Options{
+
+	report := &Report{PerServer: make(map[string]*ServerAnalysis, len(sys.Ranking))}
+	for _, r := range sys.Ranking {
+		sa := convertAnalysis(sys.PerServer[r.Server])
+		report.PerServer[r.Server] = sa
+		report.Ranking = append(report.Ranking, sa)
+	}
+	if q := sys.Quality; q != nil {
+		report.Quality = &TraceQuality{
+			Records:        len(records),
+			RecordsDropped: q.VisitsQuarantined,
+			SkewViolations: q.SkewViolations,
+			VisitsRepaired: q.VisitsRepaired,
+			ServersSkipped: q.ServersSkipped,
+		}
+		if len(q.SkewOffsets) > 0 {
+			report.Quality.ServerSkew = make(map[string]time.Duration, len(q.SkewOffsets))
+			for name, off := range q.SkewOffsets {
+				report.Quality.ServerSkew[name] = simnet.Std(off)
+			}
+		}
+	}
+	attachCauses(report, cfg.Downstream)
+	return report, nil
+}
+
+// coreOptions is the one translation from the public Config to the
+// internal analysis options; Analyze and Classes both use it, so the two
+// cannot judge the same server by different rules.
+func (cfg Config) coreOptions() core.Options {
+	return core.Options{
 		Interval:      simnet.FromStdDuration(cfg.Interval),
+		ServiceTimes:  coreServiceTimes(cfg.ServiceTimes),
 		POIFraction:   cfg.POIFraction,
 		RawThroughput: cfg.RawThroughput,
 		Parallelism:   cfg.Parallelism,
@@ -236,118 +259,33 @@ func Analyze(records []Record, cfg Config) (*Report, error) {
 			TolFraction: cfg.TolFraction,
 		},
 	}
-	// The calibration table is shared read-only by every worker, so
-	// convert it once rather than per server.
-	var svc core.ServiceTimes
-	if cfg.ServiceTimes != nil {
-		svc = make(core.ServiceTimes, len(cfg.ServiceTimes))
-		for class, d := range cfg.ServiceTimes {
-			svc[class] = simnet.FromStdDuration(d)
-		}
-	}
-
-	perServer := trace.PerServerParallel(visits, workers)
-	names := make([]string, 0, len(perServer))
-	for name := range perServer {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	// Fan the per-server analyses out: one result slot per server, so
-	// workers write disjoint indices and need no locks. The first failure
-	// cancels the feed; in-flight analyses finish, queued ones never
-	// start.
-	results := make([]*ServerAnalysis, len(names))
-	errs := make([]error, len(names))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	nw := workers
-	if nw > len(names) {
-		nw = len(names)
-	}
-	feed := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(nw)
-	for i := 0; i < nw; i++ {
-		go func() {
-			defer wg.Done()
-			for i := range feed {
-				a, err := core.AnalyzeServer(names[i], perServer[names[i]], svc, w, opts)
-				if err != nil {
-					if cfg.Lenient {
-						// Skipped server; tallied after the barrier.
-						continue
-					}
-					errs[i] = fmt.Errorf("transientbd: analyze %q: %w", names[i], err)
-					cancel()
-					continue
-				}
-				results[i] = convertAnalysis(a)
-			}
-		}()
-	}
-	for i := range names {
-		if ctx.Err() != nil {
-			break
-		}
-		feed <- i
-	}
-	close(feed)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	report := &Report{PerServer: make(map[string]*ServerAnalysis, len(names)), Quality: quality}
-	for i, name := range names {
-		if results[i] == nil {
-			// Only reachable in lenient mode: strict runs fail above on
-			// the first per-server error.
-			quality.ServersSkipped++
-			continue
-		}
-		report.PerServer[name] = results[i]
-		report.Ranking = append(report.Ranking, results[i])
-	}
-	if len(report.PerServer) == 0 {
-		return nil, fmt.Errorf("transientbd: no server produced an analysis")
-	}
-	sortRanking(report.Ranking)
-	attachCauses(report, cfg.Downstream)
-	return report, nil
 }
 
-// convertRecordsLenient is the lenient counterpart of convertRecords:
-// invalid records are quarantined and counted instead of failing the
-// call. It runs serially — the quarantine tally is a shared counter, and
-// lenient inputs are the degraded-trace path where throughput is not the
-// bottleneck.
-func convertRecordsLenient(records []Record, q *TraceQuality) ([]trace.Visit, simnet.Time) {
-	visits := make([]trace.Visit, 0, len(records))
-	var maxDepart simnet.Time
-	for i := range records {
-		if validateRecord(i, &records[i]) != nil {
-			q.RecordsDropped++
-			continue
-		}
-		v := recordToVisit(&records[i])
-		visits = append(visits, v)
-		if v.Depart > maxDepart {
-			maxDepart = v.Depart
-		}
+// window resolves the configured analysis window; an unset (or inverted)
+// window ends just past the latest departure.
+func (cfg Config) window(maxDepart simnet.Time) core.Window {
+	w := core.Window{
+		Start: simnet.FromStdDuration(cfg.WindowStart),
+		End:   simnet.FromStdDuration(cfg.WindowEnd),
 	}
-	return visits, maxDepart
+	if w.End <= w.Start {
+		w.End = maxDepart + 1
+	}
+	return w
 }
 
-// convertParallelMin is the record count below which sharded conversion is
-// not worth the fan-out; convertPollEvery is how often conversion workers
-// poll for cancellation.
-const (
-	convertParallelMin = 1 << 14
-	convertPollEvery   = 4096
-)
+// coreServiceTimes converts a calibrated table; nil stays nil (estimate
+// from the data).
+func coreServiceTimes(table map[string]time.Duration) core.ServiceTimes {
+	if table == nil {
+		return nil
+	}
+	svc := make(core.ServiceTimes, len(table))
+	for class, d := range table {
+		svc[class] = simnet.FromStdDuration(d)
+	}
+	return svc
+}
 
 func validateRecord(i int, r *Record) error {
 	if r.Server == "" {
@@ -359,89 +297,9 @@ func validateRecord(i int, r *Record) error {
 	return nil
 }
 
-// convertRecords validates the public Record schema and converts it to
-// trace visits, sharded across up to workers goroutines. Each shard owns
-// a contiguous range of the preallocated output, so no locking is needed;
-// the first invalid record cancels outstanding shards. Error reporting is
-// deterministic regardless of worker count: on failure the records are
-// rescanned serially (validation is two comparisons per record) and the
-// lowest-index offender is reported — exactly what the serial path says.
-func convertRecords(records []Record, workers int) ([]trace.Visit, simnet.Time, error) {
-	visits := make([]trace.Visit, len(records))
-	if workers <= 1 || len(records) < convertParallelMin {
-		var maxDepart simnet.Time
-		for i := range records {
-			if err := validateRecord(i, &records[i]); err != nil {
-				return nil, 0, err
-			}
-			visits[i] = recordToVisit(&records[i])
-			if visits[i].Depart > maxDepart {
-				maxDepart = visits[i].Depart
-			}
-		}
-		return visits, maxDepart, nil
-	}
-
-	nw := workers
-	if nw > len(records) {
-		nw = len(records)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	maxes := make([]simnet.Time, nw)
-	failed := false
-	var failedMu sync.Mutex
-	var wg sync.WaitGroup
-	chunk := (len(records) + nw - 1) / nw
-	for s := 0; s < nw; s++ {
-		lo := s * chunk
-		hi := lo + chunk
-		if hi > len(records) {
-			hi = len(records)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			var max simnet.Time
-			for i := lo; i < hi; i++ {
-				if (i-lo)%convertPollEvery == 0 && ctx.Err() != nil {
-					return
-				}
-				if err := validateRecord(i, &records[i]); err != nil {
-					failedMu.Lock()
-					failed = true
-					failedMu.Unlock()
-					cancel()
-					return
-				}
-				visits[i] = recordToVisit(&records[i])
-				if visits[i].Depart > max {
-					max = visits[i].Depart
-				}
-			}
-			maxes[s] = max
-		}(s, lo, hi)
-	}
-	wg.Wait()
-	if failed {
-		for i := range records {
-			if err := validateRecord(i, &records[i]); err != nil {
-				return nil, 0, err
-			}
-		}
-	}
-	var maxDepart simnet.Time
-	for _, m := range maxes {
-		if m > maxDepart {
-			maxDepart = m
-		}
-	}
-	return visits, maxDepart, nil
-}
-
+// recordToVisit is the one Record → trace.Visit conversion in the
+// package: every surface (Analyze, Classes, ChooseInterval,
+// OnlineDetector, Stream) goes through it.
 func recordToVisit(r *Record) trace.Visit {
 	return trace.Visit{
 		Server:     r.Server,

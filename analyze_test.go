@@ -167,8 +167,8 @@ func TestEpisodeAggregation(t *testing.T) {
 }
 
 // multiServerRecords builds a deterministic bursty trace across several
-// servers and classes, large enough (> 16k records) to engage the sharded
-// conversion and grouping paths of Analyze.
+// servers and classes, so the per-server pool of Analyze has several
+// analyses to spread at every tested Parallelism.
 func multiServerRecords() []Record {
 	const (
 		servers = 6
@@ -264,6 +264,36 @@ func TestAnalyzeParallelError(t *testing.T) {
 		if err.Error() != serialErr.Error() {
 			t.Errorf("Parallelism=%d error %q, want %q", workers, err, serialErr)
 		}
+	}
+}
+
+// TestAnalyzeStrictNamesFirstFailingServer pins what strict Analyze says
+// when per-server analyses fail: the first failing server by name, with
+// its cause wrapped, at every worker count. A window starting past the
+// end of the trace fails every server, so the answer has to come from the
+// skipped list rather than from any one worker.
+func TestAnalyzeStrictNamesFirstFailingServer(t *testing.T) {
+	recs := multiServerRecords()
+	var serial string
+	for _, workers := range []int{1, 8} {
+		_, err := Analyze(recs, Config{WindowStart: time.Hour, Parallelism: workers})
+		if err == nil {
+			t.Fatalf("Parallelism=%d: want error for a window past the trace", workers)
+		}
+		if !strings.HasPrefix(err.Error(), `transientbd: analyze "tier-0": `) {
+			t.Errorf("Parallelism=%d: error %q does not name the first server", workers, err)
+		}
+		if serial == "" {
+			serial = err.Error()
+		} else if err.Error() != serial {
+			t.Errorf("Parallelism=%d error %q, want %q", workers, err, serial)
+		}
+	}
+	// Lenient analysis skips the same servers instead, and then has
+	// nothing left to report.
+	if _, err := Analyze(recs, Config{WindowStart: time.Hour, Lenient: true}); err == nil ||
+		err.Error() != "transientbd: no server produced an analysis" {
+		t.Errorf("lenient error = %v, want no server produced an analysis", err)
 	}
 }
 

@@ -41,33 +41,38 @@ type IntervalChoice struct {
 	Score float64
 }
 
-// ChooseInterval implements the paper's stated future work: automatic
-// selection of the monitoring interval length for one server. It scores
-// each candidate by curve fidelity × transient resolution and returns the
-// winner plus the full table. A nil candidate list evaluates 10 ms–1 s.
-func ChooseInterval(records []Record, server string, candidates []time.Duration) (time.Duration, []IntervalChoice, error) {
+// serverVisits converts the records naming server, in input order, and
+// returns them with the latest departure among them.
+func serverVisits(records []Record, server string) ([]trace.Visit, simnet.Time, error) {
 	if server == "" {
-		return 0, nil, fmt.Errorf("transientbd: empty server name")
+		return nil, 0, fmt.Errorf("transientbd: empty server name")
 	}
-	visits := make([]trace.Visit, 0, len(records))
+	var visits []trace.Visit
 	var maxDepart simnet.Time
-	for _, r := range records {
-		if r.Server != server {
+	for i := range records {
+		if records[i].Server != server {
 			continue
 		}
-		v := trace.Visit{
-			Server: r.Server, Class: r.Class,
-			Arrive:     simnet.FromStdDuration(r.Arrive),
-			Depart:     simnet.FromStdDuration(r.Depart),
-			Downstream: simnet.FromStdDuration(r.DownstreamWait),
-		}
+		v := recordToVisit(&records[i])
 		if v.Depart > maxDepart {
 			maxDepart = v.Depart
 		}
 		visits = append(visits, v)
 	}
 	if len(visits) == 0 {
-		return 0, nil, fmt.Errorf("transientbd: no records for server %q", server)
+		return nil, 0, fmt.Errorf("transientbd: no records for server %q", server)
+	}
+	return visits, maxDepart, nil
+}
+
+// ChooseInterval implements the paper's stated future work: automatic
+// selection of the monitoring interval length for one server. It scores
+// each candidate by curve fidelity × transient resolution and returns the
+// winner plus the full table. A nil candidate list evaluates 10 ms–1 s.
+func ChooseInterval(records []Record, server string, candidates []time.Duration) (time.Duration, []IntervalChoice, error) {
+	visits, maxDepart, err := serverVisits(records, server)
+	if err != nil {
+		return 0, nil, err
 	}
 	w := core.Window{Start: 0, End: maxDepart + 1}
 	var cands []simnet.Duration
@@ -92,51 +97,20 @@ func ChooseInterval(records []Record, server string, candidates []time.Duration)
 
 // Classes analyzes one server's records and breaks the result down per
 // request class, worst-affected first. Use it after Analyze's ranking has
-// singled a server out.
+// singled a server out: the server is judged under the same options
+// Analyze derives from cfg (calibrated service times included), so the
+// breakdown refers to the congestion point Analyze reported.
 func Classes(records []Record, server string, cfg Config) ([]ClassStat, error) {
-	if server == "" {
-		return nil, fmt.Errorf("transientbd: empty server name")
+	visits, maxDepart, err := serverVisits(records, server)
+	if err != nil {
+		return nil, err
 	}
-	visits := make([]trace.Visit, 0, len(records))
-	var maxDepart simnet.Time
-	for _, r := range records {
-		if r.Server != server {
-			continue
-		}
-		if r.Depart < r.Arrive {
+	for _, v := range visits {
+		if v.Depart < v.Arrive {
 			return nil, fmt.Errorf("transientbd: record departs before it arrives")
 		}
-		v := trace.Visit{
-			Server:     r.Server,
-			Class:      r.Class,
-			Arrive:     simnet.FromStdDuration(r.Arrive),
-			Depart:     simnet.FromStdDuration(r.Depart),
-			Downstream: simnet.FromStdDuration(r.DownstreamWait),
-		}
-		if v.Depart > maxDepart {
-			maxDepart = v.Depart
-		}
-		visits = append(visits, v)
 	}
-	if len(visits) == 0 {
-		return nil, fmt.Errorf("transientbd: no records for server %q", server)
-	}
-	w := core.Window{
-		Start: simnet.FromStdDuration(cfg.WindowStart),
-		End:   simnet.FromStdDuration(cfg.WindowEnd),
-	}
-	if w.End <= w.Start {
-		w.End = maxDepart + 1
-	}
-	a, err := core.AnalyzeServer(server, visits, nil, w, core.Options{
-		Interval:      simnet.FromStdDuration(cfg.Interval),
-		POIFraction:   cfg.POIFraction,
-		RawThroughput: cfg.RawThroughput,
-		NStar: core.NStarOptions{
-			Bins:        cfg.Bins,
-			TolFraction: cfg.TolFraction,
-		},
-	})
+	a, err := core.AnalyzeServer(server, visits, cfg.window(maxDepart), cfg.coreOptions())
 	if err != nil {
 		return nil, fmt.Errorf("transientbd: analyze %q: %w", server, err)
 	}

@@ -1,6 +1,7 @@
 package transientbd
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -29,6 +30,57 @@ func TestClassesDrillDown(t *testing.T) {
 	}
 	if q.CongestedSlowdown <= 1 {
 		t.Errorf("slowdown = %.2f, want > 1 (queueing during the burst)", q.CongestedSlowdown)
+	}
+}
+
+// TestClassesHonoursServiceTimes: with a calibrated table whose work
+// units differ from the self-estimate, Classes must judge completions
+// against the congestion episodes Analyze reports under the same Config —
+// not against a second, uncalibrated analysis of the server.
+func TestClassesHonoursServiceTimes(t *testing.T) {
+	var recs []Record
+	for _, r := range multiServerRecords() {
+		if r.Server == "tier-0" {
+			recs = append(recs, r)
+		}
+	}
+	// The trace's own delays say long = 4 × short; the table says the
+	// opposite, so normalized throughput — and with it N* and the
+	// congested intervals — differs from the self-estimated run.
+	cfg := Config{ServiceTimes: map[string]time.Duration{
+		"long": 2 * time.Millisecond, "short": 8 * time.Millisecond,
+	}}
+	inEpisodes := func(cfg Config) int {
+		t.Helper()
+		report, err := Analyze(recs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, r := range recs {
+			for _, ep := range report.PerServer["tier-0"].Episodes {
+				if r.Depart >= ep.Start && r.Depart < ep.Start+ep.Length {
+					n++
+					break
+				}
+			}
+		}
+		return n
+	}
+	want := inEpisodes(cfg)
+	if want == 0 || want == inEpisodes(Config{}) {
+		t.Fatalf("calibrated table does not change the congested completions (%d); test is vacuous", want)
+	}
+	stats, err := Classes(recs, "tier-0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := 0
+	for _, c := range stats {
+		got += int(math.Round(float64(c.Count) * c.CongestedShare))
+	}
+	if got != want {
+		t.Errorf("Classes counts %d congested completions, Analyze's episodes hold %d", got, want)
 	}
 }
 

@@ -37,9 +37,10 @@
 //
 // The method is embarrassingly parallel across servers: load,
 // normalized throughput and N* are computed independently per tier.
-// Analyze exploits that — record validation/conversion, per-server
-// grouping and the per-server analyses all fan out across a bounded
-// worker pool sized by Config.Parallelism (0 = GOMAXPROCS, 1 = serial).
+// Analyze exploits exactly that and nothing else — records are validated,
+// converted and grouped in one serial pass, then the per-server analyses
+// fan out across a bounded worker pool sized by Config.Parallelism
+// (0 = GOMAXPROCS, 1 = serial), the same orchestration tbdetect -in runs.
 // The report is deterministic: identical at every worker count.
 // Analyze, AnalyzeSystem-style batch entry points and the returned
 // Report/ServerAnalysis values are safe for concurrent use; the

@@ -339,16 +339,21 @@ func printFinalSnapshot(stdout io.Writer, snap *stream.Snapshot, window time.Dur
 	printCauses(stdout, snap)
 }
 
-// printCauses renders the attribution engine's ranked verdicts over the
-// final window. It is a pure function of the snapshot — the chaos CI
-// jobs byte-diff this output between a golden and a degraded run, so
-// nothing here may depend on wall clocks or iteration order.
+// printCauses runs the attribution engine over the final window. It is
+// a pure function of the snapshot — the chaos CI jobs byte-diff this
+// output between a golden and a degraded run, so nothing here may depend
+// on wall clocks or iteration order.
 func printCauses(stdout io.Writer, snap *stream.Snapshot) {
 	ss := make([]cause.Series, 0, len(snap.Ranking))
 	for _, r := range snap.Ranking {
 		ss = append(ss, cause.FromOnline(r.Server, r.OnlineSnapshot))
 	}
-	verdicts := cause.Attribute(ss, cause.Options{})
+	printVerdicts(stdout, cause.Attribute(ss, cause.Options{}))
+}
+
+// printVerdicts renders ranked root-cause verdicts, at most five in full
+// — the one verdict block batch, follow and merge output share.
+func printVerdicts(stdout io.Writer, verdicts []cause.Verdict) {
 	if len(verdicts) == 0 {
 		return
 	}

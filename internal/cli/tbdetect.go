@@ -80,7 +80,7 @@ func TBDetect(args []string, stdout, stderr io.Writer) error {
 		classes    = fs.String("classes", "", "also print the per-class breakdown for this server")
 		auto       = fs.Bool("auto", false, "choose the monitoring interval automatically (overrides -interval)")
 		rootCA     = fs.Bool("rootcause", false, "with -wire: attribute congestion to its origin using the call graph")
-		parallel   = fs.Int("parallel", 0, "worker goroutines for the analysis (0 = GOMAXPROCS, 1 = serial; results are identical)")
+		parallel   = fs.Int("parallel", 0, "worker goroutines for the per-server analyses (0 = GOMAXPROCS, 1 = serial; results are identical)")
 		lenient    = fs.Bool("lenient", false, "survive degraded traces: skip corrupt lines, quarantine anomalous hops, repair clock skew")
 		quality    = fs.Bool("quality", false, "print the trace-quality block (lines skipped, visits quarantined, skew repairs)")
 		inflight   = fs.Duration("inflight", 0, "with -wire -lenient: count unterminated visits older than this as timed out rather than in flight (0 = off)")
@@ -190,7 +190,7 @@ func TBDetect(args []string, stdout, stderr io.Writer) error {
 				maxDepart = v.Depart
 			}
 		}
-		perServer = trace.PerServerParallel(visits, *parallel)
+		perServer = trace.PerServer(visits)
 	} else if *lenient {
 		var visits []trace.Visit
 		stats, err := traceio.StreamVisitsOpts(r, ioOpts, func(batch []trace.Visit) error {
@@ -203,18 +203,8 @@ func TBDetect(args []string, stdout, stderr io.Writer) error {
 		q.LinesRead = stats.Lines
 		q.LinesSkipped = stats.Malformed
 		q.VisitsQuarantined = stats.Invalid
-		repaired, srep := trace.RepairVisitSkew(visits)
-		visits = repaired
-		q.SkewViolations = srep.Violations
-		q.SkewOffsets = srep.Offsets
-		q.VisitsRepaired = srep.Shifted
 		total = len(visits)
-		for _, v := range visits {
-			if v.Depart > maxDepart {
-				maxDepart = v.Depart
-			}
-		}
-		perServer = trace.PerServerParallel(visits, *parallel)
+		perServer, maxDepart = core.GroupRepaired(visits, q)
 	} else {
 		perServer = make(map[string][]trace.Visit)
 		stats, err := traceio.StreamVisitsOpts(r, ioOpts, func(batch []trace.Visit) error {
@@ -313,27 +303,11 @@ func TBDetect(args []string, stdout, stderr io.Writer) error {
 	// capture sharpens them (the call graph lets the clip fingerprint
 	// chain to the deepest capped tier and discount mirror congestion),
 	// but the engine works from the per-server series alone.
-	{
-		ss := make([]cause.Series, 0, len(analysis.PerServer))
-		for _, a := range analysis.PerServer {
-			ss = append(ss, cause.FromAnalysis(a))
-		}
-		verdicts := cause.Attribute(ss, cause.Options{Downstream: callGraph})
-		if len(verdicts) > 0 {
-			fmt.Fprintln(stdout, "\nroot-cause verdicts (most likely first):")
-			for i, v := range verdicts {
-				if i >= 5 {
-					fmt.Fprintf(stdout, "  ... and %d more\n", len(verdicts)-i)
-					break
-				}
-				fmt.Fprintf(stdout, "  %-22s %-12s confidence=%.2f score=%.3f\n",
-					v.Kind, v.Server, v.Confidence, v.Score)
-				for _, e := range v.Evidence {
-					fmt.Fprintf(stdout, "      - %s\n", e)
-				}
-			}
-		}
+	ss := make([]cause.Series, 0, len(analysis.PerServer))
+	for _, a := range analysis.PerServer {
+		ss = append(ss, cause.FromAnalysis(a))
 	}
+	printVerdicts(stdout, cause.Attribute(ss, cause.Options{Downstream: callGraph}))
 
 	if *rootCA {
 		if callGraph == nil {

@@ -83,7 +83,7 @@ func onlineOptVariants() map[string]OnlineOptions {
 	}
 	return map[string]OnlineOptions{
 		"self-estimated": {WindowIntervals: 200, ReestimateEvery: 40, ReservoirSize: 64},
-		"calibrated":     {WindowIntervals: 200, ReestimateEvery: 40, ServiceTimes: calib},
+		"calibrated":     {Options: Options{ServiceTimes: calib}, WindowIntervals: 200, ReestimateEvery: 40},
 		"raw": {
 			Options:         Options{RawThroughput: true},
 			WindowIntervals: 200, ReestimateEvery: 40,

@@ -28,7 +28,7 @@ func TestClassBreakdownSeparatesVictims(t *testing.T) {
 		}
 	}
 	w := Window{Start: 0, End: 30 * simnet.Second}
-	a, err := AnalyzeServer("s", visits, nil, w, Options{})
+	a, err := AnalyzeServer("s", visits, w, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestClassBreakdownSlowdownRatio(t *testing.T) {
 		})
 	}
 	w := Window{Start: 0, End: 8 * simnet.Second}
-	a, err := AnalyzeServer("s", visits, nil, w, Options{})
+	a, err := AnalyzeServer("s", visits, w, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestClassBreakdownIgnoresOutOfWindow(t *testing.T) {
 		{Server: "s", Class: "in", Arrive: ms, Depart: 2 * ms},
 		{Server: "s", Class: "out", Arrive: ms, Depart: 10 * simnet.Second},
 	}
-	a, err := AnalyzeServer("s", visits, nil, Window{Start: 0, End: simnet.Second}, Options{})
+	a, err := AnalyzeServer("s", visits, Window{Start: 0, End: simnet.Second}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

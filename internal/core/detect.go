@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -47,6 +46,13 @@ type Options struct {
 	// ServicePercentile is the intra-node-delay percentile used as the
 	// per-class service-time estimate. Default 10.
 	ServicePercentile float64
+	// ServiceTimes, when non-nil, is a calibrated per-class service-time
+	// table (the paper's low-load calibration pass), used verbatim by
+	// both engines: AnalyzeServer skips its self-estimate, and Online
+	// normalizes against it instead of its drifting reservoirs — which is
+	// what makes a streaming run bit-identical to a batch pass fed the
+	// same table. Ignored under RawThroughput.
+	ServiceTimes ServiceTimes
 	// WorkUnit overrides the derived work-unit size (0 = derive via GCD).
 	WorkUnit simnet.Duration
 	// NStar tunes the congestion-point estimator.
@@ -60,10 +66,11 @@ type Options struct {
 	// Normalize disables throughput normalization when false-by-flag via
 	// RawThroughput (ablation: the Fig 7 problem).
 	RawThroughput bool
-	// Parallelism bounds the worker goroutines AnalyzeSystem and
-	// AnalyzeSystemGrouped fan per-server analyses across. 0 (the
-	// default) uses GOMAXPROCS; 1 forces the serial path. Results are
-	// identical at every setting.
+	// Parallelism bounds the worker goroutines AnalyzeSystemGrouped fans
+	// the per-server analyses across — the one stage of the batch method
+	// that is parallel by nature (§III) and the one pool measurement
+	// defends (PERFORMANCE.md). 0 (the default) uses GOMAXPROCS; 1 forces
+	// the serial path. Results are identical at every setting.
 	Parallelism int
 	// Quality, when non-nil, is the trace-quality report accumulated by
 	// the ingestion and repair passes that produced the visits. Analysis
@@ -140,9 +147,10 @@ func (a *Analysis) CongestedAt(i int) bool {
 }
 
 // AnalyzeServer runs the full §III pipeline over one server's visits.
-// Service-time estimates may be supplied (e.g. from a low-load calibration
-// run, as the paper recommends); pass nil to estimate from these visits.
-func AnalyzeServer(serverName string, visits []trace.Visit, svc ServiceTimes, w Window, opts Options) (*Analysis, error) {
+// Service times come from Options.ServiceTimes (e.g. a low-load
+// calibration run, as the paper recommends) or, when that is nil, are
+// estimated from these visits.
+func AnalyzeServer(serverName string, visits []trace.Visit, w Window, opts Options) (*Analysis, error) {
 	opts.applyDefaults()
 	if err := w.validate(); err != nil {
 		return nil, err
@@ -150,6 +158,7 @@ func AnalyzeServer(serverName string, visits []trace.Visit, svc ServiceTimes, w 
 	if len(visits) == 0 {
 		return nil, fmt.Errorf("%w: server %q", ErrNoVisits, serverName)
 	}
+	svc := opts.ServiceTimes
 	if svc == nil {
 		est, err := EstimateServiceTimes(visits, opts.ServicePercentile)
 		if err != nil {
@@ -293,6 +302,13 @@ type ServerReport struct {
 	POICount           int
 }
 
+// SkippedServer names a server AnalyzeSystemGrouped left out of the
+// report and the per-server error that caused it.
+type SkippedServer struct {
+	Server string
+	Err    error
+}
+
 // SystemAnalysis is the result of analyzing every server of a system.
 type SystemAnalysis struct {
 	// PerServer holds the full analysis per server name.
@@ -300,6 +316,10 @@ type SystemAnalysis struct {
 	// Ranking lists servers by congested fraction, worst first — the
 	// transient-bottleneck ranking the operator acts on.
 	Ranking []ServerReport
+	// Skipped lists the servers whose analysis failed, in server-name
+	// order. A strict caller fails on the first; a lenient one counts
+	// them (Quality.ServersSkipped does, when a report is attached).
+	Skipped []SkippedServer
 	// Quality is the trace-quality report when the caller supplied one
 	// via Options.Quality; nil for a strict, clean run.
 	Quality *TraceQuality
@@ -307,24 +327,26 @@ type SystemAnalysis struct {
 
 // AnalyzeSystem groups visits by server and analyzes each, ranking servers
 // by transient-bottleneck frequency. Servers whose analysis fails for lack
-// of data are skipped. Both the grouping and the per-server analyses run
-// on up to Options.Parallelism workers; the result is identical at every
-// setting.
+// of data are skipped. The result is identical at every Parallelism.
 func AnalyzeSystem(visits []trace.Visit, w Window, opts Options) (*SystemAnalysis, error) {
 	if len(visits) == 0 {
 		return nil, ErrNoVisits
 	}
-	perServer := trace.PerServerParallel(visits, resolveWorkers(opts.Parallelism, len(visits)))
-	return AnalyzeSystemGrouped(perServer, w, opts)
+	return AnalyzeSystemGrouped(trace.PerServer(visits), w, opts)
 }
 
 // AnalyzeSystemGrouped is AnalyzeSystem for visits already grouped by
-// server — the entry point for streaming ingestion (internal/traceio),
-// which builds the per-server map incrementally without materializing a
-// flat visit slice first. Per-server analyses fan out across up to
+// server — the one batch orchestration behind the public Analyze,
+// tbdetect -in (which builds the per-server map incrementally from
+// internal/traceio without materializing a flat visit slice) and the
+// experiments. Per-server analyses fan out across up to
 // Options.Parallelism workers (0 = GOMAXPROCS); each server's analysis
 // reads only that server's visits, so no locking is needed and the report
 // is bit-identical to a serial pass.
+//
+// Servers whose analysis fails are left out and listed in Skipped. When
+// every server fails the error is non-nil and the returned SystemAnalysis
+// carries only Skipped, so the caller can still say why.
 func AnalyzeSystemGrouped(perServer map[string][]trace.Visit, w Window, opts Options) (*SystemAnalysis, error) {
 	if len(perServer) == 0 {
 		return nil, ErrNoVisits
@@ -338,35 +360,32 @@ func AnalyzeSystemGrouped(perServer map[string][]trace.Visit, w Window, opts Opt
 	// One result slot per server: workers write disjoint indices, so the
 	// only synchronization needed is forEach's completion barrier.
 	analyses := make([]*Analysis, len(names))
-	workers := resolveWorkers(opts.Parallelism, len(names))
-	forEach(context.Background(), workers, len(names), func(i int) {
-		a, err := AnalyzeServer(names[i], perServer[names[i]], nil, w, opts)
-		if err != nil {
-			return // skipped: ranking covers servers with enough data
-		}
-		analyses[i] = a
+	errs := make([]error, len(names))
+	forEach(opts.Parallelism, len(names), func(i int) {
+		analyses[i], errs[i] = AnalyzeServer(names[i], perServer[names[i]], w, opts)
 	})
 
 	out := &SystemAnalysis{PerServer: make(map[string]*Analysis, len(names)), Quality: opts.Quality}
 	for i, a := range analyses {
-		if a != nil {
-			out.PerServer[names[i]] = a
-		} else if opts.Quality != nil {
-			opts.Quality.ServersSkipped++
+		if errs[i] != nil {
+			out.Skipped = append(out.Skipped, SkippedServer{Server: names[i], Err: errs[i]})
+			continue
 		}
-	}
-	if len(out.PerServer) == 0 {
-		return nil, fmt.Errorf("core: no server produced an analysis")
-	}
-	for name, a := range out.PerServer {
+		out.PerServer[names[i]] = a
 		out.Ranking = append(out.Ranking, ServerReport{
-			Server:             name,
+			Server:             names[i],
 			NStar:              a.NStar.NStar,
 			TPMax:              a.NStar.TPMax,
 			CongestedIntervals: a.CongestedIntervals,
 			CongestedFraction:  a.CongestedFraction,
 			POICount:           len(a.POIs),
 		})
+	}
+	if opts.Quality != nil {
+		opts.Quality.ServersSkipped += len(out.Skipped)
+	}
+	if len(out.PerServer) == 0 {
+		return out, fmt.Errorf("core: no server produced an analysis")
 	}
 	sort.Slice(out.Ranking, func(i, j int) bool {
 		if out.Ranking[i].CongestedFraction != out.Ranking[j].CongestedFraction {

@@ -90,7 +90,7 @@ func TestAnalyzeServerDetectsTransientCongestion(t *testing.T) {
 		seed:       1,
 	})
 	w := Window{Start: 0, End: 60 * simnet.Second}
-	a, err := AnalyzeServer("s", visits, nil, w, Options{})
+	a, err := AnalyzeServer("s", visits, w, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestAnalyzeServerQuietServerNotCongested(t *testing.T) {
 		seed:     2,
 	})
 	w := Window{Start: 0, End: 30 * simnet.Second}
-	a, err := AnalyzeServer("s", visits, nil, w, Options{})
+	a, err := AnalyzeServer("s", visits, w, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestAnalyzeServerDetectsFreezePOI(t *testing.T) {
 		seed:        3,
 	})
 	w := Window{Start: 0, End: 30 * simnet.Second}
-	a, err := AnalyzeServer("s", visits, nil, w, Options{})
+	a, err := AnalyzeServer("s", visits, w, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestAnalyzeServerStatesPartition(t *testing.T) {
 		seed:    4,
 	})
 	w := Window{Start: 0, End: 20 * simnet.Second}
-	a, err := AnalyzeServer("s", visits, nil, w, Options{})
+	a, err := AnalyzeServer("s", visits, w, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestAnalyzeServerStatesPartition(t *testing.T) {
 func TestAnalyzeServerRawThroughputOption(t *testing.T) {
 	visits := fig7Visits()
 	w := Window{Start: 0, End: 300 * ms}
-	a, err := AnalyzeServer("s", visits, nil, w, Options{RawThroughput: true, Interval: 100 * ms})
+	a, err := AnalyzeServer("s", visits, w, Options{RawThroughput: true, Interval: 100 * ms})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestAnalyzeServerSuppliedServiceTimes(t *testing.T) {
 	visits := fig7Visits()
 	w := Window{Start: 0, End: 300 * ms}
 	svc := ServiceTimes{"Req1": 30 * ms, "Req2": 10 * ms}
-	a, err := AnalyzeServer("s", visits, svc, w, Options{Interval: 100 * ms})
+	a, err := AnalyzeServer("s", visits, w, Options{Interval: 100 * ms, ServiceTimes: svc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestAnalyzeServerSuppliedServiceTimes(t *testing.T) {
 
 func TestAnalysisPoints(t *testing.T) {
 	visits := fig7Visits()
-	a, err := AnalyzeServer("s", visits, nil, Window{Start: 0, End: 300 * ms}, Options{Interval: 100 * ms})
+	a, err := AnalyzeServer("s", visits, Window{Start: 0, End: 300 * ms}, Options{Interval: 100 * ms})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,11 +324,11 @@ func TestIntervalLengthSensitivity(t *testing.T) {
 		horizon: 60 * simnet.Second, seed: 7,
 	})
 	w := Window{Start: 0, End: 60 * simnet.Second}
-	fine, err := AnalyzeServer("s", visits, nil, w, Options{Interval: 50 * ms})
+	fine, err := AnalyzeServer("s", visits, w, Options{Interval: 50 * ms})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coarse, err := AnalyzeServer("s", visits, nil, w, Options{Interval: simnet.Second})
+	coarse, err := AnalyzeServer("s", visits, w, Options{Interval: simnet.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,10 +28,13 @@
 //     the other free functions are pure: they never mutate their inputs
 //     and share no state, so any number may run concurrently — including
 //     over the same visit slice.
-//   - AnalyzeSystem and AnalyzeSystemGrouped fan AnalyzeServer out across
-//     a bounded worker pool (Options.Parallelism; 0 means GOMAXPROCS) and
-//     are themselves safe to call concurrently. Results are independent
-//     of the worker count.
+//   - AnalyzeSystemGrouped — the one batch orchestration; AnalyzeSystem,
+//     the public Analyze and tbdetect -in all end in it — fans the
+//     per-server analyses out across a bounded worker pool
+//     (Options.Parallelism; 0 means GOMAXPROCS). That is the only fan-out
+//     in the batch path: grouping and record conversion are serial
+//     (PERFORMANCE.md has the measurement). It is safe to call
+//     concurrently, and results are independent of the worker count.
 //   - Analysis, SystemAnalysis, NStarResult and ServiceTimes values are
 //     safe for concurrent reads once returned; they have no internal
 //     locking, so treat them as immutable.

@@ -91,7 +91,7 @@ func TestWindowSpan(t *testing.T) {
 }
 
 func TestErrNoVisitsWrapping(t *testing.T) {
-	_, err := AnalyzeServer("x", nil, nil, Window{Start: 0, End: simnet.Second}, Options{})
+	_, err := AnalyzeServer("x", nil, Window{Start: 0, End: simnet.Second}, Options{})
 	if !errors.Is(err, ErrNoVisits) {
 		t.Errorf("err = %v, want ErrNoVisits", err)
 	}

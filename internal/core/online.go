@@ -75,7 +75,8 @@ type Alert struct {
 
 // OnlineOptions configures the streaming analyzer.
 type OnlineOptions struct {
-	// Options embeds the batch analysis knobs (interval, thresholds, N*).
+	// Options embeds the batch analysis knobs (interval, thresholds, N*,
+	// calibrated service times).
 	Options
 	// WindowIntervals is the sliding window size in intervals. Default
 	// 2400 (2 minutes at 50 ms).
@@ -86,12 +87,6 @@ type OnlineOptions struct {
 	// ReservoirSize bounds per-class service-time memory (the most
 	// recent samples are kept). Default 256.
 	ReservoirSize int
-	// ServiceTimes, when non-nil, is a calibrated per-class service-time
-	// table (the paper's low-load calibration pass). Normalization then
-	// uses it verbatim instead of the drifting reservoir estimate, which
-	// is what makes a streaming run bit-identical to a batch pass fed the
-	// same table. Ignored under Options.RawThroughput.
-	ServiceTimes ServiceTimes
 }
 
 // reservoir keeps the most recent intra-node delays for one class, so the

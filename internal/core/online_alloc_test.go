@@ -38,8 +38,7 @@ func TestOnlineObserveAllocBudget(t *testing.T) {
 		perStep  = 64 // observations per closed interval
 	)
 	o, err := NewOnline(0, OnlineOptions{
-		Options:         Options{Interval: interval},
-		ServiceTimes:    ServiceTimes{"q": 2 * simnet.Millisecond},
+		Options:         Options{Interval: interval, ServiceTimes: ServiceTimes{"q": 2 * simnet.Millisecond}},
 		ReestimateEvery: 1 << 30,
 	})
 	if err != nil {
@@ -80,8 +79,7 @@ func TestOnlineObserveAllocBudget(t *testing.T) {
 func TestOnlineSnapshotIntoReuse(t *testing.T) {
 	const interval = 50 * simnet.Millisecond
 	o, err := NewOnline(0, OnlineOptions{
-		Options:      Options{Interval: interval},
-		ServiceTimes: ServiceTimes{"q": 2 * simnet.Millisecond},
+		Options: Options{Interval: interval, ServiceTimes: ServiceTimes{"q": 2 * simnet.Millisecond}},
 	})
 	if err != nil {
 		t.Fatal(err)

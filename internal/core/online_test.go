@@ -85,7 +85,7 @@ func TestOnlineMatchesBatchClassification(t *testing.T) {
 		seed:       1,
 	})
 	w := Window{Start: 0, End: 60 * simnet.Second}
-	batch, err := AnalyzeServer("s", visits, nil, w, Options{})
+	batch, err := AnalyzeServer("s", visits, w, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

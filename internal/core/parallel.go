@@ -1,54 +1,33 @@
 package core
 
 import (
-	"context"
 	"runtime"
 	"sync"
 )
 
-// resolveWorkers turns a Parallelism setting into a concrete worker count
-// for n independent work items: 0 or negative means GOMAXPROCS, and the
-// count never exceeds n (spawning more goroutines than items buys
-// nothing).
-func resolveWorkers(parallelism, n int) int {
-	w := parallelism
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// forEach runs fn(i) for every i in [0, n) across at most workers
-// goroutines and blocks until all scheduled calls return. When ctx is
-// canceled, workers stop picking up new indices (calls already in flight
-// run to completion). workers <= 1 runs inline with no goroutines, so the
-// serial path stays allocation- and scheduler-free.
+// forEach runs fn(i) for every i in [0, n) and blocks until all calls
+// return. It uses up to parallelism goroutines — 0 or negative means
+// GOMAXPROCS, and never more than n (spawning more goroutines than items
+// buys nothing). One worker runs inline with no goroutines, so the serial
+// path stays allocation- and scheduler-free.
 //
 // fn must be safe for concurrent invocation on distinct indices; forEach
 // itself adds no synchronization around fn's side effects beyond the
 // happens-before edge of its own return, which is what lets callers write
 // results into disjoint slots of a shared slice without locks.
-func forEach(ctx context.Context, workers, n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx != nil && ctx.Err() != nil {
-				return
-			}
-			fn(i)
-		}
-		return
+func forEach(parallelism, n int, fn func(i int)) {
+	workers := parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
 	}
 	next := make(chan int)
 	var wg sync.WaitGroup
@@ -62,9 +41,6 @@ func forEach(ctx context.Context, workers, n int, fn func(i int)) {
 		}()
 	}
 	for i := 0; i < n; i++ {
-		if ctx != nil && ctx.Err() != nil {
-			break
-		}
 		next <- i
 	}
 	close(next)

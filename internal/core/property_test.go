@@ -94,7 +94,7 @@ func TestTimeShiftInvariance(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		visits := propVisits(seed, 2000)
 		w := Window{Start: 0, End: 10*simnet.Second + simnet.Second}
-		base, err := AnalyzeServer("s", visits, propSvc, w, Options{})
+		base, err := AnalyzeServer("s", visits, w, Options{ServiceTimes: propSvc})
 		if err != nil {
 			t.Fatalf("seed %d: base analysis: %v", seed, err)
 		}
@@ -106,7 +106,7 @@ func TestTimeShiftInvariance(t *testing.T) {
 				shifted[i] = v
 			}
 			sw := Window{Start: w.Start + shift, End: w.End + shift}
-			got, err := AnalyzeServer("s", shifted, propSvc, sw, Options{})
+			got, err := AnalyzeServer("s", shifted, sw, Options{ServiceTimes: propSvc})
 			if err != nil {
 				t.Fatalf("seed %d shift %v: %v", seed, shift, err)
 			}
@@ -128,7 +128,7 @@ func TestShardMergeAssociativity(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		visits := propVisits(seed, 3000)
 		w := Window{Start: 0, End: 10*simnet.Second + simnet.Second}
-		base, err := AnalyzeServer("s", visits, propSvc, w, Options{})
+		base, err := AnalyzeServer("s", visits, w, Options{ServiceTimes: propSvc})
 		if err != nil {
 			t.Fatalf("seed %d: base analysis: %v", seed, err)
 		}
@@ -147,7 +147,7 @@ func TestShardMergeAssociativity(t *testing.T) {
 			for _, s := range shards {
 				merged = append(merged, s...)
 			}
-			got, err := AnalyzeServer("s", merged, propSvc, w, Options{})
+			got, err := AnalyzeServer("s", merged, w, Options{ServiceTimes: propSvc})
 			if err != nil {
 				t.Fatalf("seed %d trial %d: %v", seed, trial, err)
 			}
@@ -165,8 +165,8 @@ func TestShardMergeAssociativity(t *testing.T) {
 func TestOnlineSnapshotOrderInvariance(t *testing.T) {
 	visits := propVisits(11, 2000)
 	opts := OnlineOptions{
+		Options:         Options{ServiceTimes: propSvc},
 		WindowIntervals: 4096,
-		ServiceTimes:    propSvc,
 	}
 	end := simnet.Time(0)
 	for _, v := range visits {

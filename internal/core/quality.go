@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"transientbd/internal/simnet"
+	"transientbd/internal/trace"
 )
 
 // TraceQuality summarizes how much of a degraded trace the lenient
@@ -47,6 +48,27 @@ type TraceQuality struct {
 	// ServersSkipped counts servers whose per-server analysis was dropped
 	// because the degraded trace left too little usable data.
 	ServersSkipped int
+}
+
+// GroupRepaired is the last ingestion step of the lenient visit path,
+// shared by the public Analyze and tbdetect -lenient: it repairs
+// cross-server clock skew where TxnID linkage permits, tallies the repair
+// into q, and groups the repaired visits per server, input order
+// preserved within each. It also returns the latest departure after the
+// repair — the repair moves clocks forward, so a window end taken before
+// it could cut the shifted visits off.
+func GroupRepaired(visits []trace.Visit, q *TraceQuality) (map[string][]trace.Visit, simnet.Time) {
+	visits, rep := trace.RepairVisitSkew(visits)
+	q.SkewViolations = rep.Violations
+	q.SkewOffsets = rep.Offsets
+	q.VisitsRepaired = rep.Shifted
+	var maxDepart simnet.Time
+	for _, v := range visits {
+		if v.Depart > maxDepart {
+			maxDepart = v.Depart
+		}
+	}
+	return trace.PerServer(visits), maxDepart
 }
 
 // Coverage is the fraction of the observed input that survived into the

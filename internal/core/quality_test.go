@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -59,6 +60,9 @@ func TestAnalyzeSystemGroupedCountsSkippedServers(t *testing.T) {
 	}
 	if q.ServersSkipped != 1 {
 		t.Errorf("ServersSkipped = %d, want 1", q.ServersSkipped)
+	}
+	if len(sys.Skipped) != 1 || sys.Skipped[0].Server != "mysql" || !errors.Is(sys.Skipped[0].Err, ErrNoVisits) {
+		t.Errorf("Skipped = %+v, want mysql with ErrNoVisits", sys.Skipped)
 	}
 	if sys.Quality != q {
 		t.Error("quality report not attached to SystemAnalysis")

@@ -134,7 +134,7 @@ func attributeCapture(msgs []trace.Message, w core.Window, downstream map[string
 	visits, _ := trace.AssembleLenient(repaired, trace.AssembleOptions{
 		InFlightTimeout: 5 * simnet.Second,
 	})
-	sysA, err := core.AnalyzeSystemGrouped(trace.PerServerParallel(visits, 0), w, core.Options{
+	sysA, err := core.AnalyzeSystemGrouped(trace.PerServer(visits), w, core.Options{
 		Interval: 50 * simnet.Millisecond,
 	})
 	if err != nil {

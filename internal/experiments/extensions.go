@@ -136,11 +136,11 @@ func NormalizationAblation(opts RunOpts) (*NormalizationAblationResult, error) {
 	interval := 50 * simnet.Millisecond
 	visits := trace.Filter(res.Visits, "mysql-1")
 	w := core.Window{Start: res.WindowStart, End: res.WindowEnd}
-	norm, err := core.AnalyzeServer("mysql-1", visits, nil, w, core.Options{Interval: interval})
+	norm, err := core.AnalyzeServer("mysql-1", visits, w, core.Options{Interval: interval})
 	if err != nil {
 		return nil, err
 	}
-	raw, err := core.AnalyzeServer("mysql-1", visits, nil, w, core.Options{Interval: interval, RawThroughput: true})
+	raw, err := core.AnalyzeServer("mysql-1", visits, w, core.Options{Interval: interval, RawThroughput: true})
 	if err != nil {
 		return nil, err
 	}

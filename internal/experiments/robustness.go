@@ -77,7 +77,7 @@ func Robustness(opts RunOpts) (*RobustnessResult, error) {
 		visits, arep := trace.AssembleLenient(repaired, trace.AssembleOptions{
 			InFlightTimeout: 5 * simnet.Second,
 		})
-		sysA, err := core.AnalyzeSystemGrouped(trace.PerServerParallel(visits, 0), w, core.Options{
+		sysA, err := core.AnalyzeSystemGrouped(trace.PerServer(visits), w, core.Options{
 			Interval: 50 * simnet.Millisecond,
 		})
 		if err != nil {

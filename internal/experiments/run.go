@@ -127,7 +127,7 @@ func tierVisits(visits []trace.Visit, prefix string) []trace.Visit {
 func analyzeTier(res *ntier.Result, prefix string, interval simnet.Duration) (*core.Analysis, error) {
 	visits := tierVisits(res.Visits, prefix)
 	w := core.Window{Start: res.WindowStart, End: res.WindowEnd}
-	a, err := core.AnalyzeServer(prefix, visits, nil, w, core.Options{Interval: interval})
+	a, err := core.AnalyzeServer(prefix, visits, w, core.Options{Interval: interval})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: analyze %s: %w", prefix, err)
 	}
@@ -143,7 +143,7 @@ func analyzeTier(res *ntier.Result, prefix string, interval simnet.Duration) (*c
 func analyzeInstance(res *ntier.Result, name string, interval simnet.Duration) (*core.Analysis, error) {
 	visits := trace.Filter(res.Visits, name)
 	w := core.Window{Start: res.WindowStart, End: res.WindowEnd}
-	a, err := core.AnalyzeServer(name, visits, nil, w, core.Options{Interval: interval})
+	a, err := core.AnalyzeServer(name, visits, w, core.Options{Interval: interval})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: analyze %s: %w", name, err)
 	}

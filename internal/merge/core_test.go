@@ -49,9 +49,8 @@ func testConfig(clock *testClock, expect ...string) Config {
 	return Config{
 		Stream: stream.Config{
 			Online: core.OnlineOptions{
-				Options:         core.Options{Interval: 50 * simnet.Millisecond},
+				Options:         core.Options{Interval: 50 * simnet.Millisecond, ServiceTimes: testServiceTimes},
 				WindowIntervals: 24000, // 20 min: covers every test trace
-				ServiceTimes:    testServiceTimes,
 			},
 		},
 		FlushLag:         300 * simnet.Millisecond,

@@ -63,9 +63,8 @@ func runTCPDurable(t *testing.T, feeds map[string][]trace.Visit, arm durableArm)
 		Core: Config{
 			Stream: stream.Config{
 				Online: core.OnlineOptions{
-					Options:         core.Options{Interval: 50 * simnet.Millisecond},
+					Options:         core.Options{Interval: 50 * simnet.Millisecond, ServiceTimes: testServiceTimes},
 					WindowIntervals: 24000,
-					ServiceTimes:    testServiceTimes,
 				},
 			},
 			FlushLag:         300 * simnet.Millisecond,
@@ -257,9 +256,8 @@ func TestMergeServerAuth(t *testing.T) {
 			Core: Config{
 				Stream: stream.Config{
 					Online: core.OnlineOptions{
-						Options:         core.Options{Interval: 50 * simnet.Millisecond},
+						Options:         core.Options{Interval: 50 * simnet.Millisecond, ServiceTimes: testServiceTimes},
 						WindowIntervals: 24000,
-						ServiceTimes:    testServiceTimes,
 					},
 				},
 				FlushLag:         300 * simnet.Millisecond,

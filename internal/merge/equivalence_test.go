@@ -58,9 +58,8 @@ func runTCP(t *testing.T, feeds map[string][]trace.Visit, plan *faultPlan) ([]st
 		Core: Config{
 			Stream: stream.Config{
 				Online: core.OnlineOptions{
-					Options:         core.Options{Interval: 50 * simnet.Millisecond},
+					Options:         core.Options{Interval: 50 * simnet.Millisecond, ServiceTimes: testServiceTimes},
 					WindowIntervals: 24000,
-					ServiceTimes:    testServiceTimes,
 				},
 			},
 			FlushLag:    300 * simnet.Millisecond,

@@ -32,8 +32,7 @@ func TestServerEchoesEveryGoodbyeBeforeDone(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		srv, err := NewServer(ServerConfig{Core: Config{
 			Stream: stream.Config{Online: core.OnlineOptions{
-				Options:      core.Options{Interval: 50 * simnet.Millisecond},
-				ServiceTimes: testServiceTimes,
+				Options: core.Options{Interval: 50 * simnet.Millisecond, ServiceTimes: testServiceTimes},
 			}},
 			ExpectNodes:      names,
 			HeartbeatTimeout: time.Minute,

@@ -41,8 +41,7 @@ func TestIngestAllocBudget(t *testing.T) {
 	const interval = 50 * simnet.Millisecond
 	r, err := newRuntime(Config{
 		Online: core.OnlineOptions{
-			Options:         core.Options{Interval: interval},
-			ServiceTimes:    core.ServiceTimes{"q": 2 * simnet.Millisecond},
+			Options:         core.Options{Interval: interval, ServiceTimes: core.ServiceTimes{"q": 2 * simnet.Millisecond}},
 			ReestimateEvery: 1 << 30,
 		},
 		// Small queue so retention (cap 4×QueueDepth records) hits its

@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"transientbd/internal/simnet"
 )
@@ -197,68 +196,6 @@ func PerServer(visits []Visit) map[string][]Visit {
 	out := make(map[string][]Visit)
 	for _, v := range visits {
 		out[v.Server] = append(out[v.Server], v)
-	}
-	return out
-}
-
-// perServerParallelMin is the input size below which sharded grouping is
-// not worth the goroutine overhead.
-const perServerParallelMin = 1 << 14
-
-// PerServerParallel is PerServer sharded across up to workers goroutines:
-// each worker groups a contiguous chunk into its own accumulator map (no
-// shared state, no locks) and the chunks are merged in order afterwards,
-// so per-server visit order — and therefore every downstream analysis —
-// is identical to the serial result. workers <= 1, or inputs too small to
-// amortize the fan-out, fall back to PerServer.
-func PerServerParallel(visits []Visit, workers int) map[string][]Visit {
-	if workers <= 1 || len(visits) < perServerParallelMin {
-		return PerServer(visits)
-	}
-	if workers > len(visits) {
-		workers = len(visits)
-	}
-	shards := make([]map[string][]Visit, workers)
-	var wg sync.WaitGroup
-	chunk := (len(visits) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(visits) {
-			hi = len(visits)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			m := make(map[string][]Visit)
-			for _, v := range visits[lo:hi] {
-				m[v.Server] = append(m[v.Server], v)
-			}
-			shards[w] = m
-		}(w, lo, hi)
-	}
-	wg.Wait()
-
-	// Size the merged slices exactly, then append shard by shard in chunk
-	// order: contiguous chunks concatenated in order reproduce the input
-	// order per server.
-	total := make(map[string]int)
-	for _, m := range shards {
-		for name, vs := range m {
-			total[name] += len(vs)
-		}
-	}
-	out := make(map[string][]Visit, len(total))
-	for name, n := range total {
-		out[name] = make([]Visit, 0, n)
-	}
-	for _, m := range shards {
-		for name, vs := range m {
-			out[name] = append(out[name], vs...)
-		}
 	}
 	return out
 }

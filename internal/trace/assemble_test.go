@@ -333,51 +333,3 @@ func TestCallGraphDeduplicates(t *testing.T) {
 		t.Errorf("a calls %v, want deduplicated [b]", g["a"])
 	}
 }
-
-func TestPerServerParallelMatchesSerial(t *testing.T) {
-	// Large enough to cross the sharding threshold, with skewed server
-	// sizes so chunk boundaries split servers mid-stream.
-	var visits []Visit
-	for i := 0; i < 40000; i++ {
-		server := "a"
-		switch {
-		case i%7 == 0:
-			server = "b"
-		case i%31 == 0:
-			server = "c"
-		}
-		visits = append(visits, Visit{
-			Server: server,
-			HopID:  int64(i),
-			Arrive: simnet.Time(i),
-			Depart: simnet.Time(i + 5),
-		})
-	}
-	want := PerServer(visits)
-	for _, workers := range []int{2, 3, 8, 64} {
-		got := PerServerParallel(visits, workers)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d servers, want %d", workers, len(got), len(want))
-		}
-		for name := range want {
-			if len(got[name]) != len(want[name]) {
-				t.Fatalf("workers=%d server %s: %d visits, want %d",
-					workers, name, len(got[name]), len(want[name]))
-			}
-			for i := range want[name] {
-				if got[name][i] != want[name][i] {
-					t.Fatalf("workers=%d server %s visit %d differs: order not preserved",
-						workers, name, i)
-				}
-			}
-		}
-	}
-}
-
-func TestPerServerParallelSmallInputFallsBack(t *testing.T) {
-	visits := []Visit{{Server: "x", Arrive: 1, Depart: 2}}
-	got := PerServerParallel(visits, 8)
-	if len(got) != 1 || len(got["x"]) != 1 {
-		t.Fatalf("got %v", got)
-	}
-}

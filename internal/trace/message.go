@@ -23,9 +23,9 @@
 // has no internal locking; wrap it if multiple producers must share one.
 // The free functions (Assemble, Reconstruct, PerServer, Filter,
 // Transactions, CallGraph) are pure: they do not mutate their inputs and
-// may run concurrently, even over the same slice. PerServerParallel
-// additionally shards its own work internally while keeping the result
-// identical to PerServer.
+// may run concurrently, even over the same slice. None of them starts
+// a goroutine: grouping is a single serial pass, and the per-server
+// analyses in internal/core are where the batch path fans out.
 package trace
 
 import (

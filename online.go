@@ -7,7 +7,6 @@ import (
 
 	"transientbd/internal/core"
 	"transientbd/internal/simnet"
-	"transientbd/internal/trace"
 )
 
 // OnlineAlert reports one closed monitoring interval at one server from
@@ -61,21 +60,15 @@ func (cfg OnlineConfig) coreOptions() core.OnlineOptions {
 	if reest <= 0 {
 		reest = 20 * time.Second
 	}
-	opts := core.OnlineOptions{
+	return core.OnlineOptions{
 		Options: core.Options{
 			Interval:      simnet.FromStdDuration(interval),
+			ServiceTimes:  coreServiceTimes(cfg.ServiceTimes),
 			RawThroughput: cfg.RawThroughput,
 		},
 		WindowIntervals: int(window / interval),
 		ReestimateEvery: int(reest / interval),
 	}
-	if cfg.ServiceTimes != nil {
-		opts.ServiceTimes = make(core.ServiceTimes, len(cfg.ServiceTimes))
-		for class, d := range cfg.ServiceTimes {
-			opts.ServiceTimes[class] = simnet.FromStdDuration(d)
-		}
-	}
-	return opts
 }
 
 // OnlineDetector ingests records as they complete and emits per-interval
@@ -87,7 +80,7 @@ func (cfg OnlineConfig) coreOptions() core.OnlineOptions {
 // sliding-window state with no internal locking, so calls must be
 // serialized (one feeding goroutine, or an external mutex). To scale
 // ingestion across cores, shard by server — one OnlineDetector per shard
-// — mirroring how Analyze parallelizes the batch pipeline.
+// — mirroring how Analyze fans out the per-server batch analyses.
 type OnlineDetector struct {
 	cfg     OnlineConfig
 	servers map[string]*core.Online
@@ -120,13 +113,7 @@ func (d *OnlineDetector) Observe(r Record) error {
 	if err != nil {
 		return err
 	}
-	o.Observe(trace.Visit{
-		Server:     r.Server,
-		Class:      r.Class,
-		Arrive:     simnet.FromStdDuration(r.Arrive),
-		Depart:     simnet.FromStdDuration(r.Depart),
-		Downstream: simnet.FromStdDuration(r.DownstreamWait),
-	})
+	o.Observe(recordToVisit(&r))
 	return nil
 }
 

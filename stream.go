@@ -6,7 +6,6 @@ import (
 	"transientbd/internal/core"
 	"transientbd/internal/simnet"
 	"transientbd/internal/stream"
-	"transientbd/internal/trace"
 )
 
 // StreamConfig tunes a sharded streaming detector. The zero value runs
@@ -180,15 +179,7 @@ func (s *Stream) Observe(r Record) error {
 	if err := validateRecord(0, &r); err != nil {
 		return err
 	}
-	return s.rt.Observe(trace.Visit{
-		Server:     r.Server,
-		Class:      r.Class,
-		Arrive:     simnet.FromStdDuration(r.Arrive),
-		Depart:     simnet.FromStdDuration(r.Depart),
-		Downstream: simnet.FromStdDuration(r.DownstreamWait),
-		TxnID:      r.TxnID,
-		HopID:      r.HopID,
-	})
+	return s.rt.Observe(recordToVisit(&r))
 }
 
 // Advance manually moves the watermark to now, closing every interval
