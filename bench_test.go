@@ -12,11 +12,12 @@ package transientbd
 // numbers.
 
 import (
+	"fmt"
 	"io"
+	"sort"
 	"testing"
 	"time"
 
-	"transientbd/internal/cli"
 	"transientbd/internal/core"
 	"transientbd/internal/experiments"
 	"transientbd/internal/mva"
@@ -165,13 +166,77 @@ func BenchmarkAnalyzeInterval(b *testing.B) {
 	}
 }
 
+// benchVisits generates the deterministic multi-server bursty trace the
+// analysis benchmarks run on: n visits spread over s servers, with a
+// class mix of c classes whose service times differ (exercising work-unit
+// normalization) and periodic arrival bursts that push load past the
+// knee (exercising N* estimation and interval classification).
+func benchVisits(n, s, c int, seed int64) (map[string][]trace.Visit, core.Window) {
+	rng := simnet.NewRNG(seed)
+	perServer := make(map[string][]trace.Visit, s)
+	perN := n / s
+	var end simnet.Time
+	for si := 0; si < s; si++ {
+		name := fmt.Sprintf("server-%02d", si)
+		visits := make([]trace.Visit, 0, perN)
+		var at simnet.Time
+		var busyUntil simnet.Time
+		for i := 0; i < perN; i++ {
+			class := i % c
+			svc := simnet.Duration(2+3*class) * simnet.Millisecond
+			gap := rng.Exp(6 * simnet.Millisecond)
+			// Every ~2000 visits, a 200-visit burst arrives at 4x rate,
+			// building a transient backlog that drains afterwards.
+			if i%2000 < 200 {
+				gap /= 4
+			}
+			at += simnet.Time(gap)
+			start := at
+			if busyUntil > start {
+				start = busyUntil
+			}
+			depart := start + simnet.Time(svc)
+			busyUntil = depart
+			visits = append(visits, trace.Visit{
+				Server: name,
+				Class:  fmt.Sprintf("class-%d", class),
+				Arrive: at,
+				Depart: depart,
+			})
+			if depart >= end {
+				end = depart + 1
+			}
+		}
+		perServer[name] = visits
+	}
+	return perServer, core.Window{Start: 0, End: end}
+}
+
+// benchVisitStream flattens the benchVisits workload into the single
+// departure-ordered stream the online benchmarks ingest — the order a
+// passive tracer's collector would deliver, so the runtime's watermark
+// never marks a record late.
+func benchVisitStream(n, s, c int, seed int64) []trace.Visit {
+	perServer, _ := benchVisits(n, s, c, seed)
+	var all []trace.Visit
+	for _, vs := range perServer {
+		all = append(all, vs...)
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Depart != all[j].Depart {
+			return all[i].Depart < all[j].Depart
+		}
+		return all[i].Server < all[j].Server
+	})
+	return all
+}
+
 // BenchmarkAnalyzeParallel measures the per-server fan-out of the
-// detection pipeline over a multi-server bursty trace at 1/2/4/8 workers.
-// The same workload backs `experiments bench`, which writes the numbers
-// to BENCH_analyze.json (see PERFORMANCE.md); wall-clock speedup tracks
-// min(servers, GOMAXPROCS, workers).
+// detection pipeline over a multi-server bursty trace at 1/2/4/8 workers;
+// wall-clock speedup tracks min(servers, GOMAXPROCS, workers). Sweep
+// cores with -cpu, repeat with -count (PERFORMANCE.md "How to measure").
 func BenchmarkAnalyzeParallel(b *testing.B) {
-	perServer, w := cli.BenchVisits(100000, 8, 3, 1)
+	perServer, w := benchVisits(100000, 8, 3, 1)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(itoa(workers)+"workers", func(b *testing.B) {
 			opts := core.Options{Interval: 50 * simnet.Millisecond, Parallelism: workers}
@@ -182,6 +247,33 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// batchAnalyzeAllocBudget bounds the heap allocations of one whole
+// core.AnalyzeSystemGrouped pass at Parallelism 1 over the 200 000-record
+// / 8-server / 3-class / seed-1 benchVisits trace. The pass measures 814
+// on a 1-CPU and on a 2-CPU machine alike (set-up plus per-interval
+// series, no per-record work); the budget is that plus 15 %, the
+// tolerance the retired `experiments bench -compare` gate applied to the
+// same count, and one allocation per record would read 200 000 more. The
+// fourth budget of PERFORMANCE.md "The allocation-budget contract".
+const batchAnalyzeAllocBudget = 936
+
+func TestBatchAnalyzeAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; budget is meaningless under -race")
+	}
+	perServer, w := benchVisits(200000, 8, 3, 1)
+	opts := core.Options{Interval: 50 * simnet.Millisecond, Parallelism: 1}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := core.AnalyzeSystemGrouped(perServer, w, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > batchAnalyzeAllocBudget {
+		t.Fatalf("AnalyzeSystemGrouped allocated %.0f times over 200000 records, budget %d: something on the per-record path allocates",
+			allocs, batchAnalyzeAllocBudget)
 	}
 }
 
@@ -306,13 +398,11 @@ func BenchmarkOnlineDetector(b *testing.B) {
 
 // benchStreamShards measures end-to-end ingest throughput of the sharded
 // online runtime: one op observes the whole departure-ordered stream,
-// closes every interval, and drains the merged alert stream. The same
-// workload backs `experiments bench -online`, which writes the numbers
-// to BENCH_online.json (see PERFORMANCE.md); wall-clock speedup tracks
-// min(servers, GOMAXPROCS, shards).
+// closes every interval, and drains the merged alert stream; wall-clock
+// speedup tracks min(servers, GOMAXPROCS, shards).
 func benchStreamShards(b *testing.B, shards int) {
 	const records = 100000
-	visits := cli.BenchVisitStream(records, 8, 3, 1)
+	visits := benchVisitStream(records, 8, 3, 1)
 	cfg := stream.Config{
 		Online: core.OnlineOptions{Options: core.Options{Interval: 50 * simnet.Millisecond}},
 		Shards: shards,

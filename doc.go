@@ -45,9 +45,9 @@
 // Analyze, AnalyzeSystem-style batch entry points and the returned
 // Report/ServerAnalysis values are safe for concurrent use; the
 // streaming OnlineDetector is single-writer. PERFORMANCE.md documents
-// the pipeline's cost model, the benchmark harness
-// (`go run ./cmd/experiments bench`) and the BENCH_analyze.json
-// baseline it maintains.
+// the pipeline's cost model and how to measure it: the repository
+// benchmark (`bash benchmark/run.sh`, declared in BENCHMARK.json) is
+// the record, `go test -bench` the development loop.
 //
 // # Simulation testbed
 //

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -205,8 +204,11 @@ func TestExperimentsErrors(t *testing.T) {
 	if err := Experiments(nil, &stdout, &stderr); err == nil {
 		t.Error("want usage error")
 	}
-	if err := Experiments([]string{"bogus"}, &stdout, &stderr); err == nil {
-		t.Error("want unknown-subcommand error")
+	for _, sub := range []string{"bogus", "bench"} {
+		err := Experiments([]string{sub}, &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), "(list|run)") {
+			t.Errorf("%s: want unknown-subcommand error listing list|run, got %v", sub, err)
+		}
 	}
 	if err := Experiments([]string{"run"}, &stdout, &stderr); err == nil {
 		t.Error("want missing-id error")
@@ -369,217 +371,6 @@ func TestTBDetectParallelFlagDeterministic(t *testing.T) {
 	}
 }
 
-func TestExperimentsBench(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "BENCH_analyze.json")
-	var stdout, stderr bytes.Buffer
-	err := Experiments([]string{
-		"bench", "-records", "20000", "-servers", "4",
-		"-workers", "1,2", "-cpus", "2", "-repeat", "1", "-out", out,
-	}, &stdout, &stderr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report struct {
-		Benchmark string `json:"benchmark"`
-		Servers   int    `json:"servers"`
-		Results   []struct {
-			CPUs            int     `json:"cpus"`
-			Workers         int     `json:"workers"`
-			NsPerOp         int64   `json:"ns_per_op"`
-			AllocsPerOp     int64   `json:"allocs_per_op"`
-			SpeedupVsSerial float64 `json:"speedup_vs_serial"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("BENCH_analyze.json does not parse: %v", err)
-	}
-	if report.Benchmark == "" || report.Servers != 4 {
-		t.Errorf("bad report header: %+v", report)
-	}
-	if len(report.Results) != 2 {
-		t.Fatalf("got %d results, want 2", len(report.Results))
-	}
-	for _, r := range report.Results {
-		if r.NsPerOp <= 0 || r.SpeedupVsSerial <= 0 {
-			t.Errorf("workers=%d: non-positive measurements: %+v", r.Workers, r)
-		}
-		if r.CPUs != 2 {
-			t.Errorf("workers=%d: want cpus=2 from the -cpus sweep, got %d", r.Workers, r.CPUs)
-		}
-	}
-	if report.Results[0].Workers != 1 || report.Results[0].SpeedupVsSerial != 1 {
-		t.Errorf("serial row must lead with speedup 1: %+v", report.Results[0])
-	}
-	// Bad worker lists error cleanly.
-	if err := Experiments([]string{"bench", "-workers", "zero"}, &stdout, &stderr); err == nil {
-		t.Error("want error for malformed -workers")
-	}
-}
-
-func TestExperimentsBenchOnline(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "BENCH_online.json")
-	entryProcs := runtime.GOMAXPROCS(0)
-	var stdout, stderr bytes.Buffer
-	err := Experiments([]string{
-		"bench", "-online", "-records", "20000", "-servers", "4",
-		"-shards", "1,2", "-cpus", "2", "-repeat", "1", "-out", out,
-	}, &stdout, &stderr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report struct {
-		Benchmark string `json:"benchmark"`
-		Servers   int    `json:"servers"`
-		Results   []struct {
-			CPUs            int     `json:"cpus"`
-			Shards          int     `json:"shards"`
-			NsPerOp         int64   `json:"ns_per_op"`
-			RecordsPerSec   float64 `json:"records_per_sec"`
-			SpeedupVsSingle float64 `json:"speedup_vs_single"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("BENCH_online.json does not parse: %v", err)
-	}
-	if report.Benchmark == "" || report.Servers != 4 {
-		t.Errorf("bad report header: %+v", report)
-	}
-	if len(report.Results) != 2 {
-		t.Fatalf("got %d results, want 2", len(report.Results))
-	}
-	for _, r := range report.Results {
-		if r.NsPerOp <= 0 || r.RecordsPerSec <= 0 || r.SpeedupVsSingle <= 0 {
-			t.Errorf("shards=%d: non-positive measurements: %+v", r.Shards, r)
-		}
-		if r.CPUs != 2 {
-			t.Errorf("shards=%d: want cpus=2 from the -cpus sweep, got %d", r.Shards, r.CPUs)
-		}
-	}
-	if report.Results[0].Shards != 1 || report.Results[0].SpeedupVsSingle != 1 {
-		t.Errorf("single-shard row must lead with speedup 1: %+v", report.Results[0])
-	}
-	if got := runtime.GOMAXPROCS(0); got != entryProcs {
-		t.Errorf("bench leaked GOMAXPROCS=%d, want %d restored", got, entryProcs)
-	}
-	// Bad shard and CPU lists error cleanly.
-	if err := Experiments([]string{"bench", "-online", "-shards", "none"}, &stdout, &stderr); err == nil {
-		t.Error("want error for malformed -shards")
-	}
-	if err := Experiments([]string{"bench", "-online", "-cpus", "0"}, &stdout, &stderr); err == nil {
-		t.Error("want error for malformed -cpus")
-	}
-}
-
-// TestExperimentsBenchSingleCPUGate: a run whose largest GOMAXPROCS is 1
-// must refuse to write a results file unless forced, because the
-// committed baselines are multi-core scaling matrices.
-func TestExperimentsBenchSingleCPUGate(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "BENCH_analyze.json")
-	var stdout, stderr bytes.Buffer
-	err := Experiments([]string{
-		"bench", "-records", "2000", "-servers", "2",
-		"-workers", "1", "-cpus", "1", "-repeat", "1", "-out", out,
-	}, &stdout, &stderr)
-	if err == nil || !strings.Contains(err.Error(), "allow-single-cpu") {
-		t.Fatalf("want single-CPU refusal naming the override flag, got %v", err)
-	}
-	if _, statErr := os.Stat(out); !os.IsNotExist(statErr) {
-		t.Fatal("refused run must not leave a results file behind")
-	}
-	// `-out -` prints without writing a file, so it is always allowed.
-	stdout.Reset()
-	if err := Experiments([]string{
-		"bench", "-records", "2000", "-servers", "2",
-		"-workers", "1", "-cpus", "1", "-repeat", "1", "-out", "-",
-	}, &stdout, &stderr); err != nil {
-		t.Fatalf("-out - must bypass the gate: %v", err)
-	}
-	if !strings.Contains(stdout.String(), `"results"`) {
-		t.Error("-out - did not print the report")
-	}
-	// The explicit override writes the file.
-	if err := Experiments([]string{
-		"bench", "-records", "2000", "-servers", "2",
-		"-workers", "1", "-cpus", "1", "-repeat", "1", "-out", out, "-allow-single-cpu",
-	}, &stdout, &stderr); err != nil {
-		t.Fatalf("-allow-single-cpu must permit the write: %v", err)
-	}
-	if _, err := os.Stat(out); err != nil {
-		t.Fatalf("overridden run wrote no file: %v", err)
-	}
-}
-
-// TestExperimentsBenchCompare exercises the -compare regression guard:
-// same-workload comparison passes within tolerance, a tampered baseline
-// trips it with a non-zero result, and a different workload refuses to
-// compare at all.
-func TestExperimentsBenchCompare(t *testing.T) {
-	dir := t.TempDir()
-	baseline := filepath.Join(dir, "baseline.json")
-	var stdout, stderr bytes.Buffer
-	args := []string{
-		"bench", "-records", "4000", "-servers", "2",
-		"-workers", "1", "-cpus", "2", "-repeat", "1",
-	}
-	if err := Experiments(append(args, "-out", baseline), &stdout, &stderr); err != nil {
-		t.Fatal(err)
-	}
-	// Re-measuring the same workload on the same machine must pass (a
-	// huge tolerance keeps scheduler noise out of the test).
-	if err := Experiments(append(args, "-out", "-", "-compare", baseline, "-tolerance", "10"), &stdout, &stderr); err != nil {
-		t.Fatalf("self-comparison failed: %v", err)
-	}
-	// A baseline claiming near-zero cost must trip both guards.
-	data, err := os.ReadFile(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep map[string]any
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range rep["results"].([]any) {
-		m := row.(map[string]any)
-		m["ns_per_op"] = 1
-		m["allocs_per_op"] = 1
-	}
-	tampered, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast := filepath.Join(dir, "impossible.json")
-	if err := os.WriteFile(fast, tampered, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stderr.Reset()
-	err = Experiments(append(args, "-out", "-", "-compare", fast), &stdout, &stderr)
-	if err == nil || !strings.Contains(err.Error(), "regression") {
-		t.Fatalf("want regression failure against impossible baseline, got %v", err)
-	}
-	if !strings.Contains(err.Error(), "allocs/op") {
-		t.Errorf("regression error must name the allocation guard: %v", err)
-	}
-	// Different workload: not comparable, whatever the numbers.
-	err = Experiments([]string{
-		"bench", "-records", "8000", "-servers", "2",
-		"-workers", "1", "-cpus", "2", "-repeat", "1", "-out", "-", "-compare", baseline,
-	}, &stdout, &stderr)
-	if err == nil || !strings.Contains(err.Error(), "workload") {
-		t.Fatalf("want workload-mismatch refusal, got %v", err)
-	}
-}
-
 // TestFollowMode pipes a simulated trace through tbdetect's online mode
 // end to end: congestion alerts must stream out, the final ranked
 // snapshot must print, and -selfmetrics must account for every record.
@@ -681,7 +472,6 @@ func TestCLIDocsCoverAllFlags(t *testing.T) {
 		{"tbdetect agent", Agent, nil},
 		{"tbdetect merge", Merge, nil},
 		{"experiments run", Experiments, []string{"run"}},
-		{"experiments bench", Experiments, []string{"bench"}},
 	} {
 		for _, f := range usageFlags(t, tool.run, tool.args...) {
 			if !strings.Contains(ref, "`"+f+"`") {

@@ -11,11 +11,9 @@ import (
 	"io"
 	"net"
 	"os"
-	"os/signal"
 	"runtime"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"transientbd/internal/agent"
@@ -129,23 +127,8 @@ func Agent(args []string, stdout, stderr io.Writer) error {
 func runAgent(r io.Reader, stdout, stderr io.Writer, opts agentOpts) error {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	stop := opts.stop
-	if stop == nil {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		defer signal.Stop(sig)
-		ch := make(chan struct{})
-		quit := make(chan struct{})
-		defer close(quit)
-		go func() {
-			select {
-			case <-sig:
-				close(ch)
-			case <-quit:
-			}
-		}()
-		stop = ch
-	}
+	stop, unhook := stopSignal(opts.stop)
+	defer unhook()
 	interrupted := make(chan struct{})
 	go func() {
 		select {
@@ -464,43 +447,38 @@ func runMerge(stdout, stderr io.Writer, opts mergeOpts) error {
 		opts.listenReady(addr)
 	}
 
-	// The alert printer must start before anything can seal an interval
-	// (the runtime blocks closing on an undrained alert channel).
+	// Optional HTTP layer: metrics gain the per-node families, /report
+	// serves barrier-consistent snapshots computed on the head's event
+	// goroutine at publishEvery cadence, /alerts streams what the printer
+	// below publishes.
+	hsrv, shutdown, err := startServe(serve.Config{
+		Metrics:       srv.Metrics,
+		Health:        srv.ShardHealth,
+		Nodes:         func() []serve.NodeView { return nodeViews(srv.NodeStatuses()) },
+		PeersRejected: srv.AuthRejects,
+	}, opts.httpAddr, stderr, opts.httpReady)
+	if err != nil {
+		// A head that failed to start prints nothing, but Close seals, and
+		// sealing blocks on an undrained alert channel.
+		go func() {
+			for range srv.Alerts() {
+			}
+		}()
+		srv.Close()
+		return fmt.Errorf("tbdetect merge: http listen: %w", err)
+	}
+	defer shutdown()
+
+	// The alert printer starts as soon as it has somewhere to publish:
+	// agents may already be connecting, and the runtime blocks sealing an
+	// interval on an undrained alert channel.
 	var alerts, freezes int64
 	printerDone := make(chan struct{})
 	go func() {
 		defer close(printerDone)
-		alerts, freezes = printAlerts(stdout, nil, srv.Alerts())
+		alerts, freezes = printAlerts(stdout, hsrv, srv.Alerts())
 	}()
 
-	// Optional HTTP layer: metrics gain the per-node families, /report
-	// serves barrier-consistent snapshots computed on the head's event
-	// goroutine at publishEvery cadence.
-	var hsrv *serve.Server
-	if opts.httpAddr != "" {
-		hsrv = serve.New(serve.Config{
-			Metrics:       srv.Metrics,
-			Health:        srv.ShardHealth,
-			Nodes:         func() []serve.NodeView { return nodeViews(srv.NodeStatuses()) },
-			PeersRejected: srv.AuthRejects,
-		})
-		haddr, herr := hsrv.Start(opts.httpAddr)
-		if herr != nil {
-			srv.Close()
-			<-printerDone
-			return fmt.Errorf("tbdetect merge: http listen: %w", herr)
-		}
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-			defer cancel()
-			hsrv.Shutdown(ctx) //nolint:errcheck // best-effort drain on exit
-		}()
-		fmt.Fprintf(stderr, "tbdetect: listening on http://%s\n", haddr)
-		if opts.httpReady != nil {
-			opts.httpReady(haddr)
-		}
-		hsrv.SetReady(true)
-	}
 	publishEvery := opts.publishEvery
 	if publishEvery <= 0 {
 		publishEvery = time.Second
@@ -508,6 +486,7 @@ func runMerge(stdout, stderr io.Writer, opts mergeOpts) error {
 	pubQuit := make(chan struct{})
 	defer close(pubQuit)
 	if hsrv != nil {
+		hsrv.SetReady(true)
 		go func() {
 			t := time.NewTicker(publishEvery)
 			defer t.Stop()
@@ -526,23 +505,8 @@ func runMerge(stdout, stderr io.Writer, opts mergeOpts) error {
 		}()
 	}
 
-	stop := opts.stop
-	if stop == nil {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		defer signal.Stop(sig)
-		ch := make(chan struct{})
-		quit := make(chan struct{})
-		defer close(quit)
-		go func() {
-			select {
-			case <-sig:
-				close(ch)
-			case <-quit:
-			}
-		}()
-		stop = ch
-	}
+	stop, unhook := stopSignal(opts.stop)
+	defer unhook()
 
 	var snap *stream.Snapshot
 	select {

@@ -8,6 +8,7 @@ import (
 	"crypto/rand"
 	"crypto/x509"
 	"crypto/x509/pkix"
+	"encoding/json"
 	"encoding/pem"
 	"fmt"
 	"io"
@@ -24,6 +25,7 @@ import (
 
 	"transientbd/internal/agent"
 	"transientbd/internal/chaos"
+	"transientbd/internal/serve"
 	"transientbd/internal/trace"
 	"transientbd/internal/traceio"
 )
@@ -384,6 +386,101 @@ func TestAgentMergeEndToEnd(t *testing.T) {
 	// zero drops, on both nodes.
 	if got := strings.Count(out, "dropped=0"); got != 2 {
 		t.Errorf("want dropped=0 on both node lines, got %d:\n%s", got, out)
+	}
+}
+
+// TestMergeHTTPStreamsAlerts: a merge head started with -http must stream
+// on /alerts every congestion alert it prints. The subscriber connects
+// before the first agent does, so each ALERT line on stdout has to arrive
+// as an "alert" event (or be owned up to in a "dropped" count), and the
+// stream has to finish with "end".
+func TestMergeHTTPStreamsAlerts(t *testing.T) {
+	// Long enough (~25 s of trace) to pass the first N* estimate, which is
+	// what turns closed intervals into congestion alerts.
+	feeds := feedsByNode(t, 12000, map[string]string{"web": "n1", "app": "n2", "db": "n2"})
+
+	addrCh := make(chan string, 1)
+	httpCh := make(chan string, 1)
+	var mout, merr bytes.Buffer
+	mergeDone := make(chan error, 1)
+	go func() {
+		mergeDone <- runMerge(&mout, &merr, mergeOpts{
+			listen:      "127.0.0.1:0",
+			expect:      []string{"n1", "n2"},
+			interval:    50 * time.Millisecond,
+			window:      2 * time.Minute,
+			flushLag:    300 * time.Millisecond,
+			shards:      2,
+			hbTimeout:   time.Minute,
+			httpAddr:    "127.0.0.1:0",
+			listenReady: func(a string) { addrCh <- a },
+			httpReady:   func(a string) { httpCh <- a },
+		})
+	}()
+	var addr, haddr string
+	for addr == "" || haddr == "" {
+		select {
+		case addr = <-addrCh:
+		case haddr = <-httpCh:
+		case err := <-mergeDone:
+			t.Fatalf("merge head exited before listening: %v\nstderr: %s", err, merr.String())
+		case <-time.After(5 * time.Second):
+			t.Fatal("merge head never came up")
+		}
+	}
+	events := sseSubscribe(t, "http://"+haddr)
+
+	var wg sync.WaitGroup
+	for node, feed := range feeds {
+		wg.Add(1)
+		go func(node string, feed []byte) {
+			defer wg.Done()
+			if _, err := agent.Run(context.Background(), bytes.NewReader(feed), agent.Config{
+				Node: node, Addr: addr, BatchSize: 128,
+				HeartbeatEvery: 50 * time.Millisecond, IOTimeout: 2 * time.Second,
+			}); err != nil {
+				t.Errorf("agent %s: %v", node, err)
+			}
+		}(node, feed)
+	}
+	wg.Wait()
+	select {
+	case err := <-mergeDone:
+		if err != nil {
+			t.Fatalf("merge: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("merge head never finished after both agents said goodbye")
+	}
+
+	var streamed, dropped int64
+	var sawEnd bool
+	for ev := range events {
+		switch ev.name {
+		case "alert":
+			streamed++
+		case "dropped":
+			var d serve.DroppedJSON
+			if err := json.Unmarshal([]byte(ev.data), &d); err != nil {
+				t.Fatalf("dropped event payload %q: %v", ev.data, err)
+			}
+			dropped += d.Dropped
+		case "end":
+			sawEnd = true
+		}
+	}
+	printed := int64(strings.Count(mout.String(), "ALERT"))
+	if printed == 0 {
+		t.Fatalf("workload should congest, but the head printed no ALERT:\n%s", mout.String())
+	}
+	if streamed+dropped != printed {
+		t.Errorf("stdout printed %d alerts, /alerts delivered %d and reported %d dropped", printed, streamed, dropped)
+	}
+	if !sawEnd {
+		t.Error("alert stream did not finish with an end event")
+	}
+	if !strings.Contains(merr.String(), "listening on http://"+haddr) {
+		t.Errorf("stderr does not announce the http address %s:\n%s", haddr, merr.String())
 	}
 }
 

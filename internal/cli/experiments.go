@@ -10,15 +10,13 @@ import (
 	"transientbd/internal/simnet"
 )
 
-// Experiments lists or runs the paper-artifact regenerators, and hosts
-// the analysis-pipeline benchmark harness.
+// Experiments lists or runs the paper-artifact regenerators.
 //
 //	experiments list
-//	experiments run <id>|all [-quick] [-seed N] [-duration D]
-//	experiments bench [-records N] [-servers S] [-workers 1,2,4,8] [-out BENCH_analyze.json]
+//	experiments run <id>|all [-quick] [-seed N] [-duration D] [-data DIR]
 func Experiments(args []string, stdout, stderr io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("experiments: usage: list | run <id>|all [flags] | bench [flags]")
+		return fmt.Errorf("experiments: usage: list | run <id>|all [flags]")
 	}
 	switch args[0] {
 	case "list":
@@ -28,10 +26,8 @@ func Experiments(args []string, stdout, stderr io.Writer) error {
 		return nil
 	case "run":
 		return runExperiments(args[1:], stdout, stderr)
-	case "bench":
-		return ExperimentsBench(args[1:], stdout, stderr)
 	default:
-		return fmt.Errorf("experiments: unknown subcommand %q (list|run|bench)", args[0])
+		return fmt.Errorf("experiments: unknown subcommand %q (list|run)", args[0])
 	}
 }
 

@@ -108,48 +108,21 @@ func runFollow(r io.Reader, stdout, stderr io.Writer, opts followOpts) error {
 	// Serving layer: everything it reads is either any-goroutine-safe
 	// (Metrics, ShardHealth) or published explicitly from this goroutine
 	// (snapshots, via atomic pointer swap), so attaching it adds nothing
-	// to the shard hot path. The deferred Shutdown covers the error paths;
-	// it is idempotent, so the graceful path below may also call it.
-	var srv *serve.Server
-	if opts.listen != "" {
-		srv = serve.New(serve.Config{Metrics: rt.Metrics, Health: rt.ShardHealth})
-		addr, lerr := srv.Start(opts.listen)
-		if lerr != nil {
-			rt.Abort()
-			return fmt.Errorf("tbdetect: listen: %w", lerr)
-		}
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-			defer cancel()
-			srv.Shutdown(ctx) //nolint:errcheck // best-effort drain on exit
-		}()
-		fmt.Fprintf(stderr, "tbdetect: listening on http://%s\n", addr)
-		if opts.listenReady != nil {
-			opts.listenReady(addr)
-		}
+	// to the shard hot path.
+	srv, shutdown, err := startServe(serve.Config{Metrics: rt.Metrics, Health: rt.ShardHealth},
+		opts.listen, stderr, opts.listenReady)
+	if err != nil {
+		rt.Abort()
+		return fmt.Errorf("tbdetect: listen: %w", err)
 	}
+	defer shutdown()
 	publishEvery := opts.publishEvery
 	if publishEvery <= 0 {
 		publishEvery = time.Second
 	}
 
-	stop := opts.stop
-	if stop == nil {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		defer signal.Stop(sig)
-		ch := make(chan struct{})
-		quit := make(chan struct{})
-		defer close(quit)
-		go func() {
-			select {
-			case <-sig:
-				close(ch)
-			case <-quit:
-			}
-		}()
-		stop = ch
-	}
+	stop, unhook := stopSignal(opts.stop)
+	defer unhook()
 
 	// Alert printer: the single consumer of the merged stream. Idle and
 	// normal closures stay silent; congested intervals print as they
@@ -281,6 +254,57 @@ func runFollow(r io.Reader, stdout, stderr io.Writer, opts followOpts) error {
 		}
 	}
 	return nil
+}
+
+// startServe brings up the HTTP serving layer on addr, announces the bound
+// address on stderr and hands it to ready (tests hook it). The caller
+// defers the returned shutdown, which covers every exit path with a 3 s
+// drain. An empty addr means no serving layer: a nil server and a no-op
+// shutdown. The follow and merge modes both call it before they start
+// their alert printer, which fans alerts out to the server it returns.
+func startServe(cfg serve.Config, addr string, stderr io.Writer, ready func(addr string)) (*serve.Server, func(), error) {
+	if addr == "" {
+		return nil, func() {}, nil
+	}
+	srv := serve.New(cfg)
+	bound, err := srv.Start(addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	fmt.Fprintf(stderr, "tbdetect: listening on http://%s\n", bound)
+	if ready != nil {
+		ready(bound)
+	}
+	return srv, func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx) //nolint:errcheck // best-effort drain on exit
+	}, nil
+}
+
+// stopSignal returns the channel whose close asks a long-running mode to
+// shut down gracefully — closed on the first SIGINT/SIGTERM, or the
+// injected channel itself when non-nil (tests) — and the unhook the
+// caller defers to uninstall the handler.
+func stopSignal(injected <-chan struct{}) (stop <-chan struct{}, unhook func()) {
+	if injected != nil {
+		return injected, func() {}
+	}
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	ch := make(chan struct{})
+	quit := make(chan struct{})
+	go func() {
+		select {
+		case <-sig:
+			close(ch)
+		case <-quit:
+		}
+	}()
+	return ch, func() {
+		close(quit)
+		signal.Stop(sig)
+	}
 }
 
 // printAlerts is the single consumer of a merged alert stream: congested

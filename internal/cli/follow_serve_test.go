@@ -41,6 +41,43 @@ func pollUntil(t *testing.T, what string, timeout time.Duration, fn func() bool)
 	}
 }
 
+type sseEvent struct{ name, data string }
+
+// sseSubscribe opens base's /alerts stream and returns its events as they
+// arrive; the channel closes when the server ends the stream.
+func sseSubscribe(t *testing.T, base string) <-chan sseEvent {
+	t.Helper()
+	resp, err := http.Get(base + "/alerts")
+	if err != nil {
+		t.Fatalf("GET /alerts: %v", err)
+	}
+	t.Cleanup(func() { resp.Body.Close() })
+	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+		t.Fatalf("/alerts Content-Type = %q", ct)
+	}
+	events := make(chan sseEvent, 1024)
+	go func() {
+		defer close(events)
+		var cur sseEvent
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			line := sc.Text()
+			switch {
+			case line == "":
+				if cur.name != "" {
+					events <- cur
+				}
+				cur = sseEvent{}
+			case strings.HasPrefix(line, "event: "):
+				cur.name = strings.TrimPrefix(line, "event: ")
+			case strings.HasPrefix(line, "data: "):
+				cur.data = strings.TrimPrefix(line, "data: ")
+			}
+		}
+	}()
+	return events
+}
+
 // TestFollowServe drives the full served pipeline in-process: a
 // simulated trace fed through runFollow with -listen, every endpoint
 // exercised against the live runtime, an SSE subscriber receiving real
@@ -82,35 +119,7 @@ func TestFollowServe(t *testing.T) {
 
 	// Subscribe to /alerts before feeding any data, so every alert the
 	// feed produces is published after this subscription exists.
-	alertResp, err := http.Get(base + "/alerts")
-	if err != nil {
-		t.Fatalf("GET /alerts: %v", err)
-	}
-	defer alertResp.Body.Close()
-	if ct := alertResp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("/alerts Content-Type = %q", ct)
-	}
-	type sseEvent struct{ name, data string }
-	events := make(chan sseEvent, 1024)
-	go func() {
-		defer close(events)
-		var cur sseEvent
-		sc := bufio.NewScanner(alertResp.Body)
-		for sc.Scan() {
-			line := sc.Text()
-			switch {
-			case line == "":
-				if cur.name != "" {
-					events <- cur
-				}
-				cur = sseEvent{}
-			case strings.HasPrefix(line, "event: "):
-				cur.name = strings.TrimPrefix(line, "event: ")
-			case strings.HasPrefix(line, "data: "):
-				cur.data = strings.TrimPrefix(line, "data: ")
-			}
-		}
-	}()
+	events := sseSubscribe(t, base)
 
 	// Feed most of the trace, keeping the pipe open so the pipeline
 	// stays live while the endpoints are probed. runFollow publishes to
