@@ -189,21 +189,6 @@ func TruncateLatest(dir string) (string, error) {
 	return names[0], os.WriteFile(names[0], data[:len(data)/2], 0o644)
 }
 
-// FlipByte XORs one payload byte of the newest checkpoint file in dir —
-// silent bit rot that only the CRC can catch. Returns the mangled path.
-func FlipByte(dir string) (string, error) {
-	names := Checkpoints(dir)
-	if len(names) == 0 {
-		return "", fmt.Errorf("chaos: no checkpoint files in %s", dir)
-	}
-	data, err := os.ReadFile(names[0])
-	if err != nil {
-		return "", err
-	}
-	data[len(data)-1] ^= 0xFF
-	return names[0], os.WriteFile(names[0], data, 0o644)
-}
-
 // CorruptAll damages every checkpoint file in dir (byte flips), forcing
 // a resume to fall all the way back to a cold start.
 func CorruptAll(dir string) error {

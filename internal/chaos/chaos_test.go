@@ -111,6 +111,30 @@ func TestShardPanicExactRecovery(t *testing.T) {
 			t.Errorf("%s = %d, golden %d", cmp.name, cmp.fault, cmp.clean)
 		}
 	}
+
+	// A hook that rewrites records ahead of the panic: crash replay does
+	// not re-run hooks, so the rebuilt analyzer matches a fault-free run
+	// of the same rewrite only if retention kept the rewritten records.
+	rewrite := func(_ int, v *trace.Visit) {
+		if v.Class == "small" && v.Arrive%2 == 0 {
+			v.Class = "big"
+		}
+	}
+	cfgR := baseCfg(4)
+	cfgR.Hooks.Observe = rewrite
+	rewrittenAlerts, _, _ := run(t, cfgR, visits)
+	if reflect.DeepEqual(rewrittenAlerts, goldenAlerts) {
+		t.Fatal("the rewrite does not show in the alert stream; the check below would be vacuous")
+	}
+	panicAt := NewInjector(Rule{Shard: 1, From: 700}).Hooks().Observe
+	cfg.Hooks.Observe = func(shard int, v *trace.Visit) {
+		rewrite(shard, v)
+		panicAt(shard, v)
+	}
+	if replayed, _, m := run(t, cfg, visits); m.ShardRestarts != 1 || !reflect.DeepEqual(replayed, rewrittenAlerts) {
+		t.Fatalf("rebuilt analyzer did not see the rewritten records (restarts %d, %d alerts vs %d)",
+			m.ShardRestarts, len(replayed), len(rewrittenAlerts))
+	}
 }
 
 // TestPoisonPillDegrades: a shard that panics on every record must burn

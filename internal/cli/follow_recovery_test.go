@@ -40,6 +40,10 @@ func TestFollowFlagValidation(t *testing.T) {
 		{"ckptevery-without-checkpoint", []string{"-follow", "-ckptevery", "5s"}, "-ckptevery needs -checkpoint"},
 		{"checkpoint-without-follow", []string{"-checkpoint", "/tmp/x"}, "add -follow"},
 		{"resume-without-follow", []string{"-checkpoint", "/tmp/x", "-resume"}, "add -follow"},
+		{"shards-without-follow", []string{"-shards", "4"}, "add -follow"},
+		{"window-without-follow", []string{"-window", "30s"}, "add -follow"},
+		{"flushlag-without-follow", []string{"-flushlag", "2s"}, "add -follow"},
+		{"selfmetrics-without-follow", []string{"-selfmetrics"}, "add -follow"},
 		{"follow-with-parallel", []string{"-follow", "-parallel", "4"}, "batch-only"},
 		{"follow-with-auto", []string{"-follow", "-auto"}, "batch-only"},
 		{"follow-with-window-flags", []string{"-follow", "-from", "1s", "-to", "2s"}, "batch-only"},

@@ -19,8 +19,8 @@ import (
 // validateFollowFlags rejects contradictory flag combinations in one
 // clear error instead of silently ignoring flags: batch-only flags have
 // no meaning under -follow (the streaming mode never materializes the
-// trace or recovers a call graph), and the checkpoint/resume flags have
-// no meaning without it.
+// trace or recovers a call graph), and the checkpoint/resume, serving
+// and runtime-shape flags have no meaning without it.
 func validateFollowFlags(fs *flag.FlagSet, follow bool) error {
 	set := make(map[string]bool)
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
@@ -47,7 +47,10 @@ func validateFollowFlags(fs *flag.FlagSet, follow bool) error {
 		return nil
 	}
 	var bad []string
-	for _, name := range []string{"checkpoint", "ckptevery", "resume", "listen"} {
+	for _, name := range []string{
+		"checkpoint", "ckptevery", "resume", "listen",
+		"shards", "window", "flushlag", "selfmetrics",
+	} {
 		if set[name] {
 			bad = append(bad, "-"+name)
 		}

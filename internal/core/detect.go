@@ -104,17 +104,16 @@ type Analysis struct {
 
 	// Load is the per-interval time-weighted concurrency (§III-A).
 	Load *metrics.IntervalSeries
-	// TP is the per-interval throughput used for detection: normalized
-	// work units/s by default, raw requests/s when RawThroughput was set.
+	// TP is the per-interval throughput used for detection, and the only
+	// throughput series the pass builds: normalized work units/s by
+	// default, raw requests/s when RawThroughput was set.
 	TP *metrics.IntervalSeries
-	// RawTP is the straightforward requests/s series (always present).
-	RawTP *metrics.IntervalSeries
 
 	// ServiceTimes and Unit are the normalization inputs.
 	ServiceTimes ServiceTimes
 	Unit         simnet.Duration
 
-	// NStar is the estimated congestion point with its curve.
+	// NStar is the estimated congestion point.
 	NStar NStarResult
 
 	// States classifies every interval.
@@ -139,11 +138,6 @@ func (a *Analysis) Points() []Point {
 		pts[i] = Point{Load: load[i], TP: tp[i]}
 	}
 	return pts
-}
-
-// CongestedAt reports whether interval i is congested.
-func (a *Analysis) CongestedAt(i int) bool {
-	return i >= 0 && i < len(a.States) && a.States[i] == StateCongested
 }
 
 // AnalyzeServer runs the full §III pipeline over one server's visits.
@@ -175,18 +169,14 @@ func AnalyzeServer(serverName string, visits []trace.Visit, w Window, opts Optio
 	if err != nil {
 		return nil, err
 	}
-	rawTP, err := ThroughputSeries(visits, w, opts.Interval)
-	if err != nil {
-		return nil, err
-	}
 	var tp *metrics.IntervalSeries
 	if opts.RawThroughput {
-		tp = rawTP
+		tp, err = ThroughputSeries(visits, w, opts.Interval)
 	} else {
 		tp, err = NormalizedThroughputSeries(visits, svc, unit, w, opts.Interval)
-		if err != nil {
-			return nil, err
-		}
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	cls, err := classifySeries(load.Values(), tp.Values(), opts)
@@ -200,7 +190,6 @@ func AnalyzeServer(serverName string, visits []trace.Visit, w Window, opts Optio
 		Interval:           opts.Interval,
 		Load:               load,
 		TP:                 tp,
-		RawTP:              rawTP,
 		ServiceTimes:       svc,
 		Unit:               unit,
 		NStar:              cls.NStar,

@@ -202,18 +202,12 @@ func TestAnalyzeServerStatesPartition(t *testing.T) {
 		case StateIdle, StateNormal:
 		case StateCongested:
 			congested++
-			if !a.CongestedAt(i) {
-				t.Error("CongestedAt disagrees with state")
-			}
 		default:
 			t.Fatalf("interval %d has invalid state %v", i, st)
 		}
 	}
 	if congested != a.CongestedIntervals {
 		t.Errorf("congested count %d != summary %d", congested, a.CongestedIntervals)
-	}
-	if a.CongestedAt(-1) || a.CongestedAt(len(a.States)) {
-		t.Error("CongestedAt out of range should be false")
 	}
 }
 
@@ -225,8 +219,15 @@ func TestAnalyzeServerRawThroughputOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	// With RawThroughput the detection series equals the raw one.
+	raw, err := ThroughputSeries(visits, w, 100*ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.TP.Len() != raw.Len() {
+		t.Fatalf("TP has %d intervals, raw series %d", a.TP.Len(), raw.Len())
+	}
 	for i := 0; i < a.TP.Len(); i++ {
-		if a.TP.Value(i) != a.RawTP.Value(i) {
+		if a.TP.Value(i) != raw.Value(i) {
 			t.Fatal("RawThroughput option not honored")
 		}
 	}

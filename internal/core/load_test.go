@@ -185,44 +185,3 @@ func TestLoadAccumulatorMatchesStepOracle(t *testing.T) {
 		})
 	}
 }
-
-// TestLoadAccumulatorReset verifies the storage-reusing Reset path gives
-// the same series as a fresh accumulator for the new window.
-func TestLoadAccumulatorReset(t *testing.T) {
-	acc, err := metrics.NewLoadAccumulator(0, 10*simnet.Second, 50*ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc.Add(100*ms, 400*ms)
-	// Re-target at a shorter window: storage is reused, old content gone.
-	if err := acc.Reset(simnet.Second, 3*simnet.Second, 100*ms); err != nil {
-		t.Fatal(err)
-	}
-	acc.Add(simnet.Second+150*ms, simnet.Second+250*ms)
-	got, err := acc.Series()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := metrics.NewLoadAccumulator(simnet.Second, 3*simnet.Second, 100*ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh.Add(simnet.Second+150*ms, simnet.Second+250*ms)
-	want, err := fresh.Series()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != want.Len() {
-		t.Fatalf("Len %d != %d", got.Len(), want.Len())
-	}
-	for i := 0; i < got.Len(); i++ {
-		if got.Value(i) != want.Value(i) {
-			t.Fatalf("interval %d: reset %v != fresh %v", i, got.Value(i), want.Value(i))
-		}
-	}
-	// [1.15s,1.25s) straddles intervals [1.1,1.2) and [1.2,1.3): 50 ms in
-	// each 100 ms interval → load 0.5 in both.
-	if got.Value(1) != 0.5 || got.Value(2) != 0.5 {
-		t.Fatalf("intervals 1,2 load = %v,%v, want 0.5,0.5", got.Value(1), got.Value(2))
-	}
-}

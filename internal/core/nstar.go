@@ -108,8 +108,6 @@ type NStarResult struct {
 	// TPMax is the maximum average throughput observed across bins — the
 	// Utilization Law ceiling of Fig 5(c).
 	TPMax float64
-	// Curve is the binned load/throughput main-sequence curve.
-	Curve []BinPoint
 	// Saturated reports whether the estimator actually found a knee; when
 	// false the server never congested in the data and NStar is the
 	// highest observed load (a lower bound).
@@ -137,7 +135,6 @@ func EstimateNStar(points []Point, opts NStarOptions) (NStarResult, error) {
 		return NStarResult{}, err
 	}
 	var res NStarResult
-	res.Curve = curve
 	for _, b := range curve {
 		if b.TP > res.TPMax {
 			res.TPMax = b.TP

@@ -399,19 +399,10 @@ type OnlineSnapshot struct {
 // order. This is the authoritative per-interval verdict surface; the live
 // Advance alerts are the provisional real-time view.
 //
-// Snapshot returns nil until at least one interval has closed.
+// Snapshot returns nil until at least one interval has closed. Every call
+// builds its own series, so a snapshot may be published to other
+// goroutines while the analyzer keeps running.
 func (o *Online) Snapshot() *OnlineSnapshot {
-	return o.SnapshotInto(nil)
-}
-
-// SnapshotInto is Snapshot reusing dst's interval-series storage (the
-// Load/TP slices) across sealed windows: a caller that snapshots
-// periodically passes its previous snapshot back and the measurement
-// arrays are overwritten in place instead of reallocated. dst may be nil
-// (a fresh snapshot is built, equivalent to Snapshot). The returned value
-// aliases dst's slices when capacities suffice, so callers that publish
-// snapshots to other goroutines must not pass the published value back.
-func (o *Online) SnapshotInto(dst *OnlineSnapshot) *OnlineSnapshot {
 	lo := o.closed - int64(o.window)
 	if lo < 0 {
 		lo = 0
@@ -421,16 +412,8 @@ func (o *Online) SnapshotInto(dst *OnlineSnapshot) *OnlineSnapshot {
 		return nil
 	}
 	iv := o.opts.Interval
-	var load, tp []float64
-	if dst != nil && cap(dst.Load) >= n && cap(dst.TP) >= n {
-		load, tp = dst.Load[:n], dst.TP[:n]
-		for i := range load {
-			load[i], tp[i] = 0, 0
-		}
-	} else {
-		load = make([]float64, n)
-		tp = make([]float64, n)
-	}
+	load := make([]float64, n)
+	tp := make([]float64, n)
 	for i := 0; i < n; i++ {
 		abs := lo + int64(i)
 		slot := int(abs % int64(o.window))
@@ -443,10 +426,7 @@ func (o *Online) SnapshotInto(dst *OnlineSnapshot) *OnlineSnapshot {
 	if err != nil {
 		return nil // unreachable: the series have equal lengths by construction
 	}
-	if dst == nil {
-		dst = &OnlineSnapshot{}
-	}
-	*dst = OnlineSnapshot{
+	return &OnlineSnapshot{
 		Start:              o.start + simnet.Time(lo)*iv,
 		Interval:           iv,
 		Load:               load,
@@ -457,5 +437,4 @@ func (o *Online) SnapshotInto(dst *OnlineSnapshot) *OnlineSnapshot {
 		CongestedIntervals: cls.CongestedIntervals,
 		CongestedFraction:  cls.CongestedFraction,
 	}
-	return dst
 }

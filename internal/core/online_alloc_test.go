@@ -72,51 +72,3 @@ func TestOnlineObserveAllocBudget(t *testing.T) {
 			perStep, avg, onlineAllocBudget)
 	}
 }
-
-// TestOnlineSnapshotIntoReuse verifies the buffer-reusing snapshot form:
-// SnapshotInto must reuse the destination's Load/TP storage when capacity
-// suffices, and its contents must match a fresh Snapshot.
-func TestOnlineSnapshotIntoReuse(t *testing.T) {
-	const interval = 50 * simnet.Millisecond
-	o, err := NewOnline(0, OnlineOptions{
-		Options: Options{Interval: interval, ServiceTimes: ServiceTimes{"q": 2 * simnet.Millisecond}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var now simnet.Time
-	for i := 0; i < 200; i++ {
-		for j := 0; j < 8; j++ {
-			arrive := now + simnet.Time(j)*3*simnet.Millisecond
-			o.Observe(trace.Visit{Server: "srv", Class: "q", Arrive: arrive, Depart: arrive + 2*simnet.Millisecond})
-		}
-		now += interval
-		o.Advance(now)
-	}
-	fresh := o.Snapshot()
-	if fresh == nil {
-		t.Fatal("expected a snapshot after 200 closed intervals")
-	}
-	var dst OnlineSnapshot
-	got := o.SnapshotInto(&dst)
-	if got != &dst {
-		t.Fatalf("SnapshotInto returned %p, want the destination %p", got, &dst)
-	}
-	if len(got.Load) != len(fresh.Load) || len(got.TP) != len(fresh.TP) {
-		t.Fatalf("SnapshotInto lengths (%d,%d) != Snapshot (%d,%d)",
-			len(got.Load), len(got.TP), len(fresh.Load), len(fresh.TP))
-	}
-	for i := range fresh.Load {
-		if got.Load[i] != fresh.Load[i] || got.TP[i] != fresh.TP[i] {
-			t.Fatalf("interval %d: SnapshotInto (%v,%v) != Snapshot (%v,%v)",
-				i, got.Load[i], got.TP[i], fresh.Load[i], fresh.TP[i])
-		}
-	}
-	// Reuse: a second SnapshotInto with ample capacity must keep the same
-	// backing arrays.
-	loadPtr, tpPtr := &got.Load[0], &got.TP[0]
-	got2 := o.SnapshotInto(&dst)
-	if &got2.Load[0] != loadPtr || &got2.TP[0] != tpPtr {
-		t.Fatal("SnapshotInto reallocated storage despite sufficient capacity")
-	}
-}

@@ -170,8 +170,7 @@ type Core struct {
 	final    *stream.Snapshot
 	release  []trace.Visit // reused release scratch
 
-	degrades atomic.Int64
-	statusA  atomic.Pointer[[]NodeStatus]
+	statusA atomic.Pointer[[]NodeStatus]
 }
 
 // New builds a merge head and starts its runtime. Close or Finish must
@@ -400,7 +399,6 @@ func (c *Core) Tick() []string {
 		}
 		if now.Sub(n.lastFrame) > c.cfg.HeartbeatTimeout {
 			n.degraded = true
-			c.degrades.Add(1)
 			degraded = append(degraded, name)
 		}
 	}
@@ -586,10 +584,6 @@ func (c *Core) Metrics() stream.Metrics { return c.rt.Metrics() }
 // ShardHealth samples the runtime's per-shard liveness. Safe from any
 // goroutine.
 func (c *Core) ShardHealth() []stream.ShardHealth { return c.rt.ShardHealth() }
-
-// Degrades reports how many degrade transitions have happened. Safe
-// from any goroutine.
-func (c *Core) Degrades() int64 { return c.degrades.Load() }
 
 // NodeStatuses returns the published per-node state, sorted by node
 // name. Safe from any goroutine, any time.

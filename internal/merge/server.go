@@ -68,7 +68,6 @@ type Server struct {
 	sessions sync.WaitGroup
 	loops    sync.WaitGroup
 
-	activeConns atomic.Int64
 	authRejects atomic.Int64
 }
 
@@ -259,11 +258,7 @@ func (s *Server) session(conn net.Conn) {
 		s.reject(conn, w, "merge head is draining")
 		return
 	}
-	s.activeConns.Add(1)
-	defer func() {
-		s.activeConns.Add(-1)
-		s.do(func() { s.core.Depart(node) })
-	}()
+	defer s.do(func() { s.core.Depart(node) })
 	if err := w.WriteWelcome(wire.Welcome{Version: wire.Version, LastAcked: lastAcked}); err == nil {
 		err = w.Flush()
 	}
@@ -484,14 +479,6 @@ func (s *Server) ShardHealth() []stream.ShardHealth { return s.core.ShardHealth(
 // NodeStatuses returns the published per-node state. Safe from any
 // goroutine.
 func (s *Server) NodeStatuses() []NodeStatus { return s.core.NodeStatuses() }
-
-// Degrades reports cumulative degrade transitions. Safe from any
-// goroutine.
-func (s *Server) Degrades() int64 { return s.core.Degrades() }
-
-// ActiveConns reports currently admitted agent sessions. Safe from any
-// goroutine.
-func (s *Server) ActiveConns() int64 { return s.activeConns.Load() }
 
 // AuthRejects reports cumulative sessions refused by the shared-key
 // handshake (wrong key, no key, pre-auth protocol). Safe from any

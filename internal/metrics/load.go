@@ -1,10 +1,6 @@
 package metrics
 
-import (
-	"fmt"
-
-	"transientbd/internal/simnet"
-)
+import "transientbd/internal/simnet"
 
 // LoadAccumulator integrates visit residence directly into fixed-width
 // interval buckets — the incremental form of the paper's load metric
@@ -30,8 +26,7 @@ import (
 type LoadAccumulator struct {
 	start, end simnet.Time
 	width      simnet.Duration
-	// weighted holds per-interval resident time (level-microseconds); it
-	// is reused across windows by Reset.
+	// weighted holds per-interval resident time (level-microseconds).
 	weighted []float64
 }
 
@@ -39,38 +34,11 @@ type LoadAccumulator struct {
 // at the given interval width. The last interval may extend past end; as
 // with the sweep, its average is taken over the clipped span only.
 func NewLoadAccumulator(start, end simnet.Time, width simnet.Duration) (*LoadAccumulator, error) {
-	a := &LoadAccumulator{}
-	if err := a.Reset(start, end, width); err != nil {
+	n, err := intervalsCovering(start, end, width)
+	if err != nil {
 		return nil, err
 	}
-	return a, nil
-}
-
-// Reset re-targets the accumulator at a new window, zeroing and reusing
-// the interval storage — the allocation-free path for callers that seal
-// one window and open the next.
-func (a *LoadAccumulator) Reset(start, end simnet.Time, width simnet.Duration) error {
-	if end <= start {
-		return fmt.Errorf("metrics: end %v not after start %v", end, start)
-	}
-	if width <= 0 {
-		return fmt.Errorf("metrics: interval width must be positive, got %v", width)
-	}
-	span := end - start
-	n := int(span / width)
-	if span%width != 0 {
-		n++
-	}
-	a.start, a.end, a.width = start, end, width
-	if cap(a.weighted) < n {
-		a.weighted = make([]float64, n)
-	} else {
-		a.weighted = a.weighted[:n]
-		for i := range a.weighted {
-			a.weighted[i] = 0
-		}
-	}
-	return nil
+	return &LoadAccumulator{start: start, end: end, width: width, weighted: make([]float64, n)}, nil
 }
 
 // Add folds one visit's residence [arrive, depart) into the buckets it

@@ -47,18 +47,28 @@ func NewIntervalSeries(start simnet.Time, width simnet.Duration, n int) (*Interv
 // NewIntervalSeriesCovering creates a series of intervals of the given
 // width covering [start, end). The last interval may extend past end.
 func NewIntervalSeriesCovering(start, end simnet.Time, width simnet.Duration) (*IntervalSeries, error) {
+	n, err := intervalsCovering(start, end, width)
+	if err != nil {
+		return nil, err
+	}
+	return NewIntervalSeries(start, width, n)
+}
+
+// intervalsCovering is the number of width-wide intervals needed to cover
+// [start, end), the last one possibly extending past end.
+func intervalsCovering(start, end simnet.Time, width simnet.Duration) (int, error) {
 	if end <= start {
-		return nil, fmt.Errorf("metrics: end %v not after start %v", end, start)
+		return 0, fmt.Errorf("metrics: end %v not after start %v", end, start)
 	}
 	if width <= 0 {
-		return nil, fmt.Errorf("metrics: interval width must be positive, got %v", width)
+		return 0, fmt.Errorf("metrics: interval width must be positive, got %v", width)
 	}
 	span := end - start
 	n := int(span / width)
 	if span%width != 0 {
 		n++
 	}
-	return NewIntervalSeries(start, width, n)
+	return n, nil
 }
 
 // Len returns the number of intervals.
@@ -87,11 +97,6 @@ func (s *IntervalSeries) Index(t simnet.Time) (int, error) {
 // IntervalStart returns the start time of interval i.
 func (s *IntervalSeries) IntervalStart(i int) simnet.Time {
 	return s.start + simnet.Time(i)*s.width
-}
-
-// Mid returns the midpoint time of interval i.
-func (s *IntervalSeries) Mid(i int) simnet.Time {
-	return s.IntervalStart(i) + s.width/2
 }
 
 // Value returns the value of interval i (0 if out of range).
@@ -145,21 +150,8 @@ func (s *IntervalSeries) Scale(f float64) {
 	}
 }
 
-// PerSecond returns a copy of the series with each value divided by the
-// interval width in seconds, converting per-interval counts into rates.
-func (s *IntervalSeries) PerSecond() *IntervalSeries {
-	out := &IntervalSeries{start: s.start, width: s.width, values: make([]float64, len(s.values))}
-	secs := float64(s.width) / float64(simnet.Second)
-	for i, v := range s.values {
-		out.values[i] = v / secs
-	}
-	return out
-}
-
 // ToPerSecond converts the series in place from per-interval counts into
-// rates, dividing each value by the interval width in seconds. It is the
-// allocation-free counterpart of PerSecond for callers that own the
-// series.
+// rates, dividing each value by the interval width in seconds.
 func (s *IntervalSeries) ToPerSecond() *IntervalSeries {
 	secs := float64(s.width) / float64(simnet.Second)
 	for i := range s.values {

@@ -111,9 +111,6 @@ func TestMidAndIntervalStart(t *testing.T) {
 	if got := s.IntervalStart(3); got != 300*simnet.Millisecond {
 		t.Errorf("IntervalStart(3) = %v", got)
 	}
-	if got := s.Mid(3); got != 350*simnet.Millisecond {
-		t.Errorf("Mid(3) = %v", got)
-	}
 }
 
 func TestPerSecond(t *testing.T) {
@@ -124,13 +121,8 @@ func TestPerSecond(t *testing.T) {
 	if err := s.Set(0, 5); err != nil {
 		t.Fatal(err)
 	}
-	r := s.PerSecond()
-	if got := r.Value(0); got != 100 {
-		t.Errorf("PerSecond = %v, want 100 (5 per 50ms)", got)
-	}
-	// Original unchanged.
-	if s.Value(0) != 5 {
-		t.Error("PerSecond mutated original")
+	if got := s.ToPerSecond().Value(0); got != 100 {
+		t.Errorf("ToPerSecond = %v, want 100 (5 per 50ms)", got)
 	}
 }
 
@@ -280,11 +272,14 @@ func TestToPerSecondMatchesPerSecond(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := s.PerSecond().Values()
+	want := s.Values()
+	for i := range want {
+		want[i] /= 0.05
+	}
 	got := s.ToPerSecond().Values()
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("interval %d: in-place %v, copy %v", i, got[i], want[i])
+			t.Fatalf("interval %d: in-place %v, per-second rate %v", i, got[i], want[i])
 		}
 	}
 }

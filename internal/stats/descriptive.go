@@ -1,7 +1,7 @@
 // Package stats is the statistical substrate for the transient-bottleneck
 // detection method: descriptive statistics, Student t quantiles (used by
 // the intervention analysis of §III-C), histograms for response-time
-// distributions (Fig 2c), correlation and simple regression.
+// distributions (Fig 2c) and correlation.
 //
 // Everything is implemented from scratch on the standard library, per the
 // repository's stdlib-only constraint.
@@ -198,28 +198,6 @@ func PearsonR(xs, ys []float64) float64 {
 		return 0
 	}
 	return sxy / math.Sqrt(sxx*syy)
-}
-
-// LinearFit fits y = a + b*x by least squares and returns intercept a and
-// slope b. It returns an error when fewer than two distinct x values exist.
-func LinearFit(xs, ys []float64) (a, b float64, err error) {
-	n := len(xs)
-	if n < 2 || n != len(ys) {
-		return 0, 0, errors.New("stats: need at least two paired samples")
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx float64
-	for i := 0; i < n; i++ {
-		dx := xs[i] - mx
-		sxy += dx * (ys[i] - my)
-		sxx += dx * dx
-	}
-	if sxx == 0 {
-		return 0, 0, errors.New("stats: x values are constant")
-	}
-	b = sxy / sxx
-	a = my - b*mx
-	return a, b, nil
 }
 
 // CV returns the coefficient of variation (population sd / mean), or 0

@@ -183,24 +183,6 @@ func TestPearsonR(t *testing.T) {
 	}
 }
 
-func TestLinearFit(t *testing.T) {
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{1, 3, 5, 7} // y = 1 + 2x
-	a, b, err := LinearFit(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(a, 1, 1e-9) || !almostEqual(b, 2, 1e-9) {
-		t.Errorf("fit = (%v, %v), want (1, 2)", a, b)
-	}
-	if _, _, err := LinearFit([]float64{1}, []float64{1}); err == nil {
-		t.Error("want error for single point")
-	}
-	if _, _, err := LinearFit([]float64{2, 2}, []float64{1, 3}); err == nil {
-		t.Error("want error for constant x")
-	}
-}
-
 // Property: variance is non-negative and mean lies within [min, max].
 func TestDescriptiveProperties(t *testing.T) {
 	f := func(raw []int16) bool {

@@ -99,11 +99,6 @@ func (h *Histogram) Count(i int) int64 {
 	return h.counts[i]
 }
 
-// NumBuckets returns the number of buckets.
-func (h *Histogram) NumBuckets() int {
-	return len(h.counts)
-}
-
 // Modes returns the indices of local maxima in the count profile whose
 // count is at least minCount, separated by a dip of at least dipRatio
 // (e.g. 0.5 requires counts to fall to half the smaller neighbouring peak

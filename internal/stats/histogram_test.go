@@ -54,17 +54,14 @@ func TestHistogramCountAccessor(t *testing.T) {
 	if h.Count(-1) != 0 || h.Count(5) != 0 {
 		t.Error("out-of-range Count should be 0")
 	}
-	if h.NumBuckets() != 2 {
-		t.Errorf("NumBuckets = %d, want 2", h.NumBuckets())
-	}
 }
 
 func TestResponseTimeHistogramLayout(t *testing.T) {
 	h := NewResponseTimeHistogram()
-	if h.NumBuckets() != 41 {
-		t.Fatalf("NumBuckets = %d, want 41", h.NumBuckets())
-	}
 	edges, _ := h.Buckets()
+	if len(edges) != 41 {
+		t.Fatalf("%d buckets, want 41", len(edges))
+	}
 	if edges[0] != 0 || !almostEqual(edges[40], 4.0, 1e-12) {
 		t.Errorf("edge layout wrong: first=%v last=%v", edges[0], edges[40])
 	}

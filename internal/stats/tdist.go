@@ -166,18 +166,3 @@ func TQuantile(p, df float64) (float64, error) {
 	}
 	return (lo + hi) / 2, nil
 }
-
-// T95 returns t(0.95, df): the one-sided 95% coefficient, i.e. the
-// half-width multiplier of a two-sided 90% confidence interval, exactly as
-// the paper's Eq. 2 uses it. Non-positive df falls back to the normal
-// quantile 1.6449.
-func T95(df int) float64 {
-	if df <= 0 {
-		return 1.6448536269514722
-	}
-	q, err := TQuantile(0.95, float64(df))
-	if err != nil {
-		return 1.6448536269514722
-	}
-	return q
-}

@@ -134,23 +134,29 @@ func TestTQuantileRoundTrip(t *testing.T) {
 }
 
 func TestT95(t *testing.T) {
-	if got := T95(10); !almostEqual(got, 1.8125, 5e-4) {
-		t.Errorf("T95(10) = %v, want 1.8125", got)
+	t95 := func(df float64) float64 {
+		q, err := TQuantile(0.95, df)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
 	}
-	// df<=0 falls back to the normal quantile.
-	if got := T95(0); !almostEqual(got, 1.6449, 1e-3) {
-		t.Errorf("T95(0) = %v, want ~1.6449", got)
+	if got := t95(10); !almostEqual(got, 1.8125, 5e-4) {
+		t.Errorf("t(0.95, 10) = %v, want 1.8125", got)
 	}
 	// Large df converges to the normal quantile.
-	if got := T95(100000); !almostEqual(got, 1.6449, 1e-3) {
-		t.Errorf("T95(1e5) = %v, want ~1.6449", got)
+	if got := t95(100000); !almostEqual(got, 1.6449, 1e-3) {
+		t.Errorf("t(0.95, 1e5) = %v, want ~1.6449", got)
 	}
 }
 
 func TestT95Monotone(t *testing.T) {
 	prev := math.Inf(1)
 	for df := 1; df <= 50; df++ {
-		q := T95(df)
+		q, err := TQuantile(0.95, float64(df))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if q > prev+1e-9 {
 			t.Fatalf("T95 not non-increasing at df=%d: %v > %v", df, q, prev)
 		}

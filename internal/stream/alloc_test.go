@@ -69,7 +69,7 @@ func TestIngestAllocBudget(t *testing.T) {
 			arrive := now + simnet.Time(i)*100*simnet.Microsecond
 			rows[i].Arrive = arrive
 			rows[i].Depart = arrive + 2*simnet.Millisecond
-			b.push(&rows[i])
+			b.rows = append(b.rows, rows[i])
 		}
 		r.handleBatch(s, b)
 		now += interval
@@ -102,52 +102,26 @@ func TestIngestAllocBudget(t *testing.T) {
 }
 
 // TestBatchPoolRoundTrip guards the batch recycling protocol: a pooled
-// batch comes back empty, with its capacity intact and its string cells
-// cleared (so it does not pin the previous window's names).
+// batch comes back empty, with its capacity intact and every cell zeroed
+// (so it does not pin the previous window's names).
 func TestBatchPoolRoundTrip(t *testing.T) {
 	b := getBatch()
 	for i := 0; i < batchSize; i++ {
-		b.push(&trace.Visit{Server: "srv", Class: "q", TxnID: int64(i), Arrive: 1, Depart: 2})
+		b.rows = append(b.rows, trace.Visit{Server: "srv", Class: "q", TxnID: int64(i), Arrive: 1, Depart: 2})
 	}
-	if b.len() != batchSize {
-		t.Fatalf("pushed %d records, len() = %d", batchSize, b.len())
-	}
-	server := b.server[:cap(b.server)]
+	rows := b.rows[:cap(b.rows)]
 	putBatch(b)
-	if b.len() != 0 {
-		t.Fatalf("recycled batch has len %d, want 0", b.len())
+	if len(b.rows) != 0 {
+		t.Fatalf("recycled batch has len %d, want 0", len(b.rows))
 	}
-	for i := range server {
-		if server[i] != "" {
-			t.Fatalf("recycled batch still pins server string at row %d: %q", i, server[i])
+	for i := range rows {
+		if rows[i] != (trace.Visit{}) {
+			t.Fatalf("recycled batch still holds row %d: %+v", i, rows[i])
 		}
 	}
 	b2 := getBatch()
-	if cap(b2.server) < batchSize || cap(b2.depart) < batchSize {
-		t.Fatalf("pooled batch lost capacity: server %d, depart %d", cap(b2.server), cap(b2.depart))
+	if cap(b2.rows) < batchSize {
+		t.Fatalf("pooled batch lost capacity: %d", cap(b2.rows))
 	}
 	putBatch(b2)
-}
-
-// TestBatchVisitRoundTrip guards the columnar encode/decode: push then
-// visit must reproduce the record field-for-field, and set must overwrite
-// a row in place.
-func TestBatchVisitRoundTrip(t *testing.T) {
-	b := getBatch()
-	defer putBatch(b)
-	in := trace.Visit{
-		Server: "db-1", Class: "heavy", TxnID: 42, HopID: 7,
-		Arrive: 1000, Depart: 2500, Downstream: 300,
-	}
-	b.push(&in)
-	if got := b.visit(0); got != in {
-		t.Fatalf("visit(0) = %+v, want %+v", got, in)
-	}
-	mod := in
-	mod.Depart = 9999
-	mod.Server = "db-2"
-	b.set(0, &mod)
-	if got := b.visit(0); got != mod {
-		t.Fatalf("after set, visit(0) = %+v, want %+v", got, mod)
-	}
 }

@@ -1,105 +1,41 @@
-// Columnar record batches for the ingest hot path. Records move from the
-// producer to the shard goroutines in struct-of-arrays form: one slice
-// per Visit field instead of a slice of structs. That keeps each batch in
-// a handful of contiguous allocations the pool can recycle forever —
-// after warmup the producer→shard path allocates nothing per record (the
+// Pooled record batches for the ingest hot path. Records move from the
+// producer to the shard goroutines as rows: one contiguous []trace.Visit
+// of capacity batchSize per batch, handed over with a single pointer send
+// and recycled through a sync.Pool. The pool is what keeps the
+// producer→shard path allocation-free per record after warmup (the
 // allocation-budget contract in PERFORMANCE.md, pinned by
-// TestIngestAllocBudget) — and scanning a column (every depart, every
-// server name) touches memory sequentially instead of striding over
-// 64-byte Visit structs.
+// TestIngestAllocBudget); every consumer reads whole records, so the rows
+// are stored whole.
 package stream
 
 import (
 	"sync"
 
-	"transientbd/internal/simnet"
 	"transientbd/internal/trace"
 )
 
-// recordBatch is a fixed-capacity columnar batch of visits. Ownership
-// moves with the batch: producer → shard queue → retention (for crash
-// replay) → pool. A batch is recycled via putBatch exactly once, by
-// whichever stage drops it (backpressure drop, retention eviction,
-// checkpoint cut, or abandonment).
+// recordBatch is a fixed-capacity batch of visits. Ownership moves with
+// the batch: producer → shard queue → retention (for crash replay) →
+// pool. A batch is recycled via putBatch exactly once, by whichever stage
+// drops it (backpressure drop, retention eviction, checkpoint cut, or
+// abandonment).
 type recordBatch struct {
-	server, class []string
-	txn, hop      []int64
-	arrive        []simnet.Time
-	depart        []simnet.Time
-	downstream    []simnet.Duration
+	rows []trace.Visit
 }
 
-func newRecordBatch() *recordBatch {
-	return &recordBatch{
-		server:     make([]string, 0, batchSize),
-		class:      make([]string, 0, batchSize),
-		txn:        make([]int64, 0, batchSize),
-		hop:        make([]int64, 0, batchSize),
-		arrive:     make([]simnet.Time, 0, batchSize),
-		depart:     make([]simnet.Time, 0, batchSize),
-		downstream: make([]simnet.Duration, 0, batchSize),
-	}
+var batchPool = sync.Pool{New: func() any {
+	return &recordBatch{rows: make([]trace.Visit, 0, batchSize)}
+}}
+
+func getBatch() *recordBatch { return batchPool.Get().(*recordBatch) }
+
+// putBatch recycles b. The rows are zeroed first so a pooled batch does
+// not pin the last window's name strings.
+func putBatch(b *recordBatch) {
+	clear(b.rows)
+	b.rows = b.rows[:0]
+	batchPool.Put(b)
 }
-
-func (b *recordBatch) len() int { return len(b.depart) }
-
-// push appends one visit's fields to the columns.
-func (b *recordBatch) push(v *trace.Visit) {
-	b.server = append(b.server, v.Server)
-	b.class = append(b.class, v.Class)
-	b.txn = append(b.txn, v.TxnID)
-	b.hop = append(b.hop, v.HopID)
-	b.arrive = append(b.arrive, v.Arrive)
-	b.depart = append(b.depart, v.Depart)
-	b.downstream = append(b.downstream, v.Downstream)
-}
-
-// visit reassembles row i as a Visit value (stack-allocated at call
-// sites; the columns stay canonical).
-func (b *recordBatch) visit(i int) trace.Visit {
-	return trace.Visit{
-		Server:     b.server[i],
-		Class:      b.class[i],
-		TxnID:      b.txn[i],
-		HopID:      b.hop[i],
-		Arrive:     b.arrive[i],
-		Depart:     b.depart[i],
-		Downstream: b.downstream[i],
-	}
-}
-
-// set writes v back into row i — used after an Observe hook mutates a
-// record, so retention (and therefore crash replay) sees the record the
-// analyzer actually ingested.
-func (b *recordBatch) set(i int, v *trace.Visit) {
-	b.server[i] = v.Server
-	b.class[i] = v.Class
-	b.txn[i] = v.TxnID
-	b.hop[i] = v.HopID
-	b.arrive[i] = v.Arrive
-	b.depart[i] = v.Depart
-	b.downstream[i] = v.Downstream
-}
-
-// reset truncates the columns for reuse. String cells are cleared so a
-// pooled batch does not pin the last window's name strings.
-func (b *recordBatch) reset() {
-	for i := range b.server {
-		b.server[i], b.class[i] = "", ""
-	}
-	b.server = b.server[:0]
-	b.class = b.class[:0]
-	b.txn = b.txn[:0]
-	b.hop = b.hop[:0]
-	b.arrive = b.arrive[:0]
-	b.depart = b.depart[:0]
-	b.downstream = b.downstream[:0]
-}
-
-var batchPool = sync.Pool{New: func() any { return newRecordBatch() }}
-
-func getBatch() *recordBatch  { return batchPool.Get().(*recordBatch) }
-func putBatch(b *recordBatch) { b.reset(); batchPool.Put(b) }
 
 // alertsPool recycles the per-epoch alert buffers that travel from the
 // shards to the merger; the merger returns each buffer after folding it

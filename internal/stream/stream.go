@@ -138,6 +138,8 @@ type Config struct {
 // written; it exists for corruption injection, not for panics.
 type Hooks struct {
 	// Observe runs before each record is applied to its shard's analyzer.
+	// v is the record in place: what the hook rewrites is what the
+	// analyzer ingests and what crash replay re-applies.
 	Observe func(shard int, v *trace.Visit)
 	// Advance runs when a shard starts processing a watermark barrier.
 	Advance func(shard int, mark simnet.Time)
@@ -427,10 +429,7 @@ type ResumeInfo struct {
 	// Resumed reports whether a checkpoint was actually loaded; false
 	// means a cold start (no checkpoint dir, no file, or none valid).
 	Resumed bool
-	// Seq and Epoch identify the checkpoint; Watermark is the consistent
-	// cut it represents.
-	Seq       int64
-	Epoch     int64
+	// Watermark is the consistent cut the checkpoint represents.
 	Watermark simnet.Time
 	// SkipRecords is the replay cursor: how many records of the original
 	// feed (in feed order, counting only records Observe accepted) are
@@ -563,8 +562,6 @@ func (r *Runtime) restore(st *checkpointState) []string {
 	}
 	r.resume = ResumeInfo{
 		Resumed:     true,
-		Seq:         st.Seq,
-		Epoch:       st.Epoch,
 		Watermark:   st.Mark,
 		SkipRecords: st.Observed,
 	}
@@ -622,8 +619,8 @@ func (r *Runtime) Observe(v trace.Visit) error {
 		b = getBatch()
 		r.pending[si] = b
 	}
-	b.push(&v)
-	if b.len() == batchSize {
+	b.rows = append(b.rows, v)
+	if len(b.rows) == batchSize {
 		r.flush(si)
 	}
 	if v.Depart > r.maxDepart {
@@ -652,10 +649,10 @@ func (r *Runtime) NextBarrier() simnet.Time {
 // channel the shard owns it (and may recycle it to the pool).
 func (r *Runtime) flush(si int) {
 	batch := r.pending[si]
-	if batch == nil || batch.len() == 0 {
+	if batch == nil || len(batch.rows) == 0 {
 		return
 	}
-	n := int64(batch.len())
+	n := int64(len(batch.rows))
 	r.pending[si] = nil
 	s := r.shards[si]
 	msg := shardMsg{batch: batch}
@@ -729,13 +726,13 @@ func (r *Runtime) advance(w simnet.Time) {
 	}
 	for si, s := range r.shards {
 		msg := shardMsg{epoch: r.epoch, now: w, ckpt: reply}
-		if b := r.pending[si]; b != nil && b.len() > 0 {
+		if b := r.pending[si]; b != nil && len(b.rows) > 0 {
 			if r.cfg.DropOnFull {
 				r.flush(si)
 			} else {
 				r.pending[si] = nil
 				msg.batch = b
-				n := int64(b.len())
+				n := int64(len(b.rows))
 				s.queued.Add(n)
 				r.ingested.Add(n)
 			}

@@ -59,7 +59,7 @@ func (r *Runtime) deliver(s *shard, msg shardMsg) {
 	// records) — no locks and no allocations on the ingest hot path.
 	defer func() { s.beat.Store(time.Now().UnixNano()) }()
 	if msg.batch != nil {
-		defer s.queued.Add(-int64(msg.batch.len()))
+		defer s.queued.Add(-int64(len(msg.batch.rows)))
 	}
 	if s.degraded {
 		r.abandon(s, &msg)
@@ -117,23 +117,17 @@ func (r *Runtime) handle(s *shard, msg *shardMsg) {
 	}
 }
 
-// handleBatch applies one record batch. The hook-free loop keeps every
-// reassembled Visit on the stack (observeShard takes it by value — taking
-// its address would heap-allocate one Visit per record); the hook loop
-// pays that escape only when fault injection is wired in.
+// handleBatch applies one record batch. An Observe hook is handed the row
+// itself, so whatever it rewrites is what the analyzer ingests and what
+// retention (and therefore crash replay) keeps.
 func (r *Runtime) handleBatch(s *shard, batch *recordBatch) {
-	if hook := r.cfg.Hooks.Observe; hook != nil {
-		for i, n := 0, batch.len(); i < n; i++ {
-			v := batch.visit(i)
-			hook(s.idx, &v)
-			// Retention must replay the record the analyzer actually saw.
-			batch.set(i, &v)
-			r.observeShard(s, v)
+	hook := r.cfg.Hooks.Observe
+	for i := range batch.rows {
+		v := &batch.rows[i]
+		if hook != nil {
+			hook(s.idx, v)
 		}
-	} else {
-		for i, n := 0, batch.len(); i < n; i++ {
-			r.observeShard(s, batch.visit(i))
-		}
+		r.observeShard(s, v)
 	}
 	// Retain only after the whole batch applied: a retry after a
 	// mid-batch panic re-applies the batch from the rebuilt (pre-batch)
@@ -229,11 +223,10 @@ func (r *Runtime) handleCkpt(s *shard, reply chan<- shardCkptReply) {
 // observeShard routes one visit into its server's analyzer, creating it
 // on first sight with an interval grid anchored at the current watermark
 // (grid-aligned), so a server that appears mid-stream does not flood the
-// merger with idle closures back to time zero.
-// The visit is passed by value so the caller's reassembled record stays
-// on the stack (TestIngestAllocBudget pins this path to zero allocations
-// per record in steady state).
-func (r *Runtime) observeShard(s *shard, v trace.Visit) {
+// merger with idle closures back to time zero. The visit points into
+// its batch's rows (TestIngestAllocBudget pins this path to zero
+// allocations per record in steady state).
+func (r *Runtime) observeShard(s *shard, v *trace.Visit) {
 	o := s.servers[v.Server]
 	if o == nil {
 		var err error
@@ -252,7 +245,7 @@ func (r *Runtime) observeShard(s *shard, v trace.Visit) {
 	if v.Depart < s.mark {
 		r.late.Add(1)
 	}
-	o.Observe(v)
+	o.Observe(*v)
 }
 
 // retain appends a processed batch to the shard's replay buffer,
@@ -262,11 +255,11 @@ func (r *Runtime) observeShard(s *shard, v trace.Visit) {
 // reports the loss.
 func (s *shard) retain(batch *recordBatch, cap int) {
 	s.retained = append(s.retained, retainedBatch{mark: s.mark, recs: batch})
-	s.retainedRecs += batch.len()
+	s.retainedRecs += len(batch.rows)
 	for s.retainedRecs > cap && len(s.retained) > 1 {
 		old := s.retained[0].recs
-		s.gapRecs += int64(old.len())
-		s.retainedRecs -= old.len()
+		s.gapRecs += int64(len(old.rows))
+		s.retainedRecs -= len(old.rows)
 		putBatch(old)
 		s.retained[0].recs = nil
 		s.retained = s.retained[1:]
@@ -302,7 +295,7 @@ func (r *Runtime) rebuild(s *shard) {
 	sort.Strings(s.names)
 	for _, rb := range s.retained {
 		if !r.replayBatch(s, rb) {
-			r.recordsLost.Add(int64(rb.recs.len()))
+			r.recordsLost.Add(int64(len(rb.recs.rows)))
 		}
 	}
 	for _, name := range s.names {
@@ -325,8 +318,8 @@ func (r *Runtime) replayBatch(s *shard, rb retainedBatch) (ok bool) {
 			ok = false
 		}
 	}()
-	for i, n := 0, rb.recs.len(); i < n; i++ {
-		v := rb.recs.visit(i)
+	for i := range rb.recs.rows {
+		v := &rb.recs.rows[i]
 		o := s.servers[v.Server]
 		if o == nil {
 			var err error
@@ -340,7 +333,7 @@ func (r *Runtime) replayBatch(s *shard, rb retainedBatch) (ok bool) {
 			s.names = append(s.names, v.Server)
 			sort.Strings(s.names)
 		}
-		o.Observe(v)
+		o.Observe(*v)
 	}
 	return true
 }
@@ -353,7 +346,7 @@ func (r *Runtime) replayBatch(s *shard, rb retainedBatch) (ok bool) {
 // deadlocks on a broken shard.
 func (r *Runtime) abandon(s *shard, msg *shardMsg) {
 	if msg.batch != nil {
-		r.recordsLost.Add(int64(msg.batch.len()))
+		r.recordsLost.Add(int64(len(msg.batch.rows)))
 		putBatch(msg.batch)
 		msg.batch = nil
 	}

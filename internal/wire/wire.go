@@ -65,9 +65,9 @@ import (
 //
 // Version 2 added authenticated sessions (Hello.Nonce and the
 // Challenge/Auth exchange) and durability telemetry on heartbeats
-// (Heartbeat.WALDepth/WALSegments/Spilling). Version 1 frames remain
-// decodable so an old agent gets a readable "unauthenticated peer"
-// rejection instead of a framing error.
+// (Heartbeat.WALDepth/WALSegments/Spilling). A Hello of any other
+// version decodes to its version number alone, which is all a peer needs
+// to phrase a readable rejection instead of a framing error.
 const Version = 2
 
 // MaxFrameSize bounds the length prefix (type byte + payload). It caps
@@ -109,10 +109,9 @@ type Hello struct {
 	// cold mid-stream) apart from "an early batch was lost on the wire" —
 	// without it, a dropped first batch would be silently skipped.
 	FirstSeq uint64
-	// Nonce (version ≥ 2) is the agent's fresh random challenge for the
-	// mutual HMAC handshake: the head's Challenge.Proof must cover it,
-	// so a recorded handshake cannot be replayed. Absent in version 1
-	// Hellos.
+	// Nonce is the agent's fresh random challenge for the mutual HMAC
+	// handshake: the head's Challenge.Proof must cover it, so a recorded
+	// handshake cannot be replayed.
 	Nonce []byte
 }
 
@@ -139,16 +138,15 @@ type Ack struct {
 // Heartbeat keeps the barrier honest while a node's feed is quiet:
 // MaxDepart is the newest departure timestamp the agent has written to
 // this connection, so the merge head can advance the node's watermark
-// contribution without new records. Version 2 heartbeats additionally
-// carry the agent's durability state so the head can export it (the
-// agent has no scrape endpoint of its own).
+// contribution without new records. Heartbeats also carry the agent's
+// durability state so the head can export it (the agent has no scrape
+// endpoint of its own).
 type Heartbeat struct {
 	MaxDepart simnet.Time
 	// WALDepth is the number of unacknowledged batches durable in the
 	// agent's write-ahead log (0 when the agent runs without one);
 	// WALSegments its on-disk segment count; Spilling reports batches
-	// waiting on disk beyond the in-memory send window. Version 1
-	// heartbeats omit all three.
+	// waiting on disk beyond the in-memory send window.
 	WALDepth    uint64
 	WALSegments uint64
 	Spilling    bool
@@ -328,16 +326,13 @@ func (w *Writer) writeFrame() error {
 	return err
 }
 
-// WriteHello frames h. A version-1 Hello is encoded in the version-1
-// shape (no nonce) — how tests exercise the old-peer rejection path.
+// WriteHello frames h.
 func (w *Writer) WriteHello(h Hello) error {
 	w.buf = append(w.buf[:0], TypeHello)
 	w.buf = binary.AppendUvarint(w.buf, uint64(h.Version))
 	w.buf = appendString(w.buf, h.Node)
 	w.buf = binary.AppendUvarint(w.buf, h.FirstSeq)
-	if h.Version >= 2 {
-		w.buf = appendBytes(w.buf, h.Nonce)
-	}
+	w.buf = appendBytes(w.buf, h.Nonce)
 	return w.writeFrame()
 }
 
@@ -511,10 +506,13 @@ func decodeFrame(body []byte) (Frame, error) {
 		if ver > math.MaxInt32 {
 			return Frame{}, fmt.Errorf("wire: absurd hello version %d", ver)
 		}
-		f.Hello = Hello{Version: int(ver), Node: p.string(), FirstSeq: p.uvarint()}
-		if ver >= 2 {
-			f.Hello.Nonce = p.bytes()
+		if p.err == nil && ver != Version {
+			// Another version's payload is not ours to parse: the version
+			// is what the receiver needs to say why it refuses the peer.
+			f.Hello = Hello{Version: int(ver)}
+			return f, nil
 		}
+		f.Hello = Hello{Version: int(ver), Node: p.string(), FirstSeq: p.uvarint(), Nonce: p.bytes()}
 	case TypeWelcome:
 		ver := p.uvarint()
 		if ver > math.MaxInt32 {
@@ -536,13 +534,11 @@ func decodeFrame(body []byte) (Frame, error) {
 	case TypeAck:
 		f.Ack = Ack{Seq: p.uvarint()}
 	case TypeHeartbeat:
-		f.Heartbeat = Heartbeat{MaxDepart: simnet.Time(p.varint())}
-		if len(p.buf) > 0 {
-			// Version-2 durability fields; a version-1 heartbeat ends at
-			// MaxDepart and decodes with all three zero.
-			f.Heartbeat.WALDepth = p.uvarint()
-			f.Heartbeat.WALSegments = p.uvarint()
-			f.Heartbeat.Spilling = p.uvarint() != 0
+		f.Heartbeat = Heartbeat{
+			MaxDepart:   simnet.Time(p.varint()),
+			WALDepth:    p.uvarint(),
+			WALSegments: p.uvarint(),
+			Spilling:    p.uvarint() != 0,
 		}
 	case TypeChallenge:
 		f.Challenge = Challenge{Nonce: p.bytes(), Proof: p.bytes()}
