@@ -299,7 +299,7 @@ func validateRecord(i int, r *Record) error {
 
 // recordToVisit is the one Record → trace.Visit conversion in the
 // package: every surface (Analyze, Classes, ChooseInterval,
-// OnlineDetector, Stream) goes through it.
+// Stream) goes through it.
 func recordToVisit(r *Record) trace.Visit {
 	return trace.Visit{
 		Server:     r.Server,

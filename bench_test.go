@@ -380,23 +380,6 @@ func BenchmarkScenarioThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkOnlineDetector measures streaming ingestion + classification
-// throughput (records/second of trace processed).
-func BenchmarkOnlineDetector(b *testing.B) {
-	recs := syntheticVisits(50000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := NewOnlineDetector(OnlineConfig{})
-		for _, r := range recs {
-			if err := d.Observe(r); err != nil {
-				b.Fatal(err)
-			}
-		}
-		d.Advance(recs[len(recs)-1].Depart)
-	}
-}
-
 // benchStreamShards measures end-to-end ingest throughput of the sharded
 // online runtime: one op observes the whole departure-ordered stream,
 // closes every interval, and drains the merged alert stream; wall-clock

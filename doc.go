@@ -43,8 +43,8 @@
 // (0 = GOMAXPROCS, 1 = serial), the same orchestration tbdetect -in runs.
 // The report is deterministic: identical at every worker count.
 // Analyze, AnalyzeSystem-style batch entry points and the returned
-// Report/ServerAnalysis values are safe for concurrent use; the
-// streaming OnlineDetector is single-writer. PERFORMANCE.md documents
+// Report/ServerAnalysis values are safe for concurrent use; a Stream
+// has one producer goroutine (see its doc). PERFORMANCE.md documents
 // the pipeline's cost model and how to measure it: the repository
 // benchmark (`bash benchmark/run.sh`, declared in BENCHMARK.json) is
 // the record, `go test -bench` the development loop.

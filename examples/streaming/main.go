@@ -1,7 +1,7 @@
 // streaming demonstrates the online deployment mode: instead of analyzing
-// a finished trace, an OnlineDetector consumes records as they complete
-// (the order a passive tracer emits them) and raises congestion and
-// freeze alerts live, with bounded memory.
+// a finished trace, a Stream consumes records as they complete (the order
+// a passive tracer emits them) and raises congestion and freeze alerts
+// live, with bounded memory.
 package main
 
 import (
@@ -32,14 +32,24 @@ func main() {
 	records := res.Records
 	sort.Slice(records, func(i, j int) bool { return records[i].Depart < records[j].Depart })
 
-	detector := transientbd.NewOnlineDetector(transientbd.OnlineConfig{
-		Window:     45 * time.Second,
-		Reestimate: 5 * time.Second,
+	// The watermark trails the newest completion by FlushLag so visits
+	// still in flight can land in their intervals before they close.
+	stream, err := transientbd.NewStream(transientbd.StreamConfig{
+		OnlineConfig: transientbd.OnlineConfig{
+			Window:     45 * time.Second,
+			Reestimate: 5 * time.Second,
+		},
+		FlushLag: 500 * time.Millisecond,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	freezes, congested := 0, 0
 	var firstFreeze time.Duration
-	emit := func(alerts []transientbd.OnlineAlert) {
-		for _, a := range alerts {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for a := range stream.Alerts() {
 			if a.Freeze {
 				freezes++
 				if firstFreeze == 0 {
@@ -53,21 +63,19 @@ func main() {
 				congested++
 			}
 		}
-	}
+	}()
 	for _, r := range records {
-		// Lag the clock slightly behind the newest completion so visits
-		// still in flight can land in their intervals.
-		emit(detector.Advance(r.Depart - 500*time.Millisecond))
-		if err := detector.Observe(r); err != nil {
+		if err := stream.Observe(r); err != nil {
 			log.Fatal(err)
 		}
 	}
-	emit(detector.Advance(res.WindowEnd))
+	report := stream.Close()
+	<-done
 
 	fmt.Printf("\nstreamed %d records: %d congested intervals, %d freezes (first at %v)\n",
 		len(records), congested, freezes, firstFreeze)
-	if nstar, ok := detector.NStar("tomcat-1"); ok {
-		fmt.Printf("tomcat-1 congestion point converged to N* = %.1f\n", nstar)
+	if tomcat := report.PerServer["tomcat-1"]; tomcat != nil {
+		fmt.Printf("tomcat-1 congestion point over the final window: N* = %.1f\n", tomcat.NStar)
 	}
 	if freezes > 0 {
 		fmt.Println("a live dashboard would have paged on the first freeze, minutes before")

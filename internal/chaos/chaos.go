@@ -1,6 +1,6 @@
 // Package chaos is the fault-injection harness for the stream runtime.
 // It turns stream.Config.Hooks into precise, countable faults — shard
-// panics at chosen records, queue stalls, checkpoint-file corruption —
+// panics at chosen records or barriers, checkpoint-file corruption —
 // so the recovery machinery (quarantine, rebuild-from-checkpoint,
 // retained replay, crash-loop degradation, resume fallback) is exercised
 // by tests the same way a real defect or crash would exercise it.
@@ -17,7 +17,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"transientbd/internal/simnet"
 	"transientbd/internal/stream"
@@ -35,8 +34,8 @@ func (p Panic) Error() string {
 	return fmt.Sprintf("chaos: injected panic on shard %d at observe %d", p.Shard, p.Count)
 }
 
-// Rule is one fault: it fires on a shard's Nth observed record (shard
-// -1 matches any shard) and either panics or stalls the shard goroutine.
+// Rule is one fault: it panics the shard goroutine on a shard's Nth
+// observed record (shard -1 matches any shard).
 type Rule struct {
 	// Shard targets one shard, or any shard when -1.
 	Shard int
@@ -47,10 +46,6 @@ type Rule struct {
 	// From only. Use a large To for a poison pill that panics on every
 	// record (including the supervisor's single retry).
 	To int64
-	// Stall, when non-zero, makes the rule sleep instead of panic —
-	// simulating a slow consumer so queues fill and backpressure (or
-	// DropOnFull) engages.
-	Stall time.Duration
 }
 
 // advanceRule fires a panic at one shard's At-th watermark barrier.
@@ -68,7 +63,6 @@ type Injector struct {
 	seen    map[int]int64 // per-shard observe counter
 	seenAdv map[int]int64 // per-shard barrier counter
 	panics  int64
-	stalls  int64
 }
 
 // NewInjector returns an Injector applying rules.
@@ -89,13 +83,6 @@ func (in *Injector) Panics() int64 {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.panics
-}
-
-// Stalls reports how many stalls have been injected so far.
-func (in *Injector) Stalls() int64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.stalls
 }
 
 // Hooks returns the stream hooks implementing the injector's rules.
@@ -126,7 +113,6 @@ func (in *Injector) observe(shard int, v *trace.Visit) {
 	in.mu.Lock()
 	in.seen[shard]++
 	n := in.seen[shard]
-	var stall time.Duration
 	var panicWith *Panic
 	for _, rule := range in.rules {
 		if rule.Shard != -1 && rule.Shard != shard {
@@ -139,19 +125,11 @@ func (in *Injector) observe(shard int, v *trace.Visit) {
 		if n < rule.From || n > to {
 			continue
 		}
-		if rule.Stall > 0 {
-			in.stalls++
-			stall = rule.Stall
-		} else {
-			in.panics++
-			panicWith = &Panic{Shard: shard, Count: n}
-		}
+		in.panics++
+		panicWith = &Panic{Shard: shard, Count: n}
 		break
 	}
 	in.mu.Unlock()
-	if stall > 0 {
-		time.Sleep(stall)
-	}
 	if panicWith != nil {
 		panic(*panicWith)
 	}

@@ -4,7 +4,6 @@ import (
 	"hash/fnv"
 	"reflect"
 	"testing"
-	"time"
 
 	"transientbd/internal/core"
 	"transientbd/internal/simnet"
@@ -147,15 +146,15 @@ func TestPoisonPillDegrades(t *testing.T) {
 
 	inj := NewInjector(Rule{Shard: sick, From: 1, To: 1 << 40})
 	cfg := baseCfg(4)
-	cfg.MaxShardRestarts = 2
 	cfg.Hooks = inj.Hooks()
 	alerts, snap, m := run(t, cfg, visits)
 
 	if m.DegradedShards != 1 {
 		t.Fatalf("DegradedShards = %d, want 1", m.DegradedShards)
 	}
-	if m.ShardRestarts <= int64(cfg.MaxShardRestarts) {
-		t.Fatalf("ShardRestarts = %d, want > budget %d", m.ShardRestarts, cfg.MaxShardRestarts)
+	const budget = 8 // the runtime's per-shard crash-loop budget
+	if m.ShardRestarts <= budget {
+		t.Fatalf("ShardRestarts = %d, want > budget %d", m.ShardRestarts, budget)
 	}
 	if m.RecordsLost == 0 {
 		t.Fatal("a degraded shard must account its dropped records in RecordsLost")
@@ -361,28 +360,4 @@ func TestCheckpointCorruptionFallback(t *testing.T) {
 		t.Fatal("cold-started runtime produced no analysis")
 	}
 	<-drained3
-}
-
-// TestQueueStallDropAccounting: a stalled shard under the drop-on-full
-// policy must shed load with exact accounting — every accepted record is
-// either ingested or counted dropped, and the runtime exits cleanly.
-func TestQueueStallDropAccounting(t *testing.T) {
-	visits := Workload(chaosServers, 4000, 29)
-	inj := NewInjector(Rule{Shard: -1, From: 1, To: 600, Stall: time.Millisecond})
-	cfg := baseCfg(2)
-	cfg.QueueDepth = 256
-	cfg.DropOnFull = true
-	cfg.Hooks = inj.Hooks()
-
-	_, _, m := run(t, cfg, visits)
-	if inj.Stalls() == 0 {
-		t.Fatal("no stalls injected")
-	}
-	if m.Dropped == 0 {
-		t.Fatal("stalled shards with DropOnFull never dropped: backpressure accounting untested")
-	}
-	if m.Ingested+m.Dropped != int64(len(visits)) {
-		t.Fatalf("accounting leak: ingested %d + dropped %d != accepted %d",
-			m.Ingested, m.Dropped, len(visits))
-	}
 }

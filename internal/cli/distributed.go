@@ -11,25 +11,27 @@ import (
 	"io"
 	"net"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
 
 	"transientbd/internal/agent"
-	"transientbd/internal/core"
 	"transientbd/internal/merge"
 	"transientbd/internal/serve"
-	"transientbd/internal/simnet"
 	"transientbd/internal/stream"
 )
 
 // This file is the command surface of distributed ingestion: `tbdetect
 // agent` tails a JSONL visit source on one host and ships it to the
 // merge head; `tbdetect merge` accepts N agents, runs the node barrier
-// across them, and produces the same alert stream and final snapshot a
-// single `tbdetect -follow` over the concatenated sorted feed would
-// (TestMergeEquivalence holds the two bit-identical in no-loss runs).
+// across them, and prints the alert stream and final snapshot in the
+// follow mode's format. What is pinned is agent-count invariance: N
+// agents through the head produce, field for field, what one agent
+// through the head produces, at any fault schedule without loss
+// (TestMergeEquivalence and the durability arms, under a calibrated
+// service table). A single `tbdetect -follow` over the same records is
+// a different delivery schedule and may classify a few live intervals
+// near N* differently.
 
 // agentOpts carries the `tbdetect agent` flags, with the signal hook
 // injectable for tests.
@@ -164,22 +166,14 @@ func runAgent(r io.Reader, stdout, stderr io.Writer, opts agentOpts) error {
 // mergeOpts carries the `tbdetect merge` flags, with the signal and
 // address hooks injectable for tests.
 type mergeOpts struct {
-	listen        string
-	expect        []string
-	interval      time.Duration
-	window        time.Duration
-	flushLag      time.Duration
-	shards        int
-	raw           bool
-	metrics       bool
-	top           int
-	hbTimeout     time.Duration
-	checkpointDir string
-	ckptEvery     time.Duration
-	httpAddr      string
-	publishEvery  time.Duration
-	authKey       []byte
-	tls           *tls.Config
+	detectFlags
+	listen       string
+	expect       []string
+	hbTimeout    time.Duration
+	httpAddr     string
+	publishEvery time.Duration
+	authKey      []byte
+	tls          *tls.Config
 
 	// stop, when non-nil, replaces the SIGINT/SIGTERM handler — closing
 	// it drains the head (graceful SIGTERM path).
@@ -192,31 +186,24 @@ type mergeOpts struct {
 
 // Merge runs the multi-node ingestion head: it accepts agent
 // connections, merges their per-node streams through the node barrier,
-// and prints the same alert stream and final snapshot the
-// single-process follow mode would.
+// and prints the alert stream and final snapshot in the follow mode's
+// format.
 func Merge(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("tbdetect merge", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		listen      = fs.String("listen", "127.0.0.1:7600", "TCP address agents connect to (port 0 picks a free one)")
-		expect      = fs.String("expect", "", "comma-separated node identities the barrier waits for before sealing any interval (late joiners beyond the list may still connect)")
-		interval    = fs.Duration("interval", 50*time.Millisecond, "monitoring interval length")
-		window      = fs.Duration("window", 2*time.Minute, "sliding window N* is estimated over")
-		flushlag    = fs.Duration("flushlag", time.Second, "how far interval sealing trails the cross-node release point (must exceed max residence plus per-node reordering)")
-		raw         = fs.Bool("raw", false, "disable work-unit throughput normalization")
-		shards      = fs.Int("shards", 0, "shard goroutines records are hash-partitioned across (0 = GOMAXPROCS)")
-		top         = fs.Int("top", 0, "print only the N worst servers in the final snapshot (0 = all)")
-		selfmetrics = fs.Bool("selfmetrics", false, "print the runtime self-metrics block to stderr at exit")
-		hbtimeout   = fs.Duration("hbtimeout", 10*time.Second, "node silence after which it is degraded: it stops holding back the barrier, and records it later delivers from behind the release point are dropped with accounting")
-		checkpoint  = fs.String("checkpoint", "", "directory for durable checkpoints of the merged analyzer state (written atomically; a final cut is written on drain)")
-		ckptevery   = fs.Duration("ckptevery", 10*time.Second, "with -checkpoint: trace time between automatic checkpoints")
-		httpAddr    = fs.String("http", "", "serve /metrics (with per-node families), /healthz, /readyz, /report, /servers/{id}/series and SSE /alerts on this address")
-		authkey     = fs.String("authkey", "", "shared key agents must prove in the mutual HMAC handshake; unauthenticated and wrong-key peers are rejected and counted (prefer -authkeyfile)")
-		akeyfile    = fs.String("authkeyfile", "", "file holding the shared handshake key (surrounding whitespace trimmed); mutually exclusive with -authkey")
-		tlsCert     = fs.String("tls-cert", "", "PEM server certificate; with -tls-key, agents must connect over TLS")
-		tlsKey      = fs.String("tls-key", "", "PEM private key for -tls-cert")
-		tlsCA       = fs.String("tls-ca", "", "PEM bundle of CAs; when set, agents must present a client certificate signed by one of them (mutual TLS)")
+		listen    = fs.String("listen", "127.0.0.1:7600", "TCP address agents connect to (port 0 picks a free one)")
+		expect    = fs.String("expect", "", "comma-separated node identities the barrier waits for before sealing any interval (late joiners beyond the list may still connect)")
+		hbtimeout = fs.Duration("hbtimeout", 10*time.Second, "node silence after which it is degraded: it stops holding back the barrier, and records it later delivers from behind the release point are dropped with accounting")
+		httpAddr  = fs.String("http", "", "serve /metrics (with per-node families), /healthz, /readyz, /report, /servers/{id}/series and SSE /alerts on this address")
+		authkey   = fs.String("authkey", "", "shared key agents must prove in the mutual HMAC handshake; unauthenticated and wrong-key peers are rejected and counted (prefer -authkeyfile)")
+		akeyfile  = fs.String("authkeyfile", "", "file holding the shared handshake key (surrounding whitespace trimmed); mutually exclusive with -authkey")
+		tlsCert   = fs.String("tls-cert", "", "PEM server certificate; with -tls-key, agents must connect over TLS")
+		tlsKey    = fs.String("tls-key", "", "PEM private key for -tls-cert")
+		tlsCA     = fs.String("tls-ca", "", "PEM bundle of CAs; when set, agents must present a client certificate signed by one of them (mutual TLS)")
+		detect    detectFlags
 	)
+	detect.register(fs, "")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -236,26 +223,14 @@ func Merge(args []string, stdout, stderr io.Writer) error {
 			}
 		}
 	}
-	nshards := *shards
-	if nshards <= 0 {
-		nshards = runtime.GOMAXPROCS(0)
-	}
 	return runMerge(stdout, stderr, mergeOpts{
-		listen:        *listen,
-		expect:        nodes,
-		interval:      *interval,
-		window:        *window,
-		flushLag:      *flushlag,
-		shards:        nshards,
-		raw:           *raw,
-		metrics:       *selfmetrics,
-		top:           *top,
-		hbTimeout:     *hbtimeout,
-		checkpointDir: *checkpoint,
-		ckptEvery:     *ckptevery,
-		httpAddr:      *httpAddr,
-		authKey:       key,
-		tls:           tlsCfg,
+		detectFlags: detect,
+		listen:      *listen,
+		expect:      nodes,
+		hbTimeout:   *hbtimeout,
+		httpAddr:    *httpAddr,
+		authKey:     key,
+		tls:         tlsCfg,
 	})
 }
 
@@ -410,22 +385,18 @@ func (l *lockedWriter) Write(p []byte) (int, error) {
 func runMerge(stdout, stderr io.Writer, opts mergeOpts) error {
 	// Session goroutines log to the same stderr as this one.
 	stderr = &lockedWriter{w: stderr}
-	windowIntervals := int(opts.window / opts.interval)
+	cfg, err := opts.streamConfig()
+	if err != nil {
+		return err
+	}
+	// Sealing is the node barrier's job: the lag moves from the runtime
+	// to the head.
+	lag := cfg.FlushLag
+	cfg.FlushLag = 0
 	srv, err := merge.NewServer(merge.ServerConfig{
 		Core: merge.Config{
-			Stream: stream.Config{
-				Online: core.OnlineOptions{
-					Options: core.Options{
-						Interval:      simnet.FromStdDuration(opts.interval),
-						RawThroughput: opts.raw,
-					},
-					WindowIntervals: windowIntervals,
-				},
-				Shards:          opts.shards,
-				CheckpointDir:   opts.checkpointDir,
-				CheckpointEvery: simnet.FromStdDuration(opts.ckptEvery),
-			},
-			FlushLag:         simnet.FromStdDuration(opts.flushLag),
+			Stream:           cfg,
+			FlushLag:         lag,
 			ExpectNodes:      opts.expect,
 			HeartbeatTimeout: opts.hbTimeout,
 		},
@@ -540,18 +511,11 @@ func runMerge(stdout, stderr io.Writer, opts mergeOpts) error {
 			state = "connected"
 		}
 		fmt.Fprintf(stdout, "node %-12s  %-12s  delivered=%-8d deduped=%-6d dropped=%-6d invalid=%-4d reconnects=%d\n",
-			st.Node, state, st.Delivered, st.Deduped, st.Dropped, st.Invalid, maxI64(st.Sessions-1, 0))
+			st.Node, state, st.Delivered, st.Deduped, st.Dropped, st.Invalid, max(st.Sessions-1, 0))
 	}
 	printFinalSnapshot(stdout, snap, opts.window, opts.top)
 	if opts.metrics {
 		fmt.Fprint(stderr, snap.Metrics.String())
 	}
 	return nil
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -204,12 +204,14 @@ func TestAgentMergeTLSAuthEndToEnd(t *testing.T) {
 	mergeDone := make(chan error, 1)
 	go func() {
 		mergeDone <- runMerge(&mout, &merr, mergeOpts{
+			detectFlags: detectFlags{
+				interval: 50 * time.Millisecond,
+				window:   2 * time.Minute,
+				flushLag: 300 * time.Millisecond,
+				shards:   2,
+			},
 			listen:      "127.0.0.1:0",
 			expect:      []string{"n1"},
-			interval:    50 * time.Millisecond,
-			window:      2 * time.Minute,
-			flushLag:    300 * time.Millisecond,
-			shards:      2,
 			hbTimeout:   time.Minute,
 			httpAddr:    "127.0.0.1:0",
 			authKey:     authKey,
@@ -315,12 +317,14 @@ func TestAgentMergeEndToEnd(t *testing.T) {
 	mergeDone := make(chan error, 1)
 	go func() {
 		mergeDone <- runMerge(&mout, &merr, mergeOpts{
+			detectFlags: detectFlags{
+				interval: 50 * time.Millisecond,
+				window:   2 * time.Minute,
+				flushLag: 300 * time.Millisecond,
+				shards:   2,
+			},
 			listen:      "127.0.0.1:0",
 			expect:      []string{"n1", "n2"},
-			interval:    50 * time.Millisecond,
-			window:      2 * time.Minute,
-			flushLag:    300 * time.Millisecond,
-			shards:      2,
 			hbTimeout:   time.Minute,
 			listenReady: func(a string) { addrCh <- a },
 		})
@@ -405,12 +409,14 @@ func TestMergeHTTPStreamsAlerts(t *testing.T) {
 	mergeDone := make(chan error, 1)
 	go func() {
 		mergeDone <- runMerge(&mout, &merr, mergeOpts{
+			detectFlags: detectFlags{
+				interval: 50 * time.Millisecond,
+				window:   2 * time.Minute,
+				flushLag: 300 * time.Millisecond,
+				shards:   2,
+			},
 			listen:      "127.0.0.1:0",
 			expect:      []string{"n1", "n2"},
-			interval:    50 * time.Millisecond,
-			window:      2 * time.Minute,
-			flushLag:    300 * time.Millisecond,
-			shards:      2,
 			hbTimeout:   time.Minute,
 			httpAddr:    "127.0.0.1:0",
 			listenReady: func(a string) { addrCh <- a },
@@ -503,17 +509,19 @@ func TestMergeSIGTERMDrainMidReconnect(t *testing.T) {
 	mergeDone := make(chan error, 1)
 	go func() {
 		mergeDone <- runMerge(&mout, &merr, mergeOpts{
-			listen:        "127.0.0.1:0",
-			expect:        []string{"n1", "n2"},
-			interval:      50 * time.Millisecond,
-			window:        2 * time.Minute,
-			flushLag:      300 * time.Millisecond,
-			shards:        2,
-			hbTimeout:     5 * time.Minute, // degrade must not rescue this test
-			checkpointDir: ckptDir,
-			ckptEvery:     time.Second,
-			stop:          stop,
-			listenReady:   func(a string) { addrCh <- a },
+			detectFlags: detectFlags{
+				interval:      50 * time.Millisecond,
+				window:        2 * time.Minute,
+				flushLag:      300 * time.Millisecond,
+				shards:        2,
+				checkpointDir: ckptDir,
+				ckptEvery:     time.Second,
+			},
+			listen:      "127.0.0.1:0",
+			expect:      []string{"n1", "n2"},
+			hbTimeout:   5 * time.Minute, // degrade must not rescue this test
+			stop:        stop,
+			listenReady: func(a string) { addrCh <- a },
 		})
 	}()
 	var addr string

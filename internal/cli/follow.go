@@ -3,10 +3,12 @@ package cli
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -19,23 +21,73 @@ import (
 	"transientbd/internal/traceio"
 )
 
-// followOpts carries the tbdetect flags the follow mode consumes.
-type followOpts struct {
+// detectFlags are the detection flags `tbdetect -follow` and `tbdetect
+// merge` share: registered once, turned into a stream.Config once.
+type detectFlags struct {
 	interval time.Duration
 	window   time.Duration
 	flushLag time.Duration
-	shards   int
 	raw      bool
-	lenient  bool
-	metrics  bool
+	shards   int
 	top      int
+	metrics  bool
 
 	// Durable recovery: checkpointDir enables periodic consistent cuts
-	// every ckptEvery of trace time; resume continues from the newest
-	// valid cut, skipping the records it already covers.
+	// every ckptEvery of trace time.
 	checkpointDir string
 	ckptEvery     time.Duration
-	resume        bool
+}
+
+// register binds the shared flags to fs. only prefixes the help of the
+// flags that mean nothing outside the streaming mode ("with -follow: "
+// for tbdetect, whose -interval, -raw and -top also serve the batch path).
+func (d *detectFlags) register(fs *flag.FlagSet, only string) {
+	fs.DurationVar(&d.interval, "interval", 50*time.Millisecond, "monitoring interval length")
+	fs.DurationVar(&d.window, "window", 2*time.Minute, only+"sliding window N* is estimated over (at least 20 intervals)")
+	fs.DurationVar(&d.flushLag, "flushlag", time.Second, only+"how far interval closing trails the newest departure (must exceed max residence plus any feed reordering)")
+	fs.BoolVar(&d.raw, "raw", false, "disable work-unit throughput normalization")
+	fs.IntVar(&d.shards, "shards", 0, only+"shard goroutines records are hash-partitioned across (0 = GOMAXPROCS)")
+	fs.IntVar(&d.top, "top", 0, "print only the N worst servers (0 = all)")
+	fs.BoolVar(&d.metrics, "selfmetrics", false, only+"print the runtime self-metrics block (records/s, queue depths, drops) to stderr at exit")
+	fs.StringVar(&d.checkpointDir, "checkpoint", "", only+"directory for durable checkpoints (consistent analyzer-state cuts, written atomically; a final cut is written at exit)")
+	fs.DurationVar(&d.ckptEvery, "ckptevery", 10*time.Second, only+"trace time between automatic checkpoints (needs -checkpoint)")
+}
+
+// streamConfig is the detection runtime the flags describe, or an error
+// naming the flag that cannot be honoured.
+func (d *detectFlags) streamConfig() (stream.Config, error) {
+	if d.interval <= 0 {
+		return stream.Config{}, fmt.Errorf("tbdetect: -interval %v: the monitoring interval must be positive", d.interval)
+	}
+	if d.window < 20*d.interval {
+		return stream.Config{}, fmt.Errorf("tbdetect: -window %v must cover at least 20 intervals of -interval %v", d.window, d.interval)
+	}
+	shards := d.shards
+	if shards <= 0 {
+		shards = runtime.GOMAXPROCS(0)
+	}
+	return stream.Config{
+		Online: core.OnlineOptions{
+			Options: core.Options{
+				Interval:      simnet.FromStdDuration(d.interval),
+				RawThroughput: d.raw,
+			},
+			WindowIntervals: int(d.window / d.interval),
+		},
+		Shards:          shards,
+		FlushLag:        simnet.FromStdDuration(d.flushLag),
+		CheckpointDir:   d.checkpointDir,
+		CheckpointEvery: simnet.FromStdDuration(d.ckptEvery),
+	}, nil
+}
+
+// followOpts carries the tbdetect flags the follow mode consumes.
+type followOpts struct {
+	detectFlags
+	lenient bool
+	// resume continues from the newest valid checkpoint cut, skipping the
+	// records it already covers.
+	resume bool
 	// stop, when non-nil, replaces the SIGINT/SIGTERM handler — closing
 	// it triggers the graceful-shutdown path (tests inject it).
 	stop <-chan struct{}
@@ -48,24 +100,6 @@ type followOpts struct {
 	listen       string
 	publishEvery time.Duration
 	listenReady  func(addr string)
-}
-
-// streamConfig is the detection runtime the follow flags describe.
-func (opts followOpts) streamConfig() stream.Config {
-	return stream.Config{
-		Online: core.OnlineOptions{
-			Options: core.Options{
-				Interval:      simnet.FromStdDuration(opts.interval),
-				RawThroughput: opts.raw,
-			},
-			WindowIntervals: int(opts.window / opts.interval),
-		},
-		Shards:          opts.shards,
-		FlushLag:        simnet.FromStdDuration(opts.flushLag),
-		CheckpointDir:   opts.checkpointDir,
-		CheckpointEvery: simnet.FromStdDuration(opts.ckptEvery),
-		Resume:          opts.resume,
-	}
 }
 
 // errInterrupted aborts ingestion from inside the stream callback when a
@@ -86,7 +120,12 @@ var errInterrupted = errors.New("interrupted")
 // sealed, remaining alerts and the final snapshot print, a final
 // checkpoint is written, and the exit is clean (status 0).
 func runFollow(r io.Reader, stdout, stderr io.Writer, opts followOpts) error {
-	rt, err := stream.New(opts.streamConfig())
+	cfg, err := opts.streamConfig()
+	if err != nil {
+		return err
+	}
+	cfg.Resume = opts.resume
+	rt, err := stream.New(cfg)
 	if err != nil {
 		return fmt.Errorf("tbdetect: %w", err)
 	}

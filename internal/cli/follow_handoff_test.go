@@ -106,7 +106,11 @@ func followReference(t *testing.T, tracePath string, opts followOpts) *followRef
 	}
 
 	opts.shards = 1
-	rt, err := stream.New(opts.streamConfig())
+	cfg, err := opts.streamConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := stream.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,9 +161,11 @@ func (ref *followRef) bytes(from, to int) []byte { return bytes.Join(ref.lines[f
 
 func handoffOpts() followOpts {
 	return followOpts{
-		interval: 50 * time.Millisecond,
-		window:   2 * time.Minute,
-		flushLag: time.Second,
+		detectFlags: detectFlags{
+			interval: 50 * time.Millisecond,
+			window:   2 * time.Minute,
+			flushLag: time.Second,
+		},
 	}
 }
 

@@ -64,6 +64,45 @@ func TestFollowFlagValidation(t *testing.T) {
 	}
 }
 
+// TestDetectFlagValues: a detection flag value the runtime cannot honour
+// is rejected by name, with the same text from `tbdetect -follow` and
+// `tbdetect merge` (one builder serves both), before either reads a
+// record or opens a listener.
+func TestDetectFlagValues(t *testing.T) {
+	empty := filepath.Join(t.TempDir(), "empty.jsonl")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"zero-interval", []string{"-interval", "0"}, "-interval 0s"},
+		{"negative-interval", []string{"-interval", "-50ms"}, "-interval -50ms"},
+		{"window-below-interval", []string{"-window", "10ms"}, "-window 10ms"},
+		{"window-below-20-intervals", []string{"-interval", "1s", "-window", "19s"}, "-window 19s"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out, errOut bytes.Buffer
+			ferr := TBDetect(append([]string{"-follow", "-in", empty}, tc.args...), &out, &errOut)
+			merr := Merge(append([]string{"-listen", "127.0.0.1:0"}, tc.args...), &out, &errOut)
+			if ferr == nil || merr == nil {
+				t.Fatalf("args %v accepted: -follow %v, merge %v", tc.args, ferr, merr)
+			}
+			if ferr.Error() != merr.Error() {
+				t.Errorf("args %v: -follow says %q, merge says %q", tc.args, ferr, merr)
+			}
+			if !strings.Contains(ferr.Error(), tc.want) {
+				t.Errorf("args %v: error %q does not name %q", tc.args, ferr, tc.want)
+			}
+			if out.Len() != 0 {
+				t.Errorf("args %v: output before the rejection:\n%s", tc.args, out.String())
+			}
+		})
+	}
+}
+
 // TestFollowCheckpointResume: a full follow run leaves a final checkpoint
 // behind; a -resume run over the same feed must skip every incorporated
 // record and reproduce the same final snapshot without reprocessing.
@@ -124,13 +163,15 @@ func TestFollowGracefulStop(t *testing.T) {
 	close(stop) // signal already pending: stop at the first batch
 	var stdout, stderr bytes.Buffer
 	err = runFollow(f, &stdout, &stderr, followOpts{
-		interval:      50 * time.Millisecond,
-		window:        2 * time.Minute,
-		flushLag:      time.Second,
-		shards:        2,
-		checkpointDir: ckptDir,
-		ckptEvery:     10 * time.Second,
-		stop:          stop,
+		detectFlags: detectFlags{
+			interval:      50 * time.Millisecond,
+			window:        2 * time.Minute,
+			flushLag:      time.Second,
+			shards:        2,
+			checkpointDir: ckptDir,
+			ckptEvery:     10 * time.Second,
+		},
+		stop: stop,
 	})
 	if err != nil {
 		t.Fatalf("graceful stop must exit cleanly, got %v", err)

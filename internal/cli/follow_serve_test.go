@@ -81,7 +81,8 @@ func sseSubscribe(t *testing.T, base string) <-chan sseEvent {
 // TestFollowServe drives the full served pipeline in-process: a
 // simulated trace fed through runFollow with -listen, every endpoint
 // exercised against the live runtime, an SSE subscriber receiving real
-// alerts, and a clean EOF drain that ends the stream with "end".
+// alerts, and a stop signal while the feed is still open — the clean
+// drain must end the stream with "end".
 func TestFollowServe(t *testing.T) {
 	tracePath := genTrace(t)
 	data, err := os.ReadFile(tracePath)
@@ -93,18 +94,24 @@ func TestFollowServe(t *testing.T) {
 	addrCh := make(chan string, 1)
 	var stdout, stderrBuf bytes.Buffer
 	runDone := make(chan error, 1)
+	stop := make(chan struct{})
 	const publishEvery = 20 * time.Millisecond
 	go func() {
-		runDone <- runFollow(pr, &stdout, &stderrBuf, followOpts{
-			interval:     50 * time.Millisecond,
-			window:       2 * time.Minute,
-			flushLag:     time.Second,
-			shards:       4,
-			metrics:      true,
+		err := runFollow(pr, &stdout, &stderrBuf, followOpts{
+			detectFlags: detectFlags{
+				interval: 50 * time.Millisecond,
+				window:   2 * time.Minute,
+				flushLag: time.Second,
+				shards:   4,
+				metrics:  true,
+			},
+			stop:         stop,
 			listen:       "127.0.0.1:0",
 			publishEvery: publishEvery,
 			listenReady:  func(addr string) { addrCh <- addr },
 		})
+		pr.Close() // a feeder still writing after the stop must not block
+		runDone <- err
 	}()
 
 	var base string
@@ -130,6 +137,7 @@ func TestFollowServe(t *testing.T) {
 	feedRest := make(chan struct{})
 	feedDone := make(chan struct{})
 	split := len(data) * 3 / 4
+	lastLine := bytes.LastIndexByte(data[:len(data)-1], '\n') + 1
 	go func() {
 		defer close(feedDone)
 		if _, err := pw.Write(data[:split/2]); err != nil {
@@ -140,7 +148,11 @@ func TestFollowServe(t *testing.T) {
 			return
 		}
 		<-feedRest
-		pw.Write(data[split:]) //nolint:errcheck
+		// The stop is honoured at the next read, so one more line follows
+		// it; the writes fail once the run has returned.
+		pw.Write(data[split:lastLine]) //nolint:errcheck
+		close(stop)
+		pw.Write(data[lastLine:]) //nolint:errcheck
 		pw.Close()
 	}()
 
@@ -183,9 +195,9 @@ func TestFollowServe(t *testing.T) {
 		t.Errorf("unknown server series: code %d, want 404", code)
 	}
 
-	// Finish the feed: EOF drains the pipeline, the remaining alerts are
-	// published, the final snapshot lands, the SSE stream ends with
-	// "end", and runFollow returns cleanly.
+	// Finish the feed and stop: the drain seals the pipeline, the
+	// remaining alerts are published, the final snapshot lands, the SSE
+	// stream ends with "end", and runFollow returns cleanly.
 	close(feedRest)
 	<-feedDone
 	select {
@@ -194,7 +206,10 @@ func TestFollowServe(t *testing.T) {
 			t.Fatalf("runFollow: %v\nstderr: %s", err, stderrBuf.String())
 		}
 	case <-time.After(60 * time.Second):
-		t.Fatal("runFollow did not return after EOF")
+		t.Fatal("runFollow did not return after the stop")
+	}
+	if !strings.Contains(stderrBuf.String(), "interrupted") {
+		t.Errorf("the run ended without seeing the stop:\n%s", stderrBuf.String())
 	}
 
 	// The subscriber was connected for the whole run, so every alert the
@@ -237,11 +252,13 @@ func TestFollowServe(t *testing.T) {
 func TestFollowServeBadListen(t *testing.T) {
 	var stdout, stderrBuf bytes.Buffer
 	err := runFollow(strings.NewReader(""), &stdout, &stderrBuf, followOpts{
-		interval: 50 * time.Millisecond,
-		window:   time.Minute,
-		flushLag: time.Second,
-		shards:   1,
-		listen:   "256.256.256.256:99999",
+		detectFlags: detectFlags{
+			interval: 50 * time.Millisecond,
+			window:   time.Minute,
+			flushLag: time.Second,
+			shards:   1,
+		},
+		listen: "256.256.256.256:99999",
 	})
 	if err == nil || !strings.Contains(err.Error(), "listen") {
 		t.Fatalf("want listen error, got %v", err)

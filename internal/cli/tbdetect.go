@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -72,31 +71,24 @@ func TBDetect(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("tbdetect", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		in         = fs.String("in", "-", "visit JSONL input path (- for stdin)")
-		wire       = fs.Bool("wire", false, "input is a raw wire-message capture; assemble visits first")
-		blackbox   = fs.Bool("blackbox", false, "with -wire: reconstruct call/return pairs black-box (no hop ids) and report accuracy")
-		interval   = fs.Duration("interval", 50*time.Millisecond, "monitoring interval length")
-		from       = fs.Duration("from", 0, "analysis window start (offset from trace epoch)")
-		to         = fs.Duration("to", 0, "analysis window end (0 = end of trace)")
-		raw        = fs.Bool("raw", false, "disable work-unit throughput normalization")
-		top        = fs.Int("top", 0, "print only the N worst servers (0 = all)")
-		classes    = fs.String("classes", "", "also print the per-class breakdown for this server")
-		auto       = fs.Bool("auto", false, "choose the monitoring interval automatically (overrides -interval)")
-		rootCA     = fs.Bool("rootcause", false, "with -wire: attribute congestion to its origin using the call graph")
-		parallel   = fs.Int("parallel", 0, "worker goroutines for the per-server analyses (0 = GOMAXPROCS, 1 = serial; results are identical)")
-		lenient    = fs.Bool("lenient", false, "survive degraded traces: skip corrupt lines, quarantine anomalous hops, repair clock skew")
-		quality    = fs.Bool("quality", false, "print the trace-quality block (lines skipped, visits quarantined, skew repairs)")
-		inflight   = fs.Duration("inflight", 0, "with -wire -lenient: count unterminated visits older than this as timed out rather than in flight (0 = off)")
-		follow     = fs.Bool("follow", false, "online mode: stream visits through the sharded runtime, print alerts as intervals close")
-		shards     = fs.Int("shards", 0, "with -follow: shard goroutines records are hash-partitioned across (0 = GOMAXPROCS)")
-		window     = fs.Duration("window", 2*time.Minute, "with -follow: sliding window N* is estimated over")
-		flushlag   = fs.Duration("flushlag", time.Second, "with -follow: how far interval closing trails the newest departure (must exceed max residence)")
-		metrics    = fs.Bool("selfmetrics", false, "with -follow: print the runtime self-metrics block (records/s, queue depths, drops) to stderr at exit")
-		checkpoint = fs.String("checkpoint", "", "with -follow: directory for durable checkpoints (consistent analyzer-state cuts, written atomically)")
-		ckptevery  = fs.Duration("ckptevery", 10*time.Second, "with -follow -checkpoint: trace time between automatic checkpoints")
-		resume     = fs.Bool("resume", false, "with -follow -checkpoint: resume from the newest valid checkpoint, skipping the records it already covers")
-		listen     = fs.String("listen", "", "with -follow: serve /metrics, /healthz, /readyz, /report, /servers/{id}/series and SSE /alerts on this address (host:port; port 0 picks one)")
+		in       = fs.String("in", "-", "visit JSONL input path (- for stdin)")
+		wire     = fs.Bool("wire", false, "input is a raw wire-message capture; assemble visits first")
+		blackbox = fs.Bool("blackbox", false, "with -wire: reconstruct call/return pairs black-box (no hop ids) and report accuracy")
+		from     = fs.Duration("from", 0, "analysis window start (offset from trace epoch)")
+		to       = fs.Duration("to", 0, "analysis window end (0 = end of trace)")
+		classes  = fs.String("classes", "", "also print the per-class breakdown for this server")
+		auto     = fs.Bool("auto", false, "choose the monitoring interval automatically (overrides -interval)")
+		rootCA   = fs.Bool("rootcause", false, "with -wire: attribute congestion to its origin using the call graph")
+		parallel = fs.Int("parallel", 0, "worker goroutines for the per-server analyses (0 = GOMAXPROCS, 1 = serial; results are identical)")
+		lenient  = fs.Bool("lenient", false, "survive degraded traces: skip corrupt lines, quarantine anomalous hops, repair clock skew")
+		quality  = fs.Bool("quality", false, "print the trace-quality block (lines skipped, visits quarantined, skew repairs)")
+		inflight = fs.Duration("inflight", 0, "with -wire -lenient: count unterminated visits older than this as timed out rather than in flight (0 = off)")
+		follow   = fs.Bool("follow", false, "online mode: stream visits through the sharded runtime, print alerts as intervals close")
+		resume   = fs.Bool("resume", false, "with -follow -checkpoint: resume from the newest valid checkpoint, skipping the records it already covers")
+		listen   = fs.String("listen", "", "with -follow: serve /metrics, /healthz, /readyz, /report, /servers/{id}/series and SSE /alerts on this address (host:port; port 0 picks one)")
+		detect   detectFlags
 	)
+	detect.register(fs, "with -follow: ")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -114,23 +106,11 @@ func TBDetect(args []string, stdout, stderr io.Writer) error {
 		r = f
 	}
 	if *follow {
-		nshards := *shards
-		if nshards <= 0 {
-			nshards = runtime.GOMAXPROCS(0)
-		}
 		return runFollow(r, stdout, stderr, followOpts{
-			interval:      *interval,
-			window:        *window,
-			flushLag:      *flushlag,
-			shards:        nshards,
-			raw:           *raw,
-			lenient:       *lenient,
-			metrics:       *metrics,
-			top:           *top,
-			checkpointDir: *checkpoint,
-			ckptEvery:     *ckptevery,
-			resume:        *resume,
-			listen:        *listen,
+			detectFlags: detect,
+			lenient:     *lenient,
+			resume:      *resume,
+			listen:      *listen,
 		})
 	}
 	// Ingest straight into the per-server grouping the analysis needs.
@@ -241,7 +221,7 @@ func TBDetect(args []string, stdout, stderr io.Writer) error {
 	if w.End <= w.Start && maxDepart >= w.End {
 		w.End = maxDepart + 1
 	}
-	chosen := simnet.FromStdDuration(*interval)
+	chosen := simnet.FromStdDuration(detect.interval)
 	if *auto {
 		// Score candidates on the busiest server and apply the winner
 		// everywhere.
@@ -267,7 +247,7 @@ func TBDetect(args []string, stdout, stderr io.Writer) error {
 
 	analysis, err := core.AnalyzeSystemGrouped(perServer, w, core.Options{
 		Interval:      chosen,
-		RawThroughput: *raw,
+		RawThroughput: detect.raw,
 		Parallelism:   *parallel,
 		Quality:       q,
 	})
@@ -284,7 +264,7 @@ func TBDetect(args []string, stdout, stderr io.Writer) error {
 		"SERVER", "N*", "TPMAX(u/s)", "CONGESTED", "EPISODES", "POIs")
 	count := 0
 	for _, rep := range analysis.Ranking {
-		if *top > 0 && count >= *top {
+		if detect.top > 0 && count >= detect.top {
 			break
 		}
 		count++

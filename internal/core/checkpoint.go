@@ -103,7 +103,7 @@ func (o *Online) MarshalState() ([]byte, error) {
 		Interval:      o.opts.Interval,
 		Window:        o.window,
 		Reperiod:      o.reperiod,
-		ReservoirCap:  o.reservoirCap,
+		ReservoirCap:  reservoirSize,
 		RawThroughput: o.opts.RawThroughput,
 		Start:         o.start,
 		Closed:        o.closed,
@@ -135,7 +135,8 @@ func (o *Online) MarshalState() ([]byte, error) {
 // RestoreState overwrites the analyzer's dynamic state with a previously
 // marshaled one. The receiver must have been built with the same
 // OnlineOptions that produced the checkpoint (interval, window,
-// re-estimation cadence, reservoir size, normalization mode) —
+// re-estimation cadence, normalization mode) and by a binary with the
+// same reservoir size —
 // mismatches return ErrStateMismatch and leave the receiver untouched, as
 // do corrupt bytes (ErrStateCorrupt) and checkpoints from a newer codec
 // (ErrStateVersion). On success, continuing the analyzer over the
@@ -153,12 +154,12 @@ func (o *Online) RestoreState(data []byte) error {
 			ErrStateVersion, st.Version, onlineStateVersion)
 	}
 	if st.Interval != o.opts.Interval || st.Window != o.window ||
-		st.Reperiod != o.reperiod || st.ReservoirCap != o.reservoirCap ||
+		st.Reperiod != o.reperiod || st.ReservoirCap != reservoirSize ||
 		st.RawThroughput != o.opts.RawThroughput {
 		return fmt.Errorf("%w: checkpoint (interval %v, window %d, reperiod %d, reservoir %d, raw %v) vs analyzer (interval %v, window %d, reperiod %d, reservoir %d, raw %v)",
 			ErrStateMismatch,
 			st.Interval, st.Window, st.Reperiod, st.ReservoirCap, st.RawThroughput,
-			o.opts.Interval, o.window, o.reperiod, o.reservoirCap, o.opts.RawThroughput)
+			o.opts.Interval, o.window, o.reperiod, reservoirSize, o.opts.RawThroughput)
 	}
 	// Structural validation: a corrupt-but-decodable payload must not be
 	// able to panic the analyzer later (ring indexing trusts these
@@ -191,7 +192,7 @@ func (o *Online) RestoreState(data []byte) error {
 	o.sinceSvc = st.SinceSvc
 	o.reservoirs = make(map[string]*reservoir, len(st.Reservoirs))
 	for class, r := range st.Reservoirs {
-		o.reservoirs[class] = &reservoir{samples: r.Samples, next: r.Next, cap: o.reservoirCap}
+		o.reservoirs[class] = &reservoir{samples: r.Samples, next: r.Next}
 	}
 	return nil
 }

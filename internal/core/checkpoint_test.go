@@ -82,7 +82,7 @@ func onlineOptVariants() map[string]OnlineOptions {
 		"big":   8 * simnet.Millisecond,
 	}
 	return map[string]OnlineOptions{
-		"self-estimated": {WindowIntervals: 200, ReestimateEvery: 40, ReservoirSize: 64},
+		"self-estimated": {WindowIntervals: 200, ReestimateEvery: 40},
 		"calibrated":     {Options: Options{ServiceTimes: calib}, WindowIntervals: 200, ReestimateEvery: 40},
 		"raw": {
 			Options:         Options{RawThroughput: true},
@@ -100,7 +100,9 @@ func TestOnlineCheckpointRoundTrip(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for trial := int64(0); trial < 12; trial++ {
 				rng := rand.New(rand.NewSource(1000 + trial))
-				ops := genCkptOps(rng, 600)
+				// ~360 visits a class: past reservoirSize, so cuts land on
+				// reservoirs that have wrapped as well as ones still filling.
+				ops := genCkptOps(rng, 1200)
 				cut := 1 + rng.Intn(len(ops)-1)
 
 				golden, err := NewOnline(0, opts)

@@ -34,8 +34,7 @@ type Online struct {
 	ringIdx  []int64   // which absolute interval the slot holds
 
 	// Per-class service-time reservoirs.
-	reservoirs   map[string]*reservoir
-	reservoirCap int
+	reservoirs map[string]*reservoir
 
 	nstar       NStarResult
 	hasNStar    bool
@@ -84,28 +83,27 @@ type OnlineOptions struct {
 	// ReestimateEvery is how many closed intervals pass between N*
 	// refreshes. Default 400 (20 s at 50 ms).
 	ReestimateEvery int
-	// ReservoirSize bounds per-class service-time memory (the most
-	// recent samples are kept). Default 256.
-	ReservoirSize int
 }
 
-// reservoir keeps the most recent intra-node delays for one class, so the
-// service-time estimate tracks drift (§III-B: "such service time
-// approximations have to be recomputed accordingly") instead of being
-// anchored to history.
+// reservoirSize bounds per-class service-time memory, in samples.
+const reservoirSize = 256
+
+// reservoir keeps the most recent reservoirSize intra-node delays for one
+// class, so the service-time estimate tracks drift (§III-B: "such service
+// time approximations have to be recomputed accordingly") instead of
+// being anchored to history.
 type reservoir struct {
 	samples []float64
 	next    int
-	cap     int
 }
 
 func (r *reservoir) add(v float64) {
-	if len(r.samples) < r.cap {
+	if len(r.samples) < reservoirSize {
 		r.samples = append(r.samples, v)
 		return
 	}
 	r.samples[r.next] = v
-	r.next = (r.next + 1) % r.cap
+	r.next = (r.next + 1) % reservoirSize
 }
 
 // NewOnline creates a streaming analyzer whose interval grid starts at
@@ -121,9 +119,6 @@ func NewOnline(start simnet.Time, opts OnlineOptions) (*Online, error) {
 	if opts.ReestimateEvery <= 0 {
 		opts.ReestimateEvery = 400
 	}
-	if opts.ReservoirSize <= 0 {
-		opts.ReservoirSize = 256
-	}
 	o := &Online{
 		opts:       opts.Options,
 		window:     opts.WindowIntervals,
@@ -134,7 +129,6 @@ func NewOnline(start simnet.Time, opts OnlineOptions) (*Online, error) {
 		ringIdx:    make([]int64, opts.WindowIntervals),
 		reservoirs: make(map[string]*reservoir),
 	}
-	o.reservoirCap = opts.ReservoirSize
 	if len(opts.ServiceTimes) > 0 {
 		o.fixedSvc = opts.ServiceTimes
 	}
@@ -156,7 +150,7 @@ func (o *Online) Observe(v trace.Visit) {
 	if o.fixedSvc == nil && !o.opts.RawThroughput {
 		res := o.reservoirs[v.Class]
 		if res == nil {
-			res = &reservoir{cap: o.reservoirCap}
+			res = &reservoir{}
 			o.reservoirs[v.Class] = res
 		}
 		res.add(float64(v.IntraNodeDelay()))

@@ -179,11 +179,6 @@ func (p *Processor) speed() float64 {
 	return float64(p.cfg.PStates[p.current].MHz) / float64(p.cfg.PStates[0].MHz)
 }
 
-// SpeedRatio exposes the current non-paused frequency ratio (1.0 at P0).
-func (p *Processor) SpeedRatio() float64 {
-	return float64(p.cfg.PStates[p.current].MHz) / float64(p.cfg.PStates[0].MHz)
-}
-
 // Paused reports whether the processor is in a stop-the-world pause.
 func (p *Processor) Paused() bool { return p.paused }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"transientbd/internal/stats"
 	"transientbd/internal/workload"
@@ -109,18 +108,4 @@ func (r *Fig2Result) HistogramString() string {
 	}
 	return "Figure 2(c): end-to-end RT distribution at WL 8,000 (log-scale bars)\n" +
 		r.Histogram.String()
-}
-
-// RTSpreadOrders returns how many orders of magnitude the RT distribution
-// spans between the 1st and 99.9th percentile — the paper reports 2–3
-// orders at WL 8,000.
-func RTSpreadOrders(rts []float64) float64 {
-	if len(rts) == 0 {
-		return 0
-	}
-	ps, err := stats.Percentiles(rts, []float64{1, 99.9})
-	if err != nil || ps[0] <= 0 {
-		return 0
-	}
-	return math.Log10(ps[1] / ps[0])
 }

@@ -68,8 +68,8 @@ const noAutoAdvance = simnet.Duration(1) << 56
 // Config tunes a merge head.
 type Config struct {
 	// Stream configures the underlying detection runtime (analyzers,
-	// shards, queue depth, checkpoints). Stream.FlushLag and
-	// Stream.Resume are rejected: sealing is driven by the node barrier
+	// shards, checkpoints). Stream.FlushLag and Stream.Resume are
+	// rejected: sealing is driven by the node barrier
 	// (see FlushLag below), and resuming a merge head from a checkpoint
 	// would double-apply records the agents retransmit (acknowledgment
 	// state is in-memory; see docs/operations.md).
@@ -423,10 +423,6 @@ func (c *Core) Done() bool {
 	return true
 }
 
-// Released returns the release point W: every record with a departure
-// at or before it has been observed (or dropped, with accounting).
-func (c *Core) Released() simnet.Time { return c.obsMark }
-
 // tryAdvance recomputes the release point W = min watermark over
 // contributing nodes (not degraded, not EOF) and replays the
 // single-feed event order up to it: records observe at W = depart,
@@ -563,12 +559,6 @@ func (c *Core) Abort() {
 	c.finished = true
 	c.rt.Abort()
 }
-
-// Checkpoint writes an explicit durable cut of the runtime state (when
-// the stream config has a checkpoint directory). Periodic cuts also
-// happen automatically at barrier advances, on the stream runtime's
-// own cadence.
-func (c *Core) Checkpoint() error { return c.rt.Checkpoint() }
 
 // Snapshot returns the ranked batch-style reclassification of the
 // runtime's current window. Owner goroutine only.

@@ -186,14 +186,14 @@ func TestCoreBarrierWaitsForExpectedNodes(t *testing.T) {
 		t.Fatalf("batch: %v", err)
 	}
 	// n2 has not delivered anything: its watermark holds W at zero.
-	if got := c.Released(); got != 0 {
+	if got := c.obsMark; got != 0 {
 		t.Fatalf("release point %v advanced before every expected node delivered", got)
 	}
 	c.Admit("n2", 1)
 	if _, err := c.Heartbeat("n2", vs[len(vs)-1].Depart); err != nil {
 		t.Fatalf("heartbeat: %v", err)
 	}
-	if got := c.Released(); got == 0 {
+	if got := c.obsMark; got == 0 {
 		t.Fatalf("release point did not advance after both nodes delivered")
 	}
 }
@@ -228,7 +228,7 @@ func TestCoreDegradeReadmitDropAccounting(t *testing.T) {
 	finalN1 := uint64(len(toBatches(f1, 256)))
 
 	// The barrier is wedged on n2's stale watermark.
-	wedged := c.Released()
+	wedged := c.obsMark
 	if wedged >= f1[len(f1)-1].Depart {
 		t.Fatalf("barrier advanced past a silent node's watermark")
 	}
@@ -244,7 +244,7 @@ func TestCoreDegradeReadmitDropAccounting(t *testing.T) {
 		t.Fatalf("Tick degraded %v, want [n2]", deg)
 	}
 	// With n2 degraded the healthy node's watermark releases the barrier.
-	released := c.Released()
+	released := c.obsMark
 	if released <= wedged {
 		t.Fatalf("degrade did not unwedge the barrier (released %v, wedged %v)", released, wedged)
 	}

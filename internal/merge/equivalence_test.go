@@ -248,7 +248,7 @@ func runCoreDegrade(t *testing.T, feeds map[string][]trace.Visit, victim string)
 	if deg := c.Tick(); len(deg) != 1 || deg[0] != victim {
 		t.Fatalf("Tick degraded %v, want [%s]", deg, victim)
 	}
-	released := c.Released()
+	released := c.obsMark
 
 	// The victim returns and replays from its last acknowledged batch;
 	// everything departing at or before the release point must drop,

@@ -17,10 +17,6 @@ import (
 type ServerConfig struct {
 	// Core configures the transport-independent merge head underneath.
 	Core Config
-	// TickEvery is the cadence of the heartbeat-timeout sweep (degrade
-	// detection). Default 1 s, or HeartbeatTimeout/4 if that is
-	// smaller.
-	TickEvery time.Duration
 	// AuthKey, when set, requires every agent to pass the mutual HMAC
 	// challenge/response before admission. Agents with no key or the
 	// wrong key are rejected with a readable Error frame and counted in
@@ -77,12 +73,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	core, err := New(cfg.Core)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.TickEvery <= 0 {
-		cfg.TickEvery = time.Second
-		if q := core.cfg.HeartbeatTimeout / 4; q < cfg.TickEvery {
-			cfg.TickEvery = q
-		}
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -151,9 +141,11 @@ func (s *Server) eventLoop() {
 	}
 }
 
+// tickLoop runs the heartbeat-timeout sweep (degrade detection) every
+// second, or every quarter of the timeout when that is shorter.
 func (s *Server) tickLoop() {
 	defer s.loops.Done()
-	t := time.NewTicker(s.cfg.TickEvery)
+	t := time.NewTicker(min(time.Second, s.core.cfg.HeartbeatTimeout/4))
 	defer t.Stop()
 	for {
 		select {

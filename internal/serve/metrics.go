@@ -40,7 +40,7 @@ var promTable = []promMetric{
 		intMetric("tbdetect_shards", func(_ *Server, m stream.Metrics) int64 { return int64(m.Shards) })},
 	{"tbdetect_records_ingested_total", "counter", "Records accepted into shard queues.",
 		intMetric("tbdetect_records_ingested_total", func(_ *Server, m stream.Metrics) int64 { return m.Ingested })},
-	{"tbdetect_records_dropped_total", "counter", "Records discarded by the drop-on-full backpressure policy.",
+	{"tbdetect_records_dropped_total", "counter", "Records a shard discarded for want of an analyzer (zero in a healthy run).",
 		intMetric("tbdetect_records_dropped_total", func(_ *Server, m stream.Metrics) int64 { return m.Dropped })},
 	{"tbdetect_records_late_total", "counter", "Records that arrived after their completion interval was sealed.",
 		intMetric("tbdetect_records_late_total", func(_ *Server, m stream.Metrics) int64 { return m.Late })},
@@ -127,7 +127,7 @@ var promTable = []promMetric{
 	{"tbdetect_node_degraded", "gauge", "Per-node degrade bit: 1 while silent past the heartbeat timeout.",
 		nodeGauge("tbdetect_node_degraded", func(n NodeView) int64 { return boolBit(n.Degraded) })},
 	{"tbdetect_node_reconnects_total", "counter", "Agent sessions beyond the first, per node (each one a reconnect).",
-		nodeGauge("tbdetect_node_reconnects_total", func(n NodeView) int64 { return max64(n.Sessions-1, 0) })},
+		nodeGauge("tbdetect_node_reconnects_total", func(n NodeView) int64 { return max(n.Sessions-1, 0) })},
 	{"tbdetect_node_records_delivered_total", "counter", "Records applied from this node (after dedup).",
 		nodeGauge("tbdetect_node_records_delivered_total", func(n NodeView) int64 { return n.Delivered })},
 	{"tbdetect_node_records_deduped_total", "counter", "Records skipped as retransmissions of already-applied batches.",
@@ -238,13 +238,6 @@ func boolBit(b bool) int64 {
 		return 1
 	}
 	return 0
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // MetricNames lists every exported metric family name, in output order

@@ -302,7 +302,4 @@ func TestTimeConversions(t *testing.T) {
 	if got := (1500 * Millisecond).String(); got != "1.500s" {
 		t.Errorf("String = %q", got)
 	}
-	if got := DurationOf(50, Millisecond); got != 50*Millisecond {
-		t.Errorf("DurationOf = %v", got)
-	}
 }

@@ -51,14 +51,6 @@ func (g *RNG) Exp(mean Duration) Duration {
 	return Duration(g.r.ExpFloat64() * float64(mean))
 }
 
-// ExpFloat returns an exponentially distributed float with the given mean.
-func (g *RNG) ExpFloat(mean float64) float64 {
-	if mean <= 0 {
-		return 0
-	}
-	return g.r.ExpFloat64() * mean
-}
-
 // LogNormal returns a lognormally distributed multiplier with median 1 and
 // the given sigma (log-scale standard deviation). Used for service-time
 // noise: real per-class service times vary (e.g. data selectivity, §III-B),

@@ -12,7 +12,6 @@ type Ticker struct {
 	fn      func()
 	handle  EventHandle
 	stopped bool
-	ticks   uint64
 }
 
 // NewTicker schedules fn every period, first firing one period from now.
@@ -37,7 +36,6 @@ func (t *Ticker) arm() {
 		if t.stopped {
 			return
 		}
-		t.ticks++
 		t.fn()
 		if !t.stopped {
 			t.arm()
@@ -54,6 +52,3 @@ func (t *Ticker) Stop() {
 	t.stopped = true
 	t.engine.Cancel(t.handle)
 }
-
-// Ticks reports how many times the callback has fired.
-func (t *Ticker) Ticks() uint64 { return t.ticks }

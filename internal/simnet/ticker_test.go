@@ -5,8 +5,7 @@ import "testing"
 func TestTickerFiresAtPeriod(t *testing.T) {
 	e := NewEngine()
 	var times []Time
-	tk, err := NewTicker(e, 100*Millisecond, func() { times = append(times, e.Now()) })
-	if err != nil {
+	if _, err := NewTicker(e, 100*Millisecond, func() { times = append(times, e.Now()) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Run(550 * Millisecond); err != nil {
@@ -20,9 +19,6 @@ func TestTickerFiresAtPeriod(t *testing.T) {
 		if at != want {
 			t.Errorf("tick %d at %v, want %v", i, at, want)
 		}
-	}
-	if tk.Ticks() != 5 {
-		t.Errorf("Ticks() = %d, want 5", tk.Ticks())
 	}
 }
 

@@ -55,8 +55,3 @@ func (t Time) Millis() float64 {
 func (t Time) String() string {
 	return fmt.Sprintf("%.3fs", t.Seconds())
 }
-
-// DurationOf returns a duration of n units, e.g. DurationOf(50, Millisecond).
-func DurationOf(n int64, unit Duration) Duration {
-	return Duration(n) * unit
-}

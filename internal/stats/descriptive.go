@@ -225,26 +225,3 @@ func ECDF(xs []float64, x float64) float64 {
 	}
 	return float64(count) / float64(len(xs))
 }
-
-// Autocorrelation returns the lag-k autocorrelation of the series, or 0
-// when it is undefined (short or constant series). Positive values at
-// small lags indicate the load surges the paper's burst model produces.
-func Autocorrelation(xs []float64, lag int) float64 {
-	n := len(xs)
-	if lag <= 0 || lag >= n {
-		return 0
-	}
-	m := Mean(xs)
-	var num, den float64
-	for i := 0; i < n; i++ {
-		d := xs[i] - m
-		den += d * d
-	}
-	if den == 0 {
-		return 0
-	}
-	for i := 0; i < n-lag; i++ {
-		num += (xs[i] - m) * (xs[i+lag] - m)
-	}
-	return num / den
-}

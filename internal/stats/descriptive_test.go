@@ -256,24 +256,3 @@ func TestECDF(t *testing.T) {
 		t.Errorf("empty ECDF = %v, want 0", got)
 	}
 }
-
-func TestAutocorrelation(t *testing.T) {
-	// Perfectly periodic series: strong positive at its period.
-	xs := []float64{1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0}
-	if got := Autocorrelation(xs, 2); got < 0.8 {
-		t.Errorf("lag-2 autocorr = %v, want ~1 for period-2 series", got)
-	}
-	if got := Autocorrelation(xs, 1); got > -0.8 {
-		t.Errorf("lag-1 autocorr = %v, want ~-1", got)
-	}
-	// Degenerate inputs.
-	if got := Autocorrelation(xs, 0); got != 0 {
-		t.Error("lag 0 should return 0 (undefined here)")
-	}
-	if got := Autocorrelation(xs, 99); got != 0 {
-		t.Error("lag beyond length should return 0")
-	}
-	if got := Autocorrelation([]float64{3, 3, 3, 3}, 1); got != 0 {
-		t.Error("constant series should return 0")
-	}
-}

@@ -44,9 +44,6 @@ func TestIngestAllocBudget(t *testing.T) {
 			Options:         core.Options{Interval: interval, ServiceTimes: core.ServiceTimes{"q": 2 * simnet.Millisecond}},
 			ReestimateEvery: 1 << 30,
 		},
-		// Small queue so retention (cap 4×QueueDepth records) hits its
-		// eviction steady state within warmup.
-		QueueDepth: 256,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +83,7 @@ func TestIngestAllocBudget(t *testing.T) {
 	// Warmup: fill the retention ring past its cap so each step's getBatch
 	// is fed by the previous step's eviction, and grow every reused buffer
 	// (alert buffers, coreBuf, the analyzer ring) to steady-state size.
-	warmup := r.retainCap/batchSize + 16
+	warmup := retainCap/batchSize + 16
 	for i := 0; i < warmup; i++ {
 		step()
 	}

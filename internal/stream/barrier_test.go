@@ -14,10 +14,9 @@ import (
 // gaps longer than a barrier period and repeated timestamps.
 func TestNextBarrierIsTheTrigger(t *testing.T) {
 	rt, err := New(Config{
-		Online:       core.OnlineOptions{Options: core.Options{Interval: 50 * simnet.Millisecond}},
-		Shards:       2,
-		FlushLag:     120 * simnet.Millisecond,
-		BarrierEvery: 3,
+		Online:   core.OnlineOptions{Options: core.Options{Interval: 50 * simnet.Millisecond}},
+		Shards:   2,
+		FlushLag: 120 * simnet.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,9 +6,9 @@
 // shard owns the per-server streaming analyzers (core.Online) for the
 // servers that hash to it, so every server's sliding-window state has
 // exactly one writer and no locks. Shards are fed through bounded
-// channels with an explicit backpressure policy — block (lossless) or
-// drop-and-count — and a merger turns the per-shard interval closures
-// into one globally time-ordered alert stream.
+// channels that block the producer when full (lossless backpressure),
+// and a merger turns the per-shard interval closures into one globally
+// time-ordered alert stream.
 //
 // Interval closing is driven by a watermark on the trace clock: the
 // runtime closes intervals ending at or before maxDepart−FlushLag, so
@@ -34,8 +34,8 @@
 // # Concurrency
 //
 // Observe, Advance, Snapshot and Close form the producer API and must be
-// called from one goroutine (or be externally serialized) — the same
-// single-writer contract as OnlineDetector, lifted one level up. Alerts()
+// called from one goroutine (or be externally serialized) — the
+// single-writer contract of core.Online, lifted one level up. Alerts()
 // and Metrics() are safe from any goroutine. The caller must drain
 // Alerts(); an undrained alert stream eventually backpressures the whole
 // runtime (merger, then shards, then Observe).
@@ -54,52 +54,54 @@ import (
 	"transientbd/internal/trace"
 )
 
-// batchSize is how many records the producer accumulates per shard before
-// enqueueing: big enough to amortize channel transfer on the ingest hot
-// path, small enough to keep latency and drop granularity low.
-const batchSize = 256
+const (
+	// batchSize is how many records the producer accumulates per shard
+	// before enqueueing: big enough to amortize channel transfer on the
+	// ingest hot path, small enough to keep latency low.
+	batchSize = 256
+	// queueDepth bounds each shard's input queue, in records. Enqueueing
+	// happens in batches, so the bound is approximate within one batch; a
+	// full queue blocks Observe until the shard drains — lossless, the
+	// ingest feed absorbs the stall.
+	queueDepth = 8192
+	// retainCap bounds the records a shard keeps for crash replay between
+	// checkpoint cuts (see supervisor.go).
+	retainCap = 4 * queueDepth
+	// barrierEvery is the automatic watermark cadence in intervals: the
+	// trace clock must earn at least this many closable intervals before
+	// Observe broadcasts a barrier, which then closes all of them at
+	// once (400 ms at 50 ms intervals). A barrier costs two messages per
+	// shard plus a merger epoch, so per-interval barriers make the
+	// barrier fan-out — not the analyzers — the scaling ceiling at high
+	// shard counts. The interval series are identical at any cadence for
+	// a feed whose disorder stays within FlushLag, but with self-estimated
+	// service times a re-estimation samples the reservoir as of the
+	// barrier that closed its trigger interval, so the cadence is part of
+	// what live classifications near N* depend on — which is why it is
+	// one fixed value and not a setting. Final Snapshot reclassification
+	// is cadence-independent. Explicit Advance and Close are not
+	// coalesced.
+	barrierEvery = 8
+	// maxShardRestarts is the crash-loop budget per shard: beyond it a
+	// panicking shard is degraded to drop-with-accounting instead of
+	// being rebuilt again (the merger and the other shards keep running).
+	maxShardRestarts = 8
+)
 
 // Config tunes the runtime. The zero value runs one shard with the core
-// online defaults (50 ms intervals, 2-minute window, 20 s re-estimation),
-// an 8192-record queue, blocking backpressure and a 1 s flush lag.
+// online defaults (50 ms intervals, 2-minute window, 20 s re-estimation)
+// and a 1 s flush lag.
 type Config struct {
 	// Online configures each per-server streaming analyzer.
 	Online core.OnlineOptions
 	// Shards is the number of shard goroutines records are partitioned
 	// across by server hash. Default 1.
 	Shards int
-	// QueueDepth bounds each shard's input queue, in records. Default
-	// 8192. Enqueueing happens in batches, so the bound is approximate
-	// within one batch.
-	QueueDepth int
-	// DropOnFull selects the backpressure policy when a shard queue is
-	// full: false (default) blocks Observe until the shard drains —
-	// lossless, the ingest feed absorbs the stall; true drops the
-	// overflowing batch and counts the records in Metrics.Dropped.
-	DropOnFull bool
 	// FlushLag is how far the interval-closing watermark trails the
 	// newest departure timestamp observed. It must exceed the longest
 	// request residence plus any cross-feed reordering skew, or late
 	// records lose their contribution to sealed intervals. Default 1 s.
 	FlushLag simnet.Duration
-	// BarrierEvery is the automatic watermark cadence in intervals: the
-	// trace clock must earn at least this many closable intervals before
-	// Observe broadcasts a barrier, which then closes all of them at
-	// once. A barrier costs two messages per shard plus a merger epoch,
-	// so per-interval barriers make the barrier fan-out — not the
-	// analyzers — the scaling ceiling at high shard counts. The interval
-	// series (loads, throughputs, interval grid) are identical at any
-	// cadence for a feed whose disorder stays within FlushLag, and
-	// live-alert latency grows by at most BarrierEvery−1 intervals on
-	// top of FlushLag. Cadence is part of the configuration, though:
-	// with self-estimated service times, a re-estimation samples the
-	// reservoir as of the barrier that closed its trigger interval, so
-	// changing the cadence can shift live classifications near N* —
-	// compare runs (goldens, equivalence harnesses) at a fixed cadence.
-	// Final Snapshot reclassification is cadence-independent. Explicit
-	// Advance and Close are not coalesced. Default 8 (400 ms at 50 ms
-	// intervals).
-	BarrierEvery int
 
 	// CheckpointDir, when non-empty, enables durable checkpoints: the
 	// runtime periodically writes a consistent cut of every analyzer's
@@ -120,11 +122,6 @@ type Config struct {
 	// incorporated and must be skipped). Corrupt checkpoint files fall
 	// back to the previous one, then to a cold start — never a crash.
 	Resume bool
-	// MaxShardRestarts is the crash-loop budget per shard: beyond it a
-	// panicking shard is degraded to drop-with-accounting instead of
-	// being rebuilt again (the merger and the other shards keep
-	// running). Default 8.
-	MaxShardRestarts int
 	// Hooks are optional fault-injection points used by the chaos
 	// harness; see Hooks. Nil fields are free.
 	Hooks Hooks
@@ -133,9 +130,7 @@ type Config struct {
 // Hooks are fault-injection points for chaos testing. Observe and Advance
 // run on shard goroutines under the supervisor — a panic there exercises
 // quarantine/rebuild/replay exactly like a real defect would (hooks are
-// not re-invoked while recovery replays retained batches). Checkpoint
-// runs on the producer goroutine just before a checkpoint file is
-// written; it exists for corruption injection, not for panics.
+// not re-invoked while recovery replays retained batches).
 type Hooks struct {
 	// Observe runs before each record is applied to its shard's analyzer.
 	// v is the record in place: what the hook rewrites is what the
@@ -143,31 +138,20 @@ type Hooks struct {
 	Observe func(shard int, v *trace.Visit)
 	// Advance runs when a shard starts processing a watermark barrier.
 	Advance func(shard int, mark simnet.Time)
-	// Checkpoint runs on the producer before a checkpoint file write.
-	Checkpoint func(epoch int64)
 }
 
 func (c *Config) applyDefaults() {
 	if c.Shards <= 0 {
 		c.Shards = 1
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 8192
-	}
 	if c.FlushLag <= 0 {
 		c.FlushLag = simnet.Second
-	}
-	if c.BarrierEvery <= 0 {
-		c.BarrierEvery = 8
 	}
 	if c.Online.Options.Interval <= 0 {
 		c.Online.Options.Interval = 50 * simnet.Millisecond
 	}
 	if c.CheckpointDir != "" && c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 10 * simnet.Second
-	}
-	if c.MaxShardRestarts <= 0 {
-		c.MaxShardRestarts = 8
 	}
 }
 
@@ -196,9 +180,10 @@ type Metrics struct {
 	// Shards is the configured shard count.
 	Shards int
 	// Ingested counts records accepted into shard queues; Dropped counts
-	// records discarded by the DropOnFull backpressure policy; Late
-	// counts records whose departure preceded the watermark when the
-	// shard dequeued them (their sealed-interval contribution is lost).
+	// records a shard discarded because it could not build their server's
+	// analyzer (zero unless config validation has a defect); Late counts
+	// records whose departure preceded the watermark when the shard
+	// dequeued them (their sealed-interval contribution is lost).
 	Ingested, Dropped, Late int64
 	// IntervalsClosed counts per-server interval closures; Congested and
 	// Freezes count how many of those closed congested / as POIs.
@@ -361,9 +346,8 @@ type shard struct {
 // Runtime is the sharded online detection runtime. See the package
 // comment for the concurrency contract.
 type Runtime struct {
-	cfg       Config
-	shards    []*shard
-	retainCap int
+	cfg    Config
+	shards []*shard
 
 	// Producer-goroutine state.
 	pending      []*recordBatch
@@ -483,23 +467,18 @@ func newRuntime(cfg Config) (*Runtime, error) {
 		}
 	}
 	r := &Runtime{
-		cfg:       cfg,
-		shards:    make([]*shard, cfg.Shards),
-		retainCap: 4 * cfg.QueueDepth,
-		pending:   make([]*recordBatch, cfg.Shards),
-		alerts:    make(chan Alert, 1024),
-		merge:     make(chan mergeMsg, cfg.Shards),
-		done:      make(chan struct{}),
-	}
-	depth := cfg.QueueDepth / batchSize
-	if depth < 1 {
-		depth = 1
+		cfg:     cfg,
+		shards:  make([]*shard, cfg.Shards),
+		pending: make([]*recordBatch, cfg.Shards),
+		alerts:  make(chan Alert, 1024),
+		merge:   make(chan mergeMsg, cfg.Shards),
+		done:    make(chan struct{}),
 	}
 	now := time.Now().UnixNano()
 	for i := range r.shards {
 		r.shards[i] = &shard{
 			idx:     i,
-			in:      make(chan shardMsg, depth),
+			in:      make(chan shardMsg, queueDepth/batchSize),
 			servers: make(map[string]*core.Online),
 		}
 		r.shards[i].beat.Store(now)
@@ -627,7 +606,7 @@ func (r *Runtime) Observe(v trace.Visit) error {
 		r.maxDepart = v.Depart
 		r.maxDepartA.Store(int64(v.Depart))
 		iv := r.cfg.Online.Options.Interval
-		if w := ((r.maxDepart - r.cfg.FlushLag) / iv) * iv; w >= r.mark+simnet.Time(r.cfg.BarrierEvery)*iv {
+		if w := ((r.maxDepart - r.cfg.FlushLag) / iv) * iv; w >= r.mark+barrierEvery*iv {
 			r.advance(w)
 		}
 	}
@@ -641,12 +620,13 @@ func (r *Runtime) Observe(v trace.Visit) error {
 // goroutine only.
 func (r *Runtime) NextBarrier() simnet.Time {
 	iv := r.cfg.Online.Options.Interval
-	return r.mark + simnet.Time(r.cfg.BarrierEvery)*iv + simnet.Time(r.cfg.FlushLag)
+	return r.mark + barrierEvery*iv + r.cfg.FlushLag
 }
 
-// flush enqueues shard si's pending batch under the backpressure policy.
-// The record count is captured before the send: once the batch is on the
-// channel the shard owns it (and may recycle it to the pool).
+// flush enqueues shard si's pending batch, blocking while the shard's
+// queue is full. The record count is captured before the send: once the
+// batch is on the channel the shard owns it (and may recycle it to the
+// pool).
 func (r *Runtime) flush(si int) {
 	batch := r.pending[si]
 	if batch == nil || len(batch.rows) == 0 {
@@ -655,18 +635,7 @@ func (r *Runtime) flush(si int) {
 	n := int64(len(batch.rows))
 	r.pending[si] = nil
 	s := r.shards[si]
-	msg := shardMsg{batch: batch}
-	if r.cfg.DropOnFull {
-		select {
-		case s.in <- msg:
-		default:
-			r.dropped.Add(n)
-			putBatch(batch)
-			return
-		}
-	} else {
-		s.in <- msg
-	}
+	s.in <- shardMsg{batch: batch}
 	s.queued.Add(n)
 	r.ingested.Add(n)
 }
@@ -708,13 +677,6 @@ func (r *Runtime) Advance(now simnet.Time) {
 // from its own fault-free golden. Piggybacking instead of a separate
 // send halves the barrier's per-shard message fan-out, the cost that
 // made per-interval barriers the multi-shard scaling ceiling.
-//
-// Under DropOnFull the batch is instead flushed as its own droppable
-// send ahead of the bare barrier: barrier sends always block, so a
-// piggybacked batch could never be shed, and load-shedding on a wedged
-// shard is the whole point of that policy (whose delivery timing is
-// queue-dependent by design — the determinism argument above only holds
-// for the lossless policy).
 func (r *Runtime) advance(w simnet.Time) {
 	ckpt := r.cfg.CheckpointEvery > 0 && w >= r.lastCkptMark+r.cfg.CheckpointEvery
 	r.epoch++
@@ -727,15 +689,11 @@ func (r *Runtime) advance(w simnet.Time) {
 	for si, s := range r.shards {
 		msg := shardMsg{epoch: r.epoch, now: w, ckpt: reply}
 		if b := r.pending[si]; b != nil && len(b.rows) > 0 {
-			if r.cfg.DropOnFull {
-				r.flush(si)
-			} else {
-				r.pending[si] = nil
-				msg.batch = b
-				n := int64(len(b.rows))
-				s.queued.Add(n)
-				r.ingested.Add(n)
-			}
+			r.pending[si] = nil
+			msg.batch = b
+			n := int64(len(b.rows))
+			s.queued.Add(n)
+			r.ingested.Add(n)
 		}
 		s.in <- msg
 	}
@@ -812,9 +770,6 @@ func (r *Runtime) collectCheckpoint(reply chan shardCkptReply) error {
 		Reestimates:     r.reestimates.Load(),
 		Interval:        r.cfg.Online.Options.Interval,
 		Servers:         servers,
-	}
-	if h := r.cfg.Hooks.Checkpoint; h != nil {
-		h(r.epoch)
 	}
 	if err := writeCheckpoint(r.cfg.CheckpointDir, st); err != nil {
 		r.ckptFailed.Add(1)

@@ -15,7 +15,7 @@
 // ran under, so mid-stream servers keep their original grid anchor), and
 // the fast-forward to the current watermark re-closes intervals whose
 // alerts already went out without re-emitting them. Retention is capped
-// (4x QueueDepth records per shard); batches evicted by the cap before
+// (retainCap records per shard); batches evicted by the cap before
 // the next checkpoint are unrecoverable and are counted in RecordsLost
 // if a rebuild actually needs them.
 package stream
@@ -72,7 +72,7 @@ func (r *Runtime) deliver(s *shard, msg shardMsg) {
 		}
 		r.restarts.Add(1)
 		s.restarts++
-		if s.restarts > r.cfg.MaxShardRestarts {
+		if s.restarts > maxShardRestarts {
 			s.degraded = true
 			r.degradedShards.Add(1)
 		}
@@ -132,7 +132,7 @@ func (r *Runtime) handleBatch(s *shard, batch *recordBatch) {
 	// Retain only after the whole batch applied: a retry after a
 	// mid-batch panic re-applies the batch from the rebuilt (pre-batch)
 	// state, so records land exactly once either way.
-	s.retain(batch, r.retainCap)
+	s.retain(batch)
 }
 
 func (r *Runtime) handleEpoch(s *shard, msg shardMsg) {
@@ -253,10 +253,10 @@ func (r *Runtime) observeShard(s *shard, v *trace.Visit) {
 // the pool). Evicted records become unrecoverable until the next
 // checkpoint cut; the count is remembered so a rebuild that needed them
 // reports the loss.
-func (s *shard) retain(batch *recordBatch, cap int) {
+func (s *shard) retain(batch *recordBatch) {
 	s.retained = append(s.retained, retainedBatch{mark: s.mark, recs: batch})
 	s.retainedRecs += len(batch.rows)
-	for s.retainedRecs > cap && len(s.retained) > 1 {
+	for s.retainedRecs > retainCap && len(s.retained) > 1 {
 		old := s.retained[0].recs
 		s.gapRecs += int64(len(old.rows))
 		s.retainedRecs -= len(old.rows)

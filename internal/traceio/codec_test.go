@@ -69,7 +69,7 @@ func BenchmarkStreamVisits(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Reset(data)
-		if err := StreamVisits(r, 0, func([]trace.Visit) error { return nil }); err != nil {
+		if _, err := StreamVisitsOpts(r, StreamOptions{}, func([]trace.Visit) error { return nil }); err != nil {
 			b.Fatal(err)
 		}
 	}

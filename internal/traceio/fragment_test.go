@@ -246,7 +246,7 @@ func TestStreamDeliversBeforeBlocking(t *testing.T) {
 		s[7*l:],          // five: a full batch of four, then one
 	}}
 	var sizes []int
-	if err := StreamVisits(gate, 4, func(batch []trace.Visit) error {
+	if _, err := StreamVisitsOpts(gate, StreamOptions{BatchSize: 4}, func(batch []trace.Visit) error {
 		sizes = append(sizes, len(batch))
 		delivered += len(batch)
 		return nil

@@ -40,7 +40,7 @@ func FuzzDecodeVisits(f *testing.F) {
 		}
 
 		var strict int
-		if err := StreamVisits(bytes.NewReader(data), 3, func(batch []trace.Visit) error {
+		if _, err := StreamVisitsOpts(bytes.NewReader(data), StreamOptions{BatchSize: 3}, func(batch []trace.Visit) error {
 			strict += len(batch)
 			return nil
 		}); err == nil && strict != lenient {

@@ -4,7 +4,7 @@
 // packet-capture-derived records to the detector.
 //
 // Two reading modes exist. ReadVisits materializes the whole trace, which
-// is convenient for tests and small captures. StreamVisits decodes in
+// is convenient for tests and small captures. StreamVisitsOpts decodes in
 // bounded batches and hands each batch to a callback, so consumers (like
 // tbdetect) can fold records into their own per-server state without the
 // process ever holding a second full copy of the trace; its memory use is
@@ -46,7 +46,7 @@
 //
 // The free functions are safe to call concurrently on distinct readers
 // and writers, but a single reader or writer must not be shared: JSONL
-// decoding is inherently sequential. StreamVisits reuses its batch slice
+// decoding is inherently sequential. StreamVisitsOpts reuses its batch slice
 // between callback invocations — the callback must finish with (or copy)
 // the batch before returning, and must not retain it.
 package traceio
@@ -111,7 +111,7 @@ func WriteVisits(w io.Writer, visits []trace.Visit) error {
 	return bw.Flush()
 }
 
-// DefaultBatch is the most records StreamVisits hands over at once when
+// DefaultBatch is the most records StreamVisitsOpts hands over at once when
 // the caller names no size: big enough to amortize callback dispatch on a
 // source that never runs dry, small enough that a batch stays cache- and
 // allocation-friendly. A batch ends early when the source has nothing
@@ -138,7 +138,7 @@ type StreamOptions struct {
 	// skipped (the "a trickle of corruption is fine, a flood is not"
 	// guard). 0 means unlimited.
 	MaxErrors int
-	// BatchSize is the most records one StreamVisits callback receives
+	// BatchSize is the most records one StreamVisitsOpts callback receives
 	// (<= 0 uses DefaultBatch). It is a cap, not a cut: a batch ends early
 	// whenever the next line would have to wait for the source.
 	BatchSize int
@@ -259,20 +259,14 @@ func decodeLines(r io.Reader, opts StreamOptions, idle func() error, decode func
 	}
 }
 
-// StreamVisits reads JSONL visits until EOF, passing them to fn in
-// non-empty batches of at most batchSize records: a batch is handed over
-// when it is full or when the next line would need a blocking read of r,
-// so what has been decoded never waits for input that has not arrived.
-// The batch slice is reused between calls — fn must not retain it. A
-// non-nil error from fn aborts the stream and is returned verbatim.
-// batchSize <= 0 uses DefaultBatch. Decoding is strict; use
-// StreamVisitsOpts for lenient reads.
-func StreamVisits(r io.Reader, batchSize int, fn func(batch []trace.Visit) error) error {
-	_, err := StreamVisitsOpts(r, StreamOptions{BatchSize: batchSize}, fn)
-	return err
-}
-
-// StreamVisitsOpts is StreamVisits with an explicit error policy. Under
+// StreamVisitsOpts reads JSONL visits until EOF, passing them to fn in
+// non-empty batches of at most opts.BatchSize records (<= 0 uses
+// DefaultBatch): a batch is handed over when it is full or when the next
+// line would need a blocking read of r, so what has been decoded never
+// waits for input that has not arrived. The batch slice is reused between
+// calls — fn must not retain it. A non-nil error from fn aborts the
+// stream and is returned verbatim. The zero StreamOptions decode
+// strictly. Under
 // Skip, corrupt or invalid lines are counted in the returned Stats and
 // the stream resumes at the next newline; the error is non-nil only when
 // the Skip budget (MaxErrors) is exhausted, the callback fails, or the
@@ -334,7 +328,8 @@ func StreamVisitsOpts(r io.Reader, opts StreamOptions, fn func(batch []trace.Vis
 }
 
 // ReadVisits reads JSONL visits until EOF, materializing the whole trace.
-// Prefer StreamVisits when the consumer can fold batches incrementally.
+// Prefer StreamVisitsOpts when the consumer can fold batches
+// incrementally.
 func ReadVisits(r io.Reader) ([]trace.Visit, error) {
 	out, _, err := ReadVisitsOpts(r, StreamOptions{})
 	return out, err
@@ -377,13 +372,6 @@ func WriteMessages(w io.Writer, msgs []trace.Message) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadMessages reads JSONL wire messages until EOF. Decoding is strict;
-// use ReadMessagesOpts for lenient reads.
-func ReadMessages(r io.Reader) ([]trace.Message, error) {
-	out, _, err := ReadMessagesOpts(r, StreamOptions{})
-	return out, err
 }
 
 // ReadMessagesOpts reads JSONL wire messages until EOF under the given

@@ -46,7 +46,7 @@ func TestMessagesRoundTrip(t *testing.T) {
 	if err := WriteMessages(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ReadMessages(&buf)
+	out, _, err := ReadMessagesOpts(&buf, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,10 +79,10 @@ func TestReadVisitsValidation(t *testing.T) {
 
 func TestReadMessagesValidation(t *testing.T) {
 	bad := `{"at_us":1,"from":"a","to":"b","dir":"sideways"}`
-	if _, err := ReadMessages(strings.NewReader(bad)); err == nil {
+	if _, _, err := ReadMessagesOpts(strings.NewReader(bad), StreamOptions{}); err == nil {
 		t.Error("want error for bad direction")
 	}
-	if _, err := ReadMessages(strings.NewReader("{")); err == nil {
+	if _, _, err := ReadMessagesOpts(strings.NewReader("{"), StreamOptions{}); err == nil {
 		t.Error("want error for truncated json")
 	}
 }
@@ -92,7 +92,7 @@ func TestEmptyInputs(t *testing.T) {
 	if err != nil || len(vs) != 0 {
 		t.Errorf("empty visits: %v, %v", vs, err)
 	}
-	ms, err := ReadMessages(strings.NewReader(""))
+	ms, _, err := ReadMessagesOpts(strings.NewReader(""), StreamOptions{})
 	if err != nil || len(ms) != 0 {
 		t.Errorf("empty messages: %v, %v", ms, err)
 	}
@@ -145,7 +145,7 @@ func TestStreamVisitsBatches(t *testing.T) {
 	}
 	var sizes []int
 	var streamed []trace.Visit
-	err := StreamVisits(&buf, 10, func(batch []trace.Visit) error {
+	_, err := StreamVisitsOpts(&buf, StreamOptions{BatchSize: 10}, func(batch []trace.Visit) error {
 		sizes = append(sizes, len(batch))
 		streamed = append(streamed, batch...) // copy: the batch is reused
 		return nil
@@ -177,7 +177,7 @@ func TestStreamVisitsCallbackError(t *testing.T) {
 	}
 	sentinel := errors.New("stop")
 	calls := 0
-	err := StreamVisits(&buf, 1, func([]trace.Visit) error {
+	_, err := StreamVisitsOpts(&buf, StreamOptions{BatchSize: 1}, func([]trace.Visit) error {
 		calls++
 		return sentinel
 	})
@@ -191,7 +191,7 @@ func TestStreamVisitsCallbackError(t *testing.T) {
 
 func TestStreamVisitsRejectsMalformed(t *testing.T) {
 	in := `{"server":"s","arrive_us":5,"depart_us":1}` + "\n"
-	err := StreamVisits(strings.NewReader(in), 0, func([]trace.Visit) error { return nil })
+	_, err := StreamVisitsOpts(strings.NewReader(in), StreamOptions{}, func([]trace.Visit) error { return nil })
 	if err == nil {
 		t.Fatal("want error for depart before arrive")
 	}
@@ -310,7 +310,7 @@ func TestReadMessagesOptsLenient(t *testing.T) {
 		t.Errorf("messages %d, stats %+v", len(msgs), stats)
 	}
 	// Strict still refuses the same input.
-	if _, err := ReadMessages(strings.NewReader(in)); err == nil {
+	if _, _, err := ReadMessagesOpts(strings.NewReader(in), StreamOptions{}); err == nil {
 		t.Error("strict: want error")
 	}
 }

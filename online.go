@@ -2,15 +2,14 @@ package transientbd
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"transientbd/internal/core"
 	"transientbd/internal/simnet"
 )
 
-// OnlineAlert reports one closed monitoring interval at one server from
-// the streaming detector.
+// OnlineAlert reports one closed monitoring interval at one server, as
+// delivered on Stream.Alerts.
 type OnlineAlert struct {
 	// Server is the reporting server.
 	Server string
@@ -23,13 +22,13 @@ type OnlineAlert struct {
 	Congested, Freeze bool
 }
 
-// OnlineConfig tunes the streaming detector. The zero value uses the
-// paper's defaults (50 ms intervals) with a 2-minute sliding window.
+// OnlineConfig carries a Stream's detection knobs. The zero value uses
+// the paper's defaults (50 ms intervals) with a 2-minute sliding window.
 type OnlineConfig struct {
 	// Interval is the monitoring interval (default 50 ms).
 	Interval time.Duration
 	// Window is the sliding window over which N* is estimated (default
-	// 2 minutes).
+	// 2 minutes); it must cover at least 20 intervals.
 	Window time.Duration
 	// Reestimate is how often N* is refreshed (default 20 s).
 	Reestimate time.Duration
@@ -45,9 +44,8 @@ type OnlineConfig struct {
 }
 
 // coreOptions resolves the config's defaults into the internal streaming
-// analyzer options — the one translation both OnlineDetector and Stream
-// build their per-server analyzers from.
-func (cfg OnlineConfig) coreOptions() core.OnlineOptions {
+// analyzer options NewStream builds its per-server analyzers from.
+func (cfg OnlineConfig) coreOptions() (core.OnlineOptions, error) {
 	interval := cfg.Interval
 	if interval <= 0 {
 		interval = 50 * time.Millisecond
@@ -55,6 +53,9 @@ func (cfg OnlineConfig) coreOptions() core.OnlineOptions {
 	window := cfg.Window
 	if window <= 0 {
 		window = 2 * time.Minute
+	}
+	if window < 20*interval {
+		return core.OnlineOptions{}, fmt.Errorf("transientbd: Window %v must cover at least 20 intervals of %v", window, interval)
 	}
 	reest := cfg.Reestimate
 	if reest <= 0 {
@@ -68,88 +69,5 @@ func (cfg OnlineConfig) coreOptions() core.OnlineOptions {
 		},
 		WindowIntervals: int(window / interval),
 		ReestimateEvery: int(reest / interval),
-	}
-}
-
-// OnlineDetector ingests records as they complete and emits per-interval
-// classifications with bounded memory — the deployment mode of the
-// method: attach it to a live passive-tracing feed instead of analyzing
-// batches.
-//
-// OnlineDetector is single-writer: Observe and Advance mutate per-server
-// sliding-window state with no internal locking, so calls must be
-// serialized (one feeding goroutine, or an external mutex). To scale
-// ingestion across cores, shard by server — one OnlineDetector per shard
-// — mirroring how Analyze fans out the per-server batch analyses.
-type OnlineDetector struct {
-	cfg     OnlineConfig
-	servers map[string]*core.Online
-}
-
-// NewOnlineDetector creates a streaming detector. Records' timestamps
-// must share one epoch; interval grids start at zero.
-func NewOnlineDetector(cfg OnlineConfig) *OnlineDetector {
-	return &OnlineDetector{cfg: cfg, servers: make(map[string]*core.Online)}
-}
-
-func (d *OnlineDetector) onlineFor(server string) (*core.Online, error) {
-	if o, ok := d.servers[server]; ok {
-		return o, nil
-	}
-	o, err := core.NewOnline(0, d.cfg.coreOptions())
-	if err != nil {
-		return nil, fmt.Errorf("transientbd: online detector: %w", err)
-	}
-	d.servers[server] = o
-	return o, nil
-}
-
-// Observe ingests one completed record.
-func (d *OnlineDetector) Observe(r Record) error {
-	if r.Server == "" {
-		return fmt.Errorf("transientbd: record has no server")
-	}
-	o, err := d.onlineFor(r.Server)
-	if err != nil {
-		return err
-	}
-	o.Observe(recordToVisit(&r))
-	return nil
-}
-
-// Advance closes all intervals ending at or before now (per server) and
-// returns their alerts, congested first within equal times. Call it
-// periodically with the tracing clock; lag it slightly behind the newest
-// record to let stragglers land.
-func (d *OnlineDetector) Advance(now time.Duration) []OnlineAlert {
-	var out []OnlineAlert
-	names := make([]string, 0, len(d.servers))
-	for name := range d.servers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		for _, a := range d.servers[name].Advance(simnet.FromStdDuration(now)) {
-			out = append(out, OnlineAlert{
-				Server:     name,
-				Time:       simnet.Std(simnet.Duration(a.IntervalStart)),
-				Load:       a.Load,
-				Throughput: a.TP,
-				Congested:  a.State == core.StateCongested,
-				Freeze:     a.POI,
-			})
-		}
-	}
-	return out
-}
-
-// NStar returns a server's current congestion-point estimate, if one has
-// stabilized yet.
-func (d *OnlineDetector) NStar(server string) (float64, bool) {
-	o, ok := d.servers[server]
-	if !ok {
-		return 0, false
-	}
-	res, ok := o.NStar()
-	return res.NStar, ok
+	}, nil
 }

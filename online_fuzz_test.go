@@ -62,10 +62,10 @@ func checkAlert(t *testing.T, a OnlineAlert) {
 
 // FuzzOnlineObserve asserts the online path's contract over arbitrary
 // record streams: never panic, never emit an alert with NaN/Inf load or
-// throughput. Both online surfaces are driven — the single-writer
-// OnlineDetector with interleaved Advance calls, and the sharded Stream
-// runtime end to end (Observe → watermark → merger → Close), whose final
-// report must be finite too.
+// throughput. The sharded Stream runtime is driven end to end (Observe
+// with interleaved hostile Advance calls → watermark → merger → Close),
+// with a small window so closures and N* re-estimation actually happen
+// within fuzz-sized inputs; its final report must be finite too.
 func FuzzOnlineObserve(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
@@ -74,28 +74,6 @@ func FuzzOnlineObserve(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, advances := fuzzRecords(data)
 
-		// Single-writer detector with a small window so closures and N*
-		// re-estimation actually happen within fuzz-sized inputs.
-		det := NewOnlineDetector(OnlineConfig{
-			Interval:   time.Millisecond,
-			Window:     100 * time.Millisecond,
-			Reestimate: 10 * time.Millisecond,
-		})
-		for i, r := range recs {
-			// Invalid records may be rejected; that is Observe's contract,
-			// not a fuzz failure. Panics and non-finite alerts are.
-			_ = det.Observe(r)
-			if advances[i] >= 0 {
-				for _, a := range det.Advance(advances[i]) {
-					checkAlert(t, a)
-				}
-			}
-		}
-		for _, a := range det.Advance(1 << 40 * time.Microsecond) {
-			checkAlert(t, a)
-		}
-
-		// Sharded runtime over the same stream.
 		st, err := NewStream(StreamConfig{
 			OnlineConfig: OnlineConfig{
 				Interval:   time.Millisecond,
@@ -115,8 +93,18 @@ func FuzzOnlineObserve(f *testing.F) {
 				checkAlert(t, a)
 			}
 		}()
-		for _, r := range recs {
+		for i, r := range recs {
+			// Invalid records may be rejected; that is Observe's contract,
+			// not a fuzz failure. Panics and non-finite alerts are.
 			_ = st.Observe(r)
+			if advances[i] >= 0 {
+				if err := st.Advance(advances[i]); err != nil {
+					t.Fatalf("Advance: %v", err)
+				}
+			}
+		}
+		if err := st.Advance(1 << 40 * time.Microsecond); err != nil {
+			t.Fatalf("Advance: %v", err)
 		}
 		report := st.Close()
 		<-done

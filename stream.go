@@ -10,23 +10,17 @@ import (
 
 // StreamConfig tunes a sharded streaming detector. The zero value runs
 // one shard with the paper's online defaults (50 ms intervals, 2-minute
-// window, 20 s re-estimation), an 8192-record queue, blocking
-// backpressure and a 1 s flush lag.
+// window, 20 s re-estimation) and a 1 s flush lag. Each shard's input
+// queue is bounded; when one fills, Observe blocks until the shard
+// drains.
 type StreamConfig struct {
-	// OnlineConfig carries the detection knobs shared with
-	// OnlineDetector: interval, window, re-estimation cadence, calibrated
-	// service times and raw-throughput mode.
+	// OnlineConfig carries the detection knobs: interval, window,
+	// re-estimation cadence, calibrated service times and raw-throughput
+	// mode.
 	OnlineConfig
 	// Shards is the number of shard goroutines records are
 	// hash-partitioned across by server. Default 1.
 	Shards int
-	// QueueDepth bounds each shard's input queue, in records (default
-	// 8192).
-	QueueDepth int
-	// DropOnFull selects the backpressure policy when a shard queue
-	// fills: false (default) blocks Observe until the shard drains; true
-	// drops the overflowing batch and counts it in StreamMetrics.Dropped.
-	DropOnFull bool
 	// FlushLag is how far the interval-closing watermark trails the
 	// newest departure observed; it must exceed the longest request
 	// residence plus any feed reordering skew or late records lose their
@@ -84,8 +78,9 @@ type StreamMetrics struct {
 	// Shards is the configured shard count.
 	Shards int
 	// Ingested counts records accepted into shard queues; Dropped counts
-	// records discarded under DropOnFull; Late counts records that
-	// arrived after their completion interval was sealed.
+	// records a shard discarded for want of an analyzer (zero in a
+	// healthy run); Late counts records that arrived after their
+	// completion interval was sealed.
 	Ingested, Dropped, Late int64
 	// IntervalsClosed counts per-server interval closures; Congested and
 	// Freezes count how many of those closed congested / as freezes.
@@ -110,12 +105,12 @@ type StreamMetrics struct {
 	RecordsLost, AlertsLost int64
 }
 
-// Stream is the sharded online detection runtime: OnlineDetector scaled
-// out the way its doc comment prescribes. Records are hash-partitioned
-// by server across shard goroutines, each the single writer for its
-// servers' sliding windows; bounded queues apply backpressure (or drop
-// and count); a merger emits one globally time-ordered alert stream; and
-// Snapshot/Close reclassify every window batch-style into a ranked
+// Stream is the online deployment mode of the method: attach it to a
+// live passive-tracing feed instead of analyzing batches. Records are
+// hash-partitioned by server across shard goroutines, each the single
+// writer for its servers' bounded sliding windows; bounded queues apply
+// backpressure; a merger emits one globally time-ordered alert stream;
+// and Snapshot/Close reclassify every window batch-style into a ranked
 // Report.
 //
 // Observe, Advance, Snapshot and Close must be called from one
@@ -143,11 +138,13 @@ var ErrClosed = stream.ErrClosed
 // NewStream starts the sharded runtime. Close must be called to release
 // its goroutines.
 func NewStream(cfg StreamConfig) (*Stream, error) {
+	online, err := cfg.OnlineConfig.coreOptions()
+	if err != nil {
+		return nil, err
+	}
 	rt, err := stream.New(stream.Config{
-		Online:          cfg.OnlineConfig.coreOptions(),
+		Online:          online,
 		Shards:          cfg.Shards,
-		QueueDepth:      cfg.QueueDepth,
-		DropOnFull:      cfg.DropOnFull,
 		FlushLag:        simnet.FromStdDuration(cfg.FlushLag),
 		CheckpointDir:   cfg.CheckpointDir,
 		CheckpointEvery: simnet.FromStdDuration(cfg.CheckpointEvery),

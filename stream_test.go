@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -489,5 +490,68 @@ func TestStreamEmpty(t *testing.T) {
 	}()
 	if report := st.Close(); report != nil {
 		t.Errorf("empty stream produced a report: %+v", report)
+	}
+}
+
+// TestStreamWindowTooShort: a window that cannot hold the 20 intervals N*
+// estimation needs is a construction error — including one shorter than
+// the interval itself, which used to truncate to zero intervals and run
+// the 2-minute default.
+func TestStreamWindowTooShort(t *testing.T) {
+	for _, window := range []time.Duration{10 * time.Millisecond, 950 * time.Millisecond} {
+		_, err := NewStream(StreamConfig{OnlineConfig: OnlineConfig{Window: window}})
+		if err == nil || !strings.Contains(err.Error(), "Window") {
+			t.Errorf("NewStream(Window %v at the 50 ms default interval) = %v, want a Window error", window, err)
+		}
+	}
+}
+
+// TestStreamDetectsOverloadPhase: live alerts on a trace with one
+// transient overload are congested only around it and only at the
+// overloaded server, and the final report carries that server's N*.
+func TestStreamDetectsOverloadPhase(t *testing.T) {
+	recs := busyTrace()
+	sortRecords(recs)
+	st, err := NewStream(StreamConfig{
+		OnlineConfig: OnlineConfig{Reestimate: 2 * time.Second, Window: 30 * time.Second},
+		FlushLag:     500 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("NewStream: %v", err)
+	}
+	var congested []OnlineAlert
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for a := range st.Alerts() {
+			if a.Congested {
+				congested = append(congested, a)
+			}
+		}
+	}()
+	if err := st.Observe(Record{}); err == nil {
+		t.Error("want error for record without server")
+	}
+	for _, r := range recs {
+		if err := st.Observe(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	report := st.Close()
+	<-done
+	if len(congested) == 0 {
+		t.Fatal("streaming detector missed the overload phase")
+	}
+	// Congestion alerts cluster around the burst at [2s, 2.5s) and drain.
+	for _, a := range congested {
+		if a.Time < 1900*time.Millisecond || a.Time > 6*time.Second {
+			t.Errorf("congested alert at %v outside the overload window", a.Time)
+		}
+		if a.Server != "db" {
+			t.Errorf("alert from %s, want db", a.Server)
+		}
+	}
+	if db := report.PerServer["db"]; db == nil || db.NStar <= 0 {
+		t.Errorf("no N* estimate for db after the run: %+v", db)
 	}
 }
