@@ -3,9 +3,9 @@ package transientbd
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
+	"transientbd/internal/cause"
 	"transientbd/internal/core"
 	"transientbd/internal/simnet"
 	"transientbd/internal/trace"
@@ -219,12 +219,7 @@ func Analyze(records []Record, cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("transientbd: no server produced an analysis")
 	}
 
-	report := &Report{PerServer: make(map[string]*ServerAnalysis, len(sys.Ranking))}
-	for _, r := range sys.Ranking {
-		sa := convertAnalysis(sys.PerServer[r.Server])
-		report.PerServer[r.Server] = sa
-		report.Ranking = append(report.Ranking, sa)
-	}
+	report := newReport(sys.Ranked(), cfg.Downstream)
 	if q := sys.Quality; q != nil {
 		report.Quality = &TraceQuality{
 			Records:        len(records),
@@ -240,7 +235,6 @@ func Analyze(records []Record, cfg Config) (*Report, error) {
 			}
 		}
 	}
-	attachCauses(report, cfg.Downstream)
 	return report, nil
 }
 
@@ -312,6 +306,37 @@ func recordToVisit(r *Record) trace.Visit {
 	}
 }
 
+// newReport shapes ranked per-server results (worst first, as both
+// engines deliver them) into the public Report and attaches the root-cause
+// verdicts — the one conversion behind Analyze, Stream.Snapshot and
+// Stream.Close, so the report surfaces cannot drift. Topology is optional:
+// the attribution engine's cross-server fingerprints work without a call
+// graph, but a caller→callee map sharpens them — mirror congestion is
+// discounted and pool clips are chased down the chain.
+func newReport(ranked []*core.Analysis, downstream map[string][]string) *Report {
+	report := &Report{PerServer: make(map[string]*ServerAnalysis, len(ranked))}
+	for _, a := range ranked {
+		sa := convertAnalysis(a)
+		report.PerServer[a.Server] = sa
+		report.Ranking = append(report.Ranking, sa)
+	}
+	verdicts := cause.AttributeAnalyses(ranked, cause.Options{Downstream: downstream})
+	report.Causes = make([]CauseVerdict, 0, len(verdicts))
+	for _, v := range verdicts {
+		report.Causes = append(report.Causes, CauseVerdict{
+			Kind:       string(v.Kind),
+			Server:     v.Server,
+			Confidence: v.Confidence,
+			Score:      v.Score,
+			Evidence:   v.Evidence,
+		})
+	}
+	return report
+}
+
+// convertAnalysis renders one per-server result in the public API's
+// time.Duration terms, collapsing consecutive congested intervals into
+// episodes and recording freeze (POI) starts.
 func convertAnalysis(a *core.Analysis) *ServerAnalysis {
 	sa := &ServerAnalysis{
 		Server:            a.Server,
@@ -324,20 +349,11 @@ func convertAnalysis(a *core.Analysis) *ServerAnalysis {
 		Interval:          simnet.Std(a.Interval),
 		WindowStart:       simnet.Std(simnet.Duration(a.Window.Start)),
 	}
-	fillEpisodes(sa, a.States, a.POIs, func(i int) time.Duration {
+	startOf := func(i int) time.Duration {
 		return simnet.Std(simnet.Duration(a.Load.IntervalStart(i)))
-	})
-	return sa
-}
-
-// fillEpisodes collapses consecutive congested intervals into episodes
-// and records freeze (POI) starts — the one report-shaping stage shared
-// by the batch conversion and the streaming snapshot conversion, so the
-// two report surfaces cannot drift. startOf maps an interval index to
-// its start time; sa.Interval must already be set.
-func fillEpisodes(sa *ServerAnalysis, states []core.IntervalState, pois []int, startOf func(int) time.Duration) {
-	poiSet := make(map[int]bool, len(pois))
-	for _, idx := range pois {
+	}
+	poiSet := make(map[int]bool, len(a.POIs))
+	for _, idx := range a.POIs {
 		poiSet[idx] = true
 		sa.POITimes = append(sa.POITimes, startOf(idx))
 	}
@@ -349,7 +365,7 @@ func fillEpisodes(sa *ServerAnalysis, states []core.IntervalState, pois []int, s
 			inEpisode = false
 		}
 	}
-	for i, st := range states {
+	for i, st := range a.States {
 		if st == core.StateCongested {
 			if !inEpisode {
 				inEpisode = true
@@ -364,17 +380,5 @@ func fillEpisodes(sa *ServerAnalysis, states []core.IntervalState, pois []int, s
 		}
 	}
 	flush()
-}
-
-// sortRanking orders a ranking worst-first: congested fraction
-// descending, ties broken by server name ascending. Server names are
-// unique within a report, so the order is total and the result
-// deterministic.
-func sortRanking(rs []*ServerAnalysis) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].CongestedFraction != rs[j].CongestedFraction {
-			return rs[i].CongestedFraction > rs[j].CongestedFraction
-		}
-		return rs[i].Server < rs[j].Server
-	})
+	return sa
 }

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"transientbd/internal/core"
 )
 
 // busyTrace builds a single-server trace with a transient overload phase:
@@ -300,14 +302,14 @@ func TestAnalyzeStrictNamesFirstFailingServer(t *testing.T) {
 // TestSortRankingTieBreak pins the ranking order contract: congested
 // fraction descending, ties broken by server name ascending.
 func TestSortRankingTieBreak(t *testing.T) {
-	rs := []*ServerAnalysis{
+	rs := []*core.Analysis{
 		{Server: "delta", CongestedFraction: 0.2},
 		{Server: "alpha", CongestedFraction: 0.2},
 		{Server: "bravo", CongestedFraction: 0.9},
 		{Server: "echo", CongestedFraction: 0},
 		{Server: "charlie", CongestedFraction: 0.2},
 	}
-	sortRanking(rs)
+	core.SortWorstFirst(rs)
 	want := []string{"bravo", "alpha", "charlie", "delta", "echo"}
 	for i, name := range want {
 		if rs[i].Server != name {
@@ -316,7 +318,7 @@ func TestSortRankingTieBreak(t *testing.T) {
 	}
 }
 
-func rankingNames(rs []*ServerAnalysis) []string {
+func rankingNames(rs []*core.Analysis) []string {
 	out := make([]string, len(rs))
 	for i, r := range rs {
 		out[i] = r.Server

@@ -1,10 +1,5 @@
 package transientbd
 
-import (
-	"transientbd/internal/cause"
-	"transientbd/internal/simnet"
-)
-
 // CauseVerdict is one ranked root-cause claim attached to a Report: the
 // attribution engine's best explanation for why a server congested.
 // Verdicts are a pure function of the per-server series in the report,
@@ -28,65 +23,4 @@ type CauseVerdict struct {
 	Score float64
 	// Evidence is human-readable support, free of absolute timestamps.
 	Evidence []string
-}
-
-// causeSeries reconstructs the attribution engine's view of one server
-// purely from the public ServerAnalysis, so every report surface —
-// batch Analyze, Stream.Snapshot/Close — feeds the engine through the
-// same code path and cannot drift.
-func causeSeries(sa *ServerAnalysis) cause.Series {
-	s := cause.Series{
-		Server:    sa.Server,
-		Start:     simnet.FromStdDuration(sa.WindowStart),
-		Interval:  simnet.FromStdDuration(sa.Interval),
-		Load:      sa.Load,
-		TP:        sa.Throughput,
-		NStar:     sa.NStar,
-		TPMax:     sa.TPMax,
-		Saturated: sa.Saturated,
-	}
-	n := len(sa.Load)
-	s.Congested = make([]bool, n)
-	s.POI = make([]bool, n)
-	if sa.Interval <= 0 {
-		return s
-	}
-	for _, ep := range sa.Episodes {
-		lo := int((ep.Start - sa.WindowStart) / sa.Interval)
-		cnt := int(ep.Length / sa.Interval)
-		for i := lo; i < lo+cnt; i++ {
-			if i >= 0 && i < n {
-				s.Congested[i] = true
-			}
-		}
-	}
-	for _, t := range sa.POITimes {
-		if i := int((t - sa.WindowStart) / sa.Interval); i >= 0 && i < n {
-			s.POI[i] = true
-		}
-	}
-	return s
-}
-
-// attachCauses runs the attribution engine over a report's ranking and
-// fills Report.Causes. Topology is optional: the engine's cross-server
-// fingerprints (clip detection, tier grouping by name) work without a
-// call graph, but a caller→callee map sharpens them — mirror congestion
-// is discounted and pool clips are chased down the chain.
-func attachCauses(r *Report, downstream map[string][]string) {
-	ss := make([]cause.Series, 0, len(r.Ranking))
-	for _, sa := range r.Ranking {
-		ss = append(ss, causeSeries(sa))
-	}
-	verdicts := cause.Attribute(ss, cause.Options{Downstream: downstream})
-	r.Causes = make([]CauseVerdict, 0, len(verdicts))
-	for _, v := range verdicts {
-		r.Causes = append(r.Causes, CauseVerdict{
-			Kind:       string(v.Kind),
-			Server:     v.Server,
-			Confidence: v.Confidence,
-			Score:      v.Score,
-			Evidence:   v.Evidence,
-		})
-	}
 }

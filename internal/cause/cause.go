@@ -66,7 +66,9 @@ type Series struct {
 	Saturated bool
 }
 
-// FromAnalysis adapts a batch per-server analysis.
+// FromAnalysis adapts a per-server result — from either engine, they
+// report the one type — reading congestion and freezes from the interval
+// states themselves.
 func FromAnalysis(a *core.Analysis) Series {
 	s := Series{
 		Server:    a.Server,
@@ -86,24 +88,14 @@ func FromAnalysis(a *core.Analysis) Series {
 	return s
 }
 
-// FromOnline adapts a streaming per-server snapshot.
-func FromOnline(server string, o *core.OnlineSnapshot) Series {
-	s := Series{
-		Server:    server,
-		Start:     o.Start,
-		Interval:  o.Interval,
-		Load:      o.Load,
-		TP:        o.TP,
-		NStar:     o.NStar.NStar,
-		TPMax:     o.NStar.TPMax,
-		Saturated: o.NStar.Saturated,
+// AttributeAnalyses is Attribute over per-server results, each adapted
+// through FromAnalysis; the order of as does not matter.
+func AttributeAnalyses(as []*core.Analysis, opts Options) []Verdict {
+	ss := make([]Series, len(as))
+	for i, a := range as {
+		ss[i] = FromAnalysis(a)
 	}
-	s.Congested = make([]bool, len(o.States))
-	for i, st := range o.States {
-		s.Congested[i] = st == core.StateCongested
-	}
-	s.POI = poiFlags(len(o.States), o.POIs)
-	return s
+	return Attribute(ss, opts)
 }
 
 func poiFlags(n int, pois []int) []bool {

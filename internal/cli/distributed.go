@@ -338,33 +338,6 @@ func probeWALDir(dir string) error {
 	return os.Remove(f.Name())
 }
 
-// nodeViews adapts the merge head's per-node accounting to the serving
-// layer's transport-neutral view.
-func nodeViews(sts []merge.NodeStatus) []serve.NodeView {
-	views := make([]serve.NodeView, len(sts))
-	for i, st := range sts {
-		views[i] = serve.NodeView{
-			Node:            st.Node,
-			WatermarkMicros: int64(st.Watermark),
-			LastSeq:         st.LastSeq,
-			Sessions:        st.Sessions,
-			Connected:       st.Connected,
-			Degraded:        st.Degraded,
-			EOF:             st.EOF,
-			Delivered:       st.Delivered,
-			Deduped:         st.Deduped,
-			Dropped:         st.Dropped,
-			Invalid:         st.Invalid,
-			Buffered:        st.Buffered,
-			LastFrameWall:   st.LastFrameWall,
-			WALDepth:        st.WALDepth,
-			WALSegments:     st.WALSegments,
-			Spilling:        st.Spilling,
-		}
-	}
-	return views
-}
-
 // lockedWriter serializes writes from several goroutines to one writer.
 type lockedWriter struct {
 	mu sync.Mutex
@@ -425,7 +398,7 @@ func runMerge(stdout, stderr io.Writer, opts mergeOpts) error {
 	hsrv, shutdown, err := startServe(serve.Config{
 		Metrics:       srv.Metrics,
 		Health:        srv.ShardHealth,
-		Nodes:         func() []serve.NodeView { return nodeViews(srv.NodeStatuses()) },
+		Nodes:         srv.NodeStatuses,
 		PeersRejected: srv.AuthRejects,
 	}, opts.httpAddr, stderr, opts.httpReady)
 	if err != nil {

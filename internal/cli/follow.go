@@ -42,7 +42,7 @@ type detectFlags struct {
 // flags that mean nothing outside the streaming mode ("with -follow: "
 // for tbdetect, whose -interval, -raw and -top also serve the batch path).
 func (d *detectFlags) register(fs *flag.FlagSet, only string) {
-	fs.DurationVar(&d.interval, "interval", 50*time.Millisecond, "monitoring interval length")
+	fs.DurationVar(&d.interval, "interval", 50*time.Millisecond, "monitoring interval length (a positive whole number of microseconds)")
 	fs.DurationVar(&d.window, "window", 2*time.Minute, only+"sliding window N* is estimated over (at least 20 intervals)")
 	fs.DurationVar(&d.flushLag, "flushlag", time.Second, only+"how far interval closing trails the newest departure (must exceed max residence plus any feed reordering)")
 	fs.BoolVar(&d.raw, "raw", false, "disable work-unit throughput normalization")
@@ -53,13 +53,28 @@ func (d *detectFlags) register(fs *flag.FlagSet, only string) {
 	fs.DurationVar(&d.ckptEvery, "ckptevery", 10*time.Second, only+"trace time between automatic checkpoints (needs -checkpoint)")
 }
 
+// traceInterval is -interval on the trace clock. The clock ticks in
+// microseconds and the conversion truncates, so the value is converted
+// first and validated after: a sub-microsecond interval would otherwise
+// pass as a positive time.Duration, truncate to zero and run the 50 ms
+// default on a window sized for the value given.
+func (d *detectFlags) traceInterval() (simnet.Duration, error) {
+	iv := simnet.FromStdDuration(d.interval)
+	if iv <= 0 || simnet.Std(iv) != d.interval {
+		return 0, fmt.Errorf("tbdetect: -interval %v: the monitoring interval must be a positive whole number of microseconds", d.interval)
+	}
+	return iv, nil
+}
+
 // streamConfig is the detection runtime the flags describe, or an error
 // naming the flag that cannot be honoured.
 func (d *detectFlags) streamConfig() (stream.Config, error) {
-	if d.interval <= 0 {
-		return stream.Config{}, fmt.Errorf("tbdetect: -interval %v: the monitoring interval must be positive", d.interval)
+	iv, err := d.traceInterval()
+	if err != nil {
+		return stream.Config{}, err
 	}
-	if d.window < 20*d.interval {
+	window := simnet.FromStdDuration(d.window)
+	if window < 20*iv {
 		return stream.Config{}, fmt.Errorf("tbdetect: -window %v must cover at least 20 intervals of -interval %v", d.window, d.interval)
 	}
 	shards := d.shards
@@ -69,10 +84,10 @@ func (d *detectFlags) streamConfig() (stream.Config, error) {
 	return stream.Config{
 		Online: core.OnlineOptions{
 			Options: core.Options{
-				Interval:      simnet.FromStdDuration(d.interval),
+				Interval:      iv,
 				RawThroughput: d.raw,
 			},
-			WindowIntervals: int(d.window / d.interval),
+			WindowIntervals: int(window / iv),
 		},
 		Shards:          shards,
 		FlushLag:        simnet.FromStdDuration(d.flushLag),
@@ -399,19 +414,10 @@ func printFinalSnapshot(stdout io.Writer, snap *stream.Snapshot, window time.Dur
 	} else {
 		fmt.Fprintln(stdout, "\nno transient bottlenecks detected")
 	}
-	printCauses(stdout, snap)
-}
-
-// printCauses runs the attribution engine over the final window. It is
-// a pure function of the snapshot — the chaos CI jobs byte-diff this
-// output between a golden and a degraded run, so nothing here may depend
-// on wall clocks or iteration order.
-func printCauses(stdout io.Writer, snap *stream.Snapshot) {
-	ss := make([]cause.Series, 0, len(snap.Ranking))
-	for _, r := range snap.Ranking {
-		ss = append(ss, cause.FromOnline(r.Server, r.OnlineSnapshot))
-	}
-	printVerdicts(stdout, cause.Attribute(ss, cause.Options{}))
+	// A pure function of the snapshot: the chaos CI jobs byte-diff this
+	// output between a golden and a degraded run, so nothing here may
+	// depend on wall clocks or iteration order.
+	printVerdicts(stdout, cause.AttributeAnalyses(snap.Ranking, cause.Options{}))
 }
 
 // printVerdicts renders ranked root-cause verdicts, at most five in full

@@ -67,21 +67,30 @@ func TestFollowFlagValidation(t *testing.T) {
 // TestDetectFlagValues: a detection flag value the runtime cannot honour
 // is rejected by name, with the same text from `tbdetect -follow` and
 // `tbdetect merge` (one builder serves both), before either reads a
-// record or opens a listener.
+// record or opens a listener. -interval also serves the batch path, so
+// `tbdetect -in` must say the same about it — including the values that
+// are positive as a time.Duration but not a whole number of the trace
+// clock's microseconds (500ns used to truncate to zero and run the 50 ms
+// default on a window sized for 2.4e8 intervals).
 func TestDetectFlagValues(t *testing.T) {
 	empty := filepath.Join(t.TempDir(), "empty.jsonl")
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name string
-		args []string
-		want string
+		name  string
+		args  []string
+		want  string
+		batch bool // the flag is not follow-only: tbdetect -in rejects it too
 	}{
-		{"zero-interval", []string{"-interval", "0"}, "-interval 0s"},
-		{"negative-interval", []string{"-interval", "-50ms"}, "-interval -50ms"},
-		{"window-below-interval", []string{"-window", "10ms"}, "-window 10ms"},
-		{"window-below-20-intervals", []string{"-interval", "1s", "-window", "19s"}, "-window 19s"},
+		{"zero-interval", []string{"-interval", "0"}, "-interval 0s", true},
+		{"negative-interval", []string{"-interval", "-50ms"}, "-interval -50ms", true},
+		{"negative-interval-5ms", []string{"-interval", "-5ms"}, "-interval -5ms", true},
+		{"sub-microsecond-interval", []string{"-interval", "500ns"}, "-interval 500ns", true},
+		{"nanosecond-interval", []string{"-interval", "1ns"}, "-interval 1ns", true},
+		{"fractional-microsecond-interval", []string{"-interval", "1500ns"}, "-interval 1.5µs", true},
+		{"window-below-interval", []string{"-window", "10ms"}, "-window 10ms", false},
+		{"window-below-20-intervals", []string{"-interval", "1s", "-window", "19s"}, "-window 19s", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var out, errOut bytes.Buffer
@@ -92,6 +101,12 @@ func TestDetectFlagValues(t *testing.T) {
 			}
 			if ferr.Error() != merr.Error() {
 				t.Errorf("args %v: -follow says %q, merge says %q", tc.args, ferr, merr)
+			}
+			if tc.batch {
+				berr := TBDetect(append([]string{"-in", empty}, tc.args...), &out, &errOut)
+				if berr == nil || berr.Error() != ferr.Error() {
+					t.Errorf("args %v: -in says %v, -follow says %q", tc.args, berr, ferr)
+				}
 			}
 			if !strings.Contains(ferr.Error(), tc.want) {
 				t.Errorf("args %v: error %q does not name %q", tc.args, ferr, tc.want)

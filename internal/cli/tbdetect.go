@@ -95,6 +95,10 @@ func TBDetect(args []string, stdout, stderr io.Writer) error {
 	if err := validateFollowFlags(fs, *follow); err != nil {
 		return err
 	}
+	chosen, err := detect.traceInterval()
+	if err != nil {
+		return err
+	}
 
 	r := io.Reader(os.Stdin)
 	if *in != "-" {
@@ -221,7 +225,6 @@ func TBDetect(args []string, stdout, stderr io.Writer) error {
 	if w.End <= w.Start && maxDepart >= w.End {
 		w.End = maxDepart + 1
 	}
-	chosen := simnet.FromStdDuration(detect.interval)
 	if *auto {
 		// Score candidates on the busiest server and apply the winner
 		// everywhere.
@@ -261,7 +264,7 @@ func TBDetect(args []string, stdout, stderr io.Writer) error {
 	}
 
 	fmt.Fprintf(stdout, "%-12s  %8s  %12s  %10s  %10s  %6s\n",
-		"SERVER", "N*", "TPMAX(u/s)", "CONGESTED", "EPISODES", "POIs")
+		"SERVER", "N*", "TPMAX(u/s)", "CONGESTED", "INTERVALS", "POIs")
 	count := 0
 	for _, rep := range analysis.Ranking {
 		if detect.top > 0 && count >= detect.top {
@@ -286,11 +289,7 @@ func TBDetect(args []string, stdout, stderr io.Writer) error {
 	// capture sharpens them (the call graph lets the clip fingerprint
 	// chain to the deepest capped tier and discount mirror congestion),
 	// but the engine works from the per-server series alone.
-	ss := make([]cause.Series, 0, len(analysis.PerServer))
-	for _, a := range analysis.PerServer {
-		ss = append(ss, cause.FromAnalysis(a))
-	}
-	printVerdicts(stdout, cause.Attribute(ss, cause.Options{Downstream: callGraph}))
+	printVerdicts(stdout, cause.AttributeAnalyses(analysis.Ranked(), cause.Options{Downstream: callGraph}))
 
 	if *rootCA {
 		if callGraph == nil {

@@ -94,11 +94,18 @@ func (o *Options) applyDefaults() {
 	}
 }
 
-// Analysis is the full fine-grained result for one server.
+// Analysis is the full fine-grained result for one server — what §III
+// defines per server, and the one shape both engines report it in:
+// AnalyzeServer over a batch of visits, Online.Snapshot over the sliding
+// window's closed intervals.
 type Analysis struct {
-	// Server is the analyzed server's name.
+	// Server is the analyzed server's name. Online.Snapshot leaves it
+	// empty (an Online does not know whose visits it is fed); the stream
+	// shard that owns the analyzer sets it.
 	Server string
-	// Window and Interval describe the time grid.
+	// Window and Interval describe the time grid: from AnalyzeServer the
+	// window it was given, from Online.Snapshot the span of the covered
+	// intervals.
 	Window   Window
 	Interval simnet.Duration
 
@@ -109,7 +116,8 @@ type Analysis struct {
 	// default, raw requests/s when RawThroughput was set.
 	TP *metrics.IntervalSeries
 
-	// ServiceTimes and Unit are the normalization inputs.
+	// ServiceTimes and Unit are the normalization inputs (from
+	// Online.Snapshot, the table the analyzer last normalized with).
 	ServiceTimes ServiceTimes
 	Unit         simnet.Duration
 
@@ -178,49 +186,39 @@ func AnalyzeServer(serverName string, visits []trace.Visit, w Window, opts Optio
 	if err != nil {
 		return nil, err
 	}
+	return newAnalysis(serverName, w, load.Values(), tp.Values(), svc, unit, opts)
+}
 
-	cls, err := classifySeries(load.Values(), tp.Values(), opts)
-	if err != nil {
-		return nil, fmt.Errorf("core: estimate N* for %q: %w", serverName, err)
-	}
-
+// newAnalysis builds the per-server result from aligned per-interval
+// measurements on the grid starting at w.Start — the one place an Analysis
+// is filled. AnalyzeServer and Online.Snapshot differ only in how they
+// measure the values; both hand them here, where they are adopted as the
+// result's series and classified, so equal measurements give equal
+// results by construction.
+func newAnalysis(server string, w Window, load, tp []float64, svc ServiceTimes, unit simnet.Duration, opts Options) (*Analysis, error) {
 	a := &Analysis{
-		Server:             serverName,
-		Window:             w,
-		Interval:           opts.Interval,
-		Load:               load,
-		TP:                 tp,
-		ServiceTimes:       svc,
-		Unit:               unit,
-		NStar:              cls.NStar,
-		States:             cls.States,
-		POIs:               cls.POIs,
-		CongestedIntervals: cls.CongestedIntervals,
-		CongestedFraction:  cls.CongestedFraction,
+		Server:       server,
+		Window:       w,
+		Interval:     opts.Interval,
+		Load:         metrics.AdoptIntervalSeries(w.Start, opts.Interval, load),
+		TP:           metrics.AdoptIntervalSeries(w.Start, opts.Interval, tp),
+		ServiceTimes: svc,
+		Unit:         unit,
+	}
+	if err := classifySeries(a, load, tp, opts); err != nil {
+		return nil, fmt.Errorf("core: estimate N* for %q: %w", server, err)
 	}
 	return a, nil
 }
 
-// classification is the output of classifySeries: the congestion point and
-// the per-interval verdicts derived from it.
-type classification struct {
-	NStar              NStarResult
-	States             []IntervalState
-	POIs               []int
-	CongestedIntervals int
-	CongestedFraction  float64
-}
-
-// classifySeries runs congestion-point estimation and per-interval
-// classification over aligned load/throughput series. It is the single
-// shared decision stage behind both the batch path (AnalyzeServer) and the
-// streaming snapshot path (Online.Snapshot): because both call exactly
-// this function over their measured series, their verdicts cannot drift
-// apart — the property the stream equivalence harness pins down.
-func classifySeries(load, tp []float64, opts Options) (classification, error) {
+// classifySeries is the decision stage of both engines: it estimates the
+// congestion point from the aligned load/throughput values and classifies
+// every interval against it, filling a's NStar, States, POIs and congested
+// tallies.
+func classifySeries(a *Analysis, load, tp []float64, opts Options) error {
 	pts, err := CorrelatePoints(load, tp)
 	if err != nil {
-		return classification{}, err
+		return err
 	}
 	nstar, err := EstimateNStar(pts, opts.NStar)
 	switch {
@@ -236,7 +234,7 @@ func classifySeries(load, tp []float64, opts Options) (classification, error) {
 		}
 		nstar = NStarResult{NStar: maxLoad}
 	case err != nil:
-		return classification{}, err
+		return err
 	}
 	if math.IsNaN(nstar.NStar) || math.IsInf(nstar.NStar, 0) {
 		// A degenerate curve (degraded trace, near-empty intervals) can
@@ -252,33 +250,31 @@ func classifySeries(load, tp []float64, opts Options) (classification, error) {
 		nstar.Saturated = false
 	}
 
-	cls := classification{
-		NStar:  nstar,
-		States: make([]IntervalState, len(load)),
-	}
+	a.NStar = nstar
+	a.States = make([]IntervalState, len(load))
 	for i := range load {
 		l := load[i]
 		switch {
 		case math.IsNaN(l):
 			// A NaN load (empty or degenerate interval) compares false
 			// against everything; classify it as idle, not normal.
-			cls.States[i] = StateIdle
+			a.States[i] = StateIdle
 		case l < opts.MinIdleLoad:
-			cls.States[i] = StateIdle
+			a.States[i] = StateIdle
 		case l > nstar.NStar:
-			cls.States[i] = StateCongested
-			cls.CongestedIntervals++
+			a.States[i] = StateCongested
+			a.CongestedIntervals++
 			if tp[i] < opts.POIFraction*nstar.TPMax {
-				cls.POIs = append(cls.POIs, i)
+				a.POIs = append(a.POIs, i)
 			}
 		default:
-			cls.States[i] = StateNormal
+			a.States[i] = StateNormal
 		}
 	}
 	if len(load) > 0 {
-		cls.CongestedFraction = float64(cls.CongestedIntervals) / float64(len(load))
+		a.CongestedFraction = float64(a.CongestedIntervals) / float64(len(load))
 	}
-	return cls, nil
+	return nil
 }
 
 // ServerReport summarizes one server for ranking.
@@ -355,14 +351,25 @@ func AnalyzeSystemGrouped(perServer map[string][]trace.Visit, w Window, opts Opt
 	})
 
 	out := &SystemAnalysis{PerServer: make(map[string]*Analysis, len(names)), Quality: opts.Quality}
+	ranked := make([]*Analysis, 0, len(names))
 	for i, a := range analyses {
 		if errs[i] != nil {
 			out.Skipped = append(out.Skipped, SkippedServer{Server: names[i], Err: errs[i]})
 			continue
 		}
 		out.PerServer[names[i]] = a
+		ranked = append(ranked, a)
+	}
+	if opts.Quality != nil {
+		opts.Quality.ServersSkipped += len(out.Skipped)
+	}
+	if len(ranked) == 0 {
+		return out, fmt.Errorf("core: no server produced an analysis")
+	}
+	SortWorstFirst(ranked)
+	for _, a := range ranked {
 		out.Ranking = append(out.Ranking, ServerReport{
-			Server:             names[i],
+			Server:             a.Server,
 			NStar:              a.NStar.NStar,
 			TPMax:              a.NStar.TPMax,
 			CongestedIntervals: a.CongestedIntervals,
@@ -370,17 +377,27 @@ func AnalyzeSystemGrouped(perServer map[string][]trace.Visit, w Window, opts Opt
 			POICount:           len(a.POIs),
 		})
 	}
-	if opts.Quality != nil {
-		opts.Quality.ServersSkipped += len(out.Skipped)
-	}
-	if len(out.PerServer) == 0 {
-		return out, fmt.Errorf("core: no server produced an analysis")
-	}
-	sort.Slice(out.Ranking, func(i, j int) bool {
-		if out.Ranking[i].CongestedFraction != out.Ranking[j].CongestedFraction {
-			return out.Ranking[i].CongestedFraction > out.Ranking[j].CongestedFraction
-		}
-		return out.Ranking[i].Server < out.Ranking[j].Server
-	})
 	return out, nil
+}
+
+// SortWorstFirst orders per-server results by congested fraction
+// descending, ties broken by server name ascending — the ranking every
+// report surface shows. Server names are unique within a report, so the
+// order is total and the result deterministic.
+func SortWorstFirst(as []*Analysis) {
+	sort.Slice(as, func(i, j int) bool {
+		if as[i].CongestedFraction != as[j].CongestedFraction {
+			return as[i].CongestedFraction > as[j].CongestedFraction
+		}
+		return as[i].Server < as[j].Server
+	})
+}
+
+// Ranked returns the per-server results in Ranking order, worst first.
+func (s *SystemAnalysis) Ranked() []*Analysis {
+	as := make([]*Analysis, len(s.Ranking))
+	for i, r := range s.Ranking {
+		as[i] = s.PerServer[r.Server]
+	}
+	return as
 }

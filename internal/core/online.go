@@ -361,42 +361,23 @@ func (o *Online) Reestimates() int64 { return o.reestimates }
 // IntervalsClosed reports how many intervals Advance has closed so far.
 func (o *Online) IntervalsClosed() int64 { return o.closed }
 
-// OnlineSnapshot is a batch-equivalent analysis of the intervals currently
-// held in an Online's sliding window: the same measurements the live
-// alerts were built from, reclassified with an N* estimated from the full
-// window — exactly what AnalyzeServer would report over those intervals.
-type OnlineSnapshot struct {
-	// Start is the start time of the first covered interval; Interval is
-	// the grid width.
-	Start    simnet.Time
-	Interval simnet.Duration
-	// Load and TP are the per-interval series over the covered range.
-	Load, TP []float64
-	// NStar is the congestion point estimated from the covered intervals.
-	NStar NStarResult
-	// States classifies every covered interval; POIs indexes congested
-	// intervals with near-zero throughput (offsets into States).
-	States []IntervalState
-	POIs   []int
-	// CongestedIntervals and CongestedFraction summarize the range.
-	CongestedIntervals int
-	CongestedFraction  float64
-}
-
 // Snapshot reclassifies every closed interval still inside the sliding
 // window using an N* estimated from all of them at once — the batch
-// decision procedure applied to the window's contents. When the window
-// still covers the whole stream, the result is bit-identical to what
-// AnalyzeServer computes over the same visits (same load splitting, same
-// unit accounting, same estimator, same classification switch — the last
-// three literally shared via classifySeries), independent of ingestion
-// order. This is the authoritative per-interval verdict surface; the live
-// Advance alerts are the provisional real-time view.
+// decision procedure applied to the window's contents, reported as the
+// same Analysis AnalyzeServer returns (Server left for the owner to set).
+// When the window still covers the whole stream, the result is
+// bit-identical to what AnalyzeServer computes over the same visits (same
+// load splitting, same unit accounting, then the same newAnalysis),
+// independent of ingestion order. This is the authoritative
+// per-interval verdict surface; the live Advance alerts are the
+// provisional real-time view.
 //
 // Snapshot returns nil until at least one interval has closed. Every call
 // builds its own series, so a snapshot may be published to other
-// goroutines while the analyzer keeps running.
-func (o *Online) Snapshot() *OnlineSnapshot {
+// goroutines while the analyzer keeps running. ServiceTimes and Unit are
+// read, never refreshed: a refresh here would make the table later
+// observations meet depend on when snapshots were taken.
+func (o *Online) Snapshot() *Analysis {
 	lo := o.closed - int64(o.window)
 	if lo < 0 {
 		lo = 0
@@ -416,19 +397,8 @@ func (o *Online) Snapshot() *OnlineSnapshot {
 			tp[i] = o.units[slot] / iv.Seconds()
 		}
 	}
-	cls, err := classifySeries(load, tp, o.opts)
-	if err != nil {
-		return nil // unreachable: the series have equal lengths by construction
-	}
-	return &OnlineSnapshot{
-		Start:              o.start + simnet.Time(lo)*iv,
-		Interval:           iv,
-		Load:               load,
-		TP:                 tp,
-		NStar:              cls.NStar,
-		States:             cls.States,
-		POIs:               cls.POIs,
-		CongestedIntervals: cls.CongestedIntervals,
-		CongestedFraction:  cls.CongestedFraction,
-	}
+	start := o.start + simnet.Time(lo)*iv
+	// The error is unreachable: the series have equal lengths by construction.
+	a, _ := newAnalysis("", Window{Start: start, End: start + simnet.Time(n)*iv}, load, tp, o.cachedSvc, o.cachedUnit, o.opts)
+	return a
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
 	"transientbd/internal/simnet"
@@ -278,5 +280,106 @@ func TestOnlineAdaptsToServiceTimeDrift(t *testing.T) {
 	svc := o.serviceTable()["q"]
 	if svc < 7*ms {
 		t.Errorf("post-drift service estimate = %v, want near 8ms", simnet.Std(svc))
+	}
+}
+
+// surgingServer is a 2-core, 5 ms server with a 300 ms surge every 3 s
+// and one 400 ms freeze: idle, normal, congested and POI intervals all
+// occur within its 30 s.
+func surgingServer(seed int64) ([]trace.Visit, Window) {
+	visits := synthServer(synthConfig{
+		service:     5 * ms,
+		cores:       2,
+		baseRate:    240,
+		surgeRate:   800,
+		surgeEvery:  3 * simnet.Second,
+		surgeLen:    300 * ms,
+		horizon:     30 * simnet.Second,
+		freezeStart: 10 * simnet.Second,
+		freezeEnd:   10*simnet.Second + 400*ms,
+		seed:        seed,
+	})
+	return visits, Window{Start: 0, End: 32 * simnet.Second}
+}
+
+// TestEnginesReturnEqualAnalysis is the engines' equality asserted where
+// both live: the same visits, a calibrated table and a grid-aligned
+// window give the same *Analysis from AnalyzeServer and from an Online
+// whose window covers the stream — every field, series grid included —
+// except Server, which an Online leaves to its owner.
+func TestEnginesReturnEqualAnalysis(t *testing.T) {
+	visits, w := surgingServer(3)
+	opts := Options{Interval: 50 * ms, ServiceTimes: ServiceTimes{"q": 5 * ms}}
+
+	batch, err := AnalyzeServer("s", visits, w, opts)
+	if err != nil {
+		t.Fatalf("AnalyzeServer: %v", err)
+	}
+	if batch.CongestedIntervals == 0 || len(batch.POIs) == 0 {
+		t.Fatalf("workload exercises no congestion (%d congested, %d POIs): the comparison would be vacuous",
+			batch.CongestedIntervals, len(batch.POIs))
+	}
+	o := newOnlineForTest(t, OnlineOptions{Options: opts, WindowIntervals: 4096})
+	for _, v := range visits {
+		o.Observe(v)
+	}
+	o.Advance(w.End)
+	online := o.Snapshot()
+	if online == nil {
+		t.Fatal("online snapshot is nil")
+	}
+	if online.Server != "" {
+		t.Errorf("Online.Snapshot set Server %q; naming it is the owner's job", online.Server)
+	}
+	online.Server = batch.Server
+	if !reflect.DeepEqual(online, batch) {
+		t.Errorf("engines disagree:\nonline %+v\nbatch  %+v", online, batch)
+	}
+}
+
+// TestSnapshotLeavesOnlineUntouched: with self-estimated service times the
+// table a completion is normalized with is refreshed on an observation
+// count, so a Snapshot that refreshed it would make live classifications
+// depend on when snapshots were taken. Interleaving Snapshot calls between
+// observations must change neither the later alerts nor the final result.
+func TestSnapshotLeavesOnlineUntouched(t *testing.T) {
+	visits, w := surgingServer(4)
+	sort.Slice(visits, func(i, j int) bool { return visits[i].Depart < visits[j].Depart })
+
+	run := func(snapshotEvery int) ([]Alert, *Analysis) {
+		o := newOnlineForTest(t, OnlineOptions{
+			Options:         Options{Interval: 50 * ms},
+			WindowIntervals: 4096,
+			ReestimateEvery: 40,
+		})
+		var alerts []Alert
+		for i, v := range visits {
+			o.Observe(v)
+			alerts = o.AdvanceAppend(v.Depart-100*ms, alerts)
+			if snapshotEvery > 0 && i%snapshotEvery == 0 {
+				o.Snapshot()
+			}
+		}
+		return o.AdvanceAppend(w.End, alerts), o.Snapshot()
+	}
+
+	wantAlerts, want := run(0)
+	congested := 0
+	for _, a := range wantAlerts {
+		if a.State == StateCongested {
+			congested++
+		}
+	}
+	if congested == 0 || len(want.ServiceTimes) == 0 {
+		t.Fatalf("workload exercises nothing: %d congested alerts, service table %v", congested, want.ServiceTimes)
+	}
+	for _, every := range []int{1, 7, 500} {
+		gotAlerts, got := run(every)
+		if !reflect.DeepEqual(gotAlerts, wantAlerts) {
+			t.Errorf("Snapshot every %d observations changed the live alerts", every)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Snapshot every %d observations changed the final snapshot", every)
+		}
 	}
 }

@@ -177,7 +177,7 @@ func TestOnlineSnapshotOrderInvariance(t *testing.T) {
 	iv := 50 * simnet.Millisecond
 	end = (end/simnet.Time(iv) + 1) * simnet.Time(iv)
 
-	run := func(order []trace.Visit) *OnlineSnapshot {
+	run := func(order []trace.Visit) *Analysis {
 		o, err := NewOnline(0, opts)
 		if err != nil {
 			t.Fatalf("NewOnline: %v", err)

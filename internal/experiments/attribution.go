@@ -140,11 +140,7 @@ func attributeCapture(msgs []trace.Message, w core.Window, downstream map[string
 	if err != nil {
 		return nil, 0, err
 	}
-	series := make([]cause.Series, 0, len(sysA.PerServer))
-	for _, a := range sysA.PerServer {
-		series = append(series, cause.FromAnalysis(a))
-	}
-	return cause.Attribute(series, cause.Options{Downstream: downstream}), len(visits), nil
+	return cause.AttributeAnalyses(sysA.Ranked(), cause.Options{Downstream: downstream}), len(visits), nil
 }
 
 // truthServersFor merges the server lists of every ground-truth record

@@ -108,32 +108,6 @@ func runScenario(sc scenario, opts RunOpts) (*ntier.System, *ntier.Result, error
 	return sys, res, nil
 }
 
-// tierVisits merges the visits of all servers whose name starts with
-// prefix into a single pseudo-server named prefix — the paper analyzes
-// "the MySQL tier" and "the Tomcat tier" as units.
-func tierVisits(visits []trace.Visit, prefix string) []trace.Visit {
-	var out []trace.Visit
-	for _, v := range visits {
-		if strings.HasPrefix(v.Server, prefix) {
-			v.Server = prefix
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// analyzeTier runs the §III pipeline over one tier merged into a pseudo
-// server (used for aggregate views).
-func analyzeTier(res *ntier.Result, prefix string, interval simnet.Duration) (*core.Analysis, error) {
-	visits := tierVisits(res.Visits, prefix)
-	w := core.Window{Start: res.WindowStart, End: res.WindowEnd}
-	a, err := core.AnalyzeServer(prefix, visits, w, core.Options{Interval: interval})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: analyze %s: %w", prefix, err)
-	}
-	return a, nil
-}
-
 // analyzeInstance runs the §III pipeline over a single component server —
 // the paper's unit of analysis ("we apply the above analysis to each
 // component server", §III). With multiple instances per tier, a freeze of

@@ -44,6 +44,15 @@ func NewIntervalSeries(start simnet.Time, width simnet.Duration, n int) (*Interv
 	return &IntervalSeries{start: start, width: width, values: make([]float64, n)}, nil
 }
 
+// AdoptIntervalSeries wraps values, one per width-wide interval from
+// start, as a series without copying: the caller hands the slice over and
+// must not write to it afterwards. It is how a producer that already built
+// its per-interval values (core.Online.Snapshot) publishes them in the
+// shape every consumer reads.
+func AdoptIntervalSeries(start simnet.Time, width simnet.Duration, values []float64) *IntervalSeries {
+	return &IntervalSeries{start: start, width: width, values: values}
+}
+
 // NewIntervalSeriesCovering creates a series of intervals of the given
 // width covering [start, end). The last interval may extend past end.
 func NewIntervalSeriesCovering(start, end simnet.Time, width simnet.Duration) (*IntervalSeries, error) {
@@ -158,34 +167,6 @@ func (s *IntervalSeries) ToPerSecond() *IntervalSeries {
 		s.values[i] /= secs
 	}
 	return s
-}
-
-// Resample aggregates groups of k adjacent intervals into one using the
-// mean, producing a coarser series. A trailing partial group is averaged
-// over the intervals it contains.
-func (s *IntervalSeries) Resample(k int) (*IntervalSeries, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("metrics: resample factor must be positive, got %d", k)
-	}
-	n := (len(s.values) + k - 1) / k
-	out := &IntervalSeries{
-		start:  s.start,
-		width:  s.width * simnet.Duration(k),
-		values: make([]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		lo := i * k
-		hi := lo + k
-		if hi > len(s.values) {
-			hi = len(s.values)
-		}
-		var sum float64
-		for j := lo; j < hi; j++ {
-			sum += s.values[j]
-		}
-		out.values[i] = sum / float64(hi-lo)
-	}
-	return out, nil
 }
 
 // Slice returns values for intervals whose start time lies in [from, to).

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"errors"
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -140,39 +139,6 @@ func TestScale(t *testing.T) {
 	}
 }
 
-func TestResample(t *testing.T) {
-	s, err := NewIntervalSeries(0, simnet.Millisecond, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := s.Set(i, float64(i+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r, err := s.Resample(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Groups: (1,2)->1.5 (3,4)->3.5 (5)->5
-	want := []float64{1.5, 3.5, 5}
-	got := r.Values()
-	if len(got) != 3 {
-		t.Fatalf("Resample len = %d, want 3", len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Resample[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if r.Width() != 2*simnet.Millisecond {
-		t.Errorf("resampled width = %v", r.Width())
-	}
-	if _, err := s.Resample(0); err == nil {
-		t.Error("want error for k=0")
-	}
-}
-
 func TestSlice(t *testing.T) {
 	s, err := NewIntervalSeries(0, 100*simnet.Millisecond, 10)
 	if err != nil {
@@ -224,40 +190,6 @@ func TestIndexConsistencyProperty(t *testing.T) {
 		return st <= tm && tm < st+s.Width()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: resampling preserves the overall mean when groups divide evenly.
-func TestResampleMeanProperty(t *testing.T) {
-	f := func(raw []int8) bool {
-		n := (len(raw) / 4) * 4
-		if n == 0 {
-			return true
-		}
-		s, err := NewIntervalSeries(0, simnet.Millisecond, n)
-		if err != nil {
-			return false
-		}
-		var sum float64
-		for i := 0; i < n; i++ {
-			v := float64(raw[i])
-			if err := s.Set(i, v); err != nil {
-				return false
-			}
-			sum += v
-		}
-		r, err := s.Resample(4)
-		if err != nil {
-			return false
-		}
-		var rsum float64
-		for _, v := range r.Values() {
-			rsum += v * 4
-		}
-		return math.Abs(rsum-sum) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

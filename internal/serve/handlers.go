@@ -319,7 +319,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 			CongestedIntervals: ss.CongestedIntervals,
 			Intervals:          len(ss.States),
 			POIs:               len(ss.POIs),
-			WindowStartMicros:  int64(ss.Start),
+			WindowStartMicros:  int64(ss.Window.Start),
 			IntervalMicros:     int64(ss.Interval),
 		})
 	}
@@ -348,12 +348,12 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, SeriesJSON{
 			Server:         ss.Server,
-			StartMicros:    int64(ss.Start),
+			StartMicros:    int64(ss.Window.Start),
 			IntervalMicros: int64(ss.Interval),
 			NStar:          ss.NStar.NStar,
 			TPMaxPerSec:    ss.NStar.TPMax,
-			Load:           ss.Load,
-			Throughput:     ss.TP,
+			Load:           ss.Load.Values(),
+			Throughput:     ss.TP.Values(),
 			States:         states,
 			POIs:           pois,
 		})

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"time"
 
+	"transientbd/internal/merge"
+	"transientbd/internal/simnet"
 	"transientbd/internal/stream"
 )
 
@@ -117,44 +119,44 @@ var promTable = []promMetric{
 	// HELP/TYPE headers with no samples, like checkpoint_age before the
 	// first checkpoint.
 	{"tbdetect_nodes", "gauge", "Ingestion nodes known to the merge head.",
-		nodeTotal("tbdetect_nodes", func(_ NodeView) bool { return true })},
+		nodeTotal("tbdetect_nodes", func(_ merge.NodeStatus) bool { return true })},
 	{"tbdetect_nodes_connected", "gauge", "Ingestion nodes with a currently open agent session.",
-		nodeTotal("tbdetect_nodes_connected", func(n NodeView) bool { return n.Connected })},
+		nodeTotal("tbdetect_nodes_connected", func(n merge.NodeStatus) bool { return n.Connected })},
 	{"tbdetect_nodes_degraded", "gauge", "Ingestion nodes silent past the heartbeat timeout, no longer holding back the barrier.",
-		nodeTotal("tbdetect_nodes_degraded", func(n NodeView) bool { return n.Degraded })},
+		nodeTotal("tbdetect_nodes_degraded", func(n merge.NodeStatus) bool { return n.Degraded })},
 	{"tbdetect_node_connected", "gauge", "Per-node connection bit: 1 with an open agent session.",
-		nodeGauge("tbdetect_node_connected", func(n NodeView) int64 { return boolBit(n.Connected) })},
+		nodeGauge("tbdetect_node_connected", func(n merge.NodeStatus) int64 { return boolBit(n.Connected) })},
 	{"tbdetect_node_degraded", "gauge", "Per-node degrade bit: 1 while silent past the heartbeat timeout.",
-		nodeGauge("tbdetect_node_degraded", func(n NodeView) int64 { return boolBit(n.Degraded) })},
+		nodeGauge("tbdetect_node_degraded", func(n merge.NodeStatus) int64 { return boolBit(n.Degraded) })},
 	{"tbdetect_node_reconnects_total", "counter", "Agent sessions beyond the first, per node (each one a reconnect).",
-		nodeGauge("tbdetect_node_reconnects_total", func(n NodeView) int64 { return max(n.Sessions-1, 0) })},
+		nodeGauge("tbdetect_node_reconnects_total", func(n merge.NodeStatus) int64 { return max(n.Sessions-1, 0) })},
 	{"tbdetect_node_records_delivered_total", "counter", "Records applied from this node (after dedup).",
-		nodeGauge("tbdetect_node_records_delivered_total", func(n NodeView) int64 { return n.Delivered })},
+		nodeGauge("tbdetect_node_records_delivered_total", func(n merge.NodeStatus) int64 { return n.Delivered })},
 	{"tbdetect_node_records_deduped_total", "counter", "Records skipped as retransmissions of already-applied batches.",
-		nodeGauge("tbdetect_node_records_deduped_total", func(n NodeView) int64 { return n.Deduped })},
+		nodeGauge("tbdetect_node_records_deduped_total", func(n merge.NodeStatus) int64 { return n.Deduped })},
 	{"tbdetect_node_records_dropped_total", "counter", "Records dropped behind the release point after a degrade (exact loss accounting).",
-		nodeGauge("tbdetect_node_records_dropped_total", func(n NodeView) int64 { return n.Dropped })},
+		nodeGauge("tbdetect_node_records_dropped_total", func(n merge.NodeStatus) int64 { return n.Dropped })},
 	{"tbdetect_node_records_invalid_total", "counter", "Records rejected by validation, per node.",
-		nodeGauge("tbdetect_node_records_invalid_total", func(n NodeView) int64 { return n.Invalid })},
+		nodeGauge("tbdetect_node_records_invalid_total", func(n merge.NodeStatus) int64 { return n.Invalid })},
 	{"tbdetect_node_records_buffered", "gauge", "Records delivered by this node but not yet released by the barrier.",
-		nodeGauge("tbdetect_node_records_buffered", func(n NodeView) int64 { return n.Buffered })},
+		nodeGauge("tbdetect_node_records_buffered", func(n merge.NodeStatus) int64 { return n.Buffered })},
 	{"tbdetect_node_watermark_lag_seconds", "gauge", "Trace-time gap between the newest node watermark and this node's.",
 		func(s *Server, _ stream.Metrics, w *strings.Builder) {
-			views := s.nodeViews()
-			var lead int64
-			for _, n := range views {
-				if n.WatermarkMicros > lead {
-					lead = n.WatermarkMicros
+			nodes := s.nodeStatuses()
+			var lead simnet.Time
+			for _, n := range nodes {
+				if n.Watermark > lead {
+					lead = n.Watermark
 				}
 			}
-			for _, n := range views {
+			for _, n := range nodes {
 				fmt.Fprintf(w, "tbdetect_node_watermark_lag_seconds{node=%q} %g\n",
-					n.Node, float64(lead-n.WatermarkMicros)/1e6)
+					n.Node, float64(lead-n.Watermark)/1e6)
 			}
 		}},
 	{"tbdetect_node_silence_seconds", "gauge", "Wall-clock seconds since this node's last frame (absent before the first).",
 		func(s *Server, _ stream.Metrics, w *strings.Builder) {
-			for _, n := range s.nodeViews() {
+			for _, n := range s.nodeStatuses() {
 				if n.LastFrameWall > 0 {
 					fmt.Fprintf(w, "tbdetect_node_silence_seconds{node=%q} %g\n",
 						n.Node, s.cfg.Now().Sub(time.Unix(0, n.LastFrameWall)).Seconds())
@@ -176,11 +178,11 @@ var promTable = []promMetric{
 			sample(w, "tbdetect_peers_rejected_total", s.cfg.PeersRejected())
 		}},
 	{"tbdetect_agent_wal_depth", "gauge", "Records appended to this agent's write-ahead log but not yet acknowledged by the head.",
-		nodeGauge("tbdetect_agent_wal_depth", func(n NodeView) int64 { return n.WALDepth })},
+		nodeGauge("tbdetect_agent_wal_depth", func(n merge.NodeStatus) int64 { return n.WALDepth })},
 	{"tbdetect_agent_wal_segments", "gauge", "On-disk write-ahead-log segment files held by this agent.",
-		nodeGauge("tbdetect_agent_wal_segments", func(n NodeView) int64 { return n.WALSegments })},
+		nodeGauge("tbdetect_agent_wal_segments", func(n merge.NodeStatus) int64 { return n.WALSegments })},
 	{"tbdetect_agent_wal_spilling", "gauge", "Spill bit: 1 while this agent is absorbing backlog on disk beyond its send window.",
-		nodeGauge("tbdetect_agent_wal_spilling", func(n NodeView) int64 { return boolBit(n.Spilling) })},
+		nodeGauge("tbdetect_agent_wal_spilling", func(n merge.NodeStatus) int64 { return boolBit(n.Spilling) })},
 
 	// Root-cause attribution family: one sample per ranked verdict in
 	// the latest published snapshot (absent before the first snapshot or
@@ -198,8 +200,8 @@ var promTable = []promMetric{
 		}},
 }
 
-// nodeViews samples Config.Nodes, nil-safe.
-func (s *Server) nodeViews() []NodeView {
+// nodeStatuses samples Config.Nodes, nil-safe.
+func (s *Server) nodeStatuses() []merge.NodeStatus {
 	if s.cfg.Nodes == nil {
 		return nil
 	}
@@ -209,13 +211,13 @@ func (s *Server) nodeViews() []NodeView {
 // nodeTotal renders an unlabeled gauge counting nodes matching pred —
 // but only when a node source is configured, so a follow-mode scrape
 // is unchanged.
-func nodeTotal(name string, pred func(NodeView) bool) func(*Server, stream.Metrics, *strings.Builder) {
+func nodeTotal(name string, pred func(merge.NodeStatus) bool) func(*Server, stream.Metrics, *strings.Builder) {
 	return func(s *Server, _ stream.Metrics, w *strings.Builder) {
 		if s.cfg.Nodes == nil {
 			return
 		}
 		var total int64
-		for _, n := range s.nodeViews() {
+		for _, n := range s.nodeStatuses() {
 			if pred(n) {
 				total++
 			}
@@ -225,9 +227,9 @@ func nodeTotal(name string, pred func(NodeView) bool) func(*Server, stream.Metri
 }
 
 // nodeGauge renders one sample per node, labeled {node="..."}.
-func nodeGauge(name string, get func(NodeView) int64) func(*Server, stream.Metrics, *strings.Builder) {
+func nodeGauge(name string, get func(merge.NodeStatus) int64) func(*Server, stream.Metrics, *strings.Builder) {
 	return func(s *Server, _ stream.Metrics, w *strings.Builder) {
-		for _, n := range s.nodeViews() {
+		for _, n := range s.nodeStatuses() {
 			fmt.Fprintf(w, "%s{node=%q} %d\n", name, n.Node, get(n))
 		}
 	}

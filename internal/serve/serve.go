@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"transientbd/internal/cause"
+	"transientbd/internal/merge"
 	"transientbd/internal/stream"
 )
 
@@ -68,49 +69,13 @@ type Config struct {
 	// families for reconnect/degrade alerting. Must be safe to call
 	// from any goroutine. Nil (the single-process follow mode) leaves
 	// the node families without samples.
-	Nodes func() []NodeView
+	Nodes func() []merge.NodeStatus
 	// PeersRejected, when set, reports how many inbound peers the merge
 	// head has rejected for failing authentication (wrong shared key,
 	// pre-auth protocol version, or a broken challenge exchange). Must
 	// be safe to call from any goroutine. Nil leaves the family without
 	// samples.
 	PeersRejected func() int64
-}
-
-// NodeView is one ingestion node's state as the serving layer exposes
-// it — a transport-neutral mirror of the merge head's per-node
-// accounting, so this package does not import the merge head.
-type NodeView struct {
-	// Node is the agent's stable identity (the Prometheus label value).
-	Node string
-	// WatermarkMicros is the newest departure the node has delivered,
-	// in microseconds of trace time; LastSeq the highest batch sequence
-	// applied.
-	WatermarkMicros int64
-	LastSeq         uint64
-	// Sessions counts handshakes so far (reconnects are Sessions-1);
-	// Connected reports a currently open session; Degraded that the
-	// node went silent past the heartbeat timeout; EOF that it finished
-	// its stream cleanly.
-	Sessions  int64
-	Connected bool
-	Degraded  bool
-	EOF       bool
-	// Delivered, Deduped, Dropped, Invalid and Buffered are the node's
-	// exact record accounting (see merge.NodeStatus).
-	Delivered, Deduped, Dropped, Invalid, Buffered int64
-	// LastFrameWall is the UnixNano wall time of the node's last frame
-	// (0 before the first).
-	LastFrameWall int64
-	// WALDepth and WALSegments mirror the agent's self-reported
-	// write-ahead-log state from its last heartbeat: records appended
-	// but not yet acknowledged, and on-disk segment files. Spilling is
-	// true while the agent is absorbing backlog on disk beyond its send
-	// window (a head outage in progress, or its tail being drained).
-	// All zero/false for agents running without -wal.
-	WALDepth    int64
-	WALSegments int64
-	Spilling    bool
 }
 
 // published is one snapshot publication: what the producer handed over
@@ -206,7 +171,9 @@ func (s *Server) PublishSnapshot(snap *stream.Snapshot) {
 	if snap == nil {
 		return
 	}
-	p := &published{snap: snap, at: s.cfg.Now(), causes: snapshotCauses(snap)}
+	// Attribution runs once per publication, on the producer goroutine —
+	// never per request, never on the ingest path.
+	p := &published{snap: snap, at: s.cfg.Now(), causes: cause.AttributeAnalyses(snap.Ranking, cause.Options{})}
 	p.topKind = make(map[string]string, len(p.causes))
 	for _, v := range p.causes {
 		// Causes are ranked, so the first verdict seen per server is its
@@ -216,17 +183,6 @@ func (s *Server) PublishSnapshot(snap *stream.Snapshot) {
 		}
 	}
 	s.snap.Store(p)
-}
-
-// snapshotCauses runs the root-cause attribution engine over a merged
-// snapshot. It happens once per publication, on the producer goroutine —
-// never per request, never on the ingest path.
-func snapshotCauses(snap *stream.Snapshot) []cause.Verdict {
-	ss := make([]cause.Series, 0, len(snap.Ranking))
-	for _, r := range snap.Ranking {
-		ss = append(ss, cause.FromOnline(r.Server, r.OnlineSnapshot))
-	}
-	return cause.Attribute(ss, cause.Options{})
 }
 
 // verdictFor returns the top verdict kind for a server from the latest

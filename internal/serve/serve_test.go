@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"transientbd/internal/core"
+	"transientbd/internal/merge"
+	"transientbd/internal/metrics"
 	"transientbd/internal/simnet"
 	"transientbd/internal/stream"
 	"transientbd/internal/trace"
@@ -54,11 +56,16 @@ func fixtureHealth() []stream.ShardHealth {
 // with one freeze, tomcat-1 clean. Eight 50ms intervals each.
 func fixtureSnapshot() *stream.Snapshot {
 	iv := simnet.Duration(50 * simnet.Millisecond)
-	mysql := &core.OnlineSnapshot{
-		Start:    11_600_000,
+	w := core.Window{Start: 11_600_000, End: 12_000_000}
+	series := func(values ...float64) *metrics.IntervalSeries {
+		return metrics.AdoptIntervalSeries(w.Start, iv, values)
+	}
+	mysql := &core.Analysis{
+		Server:   "mysql-1",
+		Window:   w,
 		Interval: iv,
-		Load:     []float64{4.1, 9.8, 131.0, 142.7, 126.3, 8.2, 5.5, 4.9},
-		TP:       []float64{310, 640, 55, 0, 120, 580, 420, 360},
+		Load:     series(4.1, 9.8, 131.0, 142.7, 126.3, 8.2, 5.5, 4.9),
+		TP:       series(310, 640, 55, 0, 120, 580, 420, 360),
 		NStar:    core.NStarResult{NStar: 120.5, TPMax: 980, Saturated: true},
 		States: []core.IntervalState{
 			core.StateNormal, core.StateNormal, core.StateCongested,
@@ -69,11 +76,12 @@ func fixtureSnapshot() *stream.Snapshot {
 		CongestedIntervals: 3,
 		CongestedFraction:  0.375,
 	}
-	tomcat := &core.OnlineSnapshot{
-		Start:    11_600_000,
+	tomcat := &core.Analysis{
+		Server:   "tomcat-1",
+		Window:   w,
 		Interval: iv,
-		Load:     []float64{2.0, 2.4, 3.1, 3.0, 2.8, 2.2, 2.1, 2.0},
-		TP:       []float64{300, 320, 340, 335, 330, 310, 305, 300},
+		Load:     series(2.0, 2.4, 3.1, 3.0, 2.8, 2.2, 2.1, 2.0),
+		TP:       series(300, 320, 340, 335, 330, 310, 305, 300),
 		NStar:    core.NStarResult{NStar: 3.1, TPMax: 340, Saturated: false},
 		States: []core.IntervalState{
 			core.StateNormal, core.StateNormal, core.StateNormal,
@@ -84,11 +92,8 @@ func fixtureSnapshot() *stream.Snapshot {
 		CongestedFraction:  0,
 	}
 	return &stream.Snapshot{
-		At: 12_000_000,
-		Ranking: []stream.ServerSnapshot{
-			{Server: "mysql-1", OnlineSnapshot: mysql},
-			{Server: "tomcat-1", OnlineSnapshot: tomcat},
-		},
+		At:      12_000_000,
+		Ranking: []*core.Analysis{mysql, tomcat},
 		Metrics: fixtureMetrics(),
 	}
 }
@@ -427,18 +432,18 @@ func TestNodeMetrics(t *testing.T) {
 		t.Fatalf("peers_rejected sample rendered without a source:\n%s", bare)
 	}
 
-	views := []NodeView{
-		{Node: "n1", WatermarkMicros: 5_000_000, Sessions: 3, Connected: true,
+	views := []merge.NodeStatus{
+		{Node: "n1", Watermark: 5_000_000, Sessions: 3, Connected: true,
 			Delivered: 1000, Deduped: 40, Buffered: 7, LastFrameWall: fixedNow.Add(-2 * time.Second).UnixNano(),
 			WALDepth: 120, WALSegments: 3, Spilling: true},
-		{Node: "n2", WatermarkMicros: 2_000_000, Sessions: 1, Degraded: true,
+		{Node: "n2", Watermark: 2_000_000, Sessions: 1, Degraded: true,
 			Delivered: 400, Dropped: 25, LastFrameWall: fixedNow.Add(-30 * time.Second).UnixNano()},
 	}
 	s := New(Config{
 		Metrics:       func() stream.Metrics { return fixtureMetrics() },
 		Health:        func() []stream.ShardHealth { return fixtureHealth() },
 		Now:           func() time.Time { return fixedNow },
-		Nodes:         func() []NodeView { return views },
+		Nodes:         func() []merge.NodeStatus { return views },
 		PeersRejected: func() int64 { return 4 },
 	})
 	body := get(t, s.Handler(), "/metrics").Body.String()

@@ -71,21 +71,6 @@ func SampleStdDev(xs []float64) float64 {
 	return math.Sqrt(SampleVariance(xs))
 }
 
-// SDSumSquares returns sqrt(Σ(xi - x̄)²), the un-normalized dispersion used
-// verbatim in the paper's Eq. 2 footnote 4.
-func SDSumSquares(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss)
-}
-
 // MinMax returns the smallest and largest values in xs.
 func MinMax(xs []float64) (minVal, maxVal float64, err error) {
 	if len(xs) == 0 {
@@ -209,19 +194,4 @@ func CV(xs []float64) float64 {
 		return 0
 	}
 	return StdDev(xs) / m
-}
-
-// ECDF returns the empirical cumulative distribution evaluated at x:
-// the fraction of samples ≤ x.
-func ECDF(xs []float64, x float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	count := 0
-	for _, v := range xs {
-		if v <= x {
-			count++
-		}
-	}
-	return float64(count) / float64(len(xs))
 }

@@ -56,17 +56,6 @@ func TestSampleVariance(t *testing.T) {
 	}
 }
 
-func TestSDSumSquares(t *testing.T) {
-	xs := []float64{1, 3}
-	// mean 2, ss = 1+1 = 2, sqrt = sqrt(2)
-	if got := SDSumSquares(xs); !almostEqual(got, math.Sqrt2, 1e-12) {
-		t.Errorf("SDSumSquares = %v, want sqrt(2)", got)
-	}
-	if got := SDSumSquares(nil); got != 0 {
-		t.Errorf("SDSumSquares(nil) = %v, want 0", got)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	lo, hi, err := MinMax([]float64{3, -1, 4, 1, 5})
 	if err != nil {
@@ -239,20 +228,5 @@ func TestCV(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9} // mean 5, sd 2
 	if got := CV(xs); !almostEqual(got, 0.4, 1e-12) {
 		t.Errorf("CV = %v, want 0.4", got)
-	}
-}
-
-func TestECDF(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {2.5, 0.5}, {4, 1}, {10, 1},
-	}
-	for _, tc := range cases {
-		if got := ECDF(xs, tc.x); got != tc.want {
-			t.Errorf("ECDF(%v) = %v, want %v", tc.x, got, tc.want)
-		}
-	}
-	if got := ECDF(nil, 1); got != 0 {
-		t.Errorf("empty ECDF = %v, want 0", got)
 	}
 }

@@ -18,17 +18,16 @@
 // already-sealed intervals is lost (the contribution to still-open
 // intervals is kept).
 //
-// # Equivalence with the batch path
+// # One result with the batch path
 //
-// The runtime's Snapshot reclassifies every interval still inside the
-// sliding window with an N* estimated from all of them at once — via the
-// same classifySeries decision stage the batch AnalyzeServer uses. While
-// the window still covers the whole stream, a final Snapshot is therefore
-// bit-identical to batch analysis of the same visits (given the same
-// calibrated service-time table), at any shard count and any input
-// interleaving; the equivalence test harness in the root package pins
-// this down. Live alerts are the provisional real-time view: they
-// classify with the N* current at close time, so the first window of
+// The runtime's Snapshot ranks one core.Analysis per server — the type
+// the batch AnalyzeServer returns, built by core.Online.Snapshot from the
+// intervals still inside the sliding window, with an N* estimated from
+// all of them at once. While the window still covers the whole stream, a
+// final Snapshot is bit-identical to batch analysis of the same visits
+// (given the same calibrated service-time table), at any shard count and
+// any input interleaving. Live alerts are the provisional real-time view:
+// they classify with the N* current at close time, so the first window of
 // alerts rides on a provisional estimate (the warm-up caveat).
 //
 // # Concurrency
@@ -250,15 +249,6 @@ func (m Metrics) String() string {
 		m.RecordsLost, m.AlertsLost)
 }
 
-// ServerSnapshot is one server's entry in a runtime snapshot.
-type ServerSnapshot struct {
-	// Server is the server name.
-	Server string
-	// OnlineSnapshot is the batch-equivalent reclassification of the
-	// server's window.
-	*core.OnlineSnapshot
-}
-
 // Snapshot is a point-in-time ranked view of the whole system — the
 // streaming counterpart of core.SystemAnalysis: every tracked server's
 // window reclassified batch-style and ranked by congested fraction,
@@ -266,9 +256,10 @@ type ServerSnapshot struct {
 type Snapshot struct {
 	// At is the watermark at snapshot time.
 	At simnet.Time
-	// Ranking lists servers worst-first (congested fraction descending,
-	// ties by name). Servers with no closed intervals yet are omitted.
-	Ranking []ServerSnapshot
+	// Ranking lists each server's window reclassified by
+	// core.Online.Snapshot, worst first (core.SortWorstFirst). Servers
+	// with no closed intervals yet are omitted.
+	Ranking []*core.Analysis
 	// Metrics is the runtime's counter block at snapshot time.
 	Metrics Metrics
 }
@@ -281,7 +272,7 @@ type shardMsg struct {
 	batch *recordBatch
 	epoch int64
 	now   simnet.Time
-	snap  chan<- []ServerSnapshot
+	snap  chan<- []*core.Analysis
 	ckpt  chan<- shardCkptReply
 }
 
@@ -828,20 +819,15 @@ func (r *Runtime) Snapshot() *Snapshot {
 	for si := range r.shards {
 		r.flush(si)
 	}
-	reply := make(chan []ServerSnapshot, len(r.shards))
+	reply := make(chan []*core.Analysis, len(r.shards))
 	for _, s := range r.shards {
 		s.in <- shardMsg{snap: reply}
 	}
-	var all []ServerSnapshot
+	var all []*core.Analysis
 	for range r.shards {
 		all = append(all, <-reply...)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].CongestedFraction != all[j].CongestedFraction {
-			return all[i].CongestedFraction > all[j].CongestedFraction
-		}
-		return all[i].Server < all[j].Server
-	})
+	core.SortWorstFirst(all)
 	return &Snapshot{At: r.mark, Ranking: all, Metrics: r.Metrics()}
 }
 

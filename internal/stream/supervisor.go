@@ -186,11 +186,12 @@ func (r *Runtime) handleEpoch(s *shard, msg shardMsg) {
 	s.acked = msg.epoch
 }
 
-func (r *Runtime) handleSnap(s *shard, reply chan<- []ServerSnapshot) {
-	var out []ServerSnapshot
+func (r *Runtime) handleSnap(s *shard, reply chan<- []*core.Analysis) {
+	var out []*core.Analysis
 	for _, name := range s.names {
-		if snap := s.servers[name].Snapshot(); snap != nil {
-			out = append(out, ServerSnapshot{Server: name, OnlineSnapshot: snap})
+		if a := s.servers[name].Snapshot(); a != nil {
+			a.Server = name
+			out = append(out, a)
 		}
 	}
 	reply <- out

@@ -25,7 +25,8 @@ type OnlineAlert struct {
 // OnlineConfig carries a Stream's detection knobs. The zero value uses
 // the paper's defaults (50 ms intervals) with a 2-minute sliding window.
 type OnlineConfig struct {
-	// Interval is the monitoring interval (default 50 ms).
+	// Interval is the monitoring interval (default 50 ms): a positive
+	// whole number of microseconds, the trace clock's tick.
 	Interval time.Duration
 	// Window is the sliding window over which N* is estimated (default
 	// 2 minutes); it must cover at least 20 intervals.
@@ -44,18 +45,24 @@ type OnlineConfig struct {
 }
 
 // coreOptions resolves the config's defaults into the internal streaming
-// analyzer options NewStream builds its per-server analyzers from.
+// analyzer options NewStream builds its per-server analyzers from. The
+// trace clock ticks in microseconds and the conversion truncates, so each
+// duration is converted first and validated after: the interval grid and
+// the window's interval count always come from the same interval.
 func (cfg OnlineConfig) coreOptions() (core.OnlineOptions, error) {
-	interval := cfg.Interval
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
+	interval := 50 * simnet.Millisecond
+	if cfg.Interval != 0 {
+		interval = simnet.FromStdDuration(cfg.Interval)
+		if interval <= 0 || simnet.Std(interval) != cfg.Interval {
+			return core.OnlineOptions{}, fmt.Errorf("transientbd: Interval %v must be a positive whole number of microseconds", cfg.Interval)
+		}
 	}
 	window := cfg.Window
 	if window <= 0 {
 		window = 2 * time.Minute
 	}
-	if window < 20*interval {
-		return core.OnlineOptions{}, fmt.Errorf("transientbd: Window %v must cover at least 20 intervals of %v", window, interval)
+	if simnet.FromStdDuration(window) < 20*interval {
+		return core.OnlineOptions{}, fmt.Errorf("transientbd: Window %v must cover at least 20 intervals of %v", window, simnet.Std(interval))
 	}
 	reest := cfg.Reestimate
 	if reest <= 0 {
@@ -63,11 +70,11 @@ func (cfg OnlineConfig) coreOptions() (core.OnlineOptions, error) {
 	}
 	return core.OnlineOptions{
 		Options: core.Options{
-			Interval:      simnet.FromStdDuration(interval),
+			Interval:      interval,
 			ServiceTimes:  coreServiceTimes(cfg.ServiceTimes),
 			RawThroughput: cfg.RawThroughput,
 		},
-		WindowIntervals: int(window / interval),
-		ReestimateEvery: int(reest / interval),
+		WindowIntervals: int(simnet.FromStdDuration(window) / interval),
+		ReestimateEvery: int(simnet.FromStdDuration(reest) / interval),
 	}, nil
 }

@@ -276,30 +276,11 @@ func (s *Stream) Close() *Report {
 	return s.final
 }
 
+// convertStreamSnapshot is newReport over a runtime snapshot's ranking;
+// nil before any interval has closed.
 func convertStreamSnapshot(snap *stream.Snapshot, downstream map[string][]string) *Report {
 	if snap == nil || len(snap.Ranking) == 0 {
 		return nil
 	}
-	report := &Report{PerServer: make(map[string]*ServerAnalysis, len(snap.Ranking))}
-	for _, ss := range snap.Ranking {
-		sa := &ServerAnalysis{
-			Server:            ss.Server,
-			NStar:             ss.NStar.NStar,
-			TPMax:             ss.NStar.TPMax,
-			Saturated:         ss.NStar.Saturated,
-			CongestedFraction: ss.CongestedFraction,
-			Load:              ss.Load,
-			Throughput:        ss.TP,
-			Interval:          simnet.Std(ss.Interval),
-			WindowStart:       simnet.Std(simnet.Duration(ss.Start)),
-		}
-		fillEpisodes(sa, ss.States, ss.POIs, func(i int) time.Duration {
-			return sa.WindowStart + time.Duration(i)*sa.Interval
-		})
-		report.PerServer[ss.Server] = sa
-		report.Ranking = append(report.Ranking, sa)
-	}
-	sortRanking(report.Ranking)
-	attachCauses(report, downstream)
-	return report
+	return newReport(snap.Ranking, downstream)
 }

@@ -496,7 +496,10 @@ func TestStreamEmpty(t *testing.T) {
 // TestStreamWindowTooShort: a window that cannot hold the 20 intervals N*
 // estimation needs is a construction error — including one shorter than
 // the interval itself, which used to truncate to zero intervals and run
-// the 2-minute default.
+// the 2-minute default. So is an interval that is not a positive whole
+// number of the trace clock's microseconds: 500ns used to truncate to
+// zero, run the 50 ms default grid and size the window for 2.4e8
+// intervals. Zero still means the default.
 func TestStreamWindowTooShort(t *testing.T) {
 	for _, window := range []time.Duration{10 * time.Millisecond, 950 * time.Millisecond} {
 		_, err := NewStream(StreamConfig{OnlineConfig: OnlineConfig{Window: window}})
@@ -504,6 +507,21 @@ func TestStreamWindowTooShort(t *testing.T) {
 			t.Errorf("NewStream(Window %v at the 50 ms default interval) = %v, want a Window error", window, err)
 		}
 	}
+	for _, interval := range []time.Duration{500, 1, 1500, -5 * time.Millisecond} {
+		_, err := NewStream(StreamConfig{OnlineConfig: OnlineConfig{Interval: interval}})
+		if err == nil || !strings.Contains(err.Error(), "Interval "+interval.String()) {
+			t.Errorf("NewStream(Interval %v) = %v, want an Interval error", interval, err)
+		}
+	}
+	st, err := NewStream(StreamConfig{})
+	if err != nil {
+		t.Fatalf("NewStream with the zero Interval: %v", err)
+	}
+	go func() {
+		for range st.Alerts() {
+		}
+	}()
+	st.Close()
 }
 
 // TestStreamDetectsOverloadPhase: live alerts on a trace with one
