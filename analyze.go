@@ -40,7 +40,8 @@ type Config struct {
 	// Interval is the monitoring interval length (default 50 ms).
 	Interval time.Duration
 	// Window restricts analysis to [WindowStart, WindowEnd); zero values
-	// cover the whole record span.
+	// cover the whole record span, and a non-zero WindowEnd at or before
+	// WindowStart also means the span runs to the last departure.
 	WindowStart, WindowEnd time.Duration
 	// Bins is the number of load bins for N* estimation (default 100).
 	Bins int

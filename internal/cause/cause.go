@@ -111,9 +111,12 @@ func poiFlags(n int, pois []int) []bool {
 // Options tunes Attribute.
 type Options struct {
 	// Downstream maps a server name to the servers it calls. When set,
-	// verdicts on servers whose congestion coincides with a congested
+	// verdicts on a server whose congestion coincides with a congested
 	// downstream server are discounted (the mirror effect — the root is
-	// below them), mirroring core.AttributeRootCause.
+	// below them). The explained share is the largest co-congestion with
+	// any single callee: the fraction of the server's congested intervals
+	// during which that one callee is congested too. Names absent from
+	// the input explain nothing.
 	Downstream map[string][]string
 	// MinCongestedFraction is the congestion floor below which a server
 	// gets no verdict at all. Defaults to 0.02.

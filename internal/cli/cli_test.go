@@ -153,6 +153,11 @@ func TestTBDetectWindowAndTopFlags(t *testing.T) {
 	if dataRows != 2 {
 		t.Errorf("top=2 printed %d rows:\n%s", dataRows, detOut.String())
 	}
+	// A window that starts after the trace ends says so.
+	err = TBDetect([]string{"-in", out, "-from", "30s"}, &detOut, &detErr)
+	if err == nil || !strings.Contains(err.Error(), "-from 30s is at or after the trace's last departure") {
+		t.Errorf("-from past the end: err = %v, want it named", err)
+	}
 }
 
 func TestTBDetectMissingFile(t *testing.T) {
@@ -330,19 +335,18 @@ func TestTBDetectRootCause(t *testing.T) {
 	}, &simOut, &simErr); err != nil {
 		t.Fatal(err)
 	}
+	// A wire capture's attribution is the verdict block, which reads the
+	// recovered call graph; there is no second root-cause table.
 	var detOut, detErr bytes.Buffer
-	if err := TBDetect([]string{"-in", msgs, "-wire", "-rootcause"}, &detOut, &detErr); err != nil {
+	if err := TBDetect([]string{"-in", msgs, "-wire"}, &detOut, &detErr); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(detOut.String(), "root-cause attribution") {
-		t.Errorf("missing root-cause section:\n%s", detOut.String())
+	if !strings.Contains(detOut.String(), "root-cause verdicts") {
+		t.Errorf("missing root-cause verdict block:\n%s", detOut.String())
 	}
-	if !strings.Contains(detOut.String(), "EXPLAINED") {
-		t.Errorf("missing attribution columns:\n%s", detOut.String())
-	}
-	// Without -wire the flag must refuse (no call graph available).
-	if err := TBDetect([]string{"-in", filepath.Join(dir, "v.jsonl"), "-rootcause"}, &detOut, &detErr); err == nil {
-		t.Error("want error for -rootcause without -wire")
+	err := TBDetect([]string{"-in", msgs, "-wire", "-rootcause"}, &detOut, &detErr)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -rootcause") {
+		t.Errorf("-rootcause: err = %v, want it refused as an undefined flag", err)
 	}
 }
 

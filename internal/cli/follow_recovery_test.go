@@ -48,7 +48,11 @@ func TestFollowFlagValidation(t *testing.T) {
 		{"follow-with-auto", []string{"-follow", "-auto"}, "batch-only"},
 		{"follow-with-window-flags", []string{"-follow", "-from", "1s", "-to", "2s"}, "batch-only"},
 		{"follow-with-wire", []string{"-follow", "-wire"}, "batch-only"},
-		{"follow-with-rootcause", []string{"-follow", "-rootcause"}, "batch-only"},
+		{"follow-with-rootcause", []string{"-follow", "-rootcause"}, "not defined"},
+		{"to-before-from", []string{"-from", "8s", "-to", "4s"}, "-to 4s is not after -from 8s"},
+		{"to-equals-from", []string{"-from", "4s", "-to", "4s"}, "-to 4s is not after -from 4s"},
+		{"negative-from", []string{"-from", "-5s"}, "-from -5s"},
+		{"negative-to", []string{"-to", "-5s"}, "-to -5s"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

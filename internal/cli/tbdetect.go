@@ -32,7 +32,7 @@ func validateFollowFlags(fs *flag.FlagSet, follow bool) error {
 	if follow {
 		var bad []string
 		for _, name := range []string{
-			"wire", "blackbox", "from", "to", "auto", "rootcause",
+			"wire", "blackbox", "from", "to", "auto",
 			"parallel", "classes", "quality", "inflight",
 		} {
 			if set[name] {
@@ -78,7 +78,6 @@ func TBDetect(args []string, stdout, stderr io.Writer) error {
 		to       = fs.Duration("to", 0, "analysis window end (0 = end of trace)")
 		classes  = fs.String("classes", "", "also print the per-class breakdown for this server")
 		auto     = fs.Bool("auto", false, "choose the monitoring interval automatically (overrides -interval)")
-		rootCA   = fs.Bool("rootcause", false, "with -wire: attribute congestion to its origin using the call graph")
 		parallel = fs.Int("parallel", 0, "worker goroutines for the per-server analyses (0 = GOMAXPROCS, 1 = serial; results are identical)")
 		lenient  = fs.Bool("lenient", false, "survive degraded traces: skip corrupt lines, quarantine anomalous hops, repair clock skew")
 		quality  = fs.Bool("quality", false, "print the trace-quality block (lines skipped, visits quarantined, skew repairs)")
@@ -98,6 +97,17 @@ func TBDetect(args []string, stdout, stderr io.Writer) error {
 	chosen, err := detect.traceInterval()
 	if err != nil {
 		return err
+	}
+	// -to 0 (the default) means the end of the trace; any other window
+	// must be a non-empty span at or after the trace epoch.
+	w := core.Window{Start: simnet.FromStdDuration(*from), End: simnet.FromStdDuration(*to)}
+	switch {
+	case *from < 0:
+		return fmt.Errorf("tbdetect: -from %v: the window cannot start before the trace epoch", *from)
+	case *to < 0:
+		return fmt.Errorf("tbdetect: -to %v: the window cannot end before the trace epoch", *to)
+	case *to != 0 && w.End <= w.Start:
+		return fmt.Errorf("tbdetect: -to %v is not after -from %v: the window is empty", *to, *from)
 	}
 
 	r := io.Reader(os.Stdin)
@@ -218,11 +228,11 @@ func TBDetect(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	w := core.Window{
-		Start: simnet.FromStdDuration(*from),
-		End:   simnet.FromStdDuration(*to),
+	if w.Start >= maxDepart {
+		return fmt.Errorf("tbdetect: -from %v is at or after the trace's last departure (%v): the window is empty",
+			*from, simnet.Std(simnet.Duration(maxDepart)))
 	}
-	if w.End <= w.Start && maxDepart >= w.End {
+	if w.End == 0 {
 		w.End = maxDepart + 1
 	}
 	if *auto {
@@ -290,19 +300,6 @@ func TBDetect(args []string, stdout, stderr io.Writer) error {
 	// chain to the deepest capped tier and discount mirror congestion),
 	// but the engine works from the per-server series alone.
 	printVerdicts(stdout, cause.AttributeAnalyses(analysis.Ranked(), cause.Options{Downstream: callGraph}))
-
-	if *rootCA {
-		if callGraph == nil {
-			return fmt.Errorf("tbdetect: -rootcause needs a wire capture (-wire) to recover the call graph")
-		}
-		reports := core.AttributeRootCause(analysis, callGraph)
-		fmt.Fprintf(stdout, "\nroot-cause attribution (congestion minus what a congested downstream explains):\n")
-		fmt.Fprintf(stdout, "%-12s  %10s  %10s  %8s\n", "SERVER", "CONGESTED", "EXPLAINED", "SCORE")
-		for _, rep := range reports {
-			fmt.Fprintf(stdout, "%-12s  %9.1f%%  %9.1f%%  %8.3f\n",
-				rep.Server, 100*rep.CongestedFraction, 100*rep.ExplainedFraction, rep.Score)
-		}
-	}
 
 	if *classes != "" {
 		a, ok := analysis.PerServer[*classes]

@@ -88,7 +88,7 @@ func Attribution(opts RunOpts) (*AttributionResult, error) {
 		if len(truthServers) == 0 {
 			return nil, fmt.Errorf("attribution %s: no ground-truth record for %s", name, truthKind)
 		}
-		downstream := downstreamMap(sys)
+		downstream := sys.CallGraph()
 		w := core.Window{Start: res.WindowStart, End: res.WindowEnd}
 
 		baseVisits := 0
@@ -97,7 +97,7 @@ func Attribution(opts RunOpts) (*AttributionResult, error) {
 			if c.spec != nil {
 				msgs, _ = ntier.InjectFaults(msgs, *c.spec)
 			}
-			verdicts, visits, err := attributeCapture(msgs, w, downstream)
+			verdicts, visits, _, err := attributeCapture(msgs, w, downstream)
 			if err != nil {
 				return nil, fmt.Errorf("attribution %s (%s): %w", name, c.label, err)
 			}
@@ -128,19 +128,20 @@ func Attribution(opts RunOpts) (*AttributionResult, error) {
 }
 
 // attributeCapture runs the lenient analysis pipeline over a (possibly
-// degraded) wire capture and returns the ranked cause verdicts.
-func attributeCapture(msgs []trace.Message, w core.Window, downstream map[string][]string) ([]cause.Verdict, int, error) {
+// degraded) wire capture and returns the ranked cause verdicts, the
+// number of visits assembled and the number of hops quarantined.
+func attributeCapture(msgs []trace.Message, w core.Window, downstream map[string][]string) ([]cause.Verdict, int, int, error) {
 	repaired, _ := trace.RepairSkew(msgs)
-	visits, _ := trace.AssembleLenient(repaired, trace.AssembleOptions{
+	visits, arep := trace.AssembleLenient(repaired, trace.AssembleOptions{
 		InFlightTimeout: 5 * simnet.Second,
 	})
 	sysA, err := core.AnalyzeSystemGrouped(trace.PerServer(visits), w, core.Options{
 		Interval: 50 * simnet.Millisecond,
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
-	return cause.AttributeAnalyses(sysA.Ranked(), cause.Options{Downstream: downstream}), len(visits), nil
+	return cause.AttributeAnalyses(sysA.Ranked(), cause.Options{Downstream: downstream}), len(visits), arep.Quarantined(), nil
 }
 
 // truthServersFor merges the server lists of every ground-truth record
@@ -158,31 +159,6 @@ func truthServersFor(res *ntier.Result, kind ntier.CauseKind) []string {
 		}
 	}
 	return servers
-}
-
-// downstreamMap derives the caller→callee server map from the topology.
-func downstreamMap(sys *ntier.System) map[string][]string {
-	m := make(map[string][]string)
-	var apps, cls, dbs []string
-	for _, s := range sys.AppServers() {
-		apps = append(apps, s.Name())
-	}
-	for _, s := range sys.ClusterServers() {
-		cls = append(cls, s.Name())
-	}
-	for _, s := range sys.DBServers() {
-		dbs = append(dbs, s.Name())
-	}
-	for _, s := range sys.WebServers() {
-		m[s.Name()] = apps
-	}
-	for _, s := range sys.AppServers() {
-		m[s.Name()] = cls
-	}
-	for _, s := range sys.ClusterServers() {
-		m[s.Name()] = dbs
-	}
-	return m
 }
 
 func contains(xs []string, x string) bool {

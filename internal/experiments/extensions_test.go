@@ -144,14 +144,14 @@ func TestNoisyNeighborLocalized(t *testing.T) {
 	// The victim's freezes back requests up the chain, so the raw ranking
 	// may flag upstream tiers too; root-cause attribution must single out
 	// the victim.
-	if len(r.RootCauses) == 0 || r.RootCauses[0].Server != "mysql-1" {
-		t.Errorf("root cause = %+v, want mysql-1 first", r.RootCauses)
+	if len(r.Verdicts) == 0 || r.Verdicts[0].Server != "mysql-1" {
+		t.Errorf("root cause = %+v, want mysql-1 first", r.Verdicts)
 	}
-	// The twin's unexplained congestion stays below the victim's, and the
-	// freeze signature (POIs) appears only at the victim.
-	for _, rc := range r.RootCauses {
-		if rc.Server == "mysql-2" && rc.Score >= r.RootCauses[0].Score {
-			t.Errorf("twin score %.3f not below victim %.3f", rc.Score, r.RootCauses[0].Score)
+	// The twin's verdicts score below the victim's, and the freeze
+	// signature (POIs) appears only at the victim.
+	for _, v := range r.Verdicts {
+		if v.Server == "mysql-2" && v.Score >= r.Verdicts[0].Score {
+			t.Errorf("twin score %.3f not below victim %.3f", v.Score, r.Verdicts[0].Score)
 		}
 	}
 	if len(r.Victim.POIs) == 0 {

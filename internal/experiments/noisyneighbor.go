@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	"transientbd/internal/cause"
 	"transientbd/internal/core"
 	"transientbd/internal/ntier"
 	"transientbd/internal/simnet"
-	"transientbd/internal/trace"
 )
 
 // NoisyNeighborResult demonstrates the method's generality on a third
@@ -22,19 +22,18 @@ type NoisyNeighborResult struct {
 	// n-tier system the victim's freezes back requests up into every
 	// upstream tier, so the raw ranking flags the whole call chain.
 	Ranking []core.ServerReport
-	// RootCauses discounts congestion explained by a congested downstream
-	// dependency (call graph derived from the wire trace); the victim
-	// must lead here.
-	RootCauses []core.RootCauseReport
+	// Verdicts are the cause engine's ranked root-cause verdicts, which
+	// discount congestion explained by a congested downstream tier (call
+	// graph from the testbed's topology); the victim must lead here.
+	Verdicts []cause.Verdict
 	// VictimUtil and TwinUtil are window-average CPU utilizations — the
 	// coarse view, which shows elevated-but-unsaturated usage.
 	VictimUtil, TwinUtil float64
 }
 
-// NoisyNeighbor runs WL 7,000 with a periodic full-core hog on mysql-1.
-// Client bursts are disabled so the antagonist is the only transient
-// cause — a controlled experiment isolating the localization question.
-func NoisyNeighbor(opts RunOpts) (*NoisyNeighborResult, error) {
+// noisyNeighborConfig is the testbed both noisy-neighbor extensions run:
+// WL 7,000 with a periodic full-core hog (300 ms every 3 s) on mysql-1.
+func noisyNeighborConfig(opts RunOpts) ntier.Config {
 	cfg := ntier.Config{
 		Users:    7000,
 		Duration: opts.duration(),
@@ -47,7 +46,14 @@ func NoisyNeighbor(opts RunOpts) (*NoisyNeighborResult, error) {
 		},
 	}
 	cfg.AppCollector = 2
-	sys, err := ntier.Build(cfg)
+	return cfg
+}
+
+// NoisyNeighbor runs WL 7,000 with a periodic full-core hog on mysql-1.
+// Client bursts are disabled so the antagonist is the only transient
+// cause — a controlled experiment isolating the localization question.
+func NoisyNeighbor(opts RunOpts) (*NoisyNeighborResult, error) {
+	sys, err := ntier.Build(noisyNeighborConfig(opts))
 	if err != nil {
 		return nil, fmt.Errorf("noisy neighbor: %w", err)
 	}
@@ -55,25 +61,20 @@ func NoisyNeighbor(opts RunOpts) (*NoisyNeighborResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("noisy neighbor: %w", err)
 	}
-	victim, err := analyzeInstance(res, "mysql-1", 50*simnet.Millisecond)
-	if err != nil {
-		return nil, err
-	}
-	twin, err := analyzeInstance(res, "mysql-2", 50*simnet.Millisecond)
-	if err != nil {
-		return nil, err
-	}
 	w := core.Window{Start: res.WindowStart, End: res.WindowEnd}
 	sysA, err := core.AnalyzeSystem(res.Visits, w, core.Options{Interval: 50 * simnet.Millisecond})
 	if err != nil {
 		return nil, err
 	}
-	graph := trace.CallGraph(res.Messages)
+	victim, twin := sysA.PerServer["mysql-1"], sysA.PerServer["mysql-2"]
+	if victim == nil || twin == nil {
+		return nil, fmt.Errorf("noisy neighbor: no analysis of mysql-1 or mysql-2")
+	}
 	return &NoisyNeighborResult{
 		Victim:     victim,
 		Twin:       twin,
 		Ranking:    sysA.Ranking,
-		RootCauses: core.AttributeRootCause(sysA, graph),
+		Verdicts:   cause.AttributeAnalyses(sysA.Ranked(), cause.Options{Downstream: sys.CallGraph()}),
 		VictimUtil: res.Utilization["mysql-1"],
 		TwinUtil:   res.Utilization["mysql-2"],
 	}, nil
@@ -97,10 +98,9 @@ func (r *NoisyNeighborResult) Table() *Table {
 		worst = r.Ranking[0].Server
 	}
 	rootCause := "-"
-	if len(r.RootCauses) > 0 {
-		rootCause = fmt.Sprintf("%s (score %.3f, explained %.0f%%)",
-			r.RootCauses[0].Server, r.RootCauses[0].Score,
-			100*r.RootCauses[0].ExplainedFraction)
+	if len(r.Verdicts) > 0 {
+		v := r.Verdicts[0]
+		rootCause = fmt.Sprintf("%s %s (confidence %.2f, score %.3f)", v.Server, v.Kind, v.Confidence, v.Score)
 	}
 	t.Rows = append(t.Rows, []string{"raw ranking blames", worst, "(whole chain backs up)"})
 	t.Rows = append(t.Rows, []string{"root-cause attribution", rootCause, ""})

@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	"transientbd/internal/cause"
 	"transientbd/internal/core"
 	"transientbd/internal/ntier"
 	"transientbd/internal/simnet"
-	"transientbd/internal/trace"
 )
 
 // RobustnessRow is one degraded-capture condition: the injected faults,
@@ -21,11 +21,13 @@ type RobustnessRow struct {
 	// surviving fraction of the baseline's assembled visits.
 	Quarantined int
 	Coverage    float64
-	// Top is the root-cause verdict under this condition; RankStable
-	// reports whether it matches the clean baseline's.
+	// Top and TopKind are the server and cause kind of the top root-cause
+	// verdict under this condition; RankStable reports whether Top
+	// matches the clean baseline's server, whatever the kinds.
 	Top        string
+	TopKind    cause.Kind
 	RankStable bool
-	// TopScore is Top's root-cause score.
+	// TopScore is the top verdict's score.
 	TopScore float64
 }
 
@@ -33,9 +35,11 @@ type RobustnessRow struct {
 // with a known root cause, re-analyzed through the lenient pipeline
 // under increasingly degraded captures.
 type RobustnessResult struct {
-	// BaselineTop is the clean capture's root-cause verdict and score —
-	// the ground truth each degraded condition is held to.
+	// BaselineTop is the server of the clean capture's top root-cause
+	// verdict — the ground truth each degraded condition is held to —
+	// shown with that verdict's kind and score.
 	BaselineTop      string
+	BaselineTopKind  cause.Kind
 	BaselineTopScore float64
 	// Rows are the degraded conditions, in sweep order.
 	Rows []RobustnessRow
@@ -46,23 +50,11 @@ type RobustnessResult struct {
 // CPU hog on mysql-1), then re-analyzes the same wire capture under
 // injected faults: message loss at increasing rates, duplication,
 // per-server clock skew (with repair), and truncation. The headline
-// claim: the root-cause verdict is stable up to ~5% uniform loss,
+// claim: the top verdict's server is stable up to ~5% uniform loss,
 // because congested-fraction detection depends on per-interval load
 // shape, not on catching every message.
 func Robustness(opts RunOpts) (*RobustnessResult, error) {
-	cfg := ntier.Config{
-		Users:    7000,
-		Duration: opts.duration(),
-		Ramp:     opts.ramp(),
-		Seed:     opts.Seed,
-		Antagonist: &ntier.AntagonistConfig{
-			Target:   "mysql-1",
-			Period:   3 * simnet.Second,
-			BurstLen: 300 * simnet.Millisecond,
-		},
-	}
-	cfg.AppCollector = 2
-	sys, err := ntier.Build(cfg)
+	sys, err := ntier.Build(noisyNeighborConfig(opts))
 	if err != nil {
 		return nil, fmt.Errorf("robustness: %w", err)
 	}
@@ -70,32 +62,19 @@ func Robustness(opts RunOpts) (*RobustnessResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("robustness: %w", err)
 	}
-
 	w := core.Window{Start: res.WindowStart, End: res.WindowEnd}
-	analyze := func(msgs []trace.Message) ([]core.RootCauseReport, int, int, error) {
-		repaired, _ := trace.RepairSkew(msgs)
-		visits, arep := trace.AssembleLenient(repaired, trace.AssembleOptions{
-			InFlightTimeout: 5 * simnet.Second,
-		})
-		sysA, err := core.AnalyzeSystemGrouped(trace.PerServer(visits), w, core.Options{
-			Interval: 50 * simnet.Millisecond,
-		})
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		causes := core.AttributeRootCause(sysA, trace.CallGraph(msgs))
-		return causes, len(visits), arep.Quarantined(), nil
-	}
+	downstream := sys.CallGraph()
 
-	baseline, baseVisits, _, err := analyze(res.Messages)
+	baseline, baseVisits, _, err := attributeCapture(res.Messages, w, downstream)
 	if err != nil {
 		return nil, fmt.Errorf("robustness baseline: %w", err)
 	}
 	if len(baseline) == 0 {
-		return nil, fmt.Errorf("robustness: baseline produced no root-cause ranking")
+		return nil, fmt.Errorf("robustness: baseline produced no root-cause verdict")
 	}
 	out := &RobustnessResult{
 		BaselineTop:      baseline[0].Server,
+		BaselineTopKind:  baseline[0].Kind,
 		BaselineTopScore: baseline[0].Score,
 	}
 
@@ -116,7 +95,7 @@ func Robustness(opts RunOpts) (*RobustnessResult, error) {
 	}
 	for _, c := range conditions {
 		degraded, frep := ntier.InjectFaults(res.Messages, c.spec)
-		causes, visits, quarantined, err := analyze(degraded)
+		verdicts, visits, quarantined, err := attributeCapture(degraded, w, downstream)
 		if err != nil {
 			return nil, fmt.Errorf("robustness %s: %w", c.label, err)
 		}
@@ -126,10 +105,11 @@ func Robustness(opts RunOpts) (*RobustnessResult, error) {
 			Quarantined: quarantined,
 			Coverage:    float64(visits) / float64(baseVisits),
 		}
-		if len(causes) > 0 {
-			row.Top = causes[0].Server
-			row.RankStable = causes[0].Server == out.BaselineTop
-			row.TopScore = causes[0].Score
+		if len(verdicts) > 0 {
+			row.Top = verdicts[0].Server
+			row.TopKind = verdicts[0].Kind
+			row.RankStable = verdicts[0].Server == out.BaselineTop
+			row.TopScore = verdicts[0].Score
 		}
 		out.Rows = append(out.Rows, row)
 	}
@@ -139,9 +119,9 @@ func Robustness(opts RunOpts) (*RobustnessResult, error) {
 // Table renders the sweep.
 func (r *RobustnessResult) Table() *Table {
 	t := &Table{
-		Title: fmt.Sprintf("Extension: graceful degradation under capture faults (clean baseline root cause: %s, score %.3f)",
-			r.BaselineTop, r.BaselineTopScore),
-		Header: []string{"Condition", "Dropped", "Dup", "Quarantined", "Coverage", "Root cause", "Score", "Stable"},
+		Title: fmt.Sprintf("Extension: graceful degradation under capture faults (clean baseline root cause: %s %s, score %.3f)",
+			r.BaselineTop, r.BaselineTopKind, r.BaselineTopScore),
+		Header: []string{"Condition", "Dropped", "Dup", "Quarantined", "Coverage", "Root cause", "Kind", "Score", "Stable"},
 	}
 	for _, row := range r.Rows {
 		t.AddRow(row.Label,
@@ -150,6 +130,7 @@ func (r *RobustnessResult) Table() *Table {
 			row.Quarantined,
 			fmt.Sprintf("%.1f%%", 100*row.Coverage),
 			row.Top,
+			row.TopKind,
 			fmt.Sprintf("%.3f", row.TopScore),
 			row.RankStable)
 	}

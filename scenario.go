@@ -191,7 +191,7 @@ func RunScenario(sc Scenario) (*ScenarioResult, error) {
 	for _, srv := range sys.AllServers() {
 		out.Servers = append(out.Servers, srv.Name())
 	}
-	out.Topology = topologyMap(sys)
+	out.Topology = sys.CallGraph()
 	for _, g := range res.GroundTruth {
 		rec := GroundTruthRecord{
 			Cause:   string(g.Cause),
@@ -234,31 +234,4 @@ func AnalyzeScenario(sc Scenario) (*ScenarioResult, *Report, error) {
 		return nil, nil, err
 	}
 	return res, report, nil
-}
-
-// topologyMap derives the caller→callee server map from the simulated
-// testbed's tier structure: web servers call the app tier, app servers
-// call the cluster tier, and the cluster middleware calls the DB tier.
-func topologyMap(sys *ntier.System) map[string][]string {
-	var apps, cls, dbs []string
-	for _, s := range sys.AppServers() {
-		apps = append(apps, s.Name())
-	}
-	for _, s := range sys.ClusterServers() {
-		cls = append(cls, s.Name())
-	}
-	for _, s := range sys.DBServers() {
-		dbs = append(dbs, s.Name())
-	}
-	m := make(map[string][]string)
-	for _, s := range sys.WebServers() {
-		m[s.Name()] = apps
-	}
-	for _, s := range sys.AppServers() {
-		m[s.Name()] = cls
-	}
-	for _, s := range sys.ClusterServers() {
-		m[s.Name()] = dbs
-	}
-	return m
 }
