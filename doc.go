@@ -54,6 +54,7 @@
 // The package also ships the full simulated RUBBoS-style testbed used to
 // validate the method (RunScenario): a four-tier web deployment with
 // switchable JVM garbage collectors and an Intel SpeedStep CPU frequency
-// governor, reproducing both of the paper's case studies. See the
-// examples directory and EXPERIMENTS.md.
+// governor, reproducing both of the paper's case studies. See
+// ExampleAnalyzeScenario, `go run ./cmd/experiments run fig9-11` (JVM
+// GC) and `fig12-13` (SpeedStep), and EXPERIMENTS.md.
 package transientbd

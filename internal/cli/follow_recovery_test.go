@@ -53,6 +53,10 @@ func TestFollowFlagValidation(t *testing.T) {
 		{"to-equals-from", []string{"-from", "4s", "-to", "4s"}, "-to 4s is not after -from 4s"},
 		{"negative-from", []string{"-from", "-5s"}, "-from -5s"},
 		{"negative-to", []string{"-to", "-5s"}, "-to -5s"},
+		{"blackbox-without-wire", []string{"-blackbox"}, "-blackbox needs -wire"},
+		{"inflight-without-wire", []string{"-inflight", "5s"}, "-inflight needs -wire -lenient"},
+		{"inflight-without-lenient", []string{"-wire", "-inflight", "5s"}, "-inflight needs -wire -lenient"},
+		{"inflight-with-blackbox", []string{"-wire", "-lenient", "-blackbox", "-inflight", "1ms", "-quality"}, "-inflight does not apply with -blackbox"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

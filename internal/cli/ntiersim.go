@@ -8,12 +8,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 
 	"transientbd/internal/jvm"
 	"transientbd/internal/ntier"
 	"transientbd/internal/simnet"
+	"transientbd/internal/trace"
 	"transientbd/internal/traceio"
 	"transientbd/internal/workload"
 )
@@ -105,25 +106,7 @@ func NtierSim(args []string, stdout, stderr io.Writer) error {
 		// The merge head's canonical record order, so per-node splits of
 		// this trace satisfy the agent's depart-sorted feed contract and
 		// an N-agent run reproduces the single-feed analysis exactly.
-		sort.SliceStable(res.Visits, func(i, j int) bool {
-			a, b := res.Visits[i], res.Visits[j]
-			if a.Depart != b.Depart {
-				return a.Depart < b.Depart
-			}
-			if a.Server != b.Server {
-				return a.Server < b.Server
-			}
-			if a.Arrive != b.Arrive {
-				return a.Arrive < b.Arrive
-			}
-			if a.Class != b.Class {
-				return a.Class < b.Class
-			}
-			if a.TxnID != b.TxnID {
-				return a.TxnID < b.TxnID
-			}
-			return a.HopID < b.HopID
-		})
+		slices.SortStableFunc(res.Visits, trace.CompareDepart)
 	}
 
 	w := stdout

@@ -61,6 +61,18 @@ func validateFollowFlags(fs *flag.FlagSet, follow bool) error {
 		}
 		return fmt.Errorf("tbdetect: %s only %s to the streaming mode: add -follow", strings.Join(bad, " "), verb)
 	}
+	// The wire-capture flags only mean something in the mode that reads
+	// them: -blackbox picks the reconstruction, -inflight times out
+	// visits in lenient assembly (which black-box reconstruction skips).
+	on := func(name string) bool { return set[name] && fs.Lookup(name).Value.String() != "false" }
+	switch {
+	case on("blackbox") && !on("wire"):
+		return fmt.Errorf("tbdetect: -blackbox needs -wire (it reconstructs visits from a wire capture)")
+	case set["inflight"] && !(on("wire") && on("lenient")):
+		return fmt.Errorf("tbdetect: -inflight needs -wire -lenient (only lenient wire assembly times out unterminated visits)")
+	case set["inflight"] && on("blackbox"):
+		return fmt.Errorf("tbdetect: -inflight does not apply with -blackbox (black-box reconstruction never reads the timeout)")
+	}
 	return nil
 }
 

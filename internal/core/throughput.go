@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"transientbd/internal/metrics"
 	"transientbd/internal/simnet"
@@ -133,14 +132,4 @@ func NormalizedThroughputSeries(visits []trace.Visit, svc ServiceTimes, unit sim
 		s.AddAt(v.Depart, svc.Units(v.Class, unit))
 	}
 	return s.ToPerSecond(), nil
-}
-
-// Classes lists the classes present in a service-time table, sorted.
-func (s ServiceTimes) Classes() []string {
-	out := make([]string, 0, len(s))
-	for c := range s {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -216,14 +216,3 @@ func TestNormalizedThroughputDerivesUnit(t *testing.T) {
 		t.Errorf("derived-unit normalized tp = %v, want 6", got)
 	}
 }
-
-func TestServiceTimesClasses(t *testing.T) {
-	svc := ServiceTimes{"b": ms, "a": ms, "c": ms}
-	got := svc.Classes()
-	want := []string{"a", "b", "c"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Classes = %v, want %v", got, want)
-		}
-	}
-}

@@ -32,13 +32,6 @@ func (m PowerModel) applyDefaults() PowerModel {
 	return m
 }
 
-// BusyWatts returns per-core power when busy at the given frequency ratio
-// (f/f0 ∈ (0,1]).
-func (m PowerModel) BusyWatts(freqRatio float64) float64 {
-	m = m.applyDefaults()
-	return m.StaticWatts + m.DynamicWatts*freqRatio*freqRatio*freqRatio
-}
-
 // EnergyJoules estimates the processor's total energy over its lifetime
 // so far: static draw on all cores for the whole elapsed time plus
 // dynamic draw on busy cores weighted by the per-state residency.

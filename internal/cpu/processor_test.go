@@ -460,22 +460,6 @@ func TestOndemandGovernorTracksBurstFasterThanStep(t *testing.T) {
 	}
 }
 
-func TestPowerModelBusyWatts(t *testing.T) {
-	m := PowerModel{StaticWatts: 4, DynamicWatts: 12}
-	if got := m.BusyWatts(1.0); math.Abs(got-16) > 1e-9 {
-		t.Errorf("BusyWatts(1) = %v, want 16", got)
-	}
-	// Half frequency: dynamic falls by 8x.
-	if got := m.BusyWatts(0.5); math.Abs(got-5.5) > 1e-9 {
-		t.Errorf("BusyWatts(0.5) = %v, want 5.5", got)
-	}
-	// Zero-value model picks defaults.
-	var zero PowerModel
-	if got := zero.BusyWatts(1.0); math.Abs(got-16) > 1e-9 {
-		t.Errorf("default BusyWatts(1) = %v, want 16", got)
-	}
-}
-
 func TestEnergyJoulesIdleVsBusy(t *testing.T) {
 	m := PowerModel{StaticWatts: 4, DynamicWatts: 12}
 	run := func(busy bool) float64 {

@@ -50,6 +50,7 @@ package merge
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -492,37 +493,14 @@ func (c *Core) releaseUpTo(t simnet.Time) {
 		c.release = out
 		return
 	}
-	sortVisits(out)
+	// Chunks release in non-decreasing departure, so the concatenated
+	// Observe order is the canonical order of the whole stream,
+	// independent of node count and batch timing.
+	slices.SortFunc(out, trace.CompareDepart)
 	for i := range out {
 		c.rt.Observe(out[i]) //nolint:errcheck // pre-validated in Batch
 	}
 	c.release = out[:0]
-}
-
-// sortVisits orders a release chunk by (Depart, Server, Arrive, Class,
-// TxnID, HopID): chunks release in non-decreasing departure, so the
-// concatenated Observe order is the canonical departure-sorted order
-// of the whole stream, independent of node count and batch timing.
-func sortVisits(vs []trace.Visit) {
-	sort.Slice(vs, func(i, j int) bool {
-		a, b := &vs[i], &vs[j]
-		if a.Depart != b.Depart {
-			return a.Depart < b.Depart
-		}
-		if a.Server != b.Server {
-			return a.Server < b.Server
-		}
-		if a.Arrive != b.Arrive {
-			return a.Arrive < b.Arrive
-		}
-		if a.Class != b.Class {
-			return a.Class < b.Class
-		}
-		if a.TxnID != b.TxnID {
-			return a.TxnID < b.TxnID
-		}
-		return a.HopID < b.HopID
-	})
 }
 
 // Finish releases every still-buffered record (stragglers from

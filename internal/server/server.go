@@ -185,16 +185,8 @@ func (s *Server) Retransmissions() int64 { return s.retransCount }
 // NetBytes returns cumulative request (in) and response (out) wire bytes.
 func (s *Server) NetBytes() (in, out int64) { return s.netInBytes, s.netOutBytes }
 
-// DiskBytes returns cumulative disk traffic charged via AddDisk.
+// DiskBytes returns cumulative disk traffic charged by DiskIO phases.
 func (s *Server) DiskBytes() int64 { return s.diskBytes }
-
-// AddDisk charges disk traffic to the server's accounting (browse-only
-// workloads do almost none; the hook exists for Table I completeness).
-func (s *Server) AddDisk(bytes int64) {
-	if bytes > 0 {
-		s.diskBytes += bytes
-	}
-}
 
 // Receive delivers a request to the server. If the thread pool and backlog
 // are both full, acceptance is retried after the TCP retransmission delay;

@@ -381,15 +381,6 @@ func TestGCFreezeCreatesZeroThroughputWindow(t *testing.T) {
 	}
 }
 
-func TestAddDisk(t *testing.T) {
-	f := newFixture(t, Config{Name: "s", Threads: 1}, 1)
-	f.srv.AddDisk(1000)
-	f.srv.AddDisk(-5)
-	if f.srv.DiskBytes() != 1000 {
-		t.Errorf("DiskBytes = %d, want 1000", f.srv.DiskBytes())
-	}
-}
-
 func TestAccessors(t *testing.T) {
 	f := newFixture(t, Config{Name: "s", Threads: 1}, 1)
 	if f.srv.Name() != "s" {

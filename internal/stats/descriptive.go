@@ -184,14 +184,3 @@ func PearsonR(xs, ys []float64) float64 {
 	}
 	return sxy / math.Sqrt(sxx*syy)
 }
-
-// CV returns the coefficient of variation (population sd / mean), or 0
-// for an empty or zero-mean sample. Burstiness analyses use it: a Poisson
-// process has CV 1; correlated surges push it higher.
-func CV(xs []float64) float64 {
-	m := Mean(xs)
-	if m == 0 {
-		return 0
-	}
-	return StdDev(xs) / m
-}

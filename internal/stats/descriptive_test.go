@@ -217,16 +217,3 @@ func TestPearsonBoundsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestCV(t *testing.T) {
-	if got := CV([]float64{5, 5, 5}); got != 0 {
-		t.Errorf("constant CV = %v, want 0", got)
-	}
-	if got := CV(nil); got != 0 {
-		t.Errorf("empty CV = %v, want 0", got)
-	}
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9} // mean 5, sd 2
-	if got := CV(xs); !almostEqual(got, 0.4, 1e-12) {
-		t.Errorf("CV = %v, want 0.4", got)
-	}
-}

@@ -29,7 +29,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"strings"
 
 	"transientbd/internal/simnet"
 )
@@ -147,4 +149,28 @@ func (v Visit) IntraNodeDelay() simnet.Duration {
 		d = 0
 	}
 	return d
+}
+
+// CompareDepart is the canonical completion order of visits, a
+// comparator for slices.SortFunc: by Depart, then Server, Arrive,
+// Class, TxnID and HopID. It is the order of a per-host completion log
+// (ntiersim -order depart) and of the merge head's releases, so an
+// N-agent run observes records exactly as one feed would.
+func CompareDepart(a, b Visit) int {
+	if c := cmp.Compare(a.Depart, b.Depart); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Server, b.Server); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Arrive, b.Arrive); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Class, b.Class); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.TxnID, b.TxnID); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.HopID, b.HopID)
 }

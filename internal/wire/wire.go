@@ -283,6 +283,29 @@ func (r *payloadReader) visit() trace.Visit {
 	return v
 }
 
+// minVisitBytes is the smallest encoding appendVisit can produce: two
+// empty length-prefixed strings and five one-byte varints.
+const minVisitBytes = 7
+
+// visits reads a count-prefixed batch body. A count the rest of the
+// payload cannot hold at minVisitBytes a visit is a forged header, not a
+// big batch, and is rejected before anything is allocated for it.
+func (r *payloadReader) visits() []trace.Visit {
+	count := r.uvarint()
+	if r.err != nil {
+		return nil
+	}
+	if count > uint64(len(r.buf))/minVisitBytes {
+		r.err = fmt.Errorf("wire: visit count %d overruns payload", count)
+		return nil
+	}
+	vs := make([]trace.Visit, 0, count)
+	for i := uint64(0); i < count && r.err == nil; i++ {
+		vs = append(vs, r.visit())
+	}
+	return vs
+}
+
 func (r *payloadReader) done() error {
 	if r.err != nil {
 		return r.err
@@ -368,14 +391,7 @@ func AppendVisits(dst []byte, visits []trace.Visit) []byte {
 // DecodeVisits parses a body produced by AppendVisits.
 func DecodeVisits(payload []byte) ([]trace.Visit, error) {
 	p := payloadReader{buf: payload}
-	count := p.uvarint()
-	if p.err == nil && count > uint64(len(p.buf)) {
-		return nil, fmt.Errorf("wire: visit count %d overruns payload", count)
-	}
-	vs := make([]trace.Visit, 0, count)
-	for i := uint64(0); i < count && p.err == nil; i++ {
-		vs = append(vs, p.visit())
-	}
+	vs := p.visits()
 	if err := p.done(); err != nil {
 		return nil, err
 	}
@@ -520,17 +536,7 @@ func decodeFrame(body []byte) (Frame, error) {
 		}
 		f.Welcome = Welcome{Version: int(ver), LastAcked: p.uvarint()}
 	case TypeBatch:
-		f.Batch.Seq = p.uvarint()
-		count := p.uvarint()
-		if p.err == nil && count > uint64(len(p.buf)) {
-			// Each visit costs at least one payload byte; a count beyond
-			// that is a forged header, not a big batch.
-			return Frame{}, fmt.Errorf("wire: batch count %d overruns payload", count)
-		}
-		f.Batch.Visits = make([]trace.Visit, 0, count)
-		for i := uint64(0); i < count && p.err == nil; i++ {
-			f.Batch.Visits = append(f.Batch.Visits, p.visit())
-		}
+		f.Batch = Batch{Seq: p.uvarint(), Visits: p.visits()}
 	case TypeAck:
 		f.Ack = Ack{Seq: p.uvarint()}
 	case TypeHeartbeat:
