@@ -37,7 +37,8 @@ type Record struct {
 // defaults: 50 ms intervals, 100 load bins, 0.2·δ0 tolerance, 95%
 // one-sided confidence.
 type Config struct {
-	// Interval is the monitoring interval length (default 50 ms).
+	// Interval is the monitoring interval length (default 50 ms): a
+	// positive whole number of microseconds, the trace clock's tick.
 	Interval time.Duration
 	// Window restricts analysis to [WindowStart, WindowEnd); zero values
 	// cover the whole record span, and a non-zero WindowEnd at or before
@@ -178,7 +179,10 @@ func Analyze(records []Record, cfg Config) (*Report, error) {
 	if len(records) == 0 {
 		return nil, ErrNoRecords
 	}
-	opts := cfg.coreOptions()
+	opts, err := cfg.coreOptions()
+	if err != nil {
+		return nil, err
+	}
 	var perServer map[string][]trace.Visit
 	var maxDepart simnet.Time
 	if cfg.Lenient {
@@ -242,9 +246,13 @@ func Analyze(records []Record, cfg Config) (*Report, error) {
 // coreOptions is the one translation from the public Config to the
 // internal analysis options; Analyze and Classes both use it, so the two
 // cannot judge the same server by different rules.
-func (cfg Config) coreOptions() core.Options {
+func (cfg Config) coreOptions() (core.Options, error) {
+	interval, err := coreInterval(cfg.Interval)
+	if err != nil {
+		return core.Options{}, err
+	}
 	return core.Options{
-		Interval:      simnet.FromStdDuration(cfg.Interval),
+		Interval:      interval,
 		ServiceTimes:  coreServiceTimes(cfg.ServiceTimes),
 		POIFraction:   cfg.POIFraction,
 		RawThroughput: cfg.RawThroughput,
@@ -253,7 +261,22 @@ func (cfg Config) coreOptions() core.Options {
 			Bins:        cfg.Bins,
 			TolFraction: cfg.TolFraction,
 		},
+	}, nil
+}
+
+// coreInterval converts a public Interval to the trace clock, which ticks
+// in microseconds: zero selects the default 50 ms, and anything else must
+// be a positive whole number of microseconds — the conversion would
+// otherwise truncate it to a grid the caller did not ask for.
+func coreInterval(d time.Duration) (simnet.Duration, error) {
+	if d == 0 {
+		return 50 * simnet.Millisecond, nil
 	}
+	iv := simnet.FromStdDuration(d)
+	if iv <= 0 || simnet.Std(iv) != d {
+		return 0, fmt.Errorf("transientbd: Interval %v must be a positive whole number of microseconds", d)
+	}
+	return iv, nil
 }
 
 // window resolves the configured analysis window; an unset (or inverted)

@@ -78,6 +78,23 @@ func TestAnalyzeValidation(t *testing.T) {
 	}
 }
 
+// TestAnalyzeRejectsUnrepresentableInterval: the trace clock ticks in
+// microseconds, so an Interval that is not a positive whole number of
+// them must fail in Analyze and Classes as it does in NewStream — not run
+// silently at the 50 ms default or at a truncated 1 µs grid.
+func TestAnalyzeRejectsUnrepresentableInterval(t *testing.T) {
+	recs := busyTrace()[:5]
+	for _, iv := range []time.Duration{500 * time.Nanosecond, 1500 * time.Nanosecond, -time.Second} {
+		cfg := Config{Interval: iv}
+		if _, err := Analyze(recs, cfg); err == nil || !strings.Contains(err.Error(), "Interval") {
+			t.Errorf("Analyze with Interval %v: err = %v, want an Interval error", iv, err)
+		}
+		if _, err := Classes(recs, "db", cfg); err == nil || !strings.Contains(err.Error(), "Interval") {
+			t.Errorf("Classes with Interval %v: err = %v, want an Interval error", iv, err)
+		}
+	}
+}
+
 func TestAnalyzeWindowRestriction(t *testing.T) {
 	recs := busyTrace()
 	report, err := Analyze(recs, Config{

@@ -101,6 +101,10 @@ func ChooseInterval(records []Record, server string, candidates []time.Duration)
 // Analyze derives from cfg (calibrated service times included), so the
 // breakdown refers to the congestion point Analyze reported.
 func Classes(records []Record, server string, cfg Config) ([]ClassStat, error) {
+	opts, err := cfg.coreOptions()
+	if err != nil {
+		return nil, err
+	}
 	visits, maxDepart, err := serverVisits(records, server)
 	if err != nil {
 		return nil, err
@@ -110,7 +114,7 @@ func Classes(records []Record, server string, cfg Config) ([]ClassStat, error) {
 			return nil, fmt.Errorf("transientbd: record departs before it arrives")
 		}
 	}
-	a, err := core.AnalyzeServer(server, visits, cfg.window(maxDepart), cfg.coreOptions())
+	a, err := core.AnalyzeServer(server, visits, cfg.window(maxDepart), opts)
 	if err != nil {
 		return nil, fmt.Errorf("transientbd: analyze %q: %w", server, err)
 	}

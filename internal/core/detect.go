@@ -43,9 +43,6 @@ type Options struct {
 	// Interval is the monitoring interval length. Default 50 ms, the
 	// paper's choice after the Fig 8 sensitivity study.
 	Interval simnet.Duration
-	// ServicePercentile is the intra-node-delay percentile used as the
-	// per-class service-time estimate. Default 10.
-	ServicePercentile float64
 	// ServiceTimes, when non-nil, is a calibrated per-class service-time
 	// table (the paper's low-load calibration pass), used verbatim by
 	// both engines: AnalyzeServer skips its self-estimate, and Online
@@ -53,16 +50,11 @@ type Options struct {
 	// what makes a streaming run bit-identical to a batch pass fed the
 	// same table. Ignored under RawThroughput.
 	ServiceTimes ServiceTimes
-	// WorkUnit overrides the derived work-unit size (0 = derive via GCD).
-	WorkUnit simnet.Duration
 	// NStar tunes the congestion-point estimator.
 	NStar NStarOptions
 	// POIFraction is the normalized-throughput fraction of TPMax below
 	// which a congested interval counts as a POI (a freeze). Default 0.2.
 	POIFraction float64
-	// MinIdleLoad is the load below which an interval is idle rather than
-	// normal. Default 0.5.
-	MinIdleLoad float64
 	// Normalize disables throughput normalization when false-by-flag via
 	// RawThroughput (ablation: the Fig 7 problem).
 	RawThroughput bool
@@ -83,16 +75,19 @@ func (o *Options) applyDefaults() {
 	if o.Interval <= 0 {
 		o.Interval = 50 * simnet.Millisecond
 	}
-	if o.ServicePercentile <= 0 || o.ServicePercentile > 100 {
-		o.ServicePercentile = 10
-	}
 	if o.POIFraction <= 0 {
 		o.POIFraction = 0.2
 	}
-	if o.MinIdleLoad <= 0 {
-		o.MinIdleLoad = 0.5
-	}
 }
+
+const (
+	// servicePercentile is the intra-node-delay percentile both engines
+	// take as the per-class service-time estimate.
+	servicePercentile = 10
+	// minIdleLoad is the load below which an interval is idle rather than
+	// normal.
+	minIdleLoad = 0.5
+)
 
 // Analysis is the full fine-grained result for one server — what §III
 // defines per server, and the one shape both engines report it in:
@@ -162,16 +157,13 @@ func AnalyzeServer(serverName string, visits []trace.Visit, w Window, opts Optio
 	}
 	svc := opts.ServiceTimes
 	if svc == nil {
-		est, err := EstimateServiceTimes(visits, opts.ServicePercentile)
+		est, err := EstimateServiceTimes(visits, servicePercentile)
 		if err != nil {
 			return nil, fmt.Errorf("core: estimate service times: %w", err)
 		}
 		svc = est
 	}
-	unit := opts.WorkUnit
-	if unit <= 0 {
-		unit = WorkUnit(svc)
-	}
+	unit := WorkUnit(svc)
 
 	load, err := LoadSeries(visits, w, opts.Interval)
 	if err != nil {
@@ -259,7 +251,7 @@ func classifySeries(a *Analysis, load, tp []float64, opts Options) error {
 			// A NaN load (empty or degenerate interval) compares false
 			// against everything; classify it as idle, not normal.
 			a.States[i] = StateIdle
-		case l < opts.MinIdleLoad:
+		case l < minIdleLoad:
 			a.States[i] = StateIdle
 		case l > nstar.NStar:
 			a.States[i] = StateCongested

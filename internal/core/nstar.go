@@ -41,34 +41,27 @@ type BinPoint struct {
 
 // NStarOptions tunes the congestion-point estimator of §III-C.
 type NStarOptions struct {
-	// Bins is the number k of even load intervals. Default 100.
+	// Bins is the number k of even load intervals. Default 100. The slope
+	// lag and the smallest scanned prefix derive from it.
 	Bins int
 	// TolFraction is the tolerance as a fraction of the unsaturated slope
 	// δ0 (paper: "e.g., 0.2·δ0"). Default 0.2.
 	TolFraction float64
-	// Confidence is the one-sided confidence level of Eq. 2's lower bound.
-	// Default 0.95 (the paper's t(0.95, n0-1)).
-	Confidence float64
 	// MinBinSamples merges bins with fewer samples into their successor to
 	// keep bin averages meaningful. Default 2.
 	MinBinSamples int
-	// SlopeLag is the bin distance over which slopes are computed. The
-	// paper's Eq. 1 uses consecutive bins (lag 1); with k=100 bins that
-	// makes each slope extremely noise-sensitive (the denominator is one
-	// bin width), so the default widens the baseline to k/10 bins. Lag 1
-	// recovers the paper-literal estimator.
-	SlopeLag int
-	// MinScan is the smallest n0 at which Eq. 2 is evaluated; tiny
-	// prefixes make the t-interval vacuously wide. Default max(4,
-	// SlopeLag).
-	MinScan int
-	// MinLoad drops intervals with average load below this value from the
-	// curve. Near-idle intervals are dominated by boundary slivers —
-	// requests resident for a fraction of the interval — whose
-	// throughput/load ratio wildly overstates the true service rate.
-	// Default 0.5.
-	MinLoad float64
 }
+
+const (
+	// nstarConfidence is the one-sided confidence level of Eq. 2's lower
+	// bound: the paper's t(0.95, n0-1).
+	nstarConfidence = 0.95
+	// curveMinLoad drops intervals with average load below this value
+	// from the curve. Near-idle intervals are dominated by boundary
+	// slivers — requests resident for a fraction of the interval — whose
+	// throughput/load ratio wildly overstates the true service rate.
+	curveMinLoad = 0.5
+)
 
 func (o *NStarOptions) applyDefaults() {
 	if o.Bins <= 0 {
@@ -77,26 +70,8 @@ func (o *NStarOptions) applyDefaults() {
 	if o.TolFraction <= 0 {
 		o.TolFraction = 0.2
 	}
-	if o.Confidence <= 0 || o.Confidence >= 1 {
-		o.Confidence = 0.95
-	}
 	if o.MinBinSamples <= 0 {
 		o.MinBinSamples = 2
-	}
-	if o.SlopeLag <= 0 {
-		o.SlopeLag = o.Bins / 10
-		if o.SlopeLag < 1 {
-			o.SlopeLag = 1
-		}
-	}
-	if o.MinScan <= 0 {
-		o.MinScan = 4
-		if o.SlopeLag > o.MinScan {
-			o.MinScan = o.SlopeLag
-		}
-	}
-	if o.MinLoad <= 0 {
-		o.MinLoad = 0.5
 	}
 }
 
@@ -130,7 +105,7 @@ var ErrNoPoints = errors.New("core: no load/throughput points")
 // falls below tol = TolFraction·δ0, at which point N* = ld_{n0}.
 func EstimateNStar(points []Point, opts NStarOptions) (NStarResult, error) {
 	opts.applyDefaults()
-	curve, err := binCurve(points, opts.Bins, opts.MinBinSamples, opts.MinLoad)
+	curve, err := binCurve(points, opts.Bins, opts.MinBinSamples)
 	if err != nil {
 		return NStarResult{}, err
 	}
@@ -150,8 +125,11 @@ func EstimateNStar(points []Point, opts NStarOptions) (NStarResult, error) {
 	// Slope sequence per Eq. 1, generalized to a lag-L baseline. For bins
 	// closer than L to the start, the baseline is the origin (an idle
 	// server produces no throughput, so the curve passes through (0,0)) —
-	// this also generalizes the paper's δ1 = tp1/ld1.
-	lag := opts.SlopeLag
+	// this also generalizes the paper's δ1 = tp1/ld1. The paper's Eq. 1
+	// uses consecutive bins (lag 1); with k=100 bins that makes each slope
+	// extremely noise-sensitive (the denominator is one bin width), so the
+	// baseline widens to k/10 bins.
+	lag := max(opts.Bins/10, 1)
 	deltas := make([]float64, 0, len(curve))
 	for i, b := range curve {
 		prevLoad, prevTP := 0.0, 0.0
@@ -169,14 +147,14 @@ func EstimateNStar(points []Point, opts NStarOptions) (NStarResult, error) {
 		return res, nil
 	}
 
+	// minScan is the smallest n0 at which Eq. 2 is evaluated; tiny
+	// prefixes make the t-interval vacuously wide.
+	minScan := max(4, lag)
+
 	// δ0: the characteristic unsaturated slope, taken as the median of the
 	// early slopes for robustness against the first bin's width bias.
-	head := opts.MinScan
-	if head > len(deltas) {
-		head = len(deltas)
-	}
-	early := make([]float64, head)
-	copy(early, deltas[:head])
+	early := make([]float64, min(minScan, len(deltas)))
+	copy(early, deltas)
 	delta0, err := stats.Median(early)
 	if err != nil || delta0 <= 0 {
 		// Degenerate start; fall back to the mean positive slope.
@@ -196,15 +174,11 @@ func EstimateNStar(points []Point, opts NStarOptions) (NStarResult, error) {
 	}
 	tol := opts.TolFraction * delta0
 
-	start := opts.MinScan
-	if start < 2 {
-		start = 2
-	}
-	for n0 := start; n0 <= len(deltas); n0++ {
+	for n0 := minScan; n0 <= len(deltas); n0++ {
 		seq := deltas[:n0]
 		mean := stats.Mean(seq)
 		sd := stats.SampleStdDev(seq)
-		tcoef, err := stats.TQuantile(opts.Confidence, float64(n0-1))
+		tcoef, err := stats.TQuantile(nstarConfidence, float64(n0-1))
 		if err != nil {
 			return NStarResult{}, fmt.Errorf("core: t quantile: %w", err)
 		}
@@ -254,10 +228,10 @@ func EstimateNStar(points []Point, opts NStarOptions) (NStarResult, error) {
 
 // binCurve divides [Nmin, Nmax] into k even load intervals and averages
 // throughput per bin, merging under-populated bins forward.
-func binCurve(points []Point, k, minSamples int, minLoad float64) ([]BinPoint, error) {
+func binCurve(points []Point, k, minSamples int) ([]BinPoint, error) {
 	var usable []Point
 	for _, p := range points {
-		if p.Load > 0 && p.Load >= minLoad &&
+		if p.Load > 0 && p.Load >= curveMinLoad &&
 			!math.IsNaN(p.Load) && !math.IsInf(p.Load, 0) &&
 			!math.IsNaN(p.TP) && !math.IsInf(p.TP, 0) {
 			usable = append(usable, p)

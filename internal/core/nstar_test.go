@@ -133,7 +133,7 @@ func TestBinCurveMergesSparseBins(t *testing.T) {
 		{Load: 1, TP: 10}, {Load: 1.1, TP: 11},
 		{Load: 50, TP: 500}, {Load: 50.5, TP: 505},
 	}
-	curve, err := binCurve(pts, 100, 2, 0.5)
+	curve, err := binCurve(pts, 100, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestBinCurveTrailingRemainderFolded(t *testing.T) {
 		{Load: 1, TP: 10}, {Load: 1.05, TP: 10},
 		{Load: 99, TP: 500}, // lone sample in the last region
 	}
-	curve, err := binCurve(pts, 10, 2, 0.5)
+	curve, err := binCurve(pts, 10, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

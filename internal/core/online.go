@@ -201,10 +201,7 @@ func (o *Online) normalization() (ServiceTimes, simnet.Duration) {
 	if o.fixedSvc != nil {
 		if o.cachedSvc == nil {
 			o.cachedSvc = o.fixedSvc
-			o.cachedUnit = o.opts.WorkUnit
-			if o.cachedUnit <= 0 {
-				o.cachedUnit = WorkUnit(o.cachedSvc)
-			}
+			o.cachedUnit = WorkUnit(o.cachedSvc)
 		}
 		return o.cachedSvc, o.cachedUnit
 	}
@@ -252,7 +249,7 @@ func (o *Online) serviceTable() ServiceTimes {
 		sorted := append(o.svcSorted[:0], r.samples...)
 		o.svcSorted = sorted[:0]
 		sort.Float64s(sorted)
-		idx := int(float64(len(sorted)) * o.opts.ServicePercentile / 100)
+		idx := int(float64(len(sorted)) * servicePercentile / 100)
 		if idx >= len(sorted) {
 			idx = len(sorted) - 1
 		}
@@ -311,7 +308,7 @@ func (o *Online) AdvanceAppend(now simnet.Time, alerts []Alert) []Alert {
 		}
 		alert := Alert{IntervalStart: o.start + simnet.Time(n)*iv, Load: load, TP: tp}
 		switch {
-		case load < o.opts.MinIdleLoad:
+		case load < minIdleLoad:
 			alert.State = StateIdle
 		case o.hasNStar && load > o.nstar.NStar:
 			alert.State = StateCongested

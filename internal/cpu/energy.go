@@ -6,31 +6,19 @@ package cpu
 // voltage scales roughly linearly with frequency in the DVFS range, so
 // dynamic power ∝ f³, plus a frequency-independent static floor.
 //
-//	P(state) = StaticWatts + DynamicWatts × (f/f0)³        (per busy core)
-//	P_idle(state) = StaticWatts                            (per idle core)
+//	P(state) = staticWatts + dynamicWatts × (f/f0)³        (per busy core)
+//	P_idle(state) = staticWatts                            (per idle core)
 //
 // Energy integrates P over residency, using the processor's busy-core
 // accounting.
 
-// PowerModel parameterizes per-core power draw.
-type PowerModel struct {
-	// StaticWatts is the frequency-independent draw per core (leakage,
-	// uncore share). Default 4 W.
-	StaticWatts float64
-	// DynamicWatts is the additional draw of a fully busy core at the
-	// highest P-state. Default 12 W.
-	DynamicWatts float64
-}
-
-func (m PowerModel) applyDefaults() PowerModel {
-	if m.StaticWatts <= 0 {
-		m.StaticWatts = 4
-	}
-	if m.DynamicWatts <= 0 {
-		m.DynamicWatts = 12
-	}
-	return m
-}
+// Per-core power draw: staticWatts is the frequency-independent draw per
+// core (leakage, uncore share); dynamicWatts is the additional draw of a
+// fully busy core at the highest P-state.
+const (
+	staticWatts  = 4
+	dynamicWatts = 12
+)
 
 // EnergyJoules estimates the processor's total energy over its lifetime
 // so far: static draw on all cores for the whole elapsed time plus
@@ -39,8 +27,7 @@ func (m PowerModel) applyDefaults() PowerModel {
 // The approximation charges busy time at the residency-weighted mean
 // frequency; exact joint (busy × state) accounting would require sampling
 // both simultaneously, which the processor does not track.
-func (p *Processor) EnergyJoules(m PowerModel) float64 {
-	m = m.applyDefaults()
+func (p *Processor) EnergyJoules() float64 {
 	residency := p.StateResidency()
 	elapsed := p.engine.Now().Seconds()
 	if elapsed <= 0 {
@@ -53,7 +40,7 @@ func (p *Processor) EnergyJoules(m PowerModel) float64 {
 		f3 += frac * ratio * ratio * ratio
 	}
 	busyCoreSeconds := p.BusyCoreMicros() / 1e6
-	static := m.StaticWatts * float64(p.cfg.Cores) * elapsed
-	dynamic := m.DynamicWatts * f3 * busyCoreSeconds
+	static := staticWatts * float64(p.cfg.Cores) * elapsed
+	dynamic := dynamicWatts * f3 * busyCoreSeconds
 	return static + dynamic
 }

@@ -461,7 +461,6 @@ func TestOndemandGovernorTracksBurstFasterThanStep(t *testing.T) {
 }
 
 func TestEnergyJoulesIdleVsBusy(t *testing.T) {
-	m := PowerModel{StaticWatts: 4, DynamicWatts: 12}
 	run := func(busy bool) float64 {
 		e := simnet.NewEngine()
 		p := newTestProcessor(t, e, Config{Cores: 2})
@@ -474,7 +473,7 @@ func TestEnergyJoulesIdleVsBusy(t *testing.T) {
 		if err := e.Run(10 * simnet.Second); err != nil {
 			t.Fatal(err)
 		}
-		return p.EnergyJoules(m)
+		return p.EnergyJoules()
 	}
 	idle := run(false)
 	busy := run(true)
@@ -489,7 +488,6 @@ func TestEnergyJoulesIdleVsBusy(t *testing.T) {
 }
 
 func TestEnergyLowerAtSlowState(t *testing.T) {
-	m := PowerModel{}
 	run := func(state int) float64 {
 		e := simnet.NewEngine()
 		p := newTestProcessor(t, e, Config{Cores: 1, Governor: FixedGovernor{State: state}})
@@ -499,7 +497,7 @@ func TestEnergyLowerAtSlowState(t *testing.T) {
 		if err := e.Run(10 * simnet.Second); err != nil {
 			t.Fatal(err)
 		}
-		return p.EnergyJoules(m)
+		return p.EnergyJoules()
 	}
 	fast := run(0)
 	slow := run(4)
@@ -511,7 +509,7 @@ func TestEnergyLowerAtSlowState(t *testing.T) {
 func TestEnergyZeroAtTimeZero(t *testing.T) {
 	e := simnet.NewEngine()
 	p := newTestProcessor(t, e, Config{Cores: 1})
-	if got := p.EnergyJoules(PowerModel{}); got != 0 {
+	if got := p.EnergyJoules(); got != 0 {
 		t.Errorf("energy at t=0 = %v, want 0", got)
 	}
 }

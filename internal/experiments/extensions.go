@@ -224,7 +224,7 @@ func GovernorSweep(opts RunOpts) (*GovernorSweepResult, error) {
 		}
 		var energy float64
 		for _, db := range sys.DBServers() {
-			energy += db.Processor().EnergyJoules(cpu.PowerModel{})
+			energy += db.Processor().EnergyJoules()
 		}
 		out.Points = append(out.Points, GovernorSweepPoint{
 			Label:     label,

@@ -53,9 +53,6 @@ type Config struct {
 
 	// Topology defaults to 1L/2S/1L/2S.
 	Topology Topology
-	// CoresPerVM is the vCPU count pinned to each VM. Defaults to 2,
-	// matching Fig 1's CPU0/CPU1 pinning.
-	CoresPerVM int
 
 	// DBSpeedStep enables the SpeedStep step-governor on the MySQL hosts;
 	// when false the DB CPUs are pinned to P0 ("disabled in BIOS").
@@ -63,12 +60,6 @@ type Config struct {
 	// GovernorPeriod is the SpeedStep control period (BIOS sluggishness).
 	// Defaults to 500 ms.
 	GovernorPeriod simnet.Duration
-	// GovernorUp and GovernorDown are the step-governor thresholds.
-	// Defaults: 0.95 / 0.88 — an aggressive power-saving policy that
-	// keeps the clock barely sufficient for the average demand, so any
-	// burst lands on an under-clocked CPU (the Dell BIOS behaviour §IV-C
-	// blames).
-	GovernorUp, GovernorDown float64
 	// DBGovernor, when non-nil, replaces the governor DBSpeedStep would
 	// install (e.g. cpu.OndemandGovernor for the counterfactual "a
 	// responsive algorithm fixes it" ablation).
@@ -85,10 +76,6 @@ type Config struct {
 	// exhaustion). Queries beyond the cap queue inside the cluster tier
 	// waiting for a free connection.
 	DBConnCap int
-	// ConnAcquireTimeout bounds how long a queued acquire waits on a
-	// capped pool before failing fast (the query is abandoned and the
-	// page continues). Zero means wait forever.
-	ConnAcquireTimeout simnet.Duration
 
 	// Convoy, when non-nil, serializes one server behind a critical
 	// section with a periodic long hold (scenario: lock convoy).
@@ -104,10 +91,10 @@ type Config struct {
 	// backs up (scenario: open-loop overload). Users is ignored.
 	OpenLoop *OpenLoopConfig
 
-	// Autoscale, when non-nil, adds a spare app server that joins the
-	// rotation mid-run and serves slowly while it warms up (scenario:
-	// post-autoscale slow-start).
-	Autoscale *AutoscaleConfig
+	// Autoscale adds a spare app server that joins the rotation mid-run
+	// and serves slowly while it warms up (scenario: post-autoscale
+	// slow-start; see spareWarmup).
+	Autoscale bool
 
 	// AppCollector selects the Tomcat collector; zero disables GC
 	// entirely (no heap).
@@ -119,19 +106,28 @@ type Config struct {
 	Mix       []workload.Interaction
 	ThinkMean simnet.Duration
 	Burst     workload.BurstConfig
-	// NoiseSigma is lognormal service-time noise (σ of log). Defaults to
-	// 0.08.
-	NoiseSigma float64
 
-	// Thread pools. Defaults: web 150 (+100 backlog), app 200, cluster
-	// 400, DB 300.
-	WebThreads, AppThreads, ClusterThreads, DBThreads int
+	// WebThreads is the web tier's thread pool. Defaults to 150; the
+	// other tiers' pools are fixed (appThreads, clusterThreads,
+	// dbThreads).
+	WebThreads int
 	// WebAcceptBacklog bounds the web tier accept queue; overflowing it
-	// costs a TCP retransmission (footnote 1 of the paper).
+	// costs a TCP retransmission (footnote 1 of the paper). Defaults to
+	// 100.
 	WebAcceptBacklog int
-	// RetransDelay is the TCP retransmission timeout. Defaults to 3 s.
-	RetransDelay simnet.Duration
 }
+
+// The fixed testbed shape. Every VM is pinned to coresPerVM vCPUs,
+// matching Fig 1's CPU0/CPU1 pinning; the app, cluster and DB tiers run
+// thread pools of 200, 400 and 300. noiseSigma is the lognormal
+// service-time noise (σ of log).
+const (
+	coresPerVM     = 2
+	appThreads     = 200
+	clusterThreads = 400
+	dbThreads      = 300
+	noiseSigma     = 0.08
+)
 
 func (c *Config) applyDefaults() error {
 	if c.Users <= 0 && c.OpenLoop == nil {
@@ -149,17 +145,8 @@ func (c *Config) applyDefaults() error {
 	if c.Topology.Web <= 0 || c.Topology.App <= 0 || c.Topology.Cluster <= 0 || c.Topology.DB <= 0 {
 		return fmt.Errorf("ntier: topology %v has empty tiers", c.Topology)
 	}
-	if c.CoresPerVM <= 0 {
-		c.CoresPerVM = 2
-	}
 	if c.GovernorPeriod <= 0 {
 		c.GovernorPeriod = 500 * simnet.Millisecond
-	}
-	if c.GovernorUp <= 0 {
-		c.GovernorUp = 0.95
-	}
-	if c.GovernorDown <= 0 {
-		c.GovernorDown = 0.88
 	}
 	if c.AppHeapBytes <= 0 {
 		c.AppHeapBytes = 384 * jvm.MB
@@ -170,29 +157,11 @@ func (c *Config) applyDefaults() error {
 	if c.ThinkMean <= 0 {
 		c.ThinkMean = 8400 * simnet.Millisecond
 	}
-	if c.NoiseSigma < 0 {
-		return fmt.Errorf("ntier: negative noise sigma %v", c.NoiseSigma)
-	}
-	if c.NoiseSigma == 0 {
-		c.NoiseSigma = 0.08
-	}
 	if c.WebThreads <= 0 {
 		c.WebThreads = 150
 	}
-	if c.AppThreads <= 0 {
-		c.AppThreads = 200
-	}
-	if c.ClusterThreads <= 0 {
-		c.ClusterThreads = 400
-	}
-	if c.DBThreads <= 0 {
-		c.DBThreads = 300
-	}
 	if c.WebAcceptBacklog <= 0 {
 		c.WebAcceptBacklog = 100
-	}
-	if c.RetransDelay <= 0 {
-		c.RetransDelay = 3 * simnet.Second
 	}
 	if c.Antagonist != nil {
 		if err := c.Antagonist.applyDefaults(); err != nil {
@@ -205,29 +174,19 @@ func (c *Config) applyDefaults() error {
 	if c.DBConnCap < 0 {
 		return fmt.Errorf("ntier: negative DB connection cap %d", c.DBConnCap)
 	}
-	if c.ConnAcquireTimeout < 0 {
-		return fmt.Errorf("ntier: negative connection acquire timeout")
-	}
 	if c.Convoy != nil {
-		if err := c.Convoy.applyDefaults(); err != nil {
-			return err
+		if c.Convoy.Target == "" {
+			return fmt.Errorf("ntier: convoy needs a target server")
 		}
 		if err := c.validateServerName("convoy target", c.Convoy.Target); err != nil {
 			return err
 		}
 	}
-	if c.Stampede != nil {
-		if err := c.Stampede.applyDefaults(); err != nil {
-			return err
-		}
+	if c.Stampede != nil && c.Stampede.Period <= 0 {
+		c.Stampede.Period = 15 * simnet.Second
 	}
 	if c.OpenLoop != nil {
 		if err := c.OpenLoop.applyDefaults(); err != nil {
-			return err
-		}
-	}
-	if c.Autoscale != nil {
-		if err := c.Autoscale.applyDefaults(c.Ramp, c.Duration); err != nil {
 			return err
 		}
 	}
@@ -238,7 +197,7 @@ func (c *Config) applyDefaults() error {
 // including the autoscale spare when configured.
 func (c *Config) serverNames() []string {
 	appCount := c.Topology.App
-	if c.Autoscale != nil {
+	if c.Autoscale {
 		appCount++
 	}
 	var names []string
@@ -300,74 +259,39 @@ func (a *AntagonistConfig) applyDefaults() error {
 
 // ConvoyConfig serializes one server behind a FIFO critical section
 // (think a coarse table lock or a synchronized log appender). Every
-// request through the target acquires the lock for CritWork; a janitor
-// grabs it for HoldLen every Period, parking the whole tier behind it.
+// request through the target acquires the lock for convoyCritWork; a
+// janitor grabs it for convoyHoldLen every convoyPeriod, parking the
+// whole tier behind it.
 type ConvoyConfig struct {
 	// Target is the serialized server's name (e.g. "cjdbc"). Required.
 	Target string
-	// CritWork is the per-request lock hold. Defaults to 150 µs.
-	CritWork simnet.Duration
-	// Period is the interval between janitor holds. Defaults to 4 s.
-	Period simnet.Duration
-	// HoldLen is the janitor's hold length. Defaults to 400 ms.
-	HoldLen simnet.Duration
 }
 
-func (c *ConvoyConfig) applyDefaults() error {
-	if c.Target == "" {
-		return fmt.Errorf("ntier: convoy needs a target server")
-	}
-	if c.CritWork <= 0 {
-		c.CritWork = 150 * simnet.Microsecond
-	}
-	if c.Period <= 0 {
-		c.Period = 4 * simnet.Second
-	}
-	if c.HoldLen <= 0 {
-		c.HoldLen = 400 * simnet.Millisecond
-	}
-	if c.HoldLen >= c.Period {
-		return fmt.Errorf("ntier: convoy hold %v must be shorter than period %v",
-			simnet.Std(c.HoldLen), simnet.Std(c.Period))
-	}
-	return nil
-}
+// The convoy's lock timings.
+const (
+	convoyCritWork = 150 * simnet.Microsecond
+	convoyPeriod   = 4 * simnet.Second
+	convoyHoldLen  = 400 * simnet.Millisecond
+)
 
 // StampedeConfig puts a result cache in front of the app tier's queries.
-// A hit costs HitWork on the app CPU and skips the downstream call; a
-// miss goes downstream and refills one entry. Invalidation every Period
-// empties the cache and sends the full query rate at the DB tier until
-// it refills.
+// A hit costs cacheHitWork on the app CPU and skips the downstream call;
+// a miss goes downstream and refills one entry. Invalidation every
+// Period empties the cache and sends the full query rate at the DB tier
+// until it refills.
 type StampedeConfig struct {
 	// Period is the invalidation interval. Defaults to 15 s.
 	Period simnet.Duration
-	// HitRate is the warm-cache hit probability. Defaults to 0.75.
-	HitRate float64
-	// Entries is the number of cache entries when warm; the refill takes
-	// Entries misses. Defaults to 8000.
-	Entries int
-	// HitWork is the app-tier CPU cost of a hit. Defaults to 60 µs.
-	HitWork simnet.Duration
 }
 
-func (c *StampedeConfig) applyDefaults() error {
-	if c.Period <= 0 {
-		c.Period = 15 * simnet.Second
-	}
-	if c.HitRate == 0 {
-		c.HitRate = 0.75
-	}
-	if c.HitRate < 0 || c.HitRate > 1 {
-		return fmt.Errorf("ntier: stampede hit rate %v out of (0, 1]", c.HitRate)
-	}
-	if c.Entries <= 0 {
-		c.Entries = 8000
-	}
-	if c.HitWork <= 0 {
-		c.HitWork = 60 * simnet.Microsecond
-	}
-	return nil
-}
+// The stampede cache: cacheHitRate is the warm-cache hit probability,
+// cacheEntries the number of entries when warm (the refill takes that
+// many misses), and cacheHitWork the app-tier CPU cost of a hit.
+const (
+	cacheHitRate = 0.75
+	cacheEntries = 8000
+	cacheHitWork = 60 * simnet.Microsecond
+)
 
 // OpenLoopConfig replaces the closed-loop population with a Poisson
 // arrival process: arrivals do not wait for previous pages to finish,
@@ -402,44 +326,18 @@ func (c *OpenLoopConfig) applyDefaults() error {
 	return nil
 }
 
-// AutoscaleConfig adds one spare app server that joins the round-robin
-// rotation at time At and serves SlowFactor× slower at first, decaying
-// linearly to full speed over Warmup — a cold JIT/cache/pool on a fresh
-// instance.
-type AutoscaleConfig struct {
-	// Tier selects the scaled tier. Only "app" is supported today.
-	Tier string
-	// At is the absolute sim time the spare joins. Defaults to
-	// ramp + duration/3.
-	At simnet.Time
-	// Warmup is how long the spare takes to reach full speed. Defaults
-	// to duration/6.
-	Warmup simnet.Duration
-	// SlowFactor is the initial service-time multiplier. Defaults to 3.
-	SlowFactor float64
+// spareWarmup is the autoscale spare's warm-up: it joins the round-robin
+// rotation a third of the way into the measured run and serves
+// spareSlowFactor× slower at first, decaying linearly to full speed a
+// sixth of the run later — a cold JIT/cache/pool on a fresh instance.
+func (c *Config) spareWarmup() TruthWindow {
+	at := c.Ramp + c.Duration/3
+	return TruthWindow{Start: at, End: at + c.Duration/6}
 }
 
-func (c *AutoscaleConfig) applyDefaults(ramp, duration simnet.Duration) error {
-	if c.Tier == "" {
-		c.Tier = "app"
-	}
-	if c.Tier != "app" {
-		return fmt.Errorf("ntier: autoscale tier %q not supported (only \"app\")", c.Tier)
-	}
-	if c.At <= 0 {
-		c.At = simnet.Time(ramp + duration/3)
-	}
-	if c.Warmup <= 0 {
-		c.Warmup = duration / 6
-	}
-	if c.SlowFactor == 0 {
-		c.SlowFactor = 3
-	}
-	if c.SlowFactor < 1 {
-		return fmt.Errorf("ntier: autoscale slow factor %v must be >= 1", c.SlowFactor)
-	}
-	return nil
-}
+// spareSlowFactor is the autoscale spare's initial service-time
+// multiplier.
+const spareSlowFactor = 3
 
 // DefaultBurst returns the burst modulation used by the paper-shaped
 // experiments: correlated surges that multiply instantaneous demand by
@@ -458,7 +356,10 @@ func (c *Config) newDBGovernor() cpu.Governor {
 		return c.DBGovernor
 	}
 	if c.DBSpeedStep {
-		return cpu.StepGovernor{UpThreshold: c.GovernorUp, DownThreshold: c.GovernorDown}
+		// An aggressive power-saving policy that keeps the clock barely
+		// sufficient for the average demand, so any burst lands on an
+		// under-clocked CPU (the Dell BIOS behaviour §IV-C blames).
+		return cpu.StepGovernor{UpThreshold: 0.95, DownThreshold: 0.88}
 	}
 	return cpu.FixedGovernor{State: 0}
 }

@@ -14,8 +14,8 @@ import (
 //
 // A (from, to) pair may be capped (scenario: DB-tier pool exhaustion).
 // Capped pairs stop opening connections at the cap; further acquires
-// queue FIFO behind releases and may time out. Uncapped pairs keep the
-// original synchronous fast path, so configurations without caps behave
+// queue FIFO behind releases. Uncapped pairs keep the original
+// synchronous fast path, so configurations without caps behave
 // bit-identically to the historical pool.
 type connPool struct {
 	engine *simnet.Engine
@@ -23,37 +23,27 @@ type connPool struct {
 	free    map[[2]string][]int64
 	opened  map[[2]string]int
 	caps    map[[2]string]int
-	waiters map[[2]string][]*connWaiter
-	timeout simnet.Duration
+	waiters map[[2]string][]func(conn int64)
 	next    int64
 
 	// Wait-window accounting per destination host, used for ground truth:
 	// a window opens when the first waiter queues for a destination and
-	// closes when the last waiter is served or times out.
+	// closes when the last waiter is served.
 	waiting     map[string]int
 	waitOpen    map[string]simnet.Time
 	waitWindows map[string][]TruthWindow
-	timeouts    map[string]int64
 }
 
-// connWaiter is one queued acquire on a capped pair.
-type connWaiter struct {
-	cb   func(conn int64, ok bool)
-	done bool // served or timed out
-}
-
-func newConnPool(engine *simnet.Engine, timeout simnet.Duration) *connPool {
+func newConnPool(engine *simnet.Engine) *connPool {
 	return &connPool{
 		engine:      engine,
 		free:        make(map[[2]string][]int64),
 		opened:      make(map[[2]string]int),
 		caps:        make(map[[2]string]int),
-		waiters:     make(map[[2]string][]*connWaiter),
-		timeout:     timeout,
+		waiters:     make(map[[2]string][]func(conn int64)),
 		waiting:     make(map[string]int),
 		waitOpen:    make(map[string]simnet.Time),
 		waitWindows: make(map[string][]TruthWindow),
-		timeouts:    make(map[string]int64),
 	}
 }
 
@@ -63,59 +53,39 @@ func (p *connPool) setCap(from, to string, cap int) {
 }
 
 // acquire requests a connection for the (from, to) pair. The callback
-// receives (conn, true) when a connection is available — synchronously
-// for uncapped pairs or capped pairs below their bound — or (0, false)
-// if the acquire waited longer than the pool timeout.
-func (p *connPool) acquire(from, to string, cb func(conn int64, ok bool)) {
+// receives the connection when one is available — synchronously for
+// uncapped pairs or capped pairs below their bound, otherwise at the
+// release that frees one.
+func (p *connPool) acquire(from, to string, cb func(conn int64)) {
 	key := [2]string{from, to}
 	if q := p.free[key]; len(q) > 0 {
 		conn := q[len(q)-1]
 		p.free[key] = q[:len(q)-1]
-		cb(conn, true)
+		cb(conn)
 		return
 	}
 	cap := p.caps[key]
 	if cap <= 0 || p.opened[key] < cap {
 		p.opened[key]++
 		p.next++
-		cb(p.next, true)
+		cb(p.next)
 		return
 	}
 	// Pool exhausted: queue behind the next release.
-	w := &connWaiter{cb: cb}
-	p.waiters[key] = append(p.waiters[key], w)
+	p.waiters[key] = append(p.waiters[key], cb)
 	p.waitArrived(to)
-	if p.timeout > 0 {
-		p.engine.Schedule(p.timeout, func() {
-			if w.done {
-				return
-			}
-			w.done = true
-			p.timeouts[to]++
-			p.waitLeft(to)
-			w.cb(0, false)
-		})
-	}
 }
 
 // release returns a connection to its pool, handing it straight to the
 // longest-waiting queued acquire if one exists.
 func (p *connPool) release(from, to string, conn int64) {
 	key := [2]string{from, to}
-	q := p.waiters[key]
-	for len(q) > 0 {
-		w := q[0]
-		q = q[1:]
-		if w.done {
-			continue // timed out while queued
-		}
-		p.waiters[key] = q
-		w.done = true
+	if q := p.waiters[key]; len(q) > 0 {
+		p.waiters[key] = q[1:]
 		p.waitLeft(to)
-		w.cb(conn, true)
+		q[0](conn)
 		return
 	}
-	p.waiters[key] = q
 	p.free[key] = append(p.free[key], conn)
 }
 
@@ -148,6 +118,3 @@ func (p *connPool) waitWindowsFor(to string, now simnet.Time) []TruthWindow {
 	// arrival; merge sub-second gaps and drop blips.
 	return coalesceWindows(ws, simnet.Second, 100*simnet.Millisecond)
 }
-
-// timeoutsFor returns how many acquires for the destination timed out.
-func (p *connPool) timeoutsFor(to string) int64 { return p.timeouts[to] }

@@ -60,10 +60,8 @@ func (l *serialLock) run(r lockReq) {
 // and refills one entry, so the whole miss storm lands on the DB tier
 // until the cache warms back up.
 type queryCache struct {
-	rng     *simnet.RNG
-	hitRate float64 // warm hit probability
-	entries int     // entries needed for a warm cache
-	filled  int
+	rng    *simnet.RNG
+	filled int
 
 	// Stampede accounting for ground truth.
 	stormStart  simnet.Time
@@ -71,19 +69,19 @@ type queryCache struct {
 	stormWindow []TruthWindow
 }
 
-func newQueryCache(rng *simnet.RNG, hitRate float64, entries int) *queryCache {
-	return &queryCache{rng: rng, hitRate: hitRate, entries: entries, filled: entries}
+func newQueryCache(rng *simnet.RNG) *queryCache {
+	return &queryCache{rng: rng, filled: cacheEntries}
 }
 
 // lookup reports whether a query hits the cache, refilling one entry on
 // a miss. The warm-hit threshold at which a storm window closes is 90%
-// of the configured hit rate.
+// of the warm hit rate.
 func (c *queryCache) lookup(now simnet.Time) bool {
-	h := c.hitRate * float64(c.filled) / float64(c.entries)
+	h := cacheHitRate * float64(c.filled) / cacheEntries
 	hit := c.rng.Float64() < h
-	if !hit && c.filled < c.entries {
+	if !hit && c.filled < cacheEntries {
 		c.filled++
-		if c.inStorm && float64(c.filled) >= 0.9*float64(c.entries) {
+		if c.inStorm && float64(c.filled) >= 0.9*cacheEntries {
 			c.inStorm = false
 			c.stormWindow = append(c.stormWindow, TruthWindow{Start: c.stormStart, End: now})
 		}

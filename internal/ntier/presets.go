@@ -114,7 +114,7 @@ var scenarioPresets = map[string]scenarioPreset{
 				Duration:  duration,
 				Ramp:      ramp,
 				Seed:      seed,
-				Autoscale: &AutoscaleConfig{},
+				Autoscale: true,
 			}
 		},
 	},

@@ -66,12 +66,12 @@ func Build(cfg Config) (*System, error) {
 		engine:    engine,
 		collector: collector,
 		rngNoise:  root.Split("noise"),
-		conns:     newConnPool(engine, cfg.ConnAcquireTimeout),
+		conns:     newConnPool(engine),
 	}
 
 	mkProc := func(gov cpu.Governor, period simnet.Duration) (*cpu.Processor, error) {
 		return cpu.NewProcessor(engine, cpu.Config{
-			Cores:         cfg.CoresPerVM,
+			Cores:         coresPerVM,
 			Governor:      gov,
 			ControlPeriod: period,
 			InitialState:  len(cpu.TableII()) - 1, // power-saving start
@@ -88,7 +88,6 @@ func Build(cfg Config) (*System, error) {
 			Name:          tierName("apache", i, cfg.Topology.Web),
 			Threads:       cfg.WebThreads,
 			AcceptBacklog: cfg.WebAcceptBacklog,
-			RetransDelay:  cfg.RetransDelay,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("ntier: web server: %w", err)
@@ -100,7 +99,7 @@ func Build(cfg Config) (*System, error) {
 	// An autoscale scenario builds one spare that joins the rotation
 	// mid-run.
 	appCount := cfg.Topology.App
-	if cfg.Autoscale != nil {
+	if cfg.Autoscale {
 		appCount++
 	}
 	for i := 0; i < appCount; i++ {
@@ -121,7 +120,7 @@ func Build(cfg Config) (*System, error) {
 		}
 		srv, err := server.New(engine, proc, heap, collector, server.Config{
 			Name:    tierName("tomcat", i, appCount),
-			Threads: cfg.AppThreads,
+			Threads: appThreads,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("ntier: app server: %w", err)
@@ -129,8 +128,8 @@ func Build(cfg Config) (*System, error) {
 		s.app = append(s.app, srv)
 	}
 	s.appActive = cfg.Topology.App
-	if cfg.Autoscale != nil {
-		engine.At(cfg.Autoscale.At, func() { s.appActive = appCount })
+	if cfg.Autoscale {
+		engine.At(cfg.spareWarmup().Start, func() { s.appActive = appCount })
 	}
 
 	// Cluster middleware (C-JDBC).
@@ -141,7 +140,7 @@ func Build(cfg Config) (*System, error) {
 		}
 		srv, err := server.New(engine, proc, nil, collector, server.Config{
 			Name:    tierName("cjdbc", i, cfg.Topology.Cluster),
-			Threads: cfg.ClusterThreads,
+			Threads: clusterThreads,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("ntier: cluster server: %w", err)
@@ -158,7 +157,7 @@ func Build(cfg Config) (*System, error) {
 		proc.Start()
 		srv, err := server.New(engine, proc, nil, collector, server.Config{
 			Name:    tierName("mysql", i, cfg.Topology.DB),
-			Threads: cfg.DBThreads,
+			Threads: dbThreads,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("ntier: db server: %w", err)
@@ -176,22 +175,21 @@ func Build(cfg Config) (*System, error) {
 
 	if cfg.Convoy != nil {
 		s.convoy = newSerialLock(engine)
-		spec := *cfg.Convoy
 		var holdStart simnet.Time
 		var janitor func()
 		janitor = func() {
-			s.convoy.with(spec.HoldLen,
+			s.convoy.with(convoyHoldLen,
 				func() { holdStart = engine.Now() },
 				func() {
 					s.convoyWindows = append(s.convoyWindows, TruthWindow{Start: holdStart, End: engine.Now()})
 				})
-			engine.Schedule(spec.Period, janitor)
+			engine.Schedule(convoyPeriod, janitor)
 		}
-		engine.Schedule(spec.Period, janitor)
+		engine.Schedule(convoyPeriod, janitor)
 	}
 
 	if cfg.Stampede != nil {
-		s.cache = newQueryCache(root.Split("cache"), cfg.Stampede.HitRate, cfg.Stampede.Entries)
+		s.cache = newQueryCache(root.Split("cache"))
 		period := cfg.Stampede.Period
 		var invalidate func()
 		invalidate = func() {
@@ -263,7 +261,7 @@ func tierName(base string, idx, count int) string {
 
 // noisy applies lognormal service-time noise to a nominal demand.
 func (s *System) noisy(d simnet.Duration) simnet.Duration {
-	return simnet.Duration(float64(d) * s.rngNoise.LogNormal(s.cfg.NoiseSigma))
+	return simnet.Duration(float64(d) * s.rngNoise.LogNormal(noiseSigma))
 }
 
 // withConvoy prepends the critical-section phase when name is the convoy
@@ -273,7 +271,7 @@ func (s *System) withConvoy(name string, phases []server.Phase) []server.Phase {
 	if s.convoy == nil || name != s.cfg.Convoy.Target {
 		return phases
 	}
-	hold := s.noisy(s.cfg.Convoy.CritWork)
+	hold := s.noisy(convoyCritWork)
 	lock := server.Downstream{Do: func(done func()) {
 		s.convoy.with(hold, nil, done)
 	}}
@@ -283,30 +281,26 @@ func (s *System) withConvoy(name string, phases []server.Phase) []server.Phase {
 // slowdown returns the autoscale warm-up service-time multiplier for an
 // app server (1 for everything except the spare during its warm-up).
 func (s *System) slowdown(appIdx int) float64 {
-	a := s.cfg.Autoscale
-	if a == nil || appIdx != len(s.app)-1 {
+	if !s.cfg.Autoscale || appIdx != len(s.app)-1 {
 		return 1
 	}
+	w := s.cfg.spareWarmup()
 	now := s.engine.Now()
-	if now >= a.At+a.Warmup {
+	if now >= w.End {
 		return 1
 	}
-	progress := float64(now-a.At) / float64(a.Warmup)
+	progress := float64(now-w.Start) / float64(w.End-w.Start)
 	if progress < 0 {
 		progress = 0
 	}
-	return a.SlowFactor - (a.SlowFactor-1)*progress
+	return spareSlowFactor - (spareSlowFactor-1)*progress
 }
 
 // submit dispatches one client transaction into the web tier.
 func (s *System) submit(ix *workload.Interaction, txn int64, done func()) {
 	web := s.web[s.rrWeb%len(s.web)]
 	s.rrWeb++
-	s.conns.acquire("client", web.Name(), func(conn int64, ok bool) {
-		if !ok {
-			done()
-			return
-		}
+	s.conns.acquire("client", web.Name(), func(conn int64) {
 		hop := s.collector.NextHopID()
 		webWork := s.noisy(ix.WebWork)
 		req := &server.Request{
@@ -344,11 +338,7 @@ func (s *System) callApp(ix *workload.Interaction, txn, parentHop int64, from st
 	appIdx := s.rrApp % s.appActive
 	app := s.app[appIdx]
 	s.rrApp++
-	s.conns.acquire(from, app.Name(), func(conn int64, ok bool) {
-		if !ok {
-			done()
-			return
-		}
+	s.conns.acquire(from, app.Name(), func(conn int64) {
 		hop := s.collector.NextHopID()
 		// A warming autoscale spare serves every app-side phase slower.
 		slow := s.slowdown(appIdx)
@@ -363,7 +353,7 @@ func (s *System) callApp(ix *workload.Interaction, txn, parentHop int64, from st
 			if s.cache != nil && s.cache.lookup(s.engine.Now()) {
 				// Cache hit: the result is served from the app tier; no
 				// downstream call.
-				phases = append(phases, server.Compute{Work: appWork(s.cfg.Stampede.HitWork)})
+				phases = append(phases, server.Compute{Work: appWork(cacheHitWork)})
 				continue
 			}
 			phases = append(phases, server.Downstream{Do: func(qDone func()) {
@@ -399,11 +389,7 @@ func (s *System) callApp(ix *workload.Interaction, txn, parentHop int64, from st
 func (s *System) callCluster(ix *workload.Interaction, q workload.Query, txn, parentHop int64, from string, done func()) {
 	cl := s.cluster[s.rrCl%len(s.cluster)]
 	s.rrCl++
-	s.conns.acquire(from, cl.Name(), func(conn int64, ok bool) {
-		if !ok {
-			done()
-			return
-		}
+	s.conns.acquire(from, cl.Name(), func(conn int64) {
 		hop := s.collector.NextHopID()
 		clWork := s.noisy(ix.ClusterPerQueryWork)
 		req := &server.Request{
@@ -440,13 +426,8 @@ func (s *System) callDB(q workload.Query, txn, parentHop int64, from string, don
 	s.rrDB++
 	// On a capped pool this acquire may park the calling thread (it stays
 	// inside the cluster tier's Downstream phase) until a connection
-	// frees, or fail after the pool timeout, in which case the query is
-	// abandoned and the page continues.
-	s.conns.acquire(from, db.Name(), func(conn int64, ok bool) {
-		if !ok {
-			done()
-			return
-		}
+	// frees.
+	s.conns.acquire(from, db.Name(), func(conn int64) {
 		hop := s.collector.NextHopID()
 		phases := []server.Phase{
 			server.Compute{Work: s.noisy(q.Work)},
@@ -478,12 +459,6 @@ func (s *System) callDB(q workload.Query, txn, parentHop int64, from string, don
 
 // Engine returns the simulation engine.
 func (s *System) Engine() *simnet.Engine { return s.engine }
-
-// Collector returns the wire-trace collector.
-func (s *System) Collector() *trace.Collector { return s.collector }
-
-// Generator returns the workload generator.
-func (s *System) Generator() *workload.Generator { return s.gen }
 
 // Config returns the effective (defaulted) configuration.
 func (s *System) Config() Config { return s.cfg }
@@ -548,10 +523,6 @@ type Result struct {
 	// configured bottleneck mechanism, windows clipped to the measured
 	// window. Empty when no scenario mechanism is configured.
 	GroundTruth []GroundTruth
-	// PoolTimeouts counts connection acquires abandoned at the pool
-	// timeout, per destination server (only populated with a capped
-	// pool and ConnAcquireTimeout set).
-	PoolTimeouts map[string]int64
 }
 
 // Run drives the system for ramp + duration and harvests results.
@@ -590,15 +561,6 @@ func (s *System) Run() (*Result, error) {
 		Messages:    msgs,
 		Utilization: util,
 		GroundTruth: s.groundTruth(),
-		PoolTimeouts: func() map[string]int64 {
-			out := make(map[string]int64)
-			for _, db := range s.db {
-				if n := s.conns.timeoutsFor(db.Name()); n > 0 {
-					out[db.Name()] = n
-				}
-			}
-			return out
-		}(),
 	}, nil
 }
 
@@ -674,12 +636,12 @@ func (s *System) groundTruth() []GroundTruth {
 			Windows: clipWindows(ws, start, end),
 		})
 	}
-	if a := s.cfg.Autoscale; a != nil {
+	if s.cfg.Autoscale {
 		spare := s.app[len(s.app)-1]
 		out = append(out, GroundTruth{
 			Cause:   CauseSlowStart,
 			Servers: []string{spare.Name()},
-			Windows: clipWindows([]TruthWindow{{Start: a.At, End: a.At + a.Warmup}}, start, end),
+			Windows: clipWindows([]TruthWindow{s.cfg.spareWarmup()}, start, end),
 		})
 	}
 	return out

@@ -28,9 +28,6 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(Config{Users: 10, Topology: Topology{Web: 1}}); err == nil {
 		t.Error("want error for partial topology")
 	}
-	if _, err := Build(Config{Users: 10, NoiseSigma: -1}); err == nil {
-		t.Error("want error for negative noise")
-	}
 }
 
 func TestTopologyString(t *testing.T) {

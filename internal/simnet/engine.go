@@ -2,13 +2,8 @@ package simnet
 
 import (
 	"container/heap"
-	"errors"
 	"fmt"
 )
-
-// ErrHalted is returned by Run when the engine was stopped explicitly via
-// Halt before the run horizon was reached.
-var ErrHalted = errors.New("simnet: engine halted")
 
 // event is a scheduled callback. Events with equal timestamps fire in
 // scheduling order (seq) so that runs are bit-for-bit reproducible.
@@ -74,9 +69,7 @@ type Engine struct {
 	now     Time
 	seq     uint64
 	events  eventHeap
-	halted  bool
 	running bool
-	fired   uint64
 }
 
 // NewEngine returns an engine with the clock at time zero.
@@ -92,11 +85,6 @@ func (e *Engine) Now() Time {
 // Pending returns the number of scheduled, not-yet-fired events.
 func (e *Engine) Pending() int {
 	return len(e.events)
-}
-
-// Fired returns the total number of events executed so far.
-func (e *Engine) Fired() uint64 {
-	return e.fired
 }
 
 // Schedule runs fn after delay. A negative delay is treated as zero (the
@@ -146,7 +134,6 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	e.now = ev.at
-	e.fired++
 	fn := ev.fn
 	ev.fn = nil
 	if fn != nil {
@@ -157,24 +144,20 @@ func (e *Engine) Step() bool {
 
 // Run executes events until the clock would pass horizon, then sets the
 // clock to exactly horizon and returns. Events scheduled at the horizon
-// itself still fire. Run returns ErrHalted if Halt was called during the
-// run, and an error if called re-entrantly from within an event.
+// itself still fire. Run returns an error if called re-entrantly from
+// within an event.
 func (e *Engine) Run(horizon Time) error {
 	if e.running {
 		return fmt.Errorf("simnet: re-entrant Run at %v", e.now)
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	e.halted = false
-	for len(e.events) > 0 && !e.halted {
+	for len(e.events) > 0 {
 		next := e.events[0]
 		if next.at > horizon {
 			break
 		}
 		e.Step()
-	}
-	if e.halted {
-		return ErrHalted
 	}
 	if e.now < horizon {
 		e.now = horizon
@@ -182,24 +165,15 @@ func (e *Engine) Run(horizon Time) error {
 	return nil
 }
 
-// RunAll executes events until none remain or Halt is called.
+// RunAll executes events until none remain.
 func (e *Engine) RunAll() error {
 	if e.running {
 		return fmt.Errorf("simnet: re-entrant RunAll at %v", e.now)
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	e.halted = false
-	for len(e.events) > 0 && !e.halted {
+	for len(e.events) > 0 {
 		e.Step()
 	}
-	if e.halted {
-		return ErrHalted
-	}
 	return nil
-}
-
-// Halt stops the current Run or RunAll after the in-flight event returns.
-func (e *Engine) Halt() {
-	e.halted = true
 }

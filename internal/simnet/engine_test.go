@@ -191,26 +191,6 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 	}
 }
 
-func TestHalt(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.Schedule(Duration(i)*Millisecond, func() {
-			count++
-			if count == 3 {
-				e.Halt()
-			}
-		})
-	}
-	err := e.Run(Second)
-	if err != ErrHalted {
-		t.Fatalf("Run error = %v, want ErrHalted", err)
-	}
-	if count != 3 {
-		t.Errorf("fired %d events before halt, want 3", count)
-	}
-}
-
 func TestRunAll(t *testing.T) {
 	e := NewEngine()
 	count := 0
@@ -244,19 +224,6 @@ func TestReentrantRunRejected(t *testing.T) {
 	}
 	if inner == nil {
 		t.Error("re-entrant Run did not return an error")
-	}
-}
-
-func TestFiredCounter(t *testing.T) {
-	e := NewEngine()
-	for i := 0; i < 7; i++ {
-		e.Schedule(Duration(i)*Millisecond, func() {})
-	}
-	if err := e.Run(Second); err != nil {
-		t.Fatal(err)
-	}
-	if e.Fired() != 7 {
-		t.Errorf("Fired() = %d, want 7", e.Fired())
 	}
 }
 

@@ -63,12 +63,6 @@ func (g *RNG) LogNormal(sigma float64) float64 {
 	return math.Exp(g.r.NormFloat64() * sigma)
 }
 
-// Norm returns a normally distributed value with the given mean and
-// standard deviation.
-func (g *RNG) Norm(mean, sd float64) float64 {
-	return mean + g.r.NormFloat64()*sd
-}
-
 // Pick returns an index in [0,len(weights)) with probability proportional
 // to weights[i]. Zero or negative total weight returns 0.
 func (g *RNG) Pick(weights []float64) int {
@@ -92,10 +86,4 @@ func (g *RNG) Pick(weights []float64) int {
 		}
 	}
 	return len(weights) - 1
-}
-
-// Shuffle permutes the integers [0,n) and returns them.
-func (g *RNG) Shuffle(n int) []int {
-	p := g.r.Perm(n)
-	return p
 }

@@ -158,40 +158,6 @@ func TestPickProperty(t *testing.T) {
 	}
 }
 
-func TestNorm(t *testing.T) {
-	g := NewRNG(13)
-	const n = 100000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		v := g.Norm(5, 2)
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	sd := math.Sqrt(sumSq/n - mean*mean)
-	if math.Abs(mean-5) > 0.05 {
-		t.Errorf("Norm mean = %.3f, want ~5", mean)
-	}
-	if math.Abs(sd-2) > 0.05 {
-		t.Errorf("Norm sd = %.3f, want ~2", sd)
-	}
-}
-
-func TestShuffleIsPermutation(t *testing.T) {
-	g := NewRNG(17)
-	p := g.Shuffle(10)
-	seen := make(map[int]bool)
-	for _, v := range p {
-		if v < 0 || v >= 10 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-	if len(seen) != 10 {
-		t.Fatalf("not a permutation: %v", p)
-	}
-}
-
 func TestIntn(t *testing.T) {
 	g := NewRNG(19)
 	for i := 0; i < 1000; i++ {

@@ -326,7 +326,6 @@ type shard struct {
 	// retention by the memory cap — unrecoverable if a rebuild happens
 	// before the next checkpoint.
 	lastCkpt     map[string][]byte
-	ckptMark     simnet.Time
 	retained     []retainedBatch
 	retainedRecs int
 	gapRecs      int64
@@ -522,7 +521,6 @@ func (r *Runtime) restore(st *checkpointState) []string {
 	for _, s := range r.shards {
 		sort.Strings(s.names)
 		s.mark = st.Mark
-		s.ckptMark = st.Mark
 		s.acked = st.Epoch
 		var re int64
 		for _, o := range s.servers {

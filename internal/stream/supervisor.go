@@ -211,7 +211,6 @@ func (r *Runtime) handleCkpt(s *shard, reply chan<- shardCkptReply) {
 		blobs[name] = b
 	}
 	s.lastCkpt = blobs
-	s.ckptMark = s.mark
 	for _, rb := range s.retained {
 		putBatch(rb.recs)
 	}

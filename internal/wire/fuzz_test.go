@@ -44,6 +44,50 @@ func TestForgedBatchCountAllocation(t *testing.T) {
 	}
 }
 
+// truncatedBatchFrame is a full-size Batch frame whose count fits the
+// one-visit-per-minVisitBytes bound but whose body holds one minimal
+// visit followed by unterminated varints, so decoding fails on the
+// second visit.
+func truncatedBatchFrame() []byte {
+	const count = (MaxFrameSize - 5) / minVisitBytes // type, seq, 3-byte count
+	body := []byte{TypeBatch}
+	body = binary.AppendUvarint(body, 1) // seq
+	body = binary.AppendUvarint(body, count)
+	body = append(body, make([]byte, minVisitBytes)...)
+	return frameOf(append(body, bytes.Repeat([]byte{0x80}, MaxFrameSize-len(body))...))
+}
+
+// A count the payload could hold does not buy its full preallocation
+// either: a batch that fails on its second visit costs about its frame
+// buffer through Read, and less than that through DecodeVisits (the
+// write-ahead log's replay path).
+func TestTruncatedBatchAllocation(t *testing.T) {
+	frame := truncatedBatchFrame()
+	allocs := func(decode func() error) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatal("truncated batch decoded cleanly")
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	if got := allocs(func() error {
+		_, err := NewReader(bytes.NewReader(frame)).Read()
+		return err
+	}); got > 2<<20 {
+		t.Errorf("Read allocated %d bytes for a %d-byte frame", got, len(frame))
+	}
+	body := frame[4+2 : len(frame)-4] // past length, type and seq; before the CRC
+	if got := allocs(func() error {
+		_, err := DecodeVisits(body)
+		return err
+	}); got > 1<<20 {
+		t.Errorf("DecodeVisits allocated %d bytes for a %d-byte body", got, len(body))
+	}
+}
+
 // writeAny frames f with the writer for its type.
 func writeAny(w *Writer, f Frame) error {
 	switch f.Type {
@@ -121,6 +165,7 @@ func FuzzWireRead(f *testing.F) {
 		frameOf([]byte{TypeHello, 1, 0x09, 'o', 'l', 'd'}),
 		frameOf(append(forgedCount, make([]byte, 9)...)),
 		forgedBatchFrame(),
+		truncatedBatchFrame(),
 	} {
 		f.Add(seed, false)
 		f.Add(seed, true)

@@ -287,9 +287,16 @@ func (r *payloadReader) visit() trace.Visit {
 // empty length-prefixed strings and five one-byte varints.
 const minVisitBytes = 7
 
+// maxVisitPrealloc caps the capacity a batch body reserves up front,
+// above the agent's default batch of 512; a larger honest batch grows by
+// append as its visits decode.
+const maxVisitPrealloc = 1024
+
 // visits reads a count-prefixed batch body. A count the rest of the
 // payload cannot hold at minVisitBytes a visit is a forged header, not a
-// big batch, and is rejected before anything is allocated for it.
+// big batch, and is rejected before anything is allocated for it. A count
+// that fits reserves at most maxVisitPrealloc visits, so a body that
+// fails partway costs what it decoded, not what it claimed.
 func (r *payloadReader) visits() []trace.Visit {
 	count := r.uvarint()
 	if r.err != nil {
@@ -299,7 +306,7 @@ func (r *payloadReader) visits() []trace.Visit {
 		r.err = fmt.Errorf("wire: visit count %d overruns payload", count)
 		return nil
 	}
-	vs := make([]trace.Visit, 0, count)
+	vs := make([]trace.Visit, 0, min(count, maxVisitPrealloc))
 	for i := uint64(0); i < count && r.err == nil; i++ {
 		vs = append(vs, r.visit())
 	}

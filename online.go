@@ -50,12 +50,9 @@ type OnlineConfig struct {
 // duration is converted first and validated after: the interval grid and
 // the window's interval count always come from the same interval.
 func (cfg OnlineConfig) coreOptions() (core.OnlineOptions, error) {
-	interval := 50 * simnet.Millisecond
-	if cfg.Interval != 0 {
-		interval = simnet.FromStdDuration(cfg.Interval)
-		if interval <= 0 || simnet.Std(interval) != cfg.Interval {
-			return core.OnlineOptions{}, fmt.Errorf("transientbd: Interval %v must be a positive whole number of microseconds", cfg.Interval)
-		}
+	interval, err := coreInterval(cfg.Interval)
+	if err != nil {
+		return core.OnlineOptions{}, err
 	}
 	window := cfg.Window
 	if window <= 0 {
