@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 
 	"transientbd/internal/simnet"
 )
@@ -171,10 +172,19 @@ func (o *Online) RestoreState(data []byte) error {
 	if st.Closed < 0 || st.Start < 0 {
 		return fmt.Errorf("%w: negative cursor (closed %d, start %v)", ErrStateCorrupt, st.Closed, st.Start)
 	}
+	// A still-filling reservoir has never wrapped, so its cursor is 0; and
+	// a NaN or ±Inf sample is no delay (serviceTable's selection also
+	// requires NaN-free samples).
 	for class, r := range st.Reservoirs {
-		if len(r.Samples) > st.ReservoirCap || r.Next < 0 || (r.Next >= st.ReservoirCap && st.ReservoirCap > 0) {
+		if len(r.Samples) > st.ReservoirCap || r.Next < 0 || (r.Next >= st.ReservoirCap && st.ReservoirCap > 0) ||
+			(len(r.Samples) < st.ReservoirCap && r.Next != 0) {
 			return fmt.Errorf("%w: reservoir %q (%d samples, next %d, cap %d)",
 				ErrStateCorrupt, class, len(r.Samples), r.Next, st.ReservoirCap)
+		}
+		for _, x := range r.Samples {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return fmt.Errorf("%w: reservoir %q holds sample %v", ErrStateCorrupt, class, x)
+			}
 		}
 	}
 

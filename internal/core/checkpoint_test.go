@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -173,11 +174,28 @@ func TestOnlineRestoreRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Decodable states no Online can reach: a sample that is no delay,
+	// and a cursor on a reservoir that has not wrapped yet (300 ops feed
+	// each class well under reservoirSize samples).
+	editSmall := func(edit func(r *reservoirState)) []byte {
+		return editState(t, blob, func(st *onlineState) {
+			r := st.Reservoirs["small"]
+			if len(r.Samples) == 0 || len(r.Samples) >= reservoirSize {
+				t.Fatalf("reservoir \"small\" holds %d samples: want a filling one", len(r.Samples))
+			}
+			edit(&r)
+			st.Reservoirs["small"] = r
+		})
+	}
 	cases := map[string][]byte{
-		"empty":     {},
-		"garbage":   []byte("not a checkpoint at all, sorry"),
-		"truncated": blob[:len(blob)/2],
-		"bad-magic": append([]byte("XXD-ONLINE-STATE\n"), blob[len(onlineStateMagic):]...),
+		"empty":          {},
+		"garbage":        []byte("not a checkpoint at all, sorry"),
+		"truncated":      blob[:len(blob)/2],
+		"bad-magic":      append([]byte("XXD-ONLINE-STATE\n"), blob[len(onlineStateMagic):]...),
+		"nan-sample":     editSmall(func(r *reservoirState) { r.Samples[1] = math.NaN() }),
+		"inf-sample":     editSmall(func(r *reservoirState) { r.Samples[0] = math.Inf(1) }),
+		"neg-inf-sample": editSmall(func(r *reservoirState) { r.Samples[2] = math.Inf(-1) }),
+		"filling-cursor": editSmall(func(r *reservoirState) { r.Next = 1 }),
 	}
 	for name, data := range cases {
 		o, err := NewOnline(0, opts)
@@ -256,25 +274,21 @@ func TestOnlineRestoreRejectsNewerVersion(t *testing.T) {
 	if err := o.RestoreState(blob); err != nil {
 		t.Fatalf("baseline restore: %v", err)
 	}
-	newer := marshalWithVersion(t, src, onlineStateVersion+1)
+	newer := editState(t, blob, func(st *onlineState) { st.Version = onlineStateVersion + 1 })
 	if rerr := o.RestoreState(newer); !errors.Is(rerr, ErrStateVersion) {
 		t.Errorf("RestoreState(newer) = %v, want ErrStateVersion", rerr)
 	}
 }
 
-// marshalWithVersion re-encodes src's state claiming a different codec
-// version, for the version-gate test.
-func marshalWithVersion(t *testing.T, src *Online, version int) []byte {
+// editState decodes a marshaled state, applies edit and re-encodes it,
+// for building payloads that decode but must not restore.
+func editState(t *testing.T, blob []byte, edit func(st *onlineState)) []byte {
 	t.Helper()
-	blob, err := src.MarshalState()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var st onlineState
 	if err := gob.NewDecoder(bytes.NewReader(blob[len(onlineStateMagic):])).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	st.Version = version
+	edit(&st)
 	var buf bytes.Buffer
 	buf.WriteString(onlineStateMagic)
 	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {

@@ -2,9 +2,9 @@ package core
 
 import (
 	"errors"
-	"sort"
 
 	"transientbd/internal/simnet"
+	"transientbd/internal/stats"
 	"transientbd/internal/trace"
 )
 
@@ -43,7 +43,7 @@ type Online struct {
 	// Reused scratch, so the steady-state Observe/Advance path allocates
 	// nothing (the allocation-budget contract in PERFORMANCE.md, pinned
 	// by TestOnlineObserveAllocBudget): pts backs reestimate's point set,
-	// svcSorted backs serviceTable's percentile sort.
+	// svcSorted is the copy serviceTable selects a class's percentile in.
 	ptsScratch []Point
 	svcSorted  []float64
 
@@ -54,7 +54,7 @@ type Online struct {
 
 	// Cached normalization inputs, refreshed every svcRefresh
 	// observations: recomputing the per-class percentile table on every
-	// completion would re-sort all reservoirs per record.
+	// completion would re-select every reservoir's percentile per record.
 	cachedSvc  ServiceTimes
 	cachedUnit simnet.Duration
 	sinceSvc   int
@@ -246,18 +246,9 @@ func (o *Online) serviceTable() ServiceTimes {
 		if len(r.samples) == 0 {
 			continue
 		}
-		sorted := append(o.svcSorted[:0], r.samples...)
-		o.svcSorted = sorted[:0]
-		sort.Float64s(sorted)
-		idx := int(float64(len(sorted)) * servicePercentile / 100)
-		if idx >= len(sorted) {
-			idx = len(sorted) - 1
-		}
-		est := sorted[idx]
-		if est < 1 {
-			est = 1
-		}
-		svc[class] = simnet.Duration(est)
+		o.svcSorted = append(o.svcSorted[:0], r.samples...)
+		idx := min(int(float64(len(r.samples))*servicePercentile/100), len(r.samples)-1)
+		svc[class] = simnet.Duration(max(stats.Select(o.svcSorted, idx), 1))
 	}
 	return svc
 }

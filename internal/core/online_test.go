@@ -1,7 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"maps"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -381,5 +385,57 @@ func TestSnapshotLeavesOnlineUntouched(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("Snapshot every %d observations changed the final snapshot", every)
 		}
+	}
+}
+
+// TestServiceTableMatchesSortedReference pins the refresh: at every
+// service-table refresh, the table (each class's percentile found by
+// selection) must equal a full sort of every reservoir. The feed's 48
+// classes all wrap their reservoirs.
+func TestServiceTableMatchesSortedReference(t *testing.T) {
+	const classes, records = 48, 60_000
+	reference := func(o *Online) ServiceTimes {
+		svc := make(ServiceTimes, len(o.reservoirs))
+		for class, r := range o.reservoirs {
+			sorted := slices.Clone(r.samples)
+			sort.Float64s(sorted)
+			est := sorted[min(int(float64(len(sorted))*servicePercentile/100), len(sorted)-1)]
+			svc[class] = simnet.Duration(max(est, 1))
+		}
+		return svc
+	}
+	rng := rand.New(rand.NewSource(11))
+	o := newOnlineForTest(t, OnlineOptions{})
+	refreshes := 0
+	for i := range records {
+		c := rng.Intn(classes)
+		depart := simnet.Time(i) * 100 * simnet.Microsecond
+		resid := simnet.Duration(200*(c%7+1)+10*rng.Intn(40)) * simnet.Microsecond
+		o.Observe(trace.Visit{Server: "s", Class: fmt.Sprintf("c%02d", c), Arrive: depart - resid, Depart: depart})
+		if i%4000 == 0 {
+			o.Advance(depart - simnet.Second)
+		}
+		if o.sinceSvc != 0 {
+			continue
+		}
+		if want := reference(o); !maps.Equal(o.cachedSvc, want) {
+			for class := range want {
+				if o.cachedSvc[class] != want[class] {
+					t.Fatalf("refresh %d (record %d): class %s at %d µs, sorted reference %d µs",
+						refreshes, i, class, int64(o.cachedSvc[class]), int64(want[class]))
+				}
+			}
+			t.Fatalf("refresh %d (record %d): table has %d classes, sorted reference %d", refreshes, i, len(o.cachedSvc), len(want))
+		}
+		refreshes++
+	}
+	wrapped := 0
+	for _, r := range o.reservoirs {
+		if r.next != 0 {
+			wrapped++
+		}
+	}
+	if len(o.reservoirs) != classes || wrapped < classes || refreshes < 50 {
+		t.Fatalf("feed exercises too little: %d classes, %d wrapped reservoirs, %d refreshes", len(o.reservoirs), wrapped, refreshes)
 	}
 }

@@ -10,6 +10,8 @@ package stats
 import (
 	"errors"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -89,57 +91,75 @@ func MinMax(xs []float64) (minVal, maxVal float64, err error) {
 }
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
-// interpolation between closest ranks. xs does not need to be sorted.
+// interpolation between closest ranks. xs does not need to be sorted and
+// is not modified. The lower rank is found by Select on a copy and the
+// upper one as the minimum of what Select leaves above it; NaNs rank
+// first, as sort.Float64s orders them.
 func Percentile(xs []float64, p float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty
 	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p), nil
-}
-
-// Percentiles returns multiple percentiles in one sorting pass.
-func Percentiles(xs []float64, ps []float64) ([]float64, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmpty
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		if p < 0 {
-			p = 0
+	p = min(max(p, 0), 100)
+	buf := make([]float64, len(xs))
+	nan := 0
+	for i, x := range xs {
+		buf[i] = x
+		if math.IsNaN(x) {
+			buf[i], buf[nan] = buf[nan], x
+			nan++
 		}
-		if p > 100 {
-			p = 100
-		}
-		out[i] = percentileSorted(sorted, p)
 	}
-	return out, nil
-}
-
-func percentileSorted(sorted []float64, p float64) float64 {
-	n := len(sorted)
-	if n == 1 {
-		return sorted[0]
-	}
-	rank := p / 100 * float64(n-1)
+	rank := p / 100 * float64(len(buf)-1)
 	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
+	if lo < nan {
+		return math.NaN(), nil
 	}
+	v := Select(buf[nan:], lo-nan)
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	if frac == 0 {
+		return v, nil
+	}
+	hi := slices.Min(buf[lo+1:])
+	return v*(1-frac) + hi*frac, nil
+}
+
+// Select reorders xs so that xs[k] holds the value sort.Float64s would
+// put there, with nothing greater before it and nothing smaller after it,
+// and returns that value. It is Hoare's FIND with the current xs[k] as
+// the pivot, falling back to a sort of the remaining range if pivots keep
+// missing: expected O(len(xs)), O(len(xs)·log len(xs)) at worst. xs must
+// hold no NaN; 0 ≤ k < len(xs).
+func Select(xs []float64, k int) float64 {
+	lo, hi := 0, len(xs)-1
+	for budget := 2 * bits.Len(uint(len(xs))); lo < hi; budget-- {
+		if budget == 0 {
+			sort.Float64s(xs[lo : hi+1])
+			break
+		}
+		pivot := xs[k]
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < pivot {
+				i++
+			}
+			for pivot < xs[j] {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// Now xs[lo:i] ≤ pivot ≤ xs[j+1:hi+1], and j < i.
+		if j < k {
+			lo = i
+		}
+		if k < i {
+			hi = j
+		}
+	}
+	return xs[k]
 }
 
 // Median returns the 50th percentile of xs.

@@ -2,6 +2,9 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -107,23 +110,6 @@ func TestPercentileClamping(t *testing.T) {
 	}
 }
 
-func TestPercentiles(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	got, err := Percentiles(xs, []float64{0, 50, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 2.5, 4}
-	for i := range want {
-		if !almostEqual(got[i], want[i], 1e-9) {
-			t.Errorf("Percentiles[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if _, err := Percentiles(nil, []float64{50}); err != ErrEmpty {
-		t.Error("want ErrEmpty")
-	}
-}
-
 func TestPercentileDoesNotMutateInput(t *testing.T) {
 	xs := []float64{3, 1, 2}
 	if _, err := Percentile(xs, 50); err != nil {
@@ -131,6 +117,69 @@ func TestPercentileDoesNotMutateInput(t *testing.T) {
 	}
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Errorf("Percentile mutated input: %v", xs)
+	}
+}
+
+// TestSelectMatchesSort is Select's property test against sort.Float64s:
+// random lengths 1–600, samples from small integer ranges so duplicates
+// are heavy, a sprinkling of ±Inf, inputs also pre-sorted either way, and
+// every k. Percentile over the same samples, with NaNs added in some
+// trials, must equal the sort-and-interpolate definition bit for bit.
+func TestSelectMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(600)
+		span := 1 + rng.Intn(1<<rng.Intn(12))
+		xs := make([]float64, n)
+		for i := range xs {
+			switch rng.Intn(40) {
+			case 0:
+				xs[i] = math.Inf(1)
+			case 1:
+				xs[i] = math.Inf(-1)
+			default:
+				xs[i] = float64(rng.Intn(span))
+			}
+		}
+		switch trial % 3 {
+		case 1:
+			sort.Float64s(xs)
+		case 2:
+			sort.Sort(sort.Reverse(sort.Float64Slice(xs)))
+		}
+		sorted := slices.Clone(xs)
+		sort.Float64s(sorted)
+		for k := range xs {
+			buf := slices.Clone(xs)
+			if got := Select(buf, k); got != sorted[k] {
+				t.Fatalf("trial %d: Select(n=%d, k=%d) = %v, want %v", trial, n, k, got, sorted[k])
+			}
+			for i, x := range buf {
+				if (i < k && x > sorted[k]) || (i > k && x < sorted[k]) {
+					t.Fatalf("trial %d: Select(n=%d, k=%d) left %v at %d", trial, n, k, x, i)
+				}
+			}
+		}
+
+		if trial%4 == 0 {
+			for i := rng.Intn(3); i > 0; i-- {
+				xs[rng.Intn(n)] = math.NaN()
+			}
+			sorted = slices.Clone(xs)
+			sort.Float64s(sorted)
+		}
+		for _, p := range []float64{0, 10, 50, 95, 100, 100 * rng.Float64()} {
+			rank := p / 100 * float64(n-1)
+			lo, hi := int(math.Floor(rank)), int(math.Ceil(rank))
+			want := sorted[lo]
+			if lo != hi {
+				want = sorted[lo]*(1-(rank-float64(lo))) + sorted[hi]*(rank-float64(lo))
+			}
+			got, err := Percentile(xs, p)
+			if err != nil || math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("trial %d: Percentile(n=%d, p=%v) = %v, %v; want %v", trial, n, p, got, err, want)
+			}
+		}
 	}
 }
 
