@@ -216,7 +216,10 @@ func Analyze(records []Record, cfg Config) (*Report, error) {
 	}
 
 	sys, err := core.AnalyzeSystemGrouped(perServer, cfg.window(maxDepart), opts)
-	if sys != nil && !cfg.Lenient && len(sys.Skipped) > 0 {
+	if sys == nil {
+		return nil, fmt.Errorf("transientbd: %w", err)
+	}
+	if !cfg.Lenient && len(sys.Skipped) > 0 {
 		first := sys.Skipped[0]
 		return nil, fmt.Errorf("transientbd: analyze %q: %w", first.Server, first.Err)
 	}

@@ -76,6 +76,16 @@ func TestAnalyzeValidation(t *testing.T) {
 	if _, err := Analyze(rev, Config{}); err == nil {
 		t.Error("want error for reversed timestamps")
 	}
+	// A far-future departure stretches the default window past the
+	// interval ceiling: an error naming the count, not an allocation of
+	// 1.44 TB.
+	far := []Record{{Server: "s", Arrive: 0, Depart: time.Second}, {Server: "s", Arrive: time.Second, Depart: 9e15 * time.Microsecond}}
+	if _, err := Analyze(far, Config{}); err == nil || !strings.Contains(err.Error(), "180000000001 intervals exceeds the limit") {
+		t.Errorf("Analyze with a far-future record: err = %v, want the interval limit", err)
+	}
+	if _, err := Classes(far, "s", Config{}); err == nil || !strings.Contains(err.Error(), "180000000001 intervals exceeds the limit") {
+		t.Errorf("Classes with a far-future record: err = %v, want the interval limit", err)
+	}
 }
 
 // TestAnalyzeRejectsUnrepresentableInterval: the trace clock ticks in

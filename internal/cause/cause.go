@@ -118,9 +118,6 @@ type Options struct {
 	// during which that one callee is congested too. Names absent from
 	// the input explain nothing.
 	Downstream map[string][]string
-	// MinCongestedFraction is the congestion floor below which a server
-	// gets no verdict at all. Defaults to 0.02.
-	MinCongestedFraction float64
 }
 
 // Verdict is one ranked root-cause claim.
@@ -138,16 +135,15 @@ type Verdict struct {
 	Evidence []string
 }
 
-// minIntervals is the least series length worth fingerprinting.
-const minIntervals = 8
+const (
+	minIntervals         = 8    // the least series length worth fingerprinting
+	minCongestedFraction = 0.02 // the congested fraction below which a server gets no verdict
+)
 
 // Attribute fingerprints every congested server and returns verdicts
 // ranked most-likely-root-cause first. It is a pure function of its
 // inputs: same series (modulo a uniform time shift) → same verdicts.
 func Attribute(servers []Series, opts Options) []Verdict {
-	if opts.MinCongestedFraction <= 0 {
-		opts.MinCongestedFraction = 0.02
-	}
 	ordered := make([]Series, len(servers))
 	copy(ordered, servers)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Server < ordered[j].Server })
@@ -165,7 +161,7 @@ func Attribute(servers []Series, opts Options) []Verdict {
 	for i := range ordered {
 		s := &ordered[i]
 		f := &fs[i]
-		if f.n < minIntervals || f.cf < opts.MinCongestedFraction {
+		if f.n < minIntervals || f.cf < minCongestedFraction {
 			continue
 		}
 		x := crossFeatures(i, ordered, fs)

@@ -73,9 +73,9 @@ func (d *detectFlags) streamConfig() (stream.Config, error) {
 	if err != nil {
 		return stream.Config{}, err
 	}
-	window := simnet.FromStdDuration(d.window)
-	if window < 20*iv {
-		return stream.Config{}, fmt.Errorf("tbdetect: -window %v must cover at least 20 intervals of -interval %v", d.window, d.interval)
+	n := simnet.FromStdDuration(d.window) / iv
+	if err := core.CheckIntervals(int64(n), core.MinWindowIntervals); err != nil {
+		return stream.Config{}, fmt.Errorf("tbdetect: -window %v at -interval %v: %w", d.window, d.interval, err)
 	}
 	shards := d.shards
 	if shards <= 0 {
@@ -87,7 +87,7 @@ func (d *detectFlags) streamConfig() (stream.Config, error) {
 				Interval:      iv,
 				RawThroughput: d.raw,
 			},
-			WindowIntervals: int(window / iv),
+			WindowIntervals: int(n),
 		},
 		Shards:          shards,
 		FlushLag:        simnet.FromStdDuration(d.flushLag),

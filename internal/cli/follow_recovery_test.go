@@ -53,6 +53,7 @@ func TestFollowFlagValidation(t *testing.T) {
 		{"to-equals-from", []string{"-from", "4s", "-to", "4s"}, "-to 4s is not after -from 4s"},
 		{"negative-from", []string{"-from", "-5s"}, "-from -5s"},
 		{"negative-to", []string{"-to", "-5s"}, "-to -5s"},
+		{"to-above-interval-limit", []string{"-to", "2000000h"}, "-to 2000000h0m0s: core: interval 50ms: window of 144000000000 intervals exceeds the limit"},
 		{"blackbox-without-wire", []string{"-blackbox"}, "-blackbox needs -wire"},
 		{"inflight-without-wire", []string{"-inflight", "5s"}, "-inflight needs -wire -lenient"},
 		{"inflight-without-lenient", []string{"-wire", "-inflight", "5s"}, "-inflight needs -wire -lenient"},
@@ -99,6 +100,7 @@ func TestDetectFlagValues(t *testing.T) {
 		{"fractional-microsecond-interval", []string{"-interval", "1500ns"}, "-interval 1.5µs", true},
 		{"window-below-interval", []string{"-window", "10ms"}, "-window 10ms", false},
 		{"window-below-20-intervals", []string{"-interval", "1s", "-window", "19s"}, "-window 19s", false},
+		{"window-above-interval-limit", []string{"-window", "10000h"}, "-window 10000h0m0s at -interval 50ms: window of 720000000 intervals exceeds the limit", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var out, errOut bytes.Buffer

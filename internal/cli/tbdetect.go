@@ -121,6 +121,11 @@ func TBDetect(args []string, stdout, stderr io.Writer) error {
 	case *to != 0 && w.End <= w.Start:
 		return fmt.Errorf("tbdetect: -to %v is not after -from %v: the window is empty", *to, *from)
 	}
+	if *to != 0 {
+		if err := w.Check(chosen); err != nil {
+			return fmt.Errorf("tbdetect: -to %v: %w", *to, err)
+		}
+	}
 
 	r := io.Reader(os.Stdin)
 	if *in != "-" {

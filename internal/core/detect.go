@@ -149,7 +149,7 @@ func (a *Analysis) Points() []Point {
 // estimated from these visits.
 func AnalyzeServer(serverName string, visits []trace.Visit, w Window, opts Options) (*Analysis, error) {
 	opts.applyDefaults()
-	if err := w.validate(); err != nil {
+	if err := w.Check(opts.Interval); err != nil {
 		return nil, err
 	}
 	if len(visits) == 0 {
@@ -323,10 +323,16 @@ func AnalyzeSystem(visits []trace.Visit, w Window, opts Options) (*SystemAnalysi
 //
 // Servers whose analysis fails are left out and listed in Skipped. When
 // every server fails the error is non-nil and the returned SystemAnalysis
-// carries only Skipped, so the caller can still say why.
+// carries only Skipped, so the caller can still say why. A window of more
+// than MaxIntervals intervals fails before any server is analyzed, with a
+// nil SystemAnalysis; an empty one fails each server.
 func AnalyzeSystemGrouped(perServer map[string][]trace.Visit, w Window, opts Options) (*SystemAnalysis, error) {
 	if len(perServer) == 0 {
 		return nil, ErrNoVisits
+	}
+	opts.applyDefaults()
+	if err := w.Check(opts.Interval); err != nil && w.End > w.Start {
+		return nil, err
 	}
 	names := make([]string, 0, len(perServer))
 	for name := range perServer {

@@ -58,9 +58,6 @@ func ChooseInterval(visits []trace.Visit, w Window, candidates []simnet.Duration
 	if len(visits) == 0 {
 		return 0, nil, ErrNoVisits
 	}
-	if err := w.validate(); err != nil {
-		return 0, nil, err
-	}
 	if len(candidates) == 0 {
 		candidates = DefaultIntervalCandidates()
 	}

@@ -62,9 +62,41 @@ type Window struct {
 // Span returns the window length.
 func (w Window) Span() simnet.Duration { return w.End - w.Start }
 
-func (w Window) validate() error {
-	if w.End <= w.Start {
+const (
+	// MinWindowIntervals is the fewest intervals an online window may
+	// cover: N* needs that many load/throughput points.
+	MinWindowIntervals = 20
+	// MaxIntervals is the most intervals any per-server series is sized
+	// for: ≈58 h at 50 ms, 32 MiB a series. A far-future timestamp or a
+	// huge window is an error, not an allocation that kills the process.
+	MaxIntervals = 1 << 22
+)
+
+// CheckIntervals returns an error unless a window of n intervals holds at
+// least the given number of them and at most MaxIntervals. Online windows
+// need MinWindowIntervals.
+func CheckIntervals(n, least int64) error {
+	switch {
+	case n < least:
+		return fmt.Errorf("window must cover at least %d intervals", least)
+	case n > MaxIntervals:
+		return fmt.Errorf("window of %d intervals exceeds the limit of %d", n, MaxIntervals)
+	}
+	return nil
+}
+
+// Check returns an error unless w is non-empty and the positive interval
+// divides it into at most MaxIntervals intervals, the last one possibly
+// partial. Every batch series is sized after this check.
+func (w Window) Check(interval simnet.Duration) error {
+	switch {
+	case w.End <= w.Start:
 		return fmt.Errorf("core: empty window [%v,%v)", w.Start, w.End)
+	case interval <= 0:
+		return fmt.Errorf("core: interval %v must be positive", interval)
+	}
+	if err := CheckIntervals(int64((w.Span()-1)/interval+1), 1); err != nil {
+		return fmt.Errorf("core: interval %v: %w", simnet.Std(interval), err)
 	}
 	return nil
 }
@@ -80,7 +112,7 @@ func (w Window) validate() error {
 // microsecond counts per interval; TestLoadAccumulatorMatchesStepOracle
 // pins the equivalence across adversarial visit sets).
 func LoadSeries(visits []trace.Visit, w Window, interval simnet.Duration) (*metrics.IntervalSeries, error) {
-	if err := w.validate(); err != nil {
+	if err := w.Check(interval); err != nil {
 		return nil, err
 	}
 	acc, err := metrics.NewLoadAccumulator(w.Start, w.End, interval)

@@ -47,9 +47,6 @@ type NStarOptions struct {
 	// TolFraction is the tolerance as a fraction of the unsaturated slope
 	// δ0 (paper: "e.g., 0.2·δ0"). Default 0.2.
 	TolFraction float64
-	// MinBinSamples merges bins with fewer samples into their successor to
-	// keep bin averages meaningful. Default 2.
-	MinBinSamples int
 }
 
 const (
@@ -61,6 +58,9 @@ const (
 	// slivers — requests resident for a fraction of the interval — whose
 	// throughput/load ratio wildly overstates the true service rate.
 	curveMinLoad = 0.5
+	// minBinSamples merges bins with fewer samples into their successor
+	// to keep bin averages meaningful.
+	minBinSamples = 2
 )
 
 func (o *NStarOptions) applyDefaults() {
@@ -69,9 +69,6 @@ func (o *NStarOptions) applyDefaults() {
 	}
 	if o.TolFraction <= 0 {
 		o.TolFraction = 0.2
-	}
-	if o.MinBinSamples <= 0 {
-		o.MinBinSamples = 2
 	}
 }
 
@@ -105,7 +102,7 @@ var ErrNoPoints = errors.New("core: no load/throughput points")
 // falls below tol = TolFraction·δ0, at which point N* = ld_{n0}.
 func EstimateNStar(points []Point, opts NStarOptions) (NStarResult, error) {
 	opts.applyDefaults()
-	curve, err := binCurve(points, opts.Bins, opts.MinBinSamples)
+	curve, err := binCurve(points, opts.Bins)
 	if err != nil {
 		return NStarResult{}, err
 	}
@@ -228,7 +225,7 @@ func EstimateNStar(points []Point, opts NStarOptions) (NStarResult, error) {
 
 // binCurve divides [Nmin, Nmax] into k even load intervals and averages
 // throughput per bin, merging under-populated bins forward.
-func binCurve(points []Point, k, minSamples int) ([]BinPoint, error) {
+func binCurve(points []Point, k int) ([]BinPoint, error) {
 	var usable []Point
 	for _, p := range points {
 		if p.Load > 0 && p.Load >= curveMinLoad &&
@@ -273,7 +270,7 @@ func binCurve(points []Point, k, minSamples int) ([]BinPoint, error) {
 	for i := 0; i < k; i++ {
 		carrySum += sums[i]
 		carryCount += counts[i]
-		if carryCount >= minSamples {
+		if carryCount >= minBinSamples {
 			curve = append(curve, BinPoint{
 				Load: minLoad + width*float64(i+1), // upper edge = ld_i
 				TP:   carrySum / float64(carryCount),

@@ -113,11 +113,11 @@ func TestEstimateNStarIgnoresDegeneratePoints(t *testing.T) {
 	pts := []Point{
 		{Load: math.NaN(), TP: 5},
 		{Load: 2, TP: math.Inf(1)},
-		{Load: 1, TP: 100},
-		{Load: 2, TP: 200},
-		{Load: 3, TP: 290},
+		{Load: 1, TP: 100}, {Load: 1, TP: 100},
+		{Load: 2, TP: 200}, {Load: 2, TP: 200},
+		{Load: 3, TP: 290}, {Load: 3, TP: 290},
 	}
-	res, err := EstimateNStar(pts, NStarOptions{MinBinSamples: 1})
+	res, err := EstimateNStar(pts, NStarOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestBinCurveMergesSparseBins(t *testing.T) {
 		{Load: 1, TP: 10}, {Load: 1.1, TP: 11},
 		{Load: 50, TP: 500}, {Load: 50.5, TP: 505},
 	}
-	curve, err := binCurve(pts, 100, 2)
+	curve, err := binCurve(pts, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestBinCurveTrailingRemainderFolded(t *testing.T) {
 		{Load: 1, TP: 10}, {Load: 1.05, TP: 10},
 		{Load: 99, TP: 500}, // lone sample in the last region
 	}
-	curve, err := binCurve(pts, 10, 2)
+	curve, err := binCurve(pts, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

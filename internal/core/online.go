@@ -1,7 +1,7 @@
 package core
 
 import (
-	"errors"
+	"fmt"
 
 	"transientbd/internal/simnet"
 	"transientbd/internal/stats"
@@ -113,8 +113,8 @@ func NewOnline(start simnet.Time, opts OnlineOptions) (*Online, error) {
 	if opts.WindowIntervals <= 0 {
 		opts.WindowIntervals = 2400
 	}
-	if opts.WindowIntervals < 20 {
-		return nil, errors.New("core: online window must cover at least 20 intervals")
+	if err := CheckIntervals(int64(opts.WindowIntervals), MinWindowIntervals); err != nil {
+		return nil, fmt.Errorf("core: online %w", err)
 	}
 	if opts.ReestimateEvery <= 0 {
 		opts.ReestimateEvery = 400

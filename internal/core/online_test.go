@@ -439,3 +439,54 @@ func TestServiceTableMatchesSortedReference(t *testing.T) {
 		t.Fatalf("feed exercises too little: %d classes, %d wrapped reservoirs, %d refreshes", len(o.reservoirs), wrapped, refreshes)
 	}
 }
+
+// TestPartialLastInterval pins how each engine treats a window that ends
+// mid-interval, so that ROADMAP item 10 changes it on purpose: one 4 ms
+// request every 5 ms over [0, 1025 ms) at 50 ms raw-throughput intervals.
+// Batch builds 21 intervals; the last spans only 25 ms. Its load averages
+// over the clipped span and reads the steady 0.8, but its throughput
+// divides by the full 50 ms and reads 100/s against the steady 200/s.
+// Online.Advance(1025 ms) closes only the 20 whole intervals.
+func TestPartialLastInterval(t *testing.T) {
+	const end = 1025 * ms
+	opts := Options{Interval: 50 * ms, RawThroughput: true}
+	var visits []trace.Visit
+	for at := simnet.Time(0); at+4*ms <= end; at += 5 * ms {
+		visits = append(visits, trace.Visit{Server: "s", Class: "c", Arrive: at, Depart: at + 4*ms})
+	}
+
+	a, err := AnalyzeServer("s", visits, Window{Start: 0, End: end}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Load.Len(); got != 21 {
+		t.Fatalf("batch intervals = %d, want 21 (20 whole, 1 partial)", got)
+	}
+	for _, i := range []int{19, 20} {
+		if got := a.Load.Value(i); !almostEq(got, 0.8) {
+			t.Errorf("batch load[%d] = %v, want 0.8", i, got)
+		}
+	}
+	if got := a.TP.Value(19); !almostEq(got, 200) {
+		t.Errorf("batch tp[19] = %v, want the steady 200/s", got)
+	}
+	if got := a.TP.Value(20); !almostEq(got, 100) {
+		t.Errorf("batch tp[20] = %v, want 100/s (5 completions over the full 50 ms)", got)
+	}
+
+	o := newOnlineForTest(t, OnlineOptions{Options: opts})
+	for _, v := range visits {
+		o.Observe(v)
+	}
+	o.Advance(end)
+	if got := o.IntervalsClosed(); got != 20 {
+		t.Fatalf("online intervals closed = %d, want 20 (the partial one stays open)", got)
+	}
+	snap := o.Snapshot()
+	if got := snap.Load.Len(); got != 20 {
+		t.Errorf("online snapshot intervals = %d, want 20", got)
+	}
+	if load, tp := snap.Load.Value(19), snap.TP.Value(19); !almostEq(load, 0.8) || !almostEq(tp, 200) {
+		t.Errorf("online interval 19 = load %v, tp %v; want 0.8 and 200/s", load, tp)
+	}
+}

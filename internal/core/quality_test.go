@@ -99,7 +99,7 @@ func TestBinCurveDropsNonFinitePoints(t *testing.T) {
 		{Load: 1, TP: 50},
 		{Load: 1, TP: 52},
 	}
-	curve, err := binCurve(pts, 10, 2)
+	curve, err := binCurve(pts, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,7 +100,7 @@ func (s ServiceTimes) Units(class string, unit simnet.Duration) float64 {
 // a rate (requests/second) — the "straightforward" throughput of §III-B,
 // valid for single-class workloads.
 func ThroughputSeries(visits []trace.Visit, w Window, interval simnet.Duration) (*metrics.IntervalSeries, error) {
-	if err := w.validate(); err != nil {
+	if err := w.Check(interval); err != nil {
 		return nil, err
 	}
 	s, err := metrics.NewIntervalSeriesCovering(w.Start, w.End, interval)
@@ -118,7 +118,7 @@ func ThroughputSeries(visits []trace.Visit, w Window, interval simnet.Duration) 
 // intervals with different request mixes comparable. The returned series
 // is in work units per second.
 func NormalizedThroughputSeries(visits []trace.Visit, svc ServiceTimes, unit simnet.Duration, w Window, interval simnet.Duration) (*metrics.IntervalSeries, error) {
-	if err := w.validate(); err != nil {
+	if err := w.Check(interval); err != nil {
 		return nil, err
 	}
 	if unit <= 0 {

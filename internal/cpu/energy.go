@@ -36,7 +36,7 @@ func (p *Processor) EnergyJoules() float64 {
 	// Residency-weighted mean of (f/f0)³.
 	var f3 float64
 	for i, frac := range residency {
-		ratio := float64(p.cfg.PStates[i].MHz) / float64(p.cfg.PStates[0].MHz)
+		ratio := float64(pstates[i].MHz) / float64(pstates[0].MHz)
 		f3 += frac * ratio * ratio * ratio
 	}
 	busyCoreSeconds := p.BusyCoreMicros() / 1e6

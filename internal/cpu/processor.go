@@ -25,8 +25,6 @@ type Config struct {
 	// Cores is the number of parallel execution slots (VM vCPUs pinned to
 	// physical cores in the paper's setup, Fig 1).
 	Cores int
-	// PStates is the frequency table, fastest first. Defaults to TableII.
-	PStates []PState
 	// Governor selects the P-state each control period. Defaults to
 	// FixedGovernor{State: 0} (SpeedStep disabled).
 	Governor Governor
@@ -75,14 +73,6 @@ func NewProcessor(engine *simnet.Engine, cfg Config) (*Processor, error) {
 	if cfg.Cores <= 0 {
 		return nil, fmt.Errorf("cpu: cores must be positive, got %d", cfg.Cores)
 	}
-	if len(cfg.PStates) == 0 {
-		cfg.PStates = TableII()
-	}
-	for i := 1; i < len(cfg.PStates); i++ {
-		if cfg.PStates[i].MHz >= cfg.PStates[i-1].MHz {
-			return nil, fmt.Errorf("cpu: P-states must be ordered fastest first (index %d)", i)
-		}
-	}
 	if cfg.Governor == nil {
 		cfg.Governor = FixedGovernor{State: 0}
 	}
@@ -93,12 +83,12 @@ func NewProcessor(engine *simnet.Engine, cfg Config) (*Processor, error) {
 	if fixed, ok := cfg.Governor.(FixedGovernor); ok {
 		initial = fixed.State
 	}
-	initial = clampState(initial, len(cfg.PStates))
+	initial = clampState(initial, len(pstates))
 	p := &Processor{
 		engine:         engine,
 		cfg:            cfg,
 		current:        initial,
-		stateResidency: make([]float64, len(cfg.PStates)),
+		stateResidency: make([]float64, len(pstates)),
 	}
 	return p, nil
 }
@@ -121,8 +111,8 @@ func (p *Processor) governorTick() {
 	if window > 0 {
 		util = p.windowIntegral / (window * float64(p.cfg.Cores))
 	}
-	want := p.cfg.Governor.Decide(util, p.current, len(p.cfg.PStates))
-	want = clampState(want, len(p.cfg.PStates))
+	want := p.cfg.Governor.Decide(util, p.current, len(pstates))
+	want = clampState(want, len(pstates))
 	if want != p.current {
 		p.setState(want)
 	}
@@ -146,7 +136,7 @@ func (p *Processor) setState(state int) {
 // ForceState pins the processor to a state immediately (used by tests and
 // by scenario scripts). The governor may move it again on its next tick.
 func (p *Processor) ForceState(state int) {
-	p.setState(clampState(state, len(p.cfg.PStates)))
+	p.setState(clampState(state, len(pstates)))
 }
 
 // OnStateChange registers a callback invoked after every P-state change.
@@ -156,13 +146,6 @@ func (p *Processor) OnStateChange(fn func(state int)) {
 
 // State returns the current P-state index.
 func (p *Processor) State() int { return p.current }
-
-// PStates returns a copy of the frequency table.
-func (p *Processor) PStates() []PState {
-	out := make([]PState, len(p.cfg.PStates))
-	copy(out, p.cfg.PStates)
-	return out
-}
 
 // Cores returns the number of cores.
 func (p *Processor) Cores() int { return p.cfg.Cores }
@@ -176,7 +159,7 @@ func (p *Processor) speed() float64 {
 	if p.paused {
 		return 0
 	}
-	return float64(p.cfg.PStates[p.current].MHz) / float64(p.cfg.PStates[0].MHz)
+	return float64(pstates[p.current].MHz) / float64(pstates[0].MHz)
 }
 
 // Paused reports whether the processor is in a stop-the-world pause.

@@ -31,6 +31,9 @@ func TableII() []PState {
 	}
 }
 
+// pstates is the table every Processor runs on.
+var pstates = TableII()
+
 // Governor decides which P-state the processor should run in. Decide is
 // called once per control period with the utilization (0..1) observed over
 // the period that just ended and the current P-state index; it returns the
@@ -93,16 +96,13 @@ type OndemandGovernor struct {
 	// Target is the desired utilization ceiling (0 < Target ≤ 1).
 	// Typical: 0.8.
 	Target float64
-	// Table is the P-state list the processor runs (needed to predict
-	// utilization across states). Must match the processor's table.
-	Table []PState
 }
 
 var _ Governor = OndemandGovernor{}
 
 // Decide implements Governor.
 func (g OndemandGovernor) Decide(utilization float64, current, numStates int) int {
-	if len(g.Table) != numStates || numStates == 0 || g.Target <= 0 {
+	if numStates != len(pstates) || g.Target <= 0 {
 		return clampState(current, numStates)
 	}
 	// A pegged CPU hides its true demand behind the queue; jump straight
@@ -111,10 +111,10 @@ func (g OndemandGovernor) Decide(utilization float64, current, numStates int) in
 		return 0
 	}
 	// Demand in P0-equivalent core-fraction: util × (current freq / P0).
-	demand := utilization * float64(g.Table[clampState(current, numStates)].MHz) / float64(g.Table[0].MHz)
+	demand := utilization * float64(pstates[clampState(current, numStates)].MHz) / float64(pstates[0].MHz)
 	// Choose the slowest state that keeps predicted utilization ≤ Target.
 	for s := numStates - 1; s >= 0; s-- {
-		predicted := demand * float64(g.Table[0].MHz) / float64(g.Table[s].MHz)
+		predicted := demand * float64(pstates[0].MHz) / float64(pstates[s].MHz)
 		if predicted <= g.Target {
 			return s
 		}

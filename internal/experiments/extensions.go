@@ -242,7 +242,7 @@ func GovernorSweep(opts RunOpts) (*GovernorSweepResult, error) {
 	if err := run("ondemand @ 50ms", func(c *ntier.Config) {
 		// A modern OS-level policy: jump-to-fit decisions at a short
 		// control period (a BIOS cannot do either).
-		c.DBGovernor = cpu.OndemandGovernor{Target: 0.8, Table: cpu.TableII()}
+		c.DBGovernor = cpu.OndemandGovernor{Target: 0.8}
 		c.GovernorPeriod = 50 * simnet.Millisecond
 	}); err != nil {
 		return nil, err

@@ -40,7 +40,7 @@ func Fig3TableI(opts RunOpts) (*Fig3Result, error) {
 	for _, srv := range sys.AllServers() {
 		targets = append(targets, srv)
 	}
-	sampler, err := monitor.NewSampler(sys.Engine(), targets, monitor.Config{Period: simnet.Second})
+	sampler, err := monitor.NewSampler(sys.Engine(), targets, simnet.Second)
 	if err != nil {
 		return nil, fmt.Errorf("fig3: sampler: %w", err)
 	}

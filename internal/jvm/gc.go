@@ -58,50 +58,18 @@ type Config struct {
 	Kind CollectorKind
 	// HeapBytes is the total heap size. Defaults to 512 MB.
 	HeapBytes int64
-	// TriggerFraction is the occupancy fraction that triggers a collection.
-	// Defaults to 0.9.
-	TriggerFraction float64
-	// LiveFraction is the occupancy fraction remaining after a collection
-	// (the live set). Defaults to 0.25.
-	LiveFraction float64
-	// SerialPausePerGB is the stop-the-world pause duration per GB
-	// collected for the serial collector. Defaults to 600 ms/GB (a few
-	// hundred ms per collection for typical heaps — long enough to span
-	// several 50 ms analysis intervals, as in Fig 9/10).
-	SerialPausePerGB simnet.Duration
-	// ConcurrentPause is the duration of each of the two brief
-	// stop-the-world phases of the concurrent collector. Defaults to 4 ms.
-	ConcurrentPause simnet.Duration
-	// ConcurrentWorkPerGB is background CPU work per GB collected,
-	// submitted to the processor during a concurrent cycle. Defaults to
-	// 150 ms/GB.
-	ConcurrentWorkPerGB simnet.Duration
 }
 
-func (c *Config) applyDefaults() error {
-	if c.Kind != CollectorSerial && c.Kind != CollectorConcurrent {
-		return fmt.Errorf("jvm: unknown collector kind %d", int(c.Kind))
-	}
-	if c.HeapBytes <= 0 {
-		c.HeapBytes = 512 * MB
-	}
-	if c.TriggerFraction <= 0 || c.TriggerFraction > 1 {
-		c.TriggerFraction = 0.9
-	}
-	if c.LiveFraction <= 0 || c.LiveFraction >= c.TriggerFraction {
-		c.LiveFraction = 0.25
-	}
-	if c.SerialPausePerGB <= 0 {
-		c.SerialPausePerGB = 600 * simnet.Millisecond
-	}
-	if c.ConcurrentPause <= 0 {
-		c.ConcurrentPause = 4 * simnet.Millisecond
-	}
-	if c.ConcurrentWorkPerGB <= 0 {
-		c.ConcurrentWorkPerGB = 150 * simnet.Millisecond
-	}
-	return nil
-}
+// The collectors' parameters. A serial pause lasts a few hundred ms on
+// typical heaps, long enough to span several 50 ms analysis intervals, as
+// in Fig 9/10.
+const (
+	triggerFraction     = 0.9                      // heap occupancy that starts a collection
+	liveFraction        = 0.25                     // occupancy a collection leaves (the live set)
+	serialPausePerGB    = 600 * simnet.Millisecond // stop-the-world, per GB collected
+	concurrentPause     = 4 * simnet.Millisecond   // each of the two brief stop-the-world phases
+	concurrentWorkPerGB = 150 * simnet.Millisecond // background CPU work, per GB collected
+)
 
 // Event is one logged collection, with its stop-the-world span(s).
 type Event struct {
@@ -137,8 +105,11 @@ func NewHeap(engine *simnet.Engine, proc *cpu.Processor, cfg Config) (*Heap, err
 	if proc == nil {
 		return nil, errors.New("jvm: nil processor")
 	}
-	if err := cfg.applyDefaults(); err != nil {
-		return nil, err
+	if cfg.Kind != CollectorSerial && cfg.Kind != CollectorConcurrent {
+		return nil, fmt.Errorf("jvm: unknown collector kind %d", int(cfg.Kind))
+	}
+	if cfg.HeapBytes <= 0 {
+		cfg.HeapBytes = 512 * MB
 	}
 	return &Heap{engine: engine, proc: proc, cfg: cfg}, nil
 }
@@ -176,7 +147,7 @@ func (h *Heap) Alloc(bytes int64) {
 	if h.used > h.cfg.HeapBytes {
 		h.used = h.cfg.HeapBytes
 	}
-	if float64(h.used) >= h.cfg.TriggerFraction*float64(h.cfg.HeapBytes) {
+	if float64(h.used) >= triggerFraction*float64(h.cfg.HeapBytes) {
 		h.collect()
 	}
 }
@@ -184,7 +155,7 @@ func (h *Heap) Alloc(bytes int64) {
 func (h *Heap) collect() {
 	h.inGC = true
 	start := h.engine.Now()
-	live := int64(h.cfg.LiveFraction * float64(h.cfg.HeapBytes))
+	live := int64(liveFraction * float64(h.cfg.HeapBytes))
 	collected := h.used - live
 	if collected < 0 {
 		collected = 0
@@ -193,7 +164,7 @@ func (h *Heap) collect() {
 
 	switch h.cfg.Kind {
 	case CollectorSerial:
-		pause := simnet.Duration(gb * float64(h.cfg.SerialPausePerGB))
+		pause := simnet.Duration(gb * float64(serialPausePerGB))
 		if pause < simnet.Millisecond {
 			pause = simnet.Millisecond
 		}
@@ -212,15 +183,15 @@ func (h *Heap) collect() {
 		// Initial mark (STW) → concurrent work on the CPU → remark (STW).
 		ev := Event{Start: start, CollectedBytes: collected}
 		h.proc.Pause()
-		h.engine.Schedule(h.cfg.ConcurrentPause, func() {
+		h.engine.Schedule(concurrentPause, func() {
 			h.proc.Resume()
 			markEnd := h.engine.Now()
 			ev.Pauses = append(ev.Pauses, [2]simnet.Time{start, markEnd})
-			work := simnet.Duration(gb * float64(h.cfg.ConcurrentWorkPerGB))
+			work := simnet.Duration(gb * float64(concurrentWorkPerGB))
 			h.proc.Submit(work, func() {
 				remarkStart := h.engine.Now()
 				h.proc.Pause()
-				h.engine.Schedule(h.cfg.ConcurrentPause, func() {
+				h.engine.Schedule(concurrentPause, func() {
 					h.proc.Resume()
 					end := h.engine.Now()
 					ev.Pauses = append(ev.Pauses, [2]simnet.Time{remarkStart, end})
@@ -237,7 +208,7 @@ func (h *Heap) finish(ev Event, live int64) {
 	h.inGC = false
 	h.used = live + h.pending
 	h.pending = 0
-	if float64(h.used) >= h.cfg.TriggerFraction*float64(h.cfg.HeapBytes) {
+	if float64(h.used) >= triggerFraction*float64(h.cfg.HeapBytes) {
 		// Back-to-back collection: allocation pressure outran the cycle.
 		h.collect()
 	}

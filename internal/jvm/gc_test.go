@@ -65,15 +65,14 @@ func TestAllocationAccumulates(t *testing.T) {
 	}
 }
 
+// perGB scales a per-GB duration to the collected bytes, as collect does.
+func perGB(collected int64, d simnet.Duration) simnet.Duration {
+	return simnet.Duration(float64(collected) / float64(1024*MB) * float64(d))
+}
+
 func TestSerialGCTriggersAndPauses(t *testing.T) {
 	e := simnet.NewEngine()
-	h, proc := newHeapForTest(t, e, Config{
-		Kind:             CollectorSerial,
-		HeapBytes:        100 * MB,
-		TriggerFraction:  0.9,
-		LiveFraction:     0.2,
-		SerialPausePerGB: 1000 * simnet.Millisecond,
-	})
+	h, proc := newHeapForTest(t, e, Config{Kind: CollectorSerial, HeapBytes: 100 * MB})
 	h.Alloc(90 * MB) // crosses 90% threshold
 	if !h.InGC() {
 		t.Fatal("GC did not trigger at threshold")
@@ -94,8 +93,8 @@ func TestSerialGCTriggersAndPauses(t *testing.T) {
 		t.Fatalf("Collections = %d, want 1", h.Collections())
 	}
 	ev := h.Log()[0]
-	// Collected 90-20=70MB at 1000ms/GB → ~68.4ms pause.
-	wantPause := 70.0 / 1024.0 * 1000.0 // ms
+	// Collected 90-25=65MB at 600ms/GB → ~38.1ms pause.
+	wantPause := 65.0 / 1024.0 * serialPausePerGB.Millis()
 	gotPause := (ev.End - ev.Start).Millis()
 	if math.Abs(gotPause-wantPause) > 1 {
 		t.Errorf("pause = %.2fms, want ~%.2fms", gotPause, wantPause)
@@ -103,31 +102,25 @@ func TestSerialGCTriggersAndPauses(t *testing.T) {
 	if len(ev.Pauses) != 1 {
 		t.Errorf("serial GC pauses = %d, want 1 (whole cycle)", len(ev.Pauses))
 	}
-	if ev.CollectedBytes != 70*MB {
-		t.Errorf("CollectedBytes = %d, want 70MB", ev.CollectedBytes)
+	if ev.CollectedBytes != 65*MB {
+		t.Errorf("CollectedBytes = %d, want 65MB", ev.CollectedBytes)
 	}
-	if h.Used() != 20*MB {
-		t.Errorf("post-GC Used = %d, want live set 20MB", h.Used())
+	if h.Used() != 25*MB {
+		t.Errorf("post-GC Used = %d, want live set 25MB", h.Used())
 	}
 }
 
 func TestSerialGCFreezesJobs(t *testing.T) {
 	e := simnet.NewEngine()
-	h, proc := newHeapForTest(t, e, Config{
-		Kind:             CollectorSerial,
-		HeapBytes:        100 * MB,
-		SerialPausePerGB: 1024 * simnet.Millisecond, // 1ms per MB: 65MB -> 65ms
-		TriggerFraction:  0.9,
-		LiveFraction:     0.25,
-	})
+	h, proc := newHeapForTest(t, e, Config{Kind: CollectorSerial, HeapBytes: 100 * MB})
 	var doneAt simnet.Time = -1
 	proc.Submit(10*simnet.Millisecond, func() { doneAt = e.Now() })
 	e.Schedule(5*simnet.Millisecond, func() { h.Alloc(90 * MB) })
 	if err := e.Run(simnet.Second); err != nil {
 		t.Fatal(err)
 	}
-	// Job: 5ms progress, then frozen for (90-25)MB * 1ms = 65ms, then 5ms.
-	want := 75 * simnet.Millisecond
+	// Job: 5ms progress, then frozen for the (90-25)MB pause, then 5ms.
+	want := 10*simnet.Millisecond + perGB(65*MB, serialPausePerGB)
 	if doneAt != want {
 		t.Errorf("job finished at %v, want %v", doneAt, want)
 	}
@@ -135,12 +128,7 @@ func TestSerialGCFreezesJobs(t *testing.T) {
 
 func TestAllocDuringGCBuffered(t *testing.T) {
 	e := simnet.NewEngine()
-	h, _ := newHeapForTest(t, e, Config{
-		Kind:            CollectorSerial,
-		HeapBytes:       100 * MB,
-		TriggerFraction: 0.9,
-		LiveFraction:    0.2,
-	})
+	h, _ := newHeapForTest(t, e, Config{Kind: CollectorSerial, HeapBytes: 100 * MB})
 	h.Alloc(90 * MB)
 	if !h.InGC() {
 		t.Fatal("GC should be running")
@@ -149,21 +137,14 @@ func TestAllocDuringGCBuffered(t *testing.T) {
 	if err := e.Run(10 * simnet.Second); err != nil {
 		t.Fatal(err)
 	}
-	if h.Used() != 27*MB {
-		t.Errorf("post-GC Used = %dMB, want live 20MB + pending 7MB", h.Used()/MB)
+	if h.Used() != 32*MB {
+		t.Errorf("post-GC Used = %dMB, want live 25MB + pending 7MB", h.Used()/MB)
 	}
 }
 
 func TestConcurrentGCShortPauses(t *testing.T) {
 	e := simnet.NewEngine()
-	h, proc := newHeapForTest(t, e, Config{
-		Kind:                CollectorConcurrent,
-		HeapBytes:           100 * MB,
-		TriggerFraction:     0.9,
-		LiveFraction:        0.2,
-		ConcurrentPause:     4 * simnet.Millisecond,
-		ConcurrentWorkPerGB: 1000 * simnet.Millisecond,
-	})
+	h, proc := newHeapForTest(t, e, Config{Kind: CollectorConcurrent, HeapBytes: 100 * MB})
 	h.Alloc(90 * MB)
 	if err := e.Run(10 * simnet.Second); err != nil {
 		t.Fatal(err)
@@ -177,14 +158,14 @@ func TestConcurrentGCShortPauses(t *testing.T) {
 	}
 	for i, p := range ev.Pauses {
 		span := p[1] - p[0]
-		if span != 4*simnet.Millisecond {
-			t.Errorf("pause %d span = %v, want 4ms", i, span)
+		if span != concurrentPause {
+			t.Errorf("pause %d span = %v, want %v", i, span, concurrentPause)
 		}
 	}
 	// Total STW time is far shorter than a serial collection of the same
 	// heap — the mechanism behind Fig 11's improvement.
-	if got := h.TotalPause(); got != 8*simnet.Millisecond {
-		t.Errorf("TotalPause = %v, want 8ms", got)
+	if got := h.TotalPause(); got != 2*concurrentPause {
+		t.Errorf("TotalPause = %v, want %v", got, 2*concurrentPause)
 	}
 	if proc.Paused() {
 		t.Error("processor left paused")
@@ -193,37 +174,26 @@ func TestConcurrentGCShortPauses(t *testing.T) {
 
 func TestConcurrentGCCompetesForCPU(t *testing.T) {
 	e := simnet.NewEngine()
-	h, proc := newHeapForTest(t, e, Config{
-		Kind:                CollectorConcurrent,
-		HeapBytes:           1024 * MB,
-		TriggerFraction:     0.9,
-		LiveFraction:        0.1,
-		ConcurrentPause:     simnet.Millisecond,
-		ConcurrentWorkPerGB: 100 * simnet.Millisecond,
-	})
-	h.Alloc(922 * MB) // trigger: collected ≈ 820MB → ~80ms background work
-	// On a single core, an app job submitted after the cycle starts must
+	h, proc := newHeapForTest(t, e, Config{Kind: CollectorConcurrent, HeapBytes: 1024 * MB})
+	h.Alloc(922 * MB) // trigger: collected 922-256=666MB → ~97.6ms background work
+	work := perGB(666*MB, concurrentWorkPerGB)
+	// On a single core, an app job submitted after the initial mark must
 	// wait for the background GC job.
 	var doneAt simnet.Time = -1
-	e.Schedule(2*simnet.Millisecond, func() {
+	e.Schedule(concurrentPause+simnet.Millisecond, func() {
 		proc.Submit(10*simnet.Millisecond, func() { doneAt = e.Now() })
 	})
 	if err := e.Run(10 * simnet.Second); err != nil {
 		t.Fatal(err)
 	}
-	if doneAt < 80*simnet.Millisecond {
-		t.Errorf("app job finished at %v; expected delay behind ~80ms GC work", doneAt)
+	if doneAt < concurrentPause+work {
+		t.Errorf("app job finished at %v; expected delay behind %v GC work", doneAt, work)
 	}
 }
 
 func TestBackToBackCollection(t *testing.T) {
 	e := simnet.NewEngine()
-	h, _ := newHeapForTest(t, e, Config{
-		Kind:            CollectorSerial,
-		HeapBytes:       100 * MB,
-		TriggerFraction: 0.9,
-		LiveFraction:    0.2,
-	})
+	h, _ := newHeapForTest(t, e, Config{Kind: CollectorSerial, HeapBytes: 100 * MB})
 	h.Alloc(90 * MB)
 	// Huge allocation during GC: after the cycle, occupancy is again above
 	// the threshold, forcing an immediate second collection.
@@ -238,13 +208,7 @@ func TestBackToBackCollection(t *testing.T) {
 
 func TestRunningRatio(t *testing.T) {
 	e := simnet.NewEngine()
-	h, _ := newHeapForTest(t, e, Config{
-		Kind:             CollectorSerial,
-		HeapBytes:        100 * MB,
-		TriggerFraction:  0.9,
-		LiveFraction:     0.2,
-		SerialPausePerGB: 1024 * simnet.Millisecond, // 1ms/MB → 70ms pause
-	})
+	h, _ := newHeapForTest(t, e, Config{Kind: CollectorSerial, HeapBytes: 100 * MB})
 	e.Schedule(100*simnet.Millisecond, func() { h.Alloc(90 * MB) })
 	if err := e.Run(simnet.Second); err != nil {
 		t.Fatal(err)
@@ -253,12 +217,13 @@ func TestRunningRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// GC spans [100ms, 170ms): interval 1 fully in GC 70%.
+	// GC spans [100ms, 100ms+pause), ≈38ms of interval 1.
+	want := float64(perGB(65*MB, serialPausePerGB)) / float64(100*simnet.Millisecond)
 	if got := ratio.Value(0); got != 0 {
 		t.Errorf("interval 0 ratio = %v, want 0", got)
 	}
-	if got := ratio.Value(1); math.Abs(got-0.7) > 1e-9 {
-		t.Errorf("interval 1 ratio = %v, want 0.7", got)
+	if got := ratio.Value(1); math.Abs(got-want) > 1e-9 {
+		t.Errorf("interval 1 ratio = %v, want %v", got, want)
 	}
 	if got := ratio.Value(2); got != 0 {
 		t.Errorf("interval 2 ratio = %v, want 0", got)
@@ -267,12 +232,7 @@ func TestRunningRatio(t *testing.T) {
 
 func TestHeapClampsAtCapacity(t *testing.T) {
 	e := simnet.NewEngine()
-	h, _ := newHeapForTest(t, e, Config{
-		Kind:            CollectorSerial,
-		HeapBytes:       100 * MB,
-		TriggerFraction: 0.99,
-		LiveFraction:    0.2,
-	})
+	h, _ := newHeapForTest(t, e, Config{Kind: CollectorSerial, HeapBytes: 100 * MB})
 	h.Alloc(500 * MB) // more than the heap: clamped, triggers GC
 	if err := e.Run(10 * simnet.Second); err != nil {
 		t.Fatal(err)
@@ -280,27 +240,37 @@ func TestHeapClampsAtCapacity(t *testing.T) {
 	if h.Collections() != 1 {
 		t.Errorf("Collections = %d, want 1", h.Collections())
 	}
-	if h.Log()[0].CollectedBytes != 80*MB {
-		t.Errorf("CollectedBytes = %dMB, want 80MB (clamped heap - live)", h.Log()[0].CollectedBytes/MB)
+	if h.Log()[0].CollectedBytes != 75*MB {
+		t.Errorf("CollectedBytes = %dMB, want 75MB (clamped heap - live)", h.Log()[0].CollectedBytes/MB)
 	}
 }
 
 func TestDefaults(t *testing.T) {
-	cfg := Config{Kind: CollectorConcurrent}
-	if err := cfg.applyDefaults(); err != nil {
+	e := simnet.NewEngine()
+	if h, _ := newHeapForTest(t, e, Config{Kind: CollectorConcurrent}); h.cfg.HeapBytes != 512*MB {
+		t.Errorf("default heap = %d", h.cfg.HeapBytes)
+	}
+	// A default serial heap triggers at 90% occupancy, keeps a 25% live
+	// set and pauses 600ms per GB collected.
+	h, proc := newHeapForTest(t, e, Config{Kind: CollectorSerial})
+	below := 512 * MB * 9 / 10 // 460.8MB rounded down
+	h.Alloc(below)
+	if h.InGC() {
+		t.Fatal("GC triggered below 90% occupancy")
+	}
+	h.Alloc(1)
+	if err := e.Run(10 * simnet.Second); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.HeapBytes != 512*MB {
-		t.Errorf("default heap = %d", cfg.HeapBytes)
+	if h.Used() != 128*MB {
+		t.Errorf("post-GC Used = %dMB, want live set 128MB", h.Used()/MB)
 	}
-	if cfg.TriggerFraction != 0.9 || cfg.LiveFraction != 0.25 {
-		t.Errorf("default fractions = %v/%v", cfg.TriggerFraction, cfg.LiveFraction)
+	collected := below + 1 - 128*MB
+	wantPause := perGB(collected, 600*simnet.Millisecond)
+	if ev := h.Log()[0]; ev.End-ev.Start != wantPause {
+		t.Errorf("default serial pause = %v, want %v", ev.End-ev.Start, wantPause)
 	}
-	if cfg.SerialPausePerGB != 600*simnet.Millisecond {
-		t.Errorf("default serial pause = %v", cfg.SerialPausePerGB)
-	}
-	bad := Config{Kind: CollectorKind(99)}
-	if err := bad.applyDefaults(); err == nil {
+	if _, err := NewHeap(e, proc, Config{Kind: CollectorKind(99)}); err == nil {
 		t.Error("want error for unknown kind")
 	}
 }

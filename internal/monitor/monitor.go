@@ -1,17 +1,15 @@
 // Package monitor implements the conventional coarse-grained monitoring
 // baseline the paper argues is insufficient (§I, §II-B): a sysstat/esxtop
 // style sampler that reads each server's resource counters at a fixed
-// period (1 s for Sysstat, 2 s for esxtop in the paper's setup) and — when
-// the overhead model is enabled — charges the host the CPU cost of
-// sampling, which the paper measured at about 6% at a 100 ms period and
-// 12% at 20 ms. That cost is exactly why sub-second sampling is
-// impractical and why the paper resorts to passive network tracing.
+// period (1 s for Sysstat, 2 s for esxtop in the paper's setup). The paper
+// measured sampling's own CPU cost at about 6% at a 100 ms period and 12%
+// at 20 ms — why sub-second sampling is impractical and why it resorts to
+// passive network tracing. The sampler does not charge that cost.
 package monitor
 
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"transientbd/internal/cpu"
 	"transientbd/internal/simnet"
@@ -29,38 +27,10 @@ type Sample struct {
 	Util float64
 }
 
-// OverheadFraction models the CPU overhead of sampling at the given
-// period, fitted to the paper's two measurements (6% at 100 ms, 12% at
-// 20 ms) with a power law; it evaluates to ≈2.2% at 1 s.
-func OverheadFraction(period simnet.Duration) float64 {
-	if period <= 0 {
-		return 0
-	}
-	// frac = k * (period_ms)^-a with a = log(2)/log(5) fitted from
-	// 0.06@100ms and 0.12@20ms.
-	const a = 0.43067655807339306 // log(2)/log(5)
-	const k = 0.43580061331597663 // 0.06 * 100^a
-	ms := float64(period) / float64(simnet.Millisecond)
-	frac := k * math.Pow(ms, -a)
-	if frac > 1 {
-		frac = 1
-	}
-	return frac
-}
-
-// Config configures a Sampler.
-type Config struct {
-	// Period is the sampling interval. Required.
-	Period simnet.Duration
-	// ChargeOverhead, when true, submits the sampling CPU cost to each
-	// target's processor every period.
-	ChargeOverhead bool
-}
-
 // Sampler periodically reads utilization from a set of targets.
 type Sampler struct {
 	engine  *simnet.Engine
-	cfg     Config
+	period  simnet.Duration
 	targets []Target
 
 	lastBusy map[string]float64
@@ -70,16 +40,16 @@ type Sampler struct {
 	ticker   *simnet.Ticker
 }
 
-// NewSampler creates a sampler over the given targets.
-func NewSampler(engine *simnet.Engine, targets []Target, cfg Config) (*Sampler, error) {
+// NewSampler creates a sampler that reads the given targets every period.
+func NewSampler(engine *simnet.Engine, targets []Target, period simnet.Duration) (*Sampler, error) {
 	if engine == nil {
 		return nil, errors.New("monitor: nil engine")
 	}
 	if len(targets) == 0 {
 		return nil, errors.New("monitor: no targets")
 	}
-	if cfg.Period <= 0 {
-		return nil, fmt.Errorf("monitor: period must be positive, got %v", cfg.Period)
+	if period <= 0 {
+		return nil, fmt.Errorf("monitor: period must be positive, got %v", period)
 	}
 	seen := make(map[string]bool, len(targets))
 	for _, tg := range targets {
@@ -90,7 +60,7 @@ func NewSampler(engine *simnet.Engine, targets []Target, cfg Config) (*Sampler, 
 	}
 	return &Sampler{
 		engine:   engine,
-		cfg:      cfg,
+		period:   period,
 		targets:  targets,
 		lastBusy: make(map[string]float64, len(targets)),
 		samples:  make(map[string][]Sample, len(targets)),
@@ -109,7 +79,7 @@ func (s *Sampler) Start() {
 	}
 	// Construction cannot fail: the engine, period and callback were
 	// validated by NewSampler.
-	ticker, err := simnet.NewTicker(s.engine, s.cfg.Period, s.tick)
+	ticker, err := simnet.NewTicker(s.engine, s.period, s.tick)
 	if err != nil {
 		panic(fmt.Sprintf("monitor: ticker: %v", err))
 	}
@@ -138,11 +108,6 @@ func (s *Sampler) tick() {
 		}
 		s.samples[name] = append(s.samples[name], Sample{At: now, Util: util})
 		s.lastBusy[name] = busy
-		if s.cfg.ChargeOverhead {
-			work := simnet.Duration(OverheadFraction(s.cfg.Period) *
-				float64(s.cfg.Period) * float64(tg.Processor().Cores()))
-			tg.Processor().Submit(work, nil)
-		}
 	}
 	s.lastAt = now
 }

@@ -25,40 +25,19 @@ func newTarget(t *testing.T, e *simnet.Engine, name string, cores int) *fakeTarg
 	return &fakeTarget{name: name, proc: proc}
 }
 
-func TestOverheadFractionMatchesPaper(t *testing.T) {
-	// §I: "about 6% CPU utilization overhead at 100ms interval and 12% at
-	// 20ms interval".
-	if got := OverheadFraction(100 * simnet.Millisecond); math.Abs(got-0.06) > 0.002 {
-		t.Errorf("overhead@100ms = %.4f, want ~0.06", got)
-	}
-	if got := OverheadFraction(20 * simnet.Millisecond); math.Abs(got-0.12) > 0.004 {
-		t.Errorf("overhead@20ms = %.4f, want ~0.12", got)
-	}
-	// Coarse sampling is cheap; overhead decreases with period.
-	if got := OverheadFraction(simnet.Second); got > 0.03 {
-		t.Errorf("overhead@1s = %.4f, want small", got)
-	}
-	if OverheadFraction(0) != 0 {
-		t.Error("overhead at period 0 should be 0")
-	}
-	if OverheadFraction(simnet.Microsecond) > 1 {
-		t.Error("overhead must be clamped to 1")
-	}
-}
-
 func TestNewSamplerValidation(t *testing.T) {
 	e := simnet.NewEngine()
 	tg := newTarget(t, e, "a", 1)
-	if _, err := NewSampler(nil, []Target{tg}, Config{Period: simnet.Second}); err == nil {
+	if _, err := NewSampler(nil, []Target{tg}, simnet.Second); err == nil {
 		t.Error("want error for nil engine")
 	}
-	if _, err := NewSampler(e, nil, Config{Period: simnet.Second}); err == nil {
+	if _, err := NewSampler(e, nil, simnet.Second); err == nil {
 		t.Error("want error for no targets")
 	}
-	if _, err := NewSampler(e, []Target{tg}, Config{}); err == nil {
+	if _, err := NewSampler(e, []Target{tg}, 0); err == nil {
 		t.Error("want error for zero period")
 	}
-	if _, err := NewSampler(e, []Target{tg, tg}, Config{Period: simnet.Second}); err == nil {
+	if _, err := NewSampler(e, []Target{tg, tg}, simnet.Second); err == nil {
 		t.Error("want error for duplicate targets")
 	}
 }
@@ -66,7 +45,7 @@ func TestNewSamplerValidation(t *testing.T) {
 func TestSamplerReadsUtilization(t *testing.T) {
 	e := simnet.NewEngine()
 	tg := newTarget(t, e, "mysql", 2)
-	s, err := NewSampler(e, []Target{tg}, Config{Period: 100 * simnet.Millisecond})
+	s, err := NewSampler(e, []Target{tg}, 100*simnet.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +72,11 @@ func TestSamplerReadsUtilization(t *testing.T) {
 func TestCoarseSamplingMasksTransientBurst(t *testing.T) {
 	e := simnet.NewEngine()
 	tg := newTarget(t, e, "mysql", 1)
-	coarse, err := NewSampler(e, []Target{tg}, Config{Period: simnet.Second})
+	coarse, err := NewSampler(e, []Target{tg}, simnet.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fine, err := NewSampler(e, []Target{tg}, Config{Period: 50 * simnet.Millisecond})
+	fine, err := NewSampler(e, []Target{tg}, 50*simnet.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,35 +99,10 @@ func TestCoarseSamplingMasksTransientBurst(t *testing.T) {
 	}
 }
 
-func TestChargeOverheadConsumesCPU(t *testing.T) {
-	period := 20 * simnet.Millisecond
-	run := func(charge bool) float64 {
-		e := simnet.NewEngine()
-		tg := newTarget(t, e, "a", 1)
-		s, err := NewSampler(e, []Target{tg}, Config{Period: period, ChargeOverhead: charge})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Start()
-		if err := e.Run(10 * simnet.Second); err != nil {
-			t.Fatal(err)
-		}
-		return tg.proc.BusyCoreMicros() / float64(10*simnet.Second)
-	}
-	if got := run(false); got != 0 {
-		t.Errorf("no-overhead run consumed %.4f CPU", got)
-	}
-	got := run(true)
-	want := OverheadFraction(period)
-	if math.Abs(got-want) > 0.01 {
-		t.Errorf("overhead consumption = %.4f, want ~%.4f", got, want)
-	}
-}
-
 func TestAverageWindow(t *testing.T) {
 	e := simnet.NewEngine()
 	tg := newTarget(t, e, "a", 1)
-	s, err := NewSampler(e, []Target{tg}, Config{Period: 100 * simnet.Millisecond})
+	s, err := NewSampler(e, []Target{tg}, 100*simnet.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +127,7 @@ func TestAverageWindow(t *testing.T) {
 func TestStartIdempotent(t *testing.T) {
 	e := simnet.NewEngine()
 	tg := newTarget(t, e, "a", 1)
-	s, err := NewSampler(e, []Target{tg}, Config{Period: 100 * simnet.Millisecond})
+	s, err := NewSampler(e, []Target{tg}, 100*simnet.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +145,7 @@ func TestMultipleTargets(t *testing.T) {
 	e := simnet.NewEngine()
 	a := newTarget(t, e, "a", 1)
 	b := newTarget(t, e, "b", 1)
-	s, err := NewSampler(e, []Target{a, b}, Config{Period: 100 * simnet.Millisecond})
+	s, err := NewSampler(e, []Target{a, b}, 100*simnet.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +165,7 @@ func TestMultipleTargets(t *testing.T) {
 func TestSamplerStop(t *testing.T) {
 	e := simnet.NewEngine()
 	tg := newTarget(t, e, "a", 1)
-	s, err := NewSampler(e, []Target{tg}, Config{Period: 100 * simnet.Millisecond})
+	s, err := NewSampler(e, []Target{tg}, 100*simnet.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +179,7 @@ func TestSamplerStop(t *testing.T) {
 	}
 	s.Stop() // idempotent
 	// Stop before Start is harmless too.
-	s2, err := NewSampler(e, []Target{tg}, Config{Period: simnet.Second})
+	s2, err := NewSampler(e, []Target{tg}, simnet.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"time"
 
 	"transientbd/internal/core"
 	"transientbd/internal/stream"
@@ -257,13 +258,18 @@ See docs/api.md for the JSON shapes.
 `)
 }
 
+// staleAfter is how long a shard may sit on queued work without a
+// heartbeat before /healthz reports it stalled. An idle shard (empty
+// queue) is never stalled.
+const staleAfter = 10 * time.Second
+
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	now := s.cfg.Now()
 	health := s.cfg.Health()
 	resp := HealthJSON{Status: "ok", Shards: make([]ShardHealthJSON, 0, len(health))}
 	code := http.StatusOK
 	for _, h := range health {
-		stalled := h.Queued > 0 && now.Sub(h.LastActive) > s.cfg.StaleAfter
+		stalled := h.Queued > 0 && now.Sub(h.LastActive) > staleAfter
 		if stalled {
 			resp.Status = "stalled"
 			code = http.StatusServiceUnavailable

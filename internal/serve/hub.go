@@ -15,6 +15,12 @@ type subscriber struct {
 	dropped atomic.Int64
 }
 
+// subscriberQueue bounds each /alerts subscriber's queue, in alerts. A
+// subscriber that falls behind loses the overflow from its own queue —
+// counted per subscriber and surfaced both as an SSE "dropped" event and
+// in /metrics — rather than slowing the detector or other subscribers.
+const subscriberQueue = 256
+
 // hub fans alerts out to subscribers. Publishing is non-blocking: a
 // subscriber whose queue is full loses the alert (counted per
 // subscriber and in the hub total) instead of backpressuring the
@@ -22,7 +28,6 @@ type subscriber struct {
 type hub struct {
 	mu     sync.Mutex
 	subs   map[*subscriber]struct{}
-	queue  int
 	closed bool
 
 	// totalDropped counts alerts lost across all subscribers, ever;
@@ -31,8 +36,8 @@ type hub struct {
 	totalPublished atomic.Int64
 }
 
-func newHub(queue int) *hub {
-	return &hub{subs: make(map[*subscriber]struct{}), queue: queue}
+func newHub() *hub {
+	return &hub{subs: make(map[*subscriber]struct{})}
 }
 
 // subscribe registers a new subscriber, or returns nil if the hub is
@@ -43,7 +48,7 @@ func (h *hub) subscribe() *subscriber {
 	if h.closed {
 		return nil
 	}
-	sub := &subscriber{ch: make(chan stream.Alert, h.queue)}
+	sub := &subscriber{ch: make(chan stream.Alert, subscriberQueue)}
 	h.subs[sub] = struct{}{}
 	return sub
 }

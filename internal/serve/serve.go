@@ -52,16 +52,6 @@ type Config struct {
 	Metrics func() stream.Metrics
 	// Health samples every shard's queue depth and liveness heartbeat.
 	Health func() []stream.ShardHealth
-	// StaleAfter is how long a shard may sit on queued work without a
-	// heartbeat before /healthz reports it stalled. Default 10 s. An
-	// idle shard (empty queue) is never stalled.
-	StaleAfter time.Duration
-	// SubscriberQueue bounds each /alerts subscriber's queue, in alerts
-	// (default 256). A subscriber that falls behind loses the overflow
-	// from its own queue — counted per subscriber and surfaced both as
-	// an SSE "dropped" event and in /metrics — rather than slowing the
-	// detector or other subscribers.
-	SubscriberQueue int
 	// Now is the wall clock, injectable for tests. Default time.Now.
 	Now func() time.Time
 	// Nodes, when set, samples the per-node ingestion state of a merge
@@ -108,16 +98,10 @@ type Server struct {
 // New builds a Server. Start must be called to listen; Handler is
 // usable immediately (tests mount it directly).
 func New(cfg Config) *Server {
-	if cfg.StaleAfter <= 0 {
-		cfg.StaleAfter = 10 * time.Second
-	}
-	if cfg.SubscriberQueue <= 0 {
-		cfg.SubscriberQueue = 256
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	s := &Server{cfg: cfg, hub: newHub(cfg.SubscriberQueue)}
+	s := &Server{cfg: cfg, hub: newHub()}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)

@@ -338,10 +338,9 @@ func TestMetricsScrapeValues(t *testing.T) {
 func TestHealthzStallRule(t *testing.T) {
 	mk := func(h []stream.ShardHealth) *Server {
 		return New(Config{
-			Metrics:    func() stream.Metrics { return stream.Metrics{} },
-			Health:     func() []stream.ShardHealth { return h },
-			StaleAfter: 10 * time.Second,
-			Now:        func() time.Time { return fixedNow },
+			Metrics: func() stream.Metrics { return stream.Metrics{} },
+			Health:  func() []stream.ShardHealth { return h },
+			Now:     func() time.Time { return fixedNow },
 		})
 	}
 
@@ -480,21 +479,22 @@ func TestNodeMetrics(t *testing.T) {
 // TestHubDropAccounting: a full subscriber queue drops new alerts for
 // that subscriber only, counted per subscriber and in the hub totals.
 func TestHubDropAccounting(t *testing.T) {
-	h := newHub(4)
+	const published = subscriberQueue + 6
+	h := newHub()
 	slow := h.subscribe()
 	fast := h.subscribe()
 	go func() {
 		for range fast.ch { // fast consumer never overflows
 		}
 	}()
-	for i := 0; i < 10; i++ {
+	for i := 0; i < published; i++ {
 		h.publish(stream.Alert{At: simnet.Time(i)})
 		// Yield so the fast consumer keeps its queue drained; the slow
 		// one accumulates regardless of scheduling.
 		time.Sleep(time.Millisecond)
 	}
 	if got := slow.dropped.Load(); got != 6 {
-		t.Errorf("slow subscriber dropped = %d, want 6 (queue 4, published 10)", got)
+		t.Errorf("slow subscriber dropped = %d, want 6 (queue %d, published %d)", got, subscriberQueue, published)
 	}
 	if got := fast.dropped.Load(); got != 0 {
 		t.Errorf("fast subscriber dropped = %d, want 0", got)
@@ -502,8 +502,8 @@ func TestHubDropAccounting(t *testing.T) {
 	if got := h.totalDropped.Load(); got != 6 {
 		t.Errorf("hub totalDropped = %d, want 6", got)
 	}
-	if got := h.totalPublished.Load(); got != 10 {
-		t.Errorf("hub totalPublished = %d, want 10", got)
+	if got := h.totalPublished.Load(); got != published {
+		t.Errorf("hub totalPublished = %d, want %d", got, published)
 	}
 	h.closeAll()
 	if h.subscribe() != nil {
@@ -646,10 +646,9 @@ func TestSSEDroppedEventEmission(t *testing.T) {
 // total, so loss is visible, never silent.
 func TestSSEOverflowInvariant(t *testing.T) {
 	s := New(Config{
-		Metrics:         func() stream.Metrics { return stream.Metrics{} },
-		Health:          func() []stream.ShardHealth { return nil },
-		SubscriberQueue: 8,
-		Now:             func() time.Time { return fixedNow },
+		Metrics: func() stream.Metrics { return stream.Metrics{} },
+		Health:  func() []stream.ShardHealth { return nil },
+		Now:     func() time.Time { return fixedNow },
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -95,16 +95,17 @@ type Config struct {
 	// AcceptBacklog bounds the accept queue beyond the thread pool; 0
 	// means unbounded (no retransmission behaviour).
 	AcceptBacklog int
-	// RetransDelay is the TCP retransmission timeout applied when the
-	// backlog is full. Defaults to 3 s, the classic initial TCP RTO the
-	// paper cites.
-	RetransDelay simnet.Duration
-	// DiskMBps is the disk bandwidth serving DiskIO phases. Defaults to
-	// 120 MB/s (a 2013-era SATA disk with cache).
-	DiskMBps float64
-	// DiskLatency is the fixed per-access latency. Defaults to 4 ms.
-	DiskLatency simnet.Duration
 }
+
+// retransDelay is the TCP retransmission timeout when the backlog is
+// full: the classic initial RTO the paper cites.
+const retransDelay = 3 * simnet.Second
+
+// The disk serving DiskIO phases: a 2013-era SATA disk with cache.
+const (
+	diskMBps    = 120
+	diskLatency = 4 * simnet.Millisecond // fixed, per access
+)
 
 // Server is one component server of the n-tier system.
 type Server struct {
@@ -144,15 +145,6 @@ func New(engine *simnet.Engine, proc *cpu.Processor, heap *jvm.Heap, collector *
 	}
 	if cfg.Threads <= 0 {
 		return nil, fmt.Errorf("server: threads must be positive, got %d", cfg.Threads)
-	}
-	if cfg.RetransDelay <= 0 {
-		cfg.RetransDelay = 3 * simnet.Second
-	}
-	if cfg.DiskMBps <= 0 {
-		cfg.DiskMBps = 120
-	}
-	if cfg.DiskLatency <= 0 {
-		cfg.DiskLatency = 4 * simnet.Millisecond
 	}
 	return &Server{
 		engine:    engine,
@@ -201,7 +193,7 @@ func (s *Server) Receive(r *Request) error {
 	if s.cfg.AcceptBacklog > 0 && s.admitted >= s.cfg.Threads && len(s.waitq) >= s.cfg.AcceptBacklog {
 		s.retransCount++
 		req := r
-		s.engine.Schedule(s.cfg.RetransDelay, func() {
+		s.engine.Schedule(retransDelay, func() {
 			// Errors cannot recur: the checks above already passed.
 			_ = s.Receive(req)
 		})
@@ -259,12 +251,12 @@ func (s *Server) runPhase(r *Request) {
 			return
 		}
 		s.diskBytes += p.Bytes
-		transfer := simnet.Duration(float64(p.Bytes) / (s.cfg.DiskMBps * 1e6) * float64(simnet.Second))
+		transfer := simnet.Duration(float64(p.Bytes) / (diskMBps * 1e6) * float64(simnet.Second))
 		start := s.engine.Now()
 		if s.diskFreeAt > start {
 			start = s.diskFreeAt
 		}
-		done := start + s.cfg.DiskLatency + transfer
+		done := start + diskLatency + transfer
 		s.diskFreeAt = done
 		s.engine.At(done, func() { s.runPhase(r) })
 	default:

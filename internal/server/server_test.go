@@ -250,7 +250,6 @@ func TestBacklogTriggersRetransmission(t *testing.T) {
 		Name:          "apache",
 		Threads:       1,
 		AcceptBacklog: 1,
-		RetransDelay:  3 * simnet.Second,
 	}, 1)
 	var doneTimes []simnet.Time
 	mk := func() *Request {
@@ -271,9 +270,9 @@ func TestBacklogTriggersRetransmission(t *testing.T) {
 	if len(doneTimes) != 3 {
 		t.Fatalf("completed %d, want 3", len(doneTimes))
 	}
-	// Third request: accepted at 3s, served at 3.01s.
-	if doneTimes[2] != 3*simnet.Second+10*ms {
-		t.Errorf("retransmitted request done at %v, want 3.010s", doneTimes[2])
+	// Third request: accepted at the 3s RTO, served 10ms later.
+	if doneTimes[2] != retransDelay+10*ms {
+		t.Errorf("retransmitted request done at %v, want %v", doneTimes[2], retransDelay+10*ms)
 	}
 	// The wide gap between normal (~10-20ms) and retransmitted (>3s)
 	// responses is the bi-modal mechanism of Fig 2c.
@@ -320,13 +319,7 @@ func TestGCFreezeCreatesZeroThroughputWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heap, err := jvm.NewHeap(e, proc, jvm.Config{
-		Kind:             jvm.CollectorSerial,
-		HeapBytes:        100 * jvm.MB,
-		TriggerFraction:  0.9,
-		LiveFraction:     0.2,
-		SerialPausePerGB: 1024 * simnet.Second, // 1s per MB → 70s? no: 70MB*1s/1024MB... use clear value below
-	})
+	heap, err := jvm.NewHeap(e, proc, jvm.Config{Kind: jvm.CollectorSerial, HeapBytes: 100 * jvm.MB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,9 +328,9 @@ func TestGCFreezeCreatesZeroThroughputWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Big allocation at t=50ms triggers GC; pause = 70MB/1024MB * 1024s = 70s is
-	// too long, so force through a direct request allocation instead:
-	// trigger with a request that allocates 90MB.
+	// A request allocating 90MB at t=50ms crosses the 90% threshold: the
+	// collector reclaims 65MB in a ≈38ms pause, spanning several of the
+	// 5ms arrivals below.
 	trig := &Request{
 		Class: "big", TxnID: 1, HopID: col.NextHopID(), From: "apache",
 		AllocBytes: 90 * jvm.MB,
@@ -395,12 +388,12 @@ func TestAccessors(t *testing.T) {
 }
 
 func TestDiskIOPhaseBlocksWithoutCPU(t *testing.T) {
-	f := newFixture(t, Config{Name: "mysql", Threads: 4, DiskMBps: 100, DiskLatency: 2 * ms}, 1)
+	f := newFixture(t, Config{Name: "mysql", Threads: 4}, 1)
 	var doneAt simnet.Time = -1
 	r := &Request{
 		Class: "write", TxnID: 1, HopID: f.collector.NextHopID(), From: "cjdbc",
 		Phases: []Phase{
-			DiskIO{Bytes: 1_000_000}, // 10ms at 100MB/s + 2ms latency
+			DiskIO{Bytes: 1_200_000}, // 10ms at 120MB/s + 4ms latency
 		},
 		OnDone: func() { doneAt = f.engine.Now() },
 	}
@@ -413,21 +406,21 @@ func TestDiskIOPhaseBlocksWithoutCPU(t *testing.T) {
 	if err := f.engine.Run(simnet.Second); err != nil {
 		t.Fatal(err)
 	}
-	if doneAt != 12*ms {
-		t.Errorf("done at %v, want 12ms (2ms latency + 10ms transfer)", doneAt)
+	if doneAt != diskLatency+10*ms {
+		t.Errorf("done at %v, want 14ms (4ms latency + 10ms transfer)", doneAt)
 	}
-	if f.srv.DiskBytes() != 1_000_000 {
-		t.Errorf("DiskBytes = %d, want 1MB", f.srv.DiskBytes())
+	if f.srv.DiskBytes() != 1_200_000 {
+		t.Errorf("DiskBytes = %d, want 1.2MB", f.srv.DiskBytes())
 	}
 }
 
 func TestDiskIOSerializesFCFS(t *testing.T) {
-	f := newFixture(t, Config{Name: "mysql", Threads: 4, DiskMBps: 100, DiskLatency: 2 * ms}, 2)
+	f := newFixture(t, Config{Name: "mysql", Threads: 4}, 2)
 	var done []simnet.Time
 	for i := 0; i < 3; i++ {
 		r := &Request{
 			Class: "write", TxnID: int64(i + 1), HopID: f.collector.NextHopID(), From: "cjdbc",
-			Phases: []Phase{DiskIO{Bytes: 1_000_000}},
+			Phases: []Phase{DiskIO{Bytes: 1_200_000}},
 			OnDone: func() { done = append(done, f.engine.Now()) },
 		}
 		if err := f.srv.Receive(r); err != nil {
@@ -437,8 +430,10 @@ func TestDiskIOSerializesFCFS(t *testing.T) {
 	if err := f.engine.Run(simnet.Second); err != nil {
 		t.Fatal(err)
 	}
-	// Each access: 2ms latency + 10ms transfer, serialized on one disk.
-	want := []simnet.Time{12 * ms, 24 * ms, 36 * ms}
+	// Each access: 4ms latency + 10ms transfer at 120MB/s, serialized on
+	// one disk.
+	per := diskLatency + 10*ms
+	want := []simnet.Time{per, 2 * per, 3 * per}
 	for i, w := range want {
 		if done[i] != w {
 			t.Errorf("disk completion %d at %v, want %v (single FCFS disk)", i, done[i], w)
@@ -470,7 +465,7 @@ func TestDiskIODefaultsApplied(t *testing.T) {
 	var doneAt simnet.Time = -1
 	r := &Request{
 		Class: "w", TxnID: 1, HopID: f.collector.NextHopID(), From: "x",
-		Phases: []Phase{DiskIO{Bytes: 120_000_000}}, // 1s at the default 120MB/s
+		Phases: []Phase{DiskIO{Bytes: 120_000_000}}, // 1s at 120MB/s
 		OnDone: func() { doneAt = f.engine.Now() },
 	}
 	if err := f.srv.Receive(r); err != nil {
@@ -479,7 +474,7 @@ func TestDiskIODefaultsApplied(t *testing.T) {
 	if err := f.engine.Run(2 * simnet.Second); err != nil {
 		t.Fatal(err)
 	}
-	if doneAt != simnet.Second+4*ms {
-		t.Errorf("done at %v, want 1.004s (defaults 120MB/s + 4ms)", doneAt)
+	if doneAt != simnet.Second+diskLatency {
+		t.Errorf("done at %v, want 1.004s (120MB/s + 4ms latency)", doneAt)
 	}
 }

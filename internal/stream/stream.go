@@ -441,8 +441,10 @@ func New(cfg Config) (*Runtime, error) {
 // state; everything else uses New.
 func newRuntime(cfg Config) (*Runtime, error) {
 	cfg.applyDefaults()
-	if cfg.Online.WindowIntervals != 0 && cfg.Online.WindowIntervals < 20 {
-		return nil, errors.New("stream: online window must cover at least 20 intervals")
+	if cfg.Online.WindowIntervals != 0 {
+		if err := core.CheckIntervals(int64(cfg.Online.WindowIntervals), core.MinWindowIntervals); err != nil {
+			return nil, fmt.Errorf("stream: online %w", err)
+		}
 	}
 	var st *checkpointState
 	var warns []string

@@ -57,7 +57,6 @@ func fragmentCases(overlong bool) []fragmentCase {
 		{"clean/strict", clean, StreamOptions{Policy: Strict, BatchSize: 7}, ""},
 		{"dirty/strict", dirty, StreamOptions{Policy: Strict, BatchSize: 7}, "traceio: line "},
 		{"dirty/skip", dirty, StreamOptions{Policy: Skip, BatchSize: 7}, ""},
-		{"dirty/maxerrors", dirty, StreamOptions{Policy: Skip, MaxErrors: 2, BatchSize: 7}, "too many corrupt lines"},
 	}
 }
 

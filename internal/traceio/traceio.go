@@ -38,9 +38,9 @@
 // line never poisons the rest of the stream — the reader resumes at the
 // next newline. What happens to the bad line is the caller's choice via
 // StreamOptions.Policy: Strict (fail on the first bad line, the default
-// and the historical behavior) or Skip (count it, optionally aborting
-// after MaxErrors bad lines, and keep going). Every *Opts reader reports
-// a Stats block so callers can surface how much of the input was usable.
+// and the historical behavior) or Skip (count it and keep going). Every
+// *Opts reader reports a Stats block so callers can surface how much of
+// the input was usable.
 //
 // # Concurrency
 //
@@ -126,7 +126,6 @@ const (
 	// Strict fails the whole read on the first bad line.
 	Strict Policy = iota
 	// Skip counts bad lines and keeps reading from the next newline.
-	// Combine with StreamOptions.MaxErrors to abort after N bad lines.
 	Skip
 )
 
@@ -134,18 +133,11 @@ const (
 type StreamOptions struct {
 	// Policy is the per-line error policy (default Strict).
 	Policy Policy
-	// MaxErrors aborts a Skip-policy read once this many lines have been
-	// skipped (the "a trickle of corruption is fine, a flood is not"
-	// guard). 0 means unlimited.
-	MaxErrors int
 	// BatchSize is the most records one StreamVisitsOpts callback receives
 	// (<= 0 uses DefaultBatch). It is a cap, not a cut: a batch ends early
 	// whenever the next line would have to wait for the source.
 	BatchSize int
 }
-
-// ErrTooManyBadLines aborts a Skip-policy read that exceeded MaxErrors.
-var ErrTooManyBadLines = errors.New("traceio: too many corrupt lines")
 
 // LineError records one unusable input line.
 type LineError struct {
@@ -244,10 +236,6 @@ func decodeLines(r io.Reader, opts StreamOptions, idle func() error, decode func
 					return stats, fmt.Errorf("traceio: line %d: %w", line, derr)
 				}
 				stats.record(line, malformed, derr)
-				if opts.MaxErrors > 0 && stats.Skipped() > opts.MaxErrors {
-					return stats, fmt.Errorf("%w: %d bad lines (limit %d), first at line %d: %v",
-						ErrTooManyBadLines, stats.Skipped(), opts.MaxErrors, stats.Errors[0].Line, stats.Errors[0].Err)
-				}
 			}
 		}
 		if rerr != nil {
@@ -266,12 +254,11 @@ func decodeLines(r io.Reader, opts StreamOptions, idle func() error, decode func
 // waits for input that has not arrived. The batch slice is reused between
 // calls — fn must not retain it. A non-nil error from fn aborts the
 // stream and is returned verbatim. The zero StreamOptions decode
-// strictly. Under
-// Skip, corrupt or invalid lines are counted in the returned Stats and
-// the stream resumes at the next newline; the error is non-nil only when
-// the Skip budget (MaxErrors) is exhausted, the callback fails, or the
-// underlying reader fails. Stats are returned in every case, including
-// on error, so callers can report partial progress. A read that fails
+// strictly. Under Skip, corrupt or invalid lines are counted in the
+// returned Stats and the stream resumes at the next newline; the error is
+// non-nil only when the callback fails or the underlying reader fails.
+// Stats are returned in every case, including on error, so callers can
+// report partial progress. A read that fails
 // hands over no record decoded since its last hand-off; how many were
 // handed over before that depends on where the source's reads fell.
 func StreamVisitsOpts(r io.Reader, opts StreamOptions, fn func(batch []trace.Visit) error) (Stats, error) {

@@ -280,23 +280,6 @@ func TestStreamVisitsInvalidRecordsCounted(t *testing.T) {
 	}
 }
 
-// MaxErrors turns Skip into abort-after-N.
-func TestStreamVisitsMaxErrors(t *testing.T) {
-	in := "garbage1\ngarbage2\ngarbage3\n" + visitLine1 + "\n"
-	_, stats, err := collectOpts(t, in, StreamOptions{Policy: Skip, MaxErrors: 2})
-	if !errors.Is(err, ErrTooManyBadLines) {
-		t.Fatalf("err = %v, want ErrTooManyBadLines", err)
-	}
-	if stats.Skipped() != 3 {
-		t.Errorf("skipped %d at abort, want 3", stats.Skipped())
-	}
-	// Under the limit it reads through.
-	out, _, err := collectOpts(t, in, StreamOptions{Policy: Skip, MaxErrors: 3})
-	if err != nil || len(out) != 1 {
-		t.Errorf("under limit: visits %d, err %v", len(out), err)
-	}
-}
-
 func TestReadMessagesOptsLenient(t *testing.T) {
 	in := `{"at_us":1,"from":"a","to":"b","dir":"call","hop":1}` + "\n" +
 		"corrupt\n" +

@@ -58,8 +58,9 @@ func (cfg OnlineConfig) coreOptions() (core.OnlineOptions, error) {
 	if window <= 0 {
 		window = 2 * time.Minute
 	}
-	if simnet.FromStdDuration(window) < 20*interval {
-		return core.OnlineOptions{}, fmt.Errorf("transientbd: Window %v must cover at least 20 intervals of %v", window, simnet.Std(interval))
+	n := simnet.FromStdDuration(window) / interval
+	if err := core.CheckIntervals(int64(n), core.MinWindowIntervals); err != nil {
+		return core.OnlineOptions{}, fmt.Errorf("transientbd: Window %v at Interval %v: %w", window, simnet.Std(interval), err)
 	}
 	reest := cfg.Reestimate
 	if reest <= 0 {
@@ -71,7 +72,7 @@ func (cfg OnlineConfig) coreOptions() (core.OnlineOptions, error) {
 			ServiceTimes:  coreServiceTimes(cfg.ServiceTimes),
 			RawThroughput: cfg.RawThroughput,
 		},
-		WindowIntervals: int(simnet.FromStdDuration(window) / interval),
+		WindowIntervals: int(n),
 		ReestimateEvery: int(simnet.FromStdDuration(reest) / interval),
 	}, nil
 }

@@ -499,9 +499,10 @@ func TestStreamEmpty(t *testing.T) {
 // the 2-minute default. So is an interval that is not a positive whole
 // number of the trace clock's microseconds: 500ns used to truncate to
 // zero, run the 50 ms default grid and size the window for 2.4e8
-// intervals. Zero still means the default.
+// intervals. Zero still means the default. A window past the interval
+// ceiling is rejected too: 10 000 h used to size 7.2e8 intervals.
 func TestStreamWindowTooShort(t *testing.T) {
-	for _, window := range []time.Duration{10 * time.Millisecond, 950 * time.Millisecond} {
+	for _, window := range []time.Duration{10 * time.Millisecond, 950 * time.Millisecond, 10000 * time.Hour} {
 		_, err := NewStream(StreamConfig{OnlineConfig: OnlineConfig{Window: window}})
 		if err == nil || !strings.Contains(err.Error(), "Window") {
 			t.Errorf("NewStream(Window %v at the 50 ms default interval) = %v, want a Window error", window, err)
