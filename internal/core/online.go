@@ -43,7 +43,10 @@ type Online struct {
 	// Reused scratch, so the steady-state Observe/Advance path allocates
 	// nothing (the allocation-budget contract in PERFORMANCE.md, pinned
 	// by TestOnlineObserveAllocBudget): pts backs reestimate's point set,
-	// svcSorted is the copy serviceTable selects a class's percentile in.
+	// svcSorted is the copy of a reservoir serviceTable selects in. The
+	// reservoir must keep its arrival order for eviction, and a selection
+	// may reorder what it is given: Select always, SelectNear only when
+	// its guess is too far off and it falls back to Select.
 	ptsScratch []Point
 	svcSorted  []float64
 
@@ -95,6 +98,11 @@ const reservoirSize = 256
 type reservoir struct {
 	samples []float64
 	next    int
+	// est is the sample the last refresh selected, the guess the next one
+	// starts from once seeded. It is not checkpointed: a restored
+	// reservoir's first refresh selects from scratch.
+	est    float64
+	seeded bool
 }
 
 func (r *reservoir) add(v float64) {
@@ -248,7 +256,12 @@ func (o *Online) serviceTable() ServiceTimes {
 		}
 		o.svcSorted = append(o.svcSorted[:0], r.samples...)
 		idx := min(int(float64(len(r.samples))*servicePercentile/100), len(r.samples)-1)
-		svc[class] = simnet.Duration(max(stats.Select(o.svcSorted, idx), 1))
+		if r.seeded {
+			r.est = stats.SelectNear(o.svcSorted, idx, r.est)
+		} else {
+			r.est, r.seeded = stats.Select(o.svcSorted, idx), true
+		}
+		svc[class] = simnet.Duration(max(r.est, 1))
 	}
 	return svc
 }

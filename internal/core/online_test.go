@@ -389,9 +389,11 @@ func TestSnapshotLeavesOnlineUntouched(t *testing.T) {
 }
 
 // TestServiceTableMatchesSortedReference pins the refresh: at every
-// service-table refresh, the table (each class's percentile found by
-// selection) must equal a full sort of every reservoir. The feed's 48
-// classes all wrap their reservoirs.
+// service-table refresh, the table (each class's percentile selected from
+// the last one's) must equal a full sort of every reservoir. The feed's 48
+// classes all wrap their reservoirs. Halfway through, the analyzer is
+// checkpointed and the feed goes on into a restored one, whose first
+// refresh has no last percentile to start from.
 func TestServiceTableMatchesSortedReference(t *testing.T) {
 	const classes, records = 48, 60_000
 	reference := func(o *Online) ServiceTimes {
@@ -406,7 +408,7 @@ func TestServiceTableMatchesSortedReference(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(11))
 	o := newOnlineForTest(t, OnlineOptions{})
-	refreshes := 0
+	refreshes, restored := 0, 0
 	for i := range records {
 		c := rng.Intn(classes)
 		depart := simnet.Time(i) * 100 * simnet.Microsecond
@@ -414,6 +416,17 @@ func TestServiceTableMatchesSortedReference(t *testing.T) {
 		o.Observe(trace.Visit{Server: "s", Class: fmt.Sprintf("c%02d", c), Arrive: depart - resid, Depart: depart})
 		if i%4000 == 0 {
 			o.Advance(depart - simnet.Second)
+		}
+		if i == records/2+100 { // between two refreshes
+			blob, err := o.MarshalState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			o = newOnlineForTest(t, OnlineOptions{})
+			if err := o.RestoreState(blob); err != nil {
+				t.Fatal(err)
+			}
+			restored = refreshes
 		}
 		if o.sinceSvc != 0 {
 			continue
@@ -435,8 +448,9 @@ func TestServiceTableMatchesSortedReference(t *testing.T) {
 			wrapped++
 		}
 	}
-	if len(o.reservoirs) != classes || wrapped < classes || refreshes < 50 {
-		t.Fatalf("feed exercises too little: %d classes, %d wrapped reservoirs, %d refreshes", len(o.reservoirs), wrapped, refreshes)
+	if len(o.reservoirs) != classes || wrapped < classes || restored < 25 || refreshes-restored < 25 {
+		t.Fatalf("feed exercises too little: %d classes, %d wrapped reservoirs, %d refreshes, %d before the restore",
+			len(o.reservoirs), wrapped, refreshes, restored)
 	}
 }
 

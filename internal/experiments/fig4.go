@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"transientbd/internal/simnet"
 	"transientbd/internal/trace"
 )
 
@@ -45,16 +46,7 @@ func Fig4(opts RunOpts) (*Fig4Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fig4: assemble: %w", err)
 	}
-	txns := trace.Transactions(visits)
-	var best []trace.Visit
-	for _, vs := range txns {
-		if len(vs) >= 4 && vs[0].Server == "apache" && vs[0].Arrive > res.WindowStart {
-			if best == nil || len(vs) > len(best) {
-				best = vs
-			}
-		}
-	}
-	if best != nil {
+	if best := sampleTransaction(trace.Transactions(visits), res.WindowStart); best != nil {
 		var b strings.Builder
 		origin := best[0].Arrive
 		fmt.Fprintf(&b, "transaction %d (%s):\n", best[0].TxnID, best[0].Class)
@@ -66,6 +58,22 @@ func Fig4(opts RunOpts) (*Fig4Result, error) {
 		out.SampleTransaction = b.String()
 	}
 	return out, nil
+}
+
+// sampleTransaction picks the longest transaction of at least four visits
+// that enters at apache after start, the smallest TxnID among equals, so
+// the pick does not depend on map order.
+func sampleTransaction(txns map[int64][]trace.Visit, start simnet.Time) []trace.Visit {
+	var best []trace.Visit
+	for _, vs := range txns {
+		if len(vs) < 4 || vs[0].Server != "apache" || vs[0].Arrive <= start {
+			continue
+		}
+		if best == nil || len(vs) > len(best) || (len(vs) == len(best) && vs[0].TxnID < best[0].TxnID) {
+			best = vs
+		}
+	}
+	return best
 }
 
 // Table renders the reconstruction summary.

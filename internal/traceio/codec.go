@@ -40,15 +40,25 @@ type scanner struct {
 	bad  bool
 }
 
+// plain marks the bytes a canonical string holds as they are: printable
+// ASCII other than '"' and '\'.
+var plain = func() (t [256]bool) {
+	for c := 0x20; c <= 0x7e; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
 // peek skips blanks and returns the byte after them, 0 at end of line.
 func (s *scanner) peek() byte {
-	for s.i < len(s.b) && (s.b[s.i] == ' ' || s.b[s.i] == '\t') {
-		s.i++
+	b, i := s.b, s.i
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t') {
+		i++
 	}
-	if s.i == len(s.b) {
+	if s.i = i; i == len(b) {
 		return 0
 	}
-	return s.b[s.i]
+	return b[i]
 }
 
 // eat consumes c after any blanks.
@@ -60,8 +70,23 @@ func (s *scanner) eat(c byte) {
 	}
 }
 
+// quoted consumes a string's plain bytes and its closing quote, the
+// opening one already eaten, and returns the bytes, which alias the line.
+func (s *scanner) quoted() []byte {
+	b, start, i := s.b, s.i, s.i
+	for i < len(b) && plain[b[i]] {
+		i++
+	}
+	if i == len(b) || b[i] != '"' {
+		s.bad = true
+		return nil
+	}
+	s.i = i + 1
+	return b[start:i]
+}
+
 // key returns the next member's key with the scanner at its value, or
-// nil once the object has closed at end of line.
+// nil once the object has closed at end of line or the line is bad.
 func (s *scanner) key() []byte {
 	switch c := s.peek(); {
 	case s.i == 0 && c == '{', s.seen != 0 && c == ',':
@@ -70,9 +95,15 @@ func (s *scanner) key() []byte {
 		return nil
 	default:
 		s.bad = true
+		return nil
 	}
-	key := s.str(0)
-	s.eat(':')
+	s.eat('"')
+	key := s.quoted()
+	if s.i < len(s.b) && s.b[s.i] == ':' { // the writers' `"key":`
+		s.i++
+	} else {
+		s.eat(':')
+	}
 	return key
 }
 
@@ -87,35 +118,29 @@ func (s *scanner) take(bit uint) {
 func (s *scanner) str(bit uint) []byte {
 	s.take(bit)
 	s.eat('"')
-	for start := s.i; s.i < len(s.b) && s.b[s.i] >= 0x20 && s.b[s.i] <= 0x7e && s.b[s.i] != '\\'; s.i++ {
-		if s.b[s.i] == '"' {
-			s.i++
-			return s.b[start : s.i-1]
-		}
-	}
-	s.bad = true
-	return nil
+	return s.quoted()
 }
 
 // int consumes the integer value of the key owning bit: optional '-', no
 // leading zeros, no overflow. "1.0" and "1e3" fail at the next key call.
 func (s *scanner) int(bit uint) int64 {
 	s.take(bit)
-	neg, limit := s.peek() == '-', uint64(1<<63-1)
+	neg := s.peek() == '-'
 	if neg {
 		s.i++
-		limit++
 	}
-	start, n := s.i, uint64(0)
-	for ; s.i < len(s.b) && s.b[s.i]-'0' <= 9; s.i++ {
-		if n > limit/10 {
-			n = limit + 1 // keeps n past limit without overflowing uint64
-			continue
-		}
-		n = n*10 + uint64(s.b[s.i]-'0')
+	b, start, i, n := s.b, s.i, s.i, uint64(0)
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		n = n*10 + uint64(b[i]-'0') // exact for up to 19 digits
 	}
-	if s.i == start || (s.b[start] == '0' && s.i > start+1) || n > limit {
+	if s.i = i; i == start || (b[start] == '0' && i > start+1) {
 		s.bad = true
+	} else if digits := i - start; digits > 18 { // 18 digits always fit int64
+		limit := uint64(1<<63 - 1)
+		if neg {
+			limit++
+		}
+		s.bad = s.bad || digits > 19 || n > limit
 	}
 	if neg {
 		return -int64(n)
@@ -125,7 +150,8 @@ func (s *scanner) int(bit uint) int64 {
 
 // fastVisit decodes a canonical visit line; ok is false for any other line.
 func fastVisit(line []byte, names interner) (rec visitRecord, ok bool) {
-	for s := (scanner{b: line}); ; {
+	s := scanner{b: line} // one scanner for the line, not a copy per key
+	for {
 		switch key := s.key(); string(key) {
 		case "server":
 			rec.Server = names.get(s.str(1 << 0))
@@ -149,7 +175,8 @@ func fastVisit(line []byte, names interner) (rec visitRecord, ok bool) {
 
 // fastMessage is fastVisit for the wire-message schema.
 func fastMessage(line []byte, names interner) (rec messageRecord, ok bool) {
-	for s := (scanner{b: line}); ; {
+	s := scanner{b: line}
+	for {
 		switch key := s.key(); string(key) {
 		case "at_us":
 			rec.AtUS = s.int(1 << 0)

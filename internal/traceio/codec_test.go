@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -78,14 +79,18 @@ func BenchmarkStreamVisits(b *testing.B) {
 // Lines in the canonical form — what the writers emit, give or take blanks
 // and key order — and lines just off it, which only encoding/json judges.
 var (
-	canonicalVisits = []string{
+	canonicalVisits = append([]string{
 		`{"server":"s","class":"c","txn":1,"hop":2,"arrive_us":1,"depart_us":2,"downstream_us":1}`,
 		`{"server":"s","arrive_us":-9223372036854775808,"depart_us":9223372036854775807}`,
 		`{"server":"s","arrive_us":-0,"depart_us":0}`,
 		`{ "depart_us" : 2 ,	"arrive_us" : 1 , "server" : "s" }`,
-	}
+		`{"server":"s","txn":12345678901234567,"hop":-12345678901234567,"arrive_us":1,"depart_us":2}`,
+		`{"server":"s","txn":999999999999999999,"hop":-999999999999999999,"arrive_us":1,"depart_us":2}`,
+		`{"server":"s","txn":9223372036854775807,"hop":-9223372036854775807,"arrive_us":1,"depart_us":2}`,
+		`{"server":"s","txn":-9223372036854775808,"hop":1000000000000000000,"arrive_us":1,"depart_us":2}`,
+	}, byteLines(true)...)
 	canonicalMessage = `{"at_us":1,"from":"a","to":"b","dir":"call","class":"c","conn":1,"txn":2,"hop":3,"parent":4,"bytes":5}`
-	offCanonical     = []string{
+	offCanonical     = append([]string{
 		`{"server":"a\"b\\c\u00e9","arrive_us":1,"depart_us":2}`,
 		`{"Server":"s","ARRIVE_US":1,"depart_us":2}`,
 		`{"server":"s","server":"t","arrive_us":1,"arrive_us":3,"depart_us":4}`,
@@ -97,6 +102,12 @@ var (
 		`{"server":"s","arrive_us":1,"depart_us":9223372036854775808}`,
 		`{"server":"s","arrive_us":-9223372036854775809,"depart_us":1}`,
 		`{"server":"s","arrive_us":1,"depart_us":99999999999999999999999999}`,
+		`{"server":"s","txn":9223372036854775808,"arrive_us":1,"depart_us":2}`,
+		`{"server":"s","txn":-9223372036854775809,"arrive_us":1,"depart_us":2}`,
+		`{"server":"s","txn":10000000000000000000,"arrive_us":1,"depart_us":2}`,
+		`{"server":"s","txn":-10000000000000000000,"arrive_us":1,"depart_us":2}`,
+		`{"server":"s","txn":18446744073709551616,"arrive_us":1,"depart_us":2}`,
+		`{"server":"s","txn":-18446744073709551617,"arrive_us":1,"depart_us":2}`,
 		`{"server":"é","arrive_us":1,"depart_us":2}`,
 		"{\"server\":\"a\x00b\",\"arrive_us\":1,\"depart_us\":2}",
 		"{\"server\":\"a\x7fb\",\"arrive_us\":1,\"depart_us\":2}",
@@ -104,8 +115,26 @@ var (
 		`{}`, `{"a":1,}`, `{,"server":"s"}`, `{"server":"s",}`, `{"server":"s"}x`, `{"server":"s"} {}`,
 		`{"server":{"a":[1]},"arrive_us":[1],"depart_us":2}`, `{"server":"s","extra":true}`,
 		`{"server":5,"arrive_us":"1","depart_us":2}`, `[]`, `"server"`, `{"server":"s"`, `{"server":"s`, ` {"server":"s"}`,
-	}
+	}, byteLines(false)...)
 )
+
+// byteLines returns a visit line with byte c inside its class value for
+// every c that is (canonical) or is not printable ASCII other than '"' and
+// '\'. Off the canonical form it adds a line with each of the 256 bytes
+// inside a key, which takes the key out of the schema.
+func byteLines(canonical bool) []string {
+	var lines []string
+	for c := range 256 {
+		b, plain := string([]byte{byte(c)}), c >= 0x20 && c <= 0x7e && c != '"' && c != '\\'
+		if plain == canonical {
+			lines = append(lines, `{"server":"s","class":"a`+b+`z","arrive_us":1,"depart_us":2}`)
+		}
+		if !canonical {
+			lines = append(lines, `{"server":"s","cl`+b+`ass":"c","arrive_us":1,"depart_us":2}`)
+		}
+	}
+	return lines
+}
 
 // Whenever the fast path takes a line, encoding/json must take it too and
 // produce the identical record. (Lines the fast path declines go through
@@ -176,6 +205,21 @@ func TestDecodeSameOnBothPaths(t *testing.T) {
 		got, stats, err := ReadVisitsOpts(strings.NewReader(in), StreamOptions{})
 		if err != nil || !reflect.DeepEqual(got, want) || stats.Decoded != 1 {
 			t.Errorf("%s: got %+v, stats %+v, err %v", name, got, stats, err)
+		}
+	}
+	// Every byte inside a string value and a key, and integers either side
+	// of int64's limits, decode as encoding/json decodes them.
+	for _, line := range append(slices.Clone(canonicalVisits), offCanonical...) {
+		var rec visitRecord
+		jerr := json.Unmarshal([]byte(line), &rec)
+		if jerr != nil || rec.Server == "" || rec.DepartUS < rec.ArriveUS || strings.Contains(line, "\n") {
+			continue // refused, or two lines to the reader
+		}
+		got, _, err := ReadVisitsOpts(strings.NewReader(line+"\n"), StreamOptions{})
+		want := trace.Visit{Server: rec.Server, Class: rec.Class, TxnID: rec.TxnID, HopID: rec.HopID,
+			Arrive: simnet.Time(rec.ArriveUS), Depart: simnet.Time(rec.DepartUS), Downstream: simnet.Duration(rec.DownstrUS)}
+		if err != nil || len(got) != 1 || got[0] != want {
+			t.Errorf("%q: got %+v, err %v; encoding/json reads %+v", line, got, err, want)
 		}
 	}
 	// Lines only encoding/json judges keep its classification and text.
