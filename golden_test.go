@@ -2,10 +2,14 @@ package transientbd
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,7 +26,7 @@ import (
 // instead of a silent one:
 //
 //	go test -run TestGoldenReport -update .
-var updateGolden = flag.Bool("update", false, "rewrite examples/golden/report.json from the current pipeline output")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under examples/golden from the current pipeline output")
 
 // goldenConfig pins every default the report depends on, so the golden
 // file does not shift when defaults evolve — that kind of change should
@@ -106,13 +110,16 @@ func TestGoldenReport(t *testing.T) {
 
 // The scenario golden: the conn-pool battery scenario run end to end —
 // simulate, analyze, attribute — with the ground-truth labels and the
-// full Report (verdicts included) pinned byte-for-byte. This is the
-// regression net for the attribution engine: any scoring or evidence
-// drift shows up as a reviewable diff in the checked-in verdicts.
+// full Report (verdicts included) pinned by the SHA-256 of their indented
+// JSON. The digest catches any drift, however small; the committed
+// summary beside it (causes, verdicts, ranking) is what a reviewer reads
+// when the digest moves. This is the regression net for the attribution
+// engine:
 //
 //	go test -run TestGoldenScenarioReport -update .
 func TestGoldenScenarioReport(t *testing.T) {
-	goldenPath := filepath.Join("examples", "golden", "scenario_connpool.json")
+	digestPath := filepath.Join("examples", "golden", "scenario_connpool.sha256")
+	summaryPath := filepath.Join("examples", "golden", "scenario_connpool.txt")
 
 	res, report, err := AnalyzeScenario(Scenario{
 		Preset:   "conn-pool",
@@ -127,30 +134,67 @@ func TestGoldenScenarioReport(t *testing.T) {
 		t.Fatalf("top verdict = %+v, want conn-pool-exhaustion", report.Causes)
 	}
 
-	got, err := json.MarshalIndent(struct {
+	full, err := json.MarshalIndent(struct {
 		GroundTruth []GroundTruthRecord
 		Report      *Report
 	}{res.GroundTruth, report}, "", "  ")
 	if err != nil {
 		t.Fatalf("marshal scenario report: %v", err)
 	}
-	got = append(got, '\n')
+	sum := sha256.Sum256(append(full, '\n'))
+	digest := hex.EncodeToString(sum[:]) + "\n"
+	summary := scenarioSummary(res.GroundTruth, report)
 
 	if *updateGolden {
-		if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
-			t.Fatalf("update scenario golden: %v", err)
+		if err := os.WriteFile(digestPath, []byte(digest), 0o644); err != nil {
+			t.Fatalf("update scenario digest: %v", err)
 		}
-		t.Logf("scenario golden rewritten: %s (%d bytes)", goldenPath, len(got))
+		if err := os.WriteFile(summaryPath, []byte(summary), 0o644); err != nil {
+			t.Fatalf("update scenario summary: %v", err)
+		}
+		t.Logf("scenario golden rewritten: %s, %s", digestPath, summaryPath)
 		return
 	}
 
-	want, err := os.ReadFile(goldenPath)
+	const rerun = "If the change is intentional, rerun with: go test -run TestGoldenScenarioReport -update ."
+	wantSummary, err := os.ReadFile(summaryPath)
 	if err != nil {
-		t.Fatalf("read scenario golden (run with -update to create it): %v", err)
+		t.Fatalf("read scenario summary (run with -update to create it): %v", err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("scenario report diverges from golden (got %d bytes, want %d).\n"+
-			"If the change is intentional, rerun with: go test -run TestGoldenScenarioReport -update .",
-			len(got), len(want))
+	if summary != string(wantSummary) {
+		t.Fatalf("scenario summary diverges from golden.\ngot:\n%s\nwant:\n%s\n%s", summary, wantSummary, rerun)
 	}
+	wantDigest, err := os.ReadFile(digestPath)
+	if err != nil {
+		t.Fatalf("read scenario digest (run with -update to create it): %v", err)
+	}
+	if digest != string(wantDigest) {
+		t.Fatalf("scenario report digest %s, want %s: the summary holds, so the drift is in "+
+			"evidence text, series values or unprinted digits.\n%s",
+			strings.TrimSpace(digest), strings.TrimSpace(string(wantDigest)), rerun)
+	}
+}
+
+// scenarioSummary renders the reviewable part of the scenario golden:
+// each ground-truth injection, each verdict, and each ranking row.
+func scenarioSummary(truth []GroundTruthRecord, r *Report) string {
+	var b strings.Builder
+	b.WriteString("ground truth (cause, servers, windows)\n")
+	for _, g := range truth {
+		fmt.Fprintf(&b, "  %s %s", g.Cause, strings.Join(g.Servers, ","))
+		for _, w := range g.Windows {
+			fmt.Fprintf(&b, " %v-%v", w.Start, w.End)
+		}
+		b.WriteString("\n")
+	}
+	b.WriteString("verdicts (kind, server, score, confidence)\n")
+	for _, c := range r.Causes {
+		fmt.Fprintf(&b, "  %s %s %.4f %.4f\n", c.Kind, c.Server, c.Score, c.Confidence)
+	}
+	b.WriteString("ranking (server, N*, TPmax, saturated, congested, episodes, POIs)\n")
+	for _, sa := range r.Ranking {
+		fmt.Fprintf(&b, "  %s %.3f %.1f %t %.4f %d %d\n", sa.Server, sa.NStar, sa.TPMax,
+			sa.Saturated, sa.CongestedFraction, len(sa.Episodes), len(sa.POITimes))
+	}
+	return b.String()
 }

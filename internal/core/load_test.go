@@ -99,11 +99,11 @@ func TestErrNoVisitsWrapping(t *testing.T) {
 
 // oracleLoadSeries is the original sort-based load computation (the
 // StepAccumulator sweep LoadSeries used before the incremental
-// metrics.LoadAccumulator replaced it), kept verbatim as the reference
+// metrics.LoadAccumulator replaced it), kept as the reference
 // implementation for the equivalence property below.
 func oracleLoadSeries(t *testing.T, visits []trace.Visit, w Window, interval simnet.Duration) *metrics.IntervalSeries {
 	t.Helper()
-	acc := metrics.NewStepAccumulatorCap(0, 2*len(visits))
+	acc := metrics.NewStepAccumulator(0)
 	for _, v := range visits {
 		acc.Change(v.Arrive, 1)
 		acc.Change(v.Depart, -1)

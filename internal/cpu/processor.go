@@ -32,10 +32,6 @@ type Config struct {
 	// control is slow; 500ms reproduces its sluggishness. Defaults to
 	// 500ms. Ignored for FixedGovernor (no ticks are scheduled).
 	ControlPeriod simnet.Duration
-	// InitialState is the starting P-state index. Defaults to the slowest
-	// state when a non-fixed governor is set (power-saving idle start),
-	// otherwise to the fixed state.
-	InitialState int
 }
 
 // Processor executes CPU jobs on a fixed number of cores with
@@ -65,7 +61,9 @@ type Processor struct {
 }
 
 // NewProcessor creates a processor bound to the engine. The governor tick
-// is scheduled lazily on Start.
+// is scheduled lazily on Start. A FixedGovernor starts at its own state;
+// any other governor starts at the slowest state (a power-saving idle
+// start) and climbs as load arrives.
 func NewProcessor(engine *simnet.Engine, cfg Config) (*Processor, error) {
 	if engine == nil {
 		return nil, errors.New("cpu: nil engine")
@@ -79,11 +77,10 @@ func NewProcessor(engine *simnet.Engine, cfg Config) (*Processor, error) {
 	if cfg.ControlPeriod <= 0 {
 		cfg.ControlPeriod = 500 * simnet.Millisecond
 	}
-	initial := cfg.InitialState
+	initial := len(pstates) - 1
 	if fixed, ok := cfg.Governor.(FixedGovernor); ok {
-		initial = fixed.State
+		initial = clampState(fixed.State, len(pstates))
 	}
-	initial = clampState(initial, len(pstates))
 	p := &Processor{
 		engine:         engine,
 		cfg:            cfg,

@@ -248,13 +248,38 @@ func TestUtilizationDuringPauseCountsBusy(t *testing.T) {
 	}
 }
 
+// A governed CPU starts at the slowest P-state (power-saving idle), a
+// FixedGovernor at its own state, clamped to the table.
+func TestProcessorStartState(t *testing.T) {
+	slowest := len(TableII()) - 1
+	cases := []struct {
+		name string
+		gov  Governor
+		want int
+	}{
+		{"default", nil, 0},
+		{"fixed", FixedGovernor{State: 2}, 2},
+		{"fixed-clamped", FixedGovernor{State: 99}, slowest},
+		{"step", StepGovernor{UpThreshold: 0.8, DownThreshold: 0.4}, slowest},
+		{"ondemand", OndemandGovernor{Target: 0.8}, slowest},
+	}
+	for _, c := range cases {
+		p := newTestProcessor(t, simnet.NewEngine(), Config{Cores: 1, Governor: c.gov})
+		if p.State() != c.want {
+			t.Errorf("%s: start state = P[%d], want P[%d]", c.name, p.State(), c.want)
+		}
+		if p.Transitions() != 0 {
+			t.Errorf("%s: transitions at start = %d, want 0", c.name, p.Transitions())
+		}
+	}
+}
+
 func TestStepGovernorRampsUpUnderLoad(t *testing.T) {
 	e := simnet.NewEngine()
 	p := newTestProcessor(t, e, Config{
 		Cores:         1,
 		Governor:      StepGovernor{UpThreshold: 0.8, DownThreshold: 0.4},
 		ControlPeriod: 100 * simnet.Millisecond,
-		InitialState:  4, // start slow, like an idle power-saving CPU
 	})
 	p.Start()
 	// Saturate the CPU: always one job pending.
@@ -279,8 +304,8 @@ func TestStepGovernorDropsWhenIdle(t *testing.T) {
 		Cores:         1,
 		Governor:      StepGovernor{UpThreshold: 0.8, DownThreshold: 0.4},
 		ControlPeriod: 100 * simnet.Millisecond,
-		InitialState:  0,
 	})
+	p.ForceState(0)
 	p.Start()
 	if err := e.Run(2 * simnet.Second); err != nil {
 		t.Fatal(err)
@@ -432,7 +457,6 @@ func TestOndemandGovernorTracksBurstFasterThanStep(t *testing.T) {
 			Cores:         1,
 			Governor:      gov,
 			ControlPeriod: 100 * simnet.Millisecond,
-			InitialState:  4,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -17,10 +17,9 @@ type Fig3Result struct {
 	// TomcatAvg and MySQLAvg are the window means (paper: 79.9% and
 	// 78.1%).
 	TomcatAvg, MySQLAvg float64
-	// TableI rows: tier → CPU %, disk MB/s, net receive/send MB/s.
-	TierCPU  map[string]float64
-	TierNet  map[string][2]float64
-	TierDisk map[string]float64
+	// TableI rows: tier → CPU %, net receive/send MB/s.
+	TierCPU map[string]float64
+	TierNet map[string][2]float64
 }
 
 // Fig3TableI runs WL 8,000 in the §II-B configuration and collects the
@@ -51,9 +50,8 @@ func Fig3TableI(opts RunOpts) (*Fig3Result, error) {
 	}
 
 	out := &Fig3Result{
-		TierCPU:  map[string]float64{},
-		TierDisk: map[string]float64{},
-		TierNet:  map[string][2]float64{},
+		TierCPU: map[string]float64{},
+		TierNet: map[string][2]float64{},
 	}
 	avgSeries := func(names ...string) []float64 {
 		var merged []float64
@@ -94,7 +92,6 @@ func Fig3TableI(opts RunOpts) (*Fig3Result, error) {
 	for tier, members := range tiers {
 		var cpu float64
 		var net [2]float64
-		var disk float64
 		for _, m := range members {
 			cpu += res.Utilization[m]
 			r := rates[m]
@@ -102,16 +99,8 @@ func Fig3TableI(opts RunOpts) (*Fig3Result, error) {
 			net[1] += r[1]
 		}
 		cpu /= float64(len(members))
-		for _, srv := range sys.AllServers() {
-			for _, m := range members {
-				if srv.Name() == m {
-					disk += float64(srv.DiskBytes()) / 1e6 / (res.WindowEnd - res.WindowStart).Seconds()
-				}
-			}
-		}
 		out.TierCPU[tier] = cpu
 		out.TierNet[tier] = net
-		out.TierDisk[tier] = disk
 	}
 	return out, nil
 }
@@ -120,13 +109,12 @@ func Fig3TableI(opts RunOpts) (*Fig3Result, error) {
 func (r *Fig3Result) Table() *Table {
 	t := &Table{
 		Title:  "Table I: average resource utilization per tier at WL 8,000",
-		Header: []string{"Server/Resource", "CPU util (%)", "Disk I/O (MB/s)", "Net recv/send (MB/s)"},
+		Header: []string{"Server/Resource", "CPU util (%)", "Net recv/send (MB/s)"},
 	}
 	for _, tier := range []string{"Apache", "Tomcat", "CJDBC", "MySQL"} {
 		net := r.TierNet[tier]
 		t.AddRow(tier,
 			fmt.Sprintf("%.1f", 100*r.TierCPU[tier]),
-			fmt.Sprintf("%.1f", r.TierDisk[tier]),
 			fmt.Sprintf("%.1f/%.1f", net[0], net[1]))
 	}
 	return t

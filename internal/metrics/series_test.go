@@ -215,19 +215,3 @@ func TestToPerSecondMatchesPerSecond(t *testing.T) {
 		}
 	}
 }
-
-func TestNewStepAccumulatorCap(t *testing.T) {
-	acc := NewStepAccumulatorCap(0, 8)
-	acc.Change(10, 1)
-	acc.Change(20, -1)
-	if acc.NumChanges() != 2 {
-		t.Fatalf("changes = %d, want 2", acc.NumChanges())
-	}
-	if got := acc.LevelAt(15); got != 1 {
-		t.Fatalf("level = %v, want 1", got)
-	}
-	// Negative capacity hints are clamped, not a panic.
-	if NewStepAccumulatorCap(0, -5).NumChanges() != 0 {
-		t.Fatal("negative-cap accumulator not empty")
-	}
-}

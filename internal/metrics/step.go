@@ -27,24 +27,11 @@ func NewStepAccumulator(initial float64) *StepAccumulator {
 	return &StepAccumulator{initial: initial}
 }
 
-// NewStepAccumulatorCap is NewStepAccumulator with a capacity hint: space
-// for n changes is reserved up front, so hot paths that know their change
-// count (two per visit for a load series) append without regrowing.
-func NewStepAccumulatorCap(initial float64, n int) *StepAccumulator {
-	if n < 0 {
-		n = 0
-	}
-	return &StepAccumulator{initial: initial, changes: make([]stepChange, 0, n)}
-}
-
 // Change records a delta to the level at time t (e.g. +1 on request
 // arrival, -1 on departure).
 func (a *StepAccumulator) Change(t simnet.Time, delta float64) {
 	a.changes = append(a.changes, stepChange{at: t, delta: delta})
 }
-
-// NumChanges reports how many changes have been recorded.
-func (a *StepAccumulator) NumChanges() int { return len(a.changes) }
 
 // Average returns an IntervalSeries where each interval holds the
 // time-weighted average level over that interval — exactly the paper's
@@ -95,20 +82,4 @@ func (a *StepAccumulator) Average(start, end simnet.Time, width simnet.Duration)
 		}
 	}
 	return series, nil
-}
-
-// LevelAt returns the level of the step function at time t (changes at
-// exactly t are applied).
-func (a *StepAccumulator) LevelAt(t simnet.Time) float64 {
-	sorted := make([]stepChange, len(a.changes))
-	copy(sorted, a.changes)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].at < sorted[j].at })
-	level := a.initial
-	for _, ch := range sorted {
-		if ch.at > t {
-			break
-		}
-		level += ch.delta
-	}
-	return level
 }

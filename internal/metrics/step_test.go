@@ -96,36 +96,6 @@ func TestStepAveragePartialLastInterval(t *testing.T) {
 	}
 }
 
-func TestLevelAt(t *testing.T) {
-	a := NewStepAccumulator(1)
-	a.Change(10, 2)
-	a.Change(20, -1)
-	cases := []struct {
-		t    simnet.Time
-		want float64
-	}{
-		{5, 1},
-		{10, 3}, // change at exactly t applies
-		{15, 3},
-		{20, 2},
-		{100, 2},
-	}
-	for _, tc := range cases {
-		if got := a.LevelAt(tc.t); got != tc.want {
-			t.Errorf("LevelAt(%v) = %v, want %v", tc.t, got, tc.want)
-		}
-	}
-}
-
-func TestNumChanges(t *testing.T) {
-	a := NewStepAccumulator(0)
-	a.Change(1, 1)
-	a.Change(2, -1)
-	if a.NumChanges() != 2 {
-		t.Errorf("NumChanges = %d, want 2", a.NumChanges())
-	}
-}
-
 // Property: for any set of arrival/departure pairs inside the window, the
 // total load-time integral equals the total resident time of requests.
 func TestLoadIntegralProperty(t *testing.T) {

@@ -74,7 +74,6 @@ func Build(cfg Config) (*System, error) {
 			Cores:         coresPerVM,
 			Governor:      gov,
 			ControlPeriod: period,
-			InitialState:  len(cpu.TableII()) - 1, // power-saving start
 		})
 	}
 
@@ -431,10 +430,6 @@ func (s *System) callDB(q workload.Query, txn, parentHop int64, from string, don
 		hop := s.collector.NextHopID()
 		phases := []server.Phase{
 			server.Compute{Work: s.noisy(q.Work)},
-		}
-		if q.WriteBytes > 0 {
-			// Writes flush to the database disk before responding.
-			phases = append(phases, server.DiskIO{Bytes: q.WriteBytes})
 		}
 		req := &server.Request{
 			Class:     q.Template,

@@ -376,44 +376,6 @@ func TestPagesPerSecondEmptyWindow(t *testing.T) {
 	}
 }
 
-func TestReadWriteMixTouchesDisk(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Mix = workload.ReadWriteMix()
-	sys, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var dbDisk, otherDisk int64
-	for _, srv := range sys.DBServers() {
-		dbDisk += srv.DiskBytes()
-	}
-	for _, srv := range append(sys.WebServers(), sys.AppServers()...) {
-		otherDisk += srv.DiskBytes()
-	}
-	if dbDisk == 0 {
-		t.Error("read/write mix produced no database disk traffic")
-	}
-	if otherDisk != 0 {
-		t.Errorf("non-DB tiers wrote %d disk bytes, want 0", otherDisk)
-	}
-	// Browse-only control: no disk traffic anywhere.
-	sys2, err := Build(smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys2.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for _, srv := range sys2.AllServers() {
-		if srv.DiskBytes() != 0 {
-			t.Errorf("%s wrote disk bytes under browse-only mix", srv.Name())
-		}
-	}
-}
-
 func TestAntagonistValidation(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Antagonist = &AntagonistConfig{}

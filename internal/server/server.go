@@ -45,16 +45,6 @@ type Downstream struct {
 
 func (Downstream) isPhase() {}
 
-// DiskIO is a blocking disk access: the thread waits (off-CPU) while the
-// server's disk serves the transfer FCFS. Browse-only workloads do almost
-// none of this; the read/write mix's writes go through it, giving Table
-// I's disk column meaning.
-type DiskIO struct {
-	Bytes int64
-}
-
-func (DiskIO) isPhase() {}
-
 // Request is one unit of work arriving at a server.
 type Request struct {
 	// Class is the request class name (interaction type or query template).
@@ -101,12 +91,6 @@ type Config struct {
 // full: the classic initial RTO the paper cites.
 const retransDelay = 3 * simnet.Second
 
-// The disk serving DiskIO phases: a 2013-era SATA disk with cache.
-const (
-	diskMBps    = 120
-	diskLatency = 4 * simnet.Millisecond // fixed, per access
-)
-
 // Server is one component server of the n-tier system.
 type Server struct {
 	engine    *simnet.Engine
@@ -118,13 +102,9 @@ type Server struct {
 	admitted int
 	waitq    []*Request
 
-	// diskFreeAt serializes DiskIO phases (a single FCFS disk).
-	diskFreeAt simnet.Time
-
 	// Cumulative accounting for Table I style reports.
 	netInBytes   int64
 	netOutBytes  int64
-	diskBytes    int64
 	completed    int64
 	retransCount int64
 }
@@ -176,9 +156,6 @@ func (s *Server) Retransmissions() int64 { return s.retransCount }
 
 // NetBytes returns cumulative request (in) and response (out) wire bytes.
 func (s *Server) NetBytes() (in, out int64) { return s.netInBytes, s.netOutBytes }
-
-// DiskBytes returns cumulative disk traffic charged by DiskIO phases.
-func (s *Server) DiskBytes() int64 { return s.diskBytes }
 
 // Receive delivers a request to the server. If the thread pool and backlog
 // are both full, acceptance is retried after the TCP retransmission delay;
@@ -245,20 +222,6 @@ func (s *Server) runPhase(r *Request) {
 			return
 		}
 		p.Do(func() { s.runPhase(r) })
-	case DiskIO:
-		if p.Bytes <= 0 {
-			s.runPhase(r)
-			return
-		}
-		s.diskBytes += p.Bytes
-		transfer := simnet.Duration(float64(p.Bytes) / (diskMBps * 1e6) * float64(simnet.Second))
-		start := s.engine.Now()
-		if s.diskFreeAt > start {
-			start = s.diskFreeAt
-		}
-		done := start + diskLatency + transfer
-		s.diskFreeAt = done
-		s.engine.At(done, func() { s.runPhase(r) })
 	default:
 		// Unknown phase types are skipped; the phase set is closed within
 		// this package so this is unreachable by construction.

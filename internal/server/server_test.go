@@ -386,95 +386,3 @@ func TestAccessors(t *testing.T) {
 		t.Error("Heap should be nil")
 	}
 }
-
-func TestDiskIOPhaseBlocksWithoutCPU(t *testing.T) {
-	f := newFixture(t, Config{Name: "mysql", Threads: 4}, 1)
-	var doneAt simnet.Time = -1
-	r := &Request{
-		Class: "write", TxnID: 1, HopID: f.collector.NextHopID(), From: "cjdbc",
-		Phases: []Phase{
-			DiskIO{Bytes: 1_200_000}, // 10ms at 120MB/s + 4ms latency
-		},
-		OnDone: func() { doneAt = f.engine.Now() },
-	}
-	if err := f.srv.Receive(r); err != nil {
-		t.Fatal(err)
-	}
-	if f.proc.RunningLen() != 0 {
-		t.Error("disk IO must not occupy a core")
-	}
-	if err := f.engine.Run(simnet.Second); err != nil {
-		t.Fatal(err)
-	}
-	if doneAt != diskLatency+10*ms {
-		t.Errorf("done at %v, want 14ms (4ms latency + 10ms transfer)", doneAt)
-	}
-	if f.srv.DiskBytes() != 1_200_000 {
-		t.Errorf("DiskBytes = %d, want 1.2MB", f.srv.DiskBytes())
-	}
-}
-
-func TestDiskIOSerializesFCFS(t *testing.T) {
-	f := newFixture(t, Config{Name: "mysql", Threads: 4}, 2)
-	var done []simnet.Time
-	for i := 0; i < 3; i++ {
-		r := &Request{
-			Class: "write", TxnID: int64(i + 1), HopID: f.collector.NextHopID(), From: "cjdbc",
-			Phases: []Phase{DiskIO{Bytes: 1_200_000}},
-			OnDone: func() { done = append(done, f.engine.Now()) },
-		}
-		if err := f.srv.Receive(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.engine.Run(simnet.Second); err != nil {
-		t.Fatal(err)
-	}
-	// Each access: 4ms latency + 10ms transfer at 120MB/s, serialized on
-	// one disk.
-	per := diskLatency + 10*ms
-	want := []simnet.Time{per, 2 * per, 3 * per}
-	for i, w := range want {
-		if done[i] != w {
-			t.Errorf("disk completion %d at %v, want %v (single FCFS disk)", i, done[i], w)
-		}
-	}
-}
-
-func TestDiskIOZeroBytesSkipped(t *testing.T) {
-	f := newFixture(t, Config{Name: "s", Threads: 1}, 1)
-	done := false
-	r := &Request{
-		Class: "q", TxnID: 1, HopID: f.collector.NextHopID(), From: "x",
-		Phases: []Phase{DiskIO{Bytes: 0}},
-		OnDone: func() { done = true },
-	}
-	if err := f.srv.Receive(r); err != nil {
-		t.Fatal(err)
-	}
-	if !done {
-		t.Error("zero-byte disk IO should complete synchronously")
-	}
-	if f.srv.DiskBytes() != 0 {
-		t.Error("zero-byte disk IO should not be charged")
-	}
-}
-
-func TestDiskIODefaultsApplied(t *testing.T) {
-	f := newFixture(t, Config{Name: "s", Threads: 1}, 1)
-	var doneAt simnet.Time = -1
-	r := &Request{
-		Class: "w", TxnID: 1, HopID: f.collector.NextHopID(), From: "x",
-		Phases: []Phase{DiskIO{Bytes: 120_000_000}}, // 1s at 120MB/s
-		OnDone: func() { doneAt = f.engine.Now() },
-	}
-	if err := f.srv.Receive(r); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.engine.Run(2 * simnet.Second); err != nil {
-		t.Fatal(err)
-	}
-	if doneAt != simnet.Second+diskLatency {
-		t.Errorf("done at %v, want 1.004s (120MB/s + 4ms latency)", doneAt)
-	}
-}

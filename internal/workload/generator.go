@@ -107,24 +107,11 @@ type Config struct {
 	Submit SubmitFunc
 	// Mix is the interaction mix. Defaults to BrowseOnlyMix.
 	Mix []Interaction
-	// Transitions, when non-nil, selects each user's next interaction by
-	// a Markov chain instead of independently by weight: the map gives,
-	// per interaction name, the weighted candidates for the next one
-	// (RUBBoS drives its clients from such a transition table). Users
-	// start from the stationary weights; interactions without an entry
-	// also fall back to them.
-	Transitions map[string][]Transition
 	// RecordFrom drops RT samples issued before this time (ramp-up).
 	RecordFrom simnet.Time
 	// OpenLoop, when non-nil, replaces the closed-loop population with a
 	// Poisson arrival process; Users is ignored.
 	OpenLoop *OpenLoopConfig
-}
-
-// Transition is one weighted edge of the interaction Markov chain.
-type Transition struct {
-	Next   string
-	Weight float64
 }
 
 // Generator drives a population of closed-loop users against a system.
@@ -133,14 +120,12 @@ type Generator struct {
 	rng    *simnet.RNG
 	cfg    Config
 
-	weights     []float64
-	transitions map[int][]indexedTransition
-	lastIx      []int // per-user last interaction index; -1 before first
-	burstOn     bool
-	nextTxn     int64
-	inFlight    int
-	issued      int64
-	samples     []RTSample
+	weights  []float64
+	burstOn  bool
+	nextTxn  int64
+	inFlight int
+	issued   int64
+	samples  []RTSample
 }
 
 // NewGenerator creates a generator. Start must be called to begin driving
@@ -168,45 +153,15 @@ func NewGenerator(engine *simnet.Engine, rng *simnet.RNG, cfg Config) (*Generato
 		cfg.Mix = BrowseOnlyMix()
 	}
 	weights := make([]float64, len(cfg.Mix))
-	byName := make(map[string]int, len(cfg.Mix))
 	for i, ix := range cfg.Mix {
 		weights[i] = ix.Weight
-		byName[ix.Name] = i
-	}
-	// Pre-resolve the transition table to indices.
-	var trans map[int][]indexedTransition
-	if cfg.Transitions != nil {
-		trans = make(map[int][]indexedTransition, len(cfg.Transitions))
-		for from, edges := range cfg.Transitions {
-			fi, ok := byName[from]
-			if !ok {
-				return nil, fmt.Errorf("workload: transition from unknown interaction %q", from)
-			}
-			for _, e := range edges {
-				ti, ok := byName[e.Next]
-				if !ok {
-					return nil, fmt.Errorf("workload: transition to unknown interaction %q", e.Next)
-				}
-				if e.Weight <= 0 {
-					return nil, fmt.Errorf("workload: non-positive transition weight %q→%q", from, e.Next)
-				}
-				trans[fi] = append(trans[fi], indexedTransition{to: ti, weight: e.Weight})
-			}
-		}
 	}
 	return &Generator{
-		engine:      engine,
-		rng:         rng,
-		cfg:         cfg,
-		weights:     weights,
-		transitions: trans,
-		lastIx:      make([]int, cfg.Users),
+		engine:  engine,
+		rng:     rng,
+		cfg:     cfg,
+		weights: weights,
 	}, nil
-}
-
-type indexedTransition struct {
-	to     int
-	weight float64
 }
 
 // Start launches every user. Users' first requests are staggered uniformly
@@ -221,10 +176,8 @@ func (g *Generator) Start() {
 		return
 	}
 	for u := 0; u < g.cfg.Users; u++ {
-		u := u
-		g.lastIx[u] = -1
 		stagger := simnet.Duration(g.rng.Float64() * float64(g.cfg.ThinkMean))
-		g.engine.Schedule(stagger, func() { g.issue(u) })
+		g.engine.Schedule(stagger, g.issue)
 	}
 }
 
@@ -250,67 +203,10 @@ func (g *Generator) think() simnet.Duration {
 	return g.rng.Exp(mean)
 }
 
-// nextInteraction picks a user's next interaction: via the Markov chain
-// when one is configured and the user's last interaction has outgoing
-// edges, otherwise by the stationary weights.
-func (g *Generator) nextInteraction(user int) int {
-	if g.transitions != nil && g.lastIx[user] >= 0 {
-		if edges := g.transitions[g.lastIx[user]]; len(edges) > 0 {
-			weights := make([]float64, len(edges))
-			for i, e := range edges {
-				weights[i] = e.weight
-			}
-			return edges[g.rng.Pick(weights)].to
-		}
-	}
-	return g.rng.Pick(g.weights)
-}
-
-// issue sends one transaction for a user and re-arms the user's loop when
-// the response returns.
-func (g *Generator) issue(user int) {
-	g.nextTxn++
-	txn := g.nextTxn
-	ixIdx := g.nextInteraction(user)
-	g.lastIx[user] = ixIdx
-	ix := &g.cfg.Mix[ixIdx]
-	issued := g.engine.Now()
-	g.inFlight++
-	g.issued++
-	g.cfg.Submit(ix, txn, func() {
-		g.inFlight--
-		if issued >= g.cfg.RecordFrom {
-			g.samples = append(g.samples, RTSample{
-				TxnID:  txn,
-				Class:  ix.Name,
-				Issued: issued,
-				Done:   g.engine.Now(),
-			})
-		}
-		g.engine.Schedule(g.think(), func() { g.issue(user) })
-	})
-}
-
-// scheduleArrival arms the next open-loop arrival. The interarrival is
-// exponential at the instantaneous rate (surges and burst modulation
-// both raise it), re-evaluated at each arrival, so rate changes take
-// effect within one interarrival time.
-func (g *Generator) scheduleArrival() {
-	rate := g.cfg.OpenLoop.rate(g.engine.Now())
-	if g.cfg.Burst.enabled() && g.burstOn {
-		rate *= g.cfg.Burst.Factor
-	}
-	mean := simnet.Duration(float64(simnet.Second) / rate)
-	g.engine.Schedule(g.rng.Exp(mean), func() {
-		g.issueOpen()
-		g.scheduleArrival()
-	})
-}
-
-// issueOpen sends one open-loop transaction. Unlike the closed loop,
-// completion does not re-arm anything: the arrival process is blind to
-// system state.
-func (g *Generator) issueOpen() {
+// issue sends one transaction. A closed-loop user re-arms after a think
+// time once the response returns; an open-loop arrival re-arms nothing,
+// since the arrival process is blind to system state.
+func (g *Generator) issue() {
 	g.nextTxn++
 	txn := g.nextTxn
 	ix := &g.cfg.Mix[g.rng.Pick(g.weights)]
@@ -327,6 +223,25 @@ func (g *Generator) issueOpen() {
 				Done:   g.engine.Now(),
 			})
 		}
+		if g.cfg.OpenLoop == nil {
+			g.engine.Schedule(g.think(), g.issue)
+		}
+	})
+}
+
+// scheduleArrival arms the next open-loop arrival. The interarrival is
+// exponential at the instantaneous rate (surges and burst modulation
+// both raise it), re-evaluated at each arrival, so rate changes take
+// effect within one interarrival time.
+func (g *Generator) scheduleArrival() {
+	rate := g.cfg.OpenLoop.rate(g.engine.Now())
+	if g.cfg.Burst.enabled() && g.burstOn {
+		rate *= g.cfg.Burst.Factor
+	}
+	mean := simnet.Duration(float64(simnet.Second) / rate)
+	g.engine.Schedule(g.rng.Exp(mean), func() {
+		g.issue()
+		g.scheduleArrival()
 	})
 }
 

@@ -254,106 +254,3 @@ func TestInFlightAccounting(t *testing.T) {
 		t.Errorf("InFlight after completion = %d, want 0", g.InFlight())
 	}
 }
-
-func TestMarkovTransitions(t *testing.T) {
-	e := simnet.NewEngine()
-	rng := simnet.NewRNG(21)
-	mix := []Interaction{
-		{Name: "a", Weight: 1},
-		{Name: "b", Weight: 1},
-		{Name: "c", Weight: 1},
-	}
-	// Deterministic cycle a→b→c→a.
-	trans := map[string][]Transition{
-		"a": {{Next: "b", Weight: 1}},
-		"b": {{Next: "c", Weight: 1}},
-		"c": {{Next: "a", Weight: 1}},
-	}
-	var seq []string
-	g, err := NewGenerator(e, rng, Config{
-		Users:       1,
-		ThinkMean:   10 * simnet.Millisecond,
-		Mix:         mix,
-		Transitions: trans,
-		Submit: func(ix *Interaction, _ int64, done func()) {
-			seq = append(seq, ix.Name)
-			e.Schedule(simnet.Millisecond, done)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Start()
-	if err := e.Run(simnet.Second); err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) < 10 {
-		t.Fatalf("only %d interactions", len(seq))
-	}
-	// After the (stationary) first pick, the chain must cycle exactly.
-	next := map[string]string{"a": "b", "b": "c", "c": "a"}
-	for i := 1; i < len(seq); i++ {
-		if seq[i] != next[seq[i-1]] {
-			t.Fatalf("transition %s→%s at %d violates the chain", seq[i-1], seq[i], i)
-		}
-	}
-}
-
-func TestMarkovTransitionsValidation(t *testing.T) {
-	e := simnet.NewEngine()
-	rng := simnet.NewRNG(1)
-	mix := []Interaction{{Name: "a", Weight: 1}}
-	submit := func(_ *Interaction, _ int64, done func()) { done() }
-	cases := []map[string][]Transition{
-		{"ghost": {{Next: "a", Weight: 1}}},
-		{"a": {{Next: "ghost", Weight: 1}}},
-		{"a": {{Next: "a", Weight: 0}}},
-	}
-	for i, tr := range cases {
-		_, err := NewGenerator(e, rng, Config{
-			Users: 1, Mix: mix, Submit: submit, Transitions: tr,
-		})
-		if err == nil {
-			t.Errorf("case %d: want validation error", i)
-		}
-	}
-}
-
-func TestMarkovFallbackToStationary(t *testing.T) {
-	e := simnet.NewEngine()
-	rng := simnet.NewRNG(5)
-	mix := []Interaction{
-		{Name: "a", Weight: 1},
-		{Name: "b", Weight: 1},
-	}
-	// Only "a" has outgoing edges; after "b" the pick falls back to the
-	// stationary weights, so both interactions keep appearing.
-	trans := map[string][]Transition{
-		"a": {{Next: "b", Weight: 1}},
-	}
-	counts := map[string]int{}
-	g, err := NewGenerator(e, rng, Config{
-		Users:       5,
-		ThinkMean:   5 * simnet.Millisecond,
-		Mix:         mix,
-		Transitions: trans,
-		Submit: func(ix *Interaction, _ int64, done func()) {
-			counts[ix.Name]++
-			e.Schedule(simnet.Millisecond, done)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Start()
-	if err := e.Run(2 * simnet.Second); err != nil {
-		t.Fatal(err)
-	}
-	if counts["a"] == 0 || counts["b"] == 0 {
-		t.Errorf("counts = %v, want both present", counts)
-	}
-	// Every "a" is followed by "b", so "b" must be at least as frequent.
-	if counts["b"] < counts["a"] {
-		t.Errorf("b (%d) less frequent than a (%d)", counts["b"], counts["a"])
-	}
-}

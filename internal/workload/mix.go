@@ -19,10 +19,6 @@ type Query struct {
 	Work simnet.Duration
 	// RespBytes is the result-set wire size.
 	RespBytes int64
-	// WriteBytes, when non-zero, makes the query a write: the database
-	// flushes this many bytes to disk (redo log + data page) before
-	// responding. Zero for the browse-only mix.
-	WriteBytes int64
 }
 
 // Interaction is one of the workload's request classes: a full web page
@@ -192,87 +188,6 @@ func Stats(mix []Interaction) MixStats {
 	return st
 }
 
-// ReadWriteMix returns the RUBBoS read/write mix: the browse-only
-// interactions at reduced weight plus the write interactions (story and
-// comment submission, moderation, registration). Roughly 10% of
-// transactions write; each write interaction ends with one or more
-// queries that flush bytes to the database disk. The paper uses the
-// browse-only mode for its experiments (§II-A); the read/write mode
-// completes the benchmark substrate.
-func ReadWriteMix() []Interaction {
-	us := simnet.Microsecond
-	mix := BrowseOnlyMix()
-	// Rescale browse weights to ~90% of the total.
-	for i := range mix {
-		mix[i].Weight *= 0.9
-	}
-	writeRows := []struct {
-		name       string
-		weight     float64
-		queries    int
-		queryWork  simnet.Duration
-		writeBytes int64
-		allocKB    int64
-		pageKB     int64
-	}{
-		{"StoreStory", 2.5, 3, 900 * us, 24 * kb, 384, 10},
-		{"StoreComment", 3.5, 2, 700 * us, 12 * kb, 256, 8},
-		{"ModerateComment", 1.5, 2, 600 * us, 0, 192, 10},
-		{"StoreModerateLog", 1.0, 1, 500 * us, 8 * kb, 128, 6},
-		{"RegisterUser", 0.8, 2, 800 * us, 16 * kb, 192, 8},
-		{"ReviewStories", 0.7, 4, 850 * us, 0, 320, 16},
-	}
-	for _, r := range writeRows {
-		queries := make([]Query, r.queries)
-		for q := range queries {
-			queries[q] = Query{
-				Template:  r.name + "#q" + string(rune('1'+q)),
-				Work:      r.queryWork,
-				RespBytes: 600,
-			}
-		}
-		// The final query of a writing interaction carries the flush.
-		if r.writeBytes > 0 {
-			queries[len(queries)-1].WriteBytes = r.writeBytes
-		}
-		mix = append(mix, Interaction{
-			Name:                r.name,
-			Weight:              r.weight,
-			WebWork:             webWork,
-			AppPreWork:          appPreWork,
-			AppPerQueryWork:     appPerQueryWork,
-			AppPostWork:         appPostWork,
-			ClusterPerQueryWork: clusterPerQuery,
-			Queries:             queries,
-			AllocBytes:          r.allocKB * kb,
-			PageBytes:           r.pageKB * kb,
-		})
-	}
-	return mix
-}
-
-// WriteFraction returns the weighted fraction of transactions that
-// perform at least one disk write.
-func WriteFraction(mix []Interaction) float64 {
-	var total, writes float64
-	for _, ix := range mix {
-		if ix.Weight <= 0 {
-			continue
-		}
-		total += ix.Weight
-		for _, q := range ix.Queries {
-			if q.WriteBytes > 0 {
-				writes += ix.Weight
-				break
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return writes / total
-}
-
 // ScaleQueryWork returns a deep copy of mix with every query's DB-side
 // CPU demand multiplied by factor, leaving the app/web-side work alone.
 // Scenario presets use it to shift the bottleneck toward the DB tier
@@ -289,84 +204,4 @@ func ScaleQueryWork(mix []Interaction, factor float64) []Interaction {
 		out[i].Queries = qs
 	}
 	return out
-}
-
-// DefaultBrowseTransitions returns a plausible navigation graph over the
-// browse-only mix, in the spirit of RUBBoS's client transition table:
-// landing pages lead to story views, story views to comments, searches to
-// results, with a "return home" edge everywhere. Interactions without an
-// entry fall back to the stationary weights.
-func DefaultBrowseTransitions() map[string][]Transition {
-	home := Transition{Next: "StoriesOfTheDay", Weight: 3}
-	return map[string][]Transition{
-		"StoriesOfTheDay": {
-			{Next: "ViewStory", Weight: 8},
-			{Next: "BrowseCategories", Weight: 2},
-			{Next: "SearchStories", Weight: 1},
-			{Next: "OlderStories", Weight: 1},
-		},
-		"ViewStory": {
-			{Next: "ViewCommentsOfStory", Weight: 5},
-			{Next: "ViewFullStory", Weight: 3},
-			{Next: "ViewAuthorInfo", Weight: 1},
-			home,
-		},
-		"ViewCommentsOfStory": {
-			{Next: "ViewComment", Weight: 6},
-			{Next: "ViewStory", Weight: 2},
-			home,
-		},
-		"ViewComment": {
-			{Next: "ViewComment", Weight: 3},
-			{Next: "CommentTextPage", Weight: 2},
-			home,
-		},
-		"BrowseCategories": {
-			{Next: "BrowseStoriesByCategory", Weight: 8},
-			home,
-		},
-		"BrowseStoriesByCategory": {
-			{Next: "ViewStory", Weight: 6},
-			{Next: "TopStoriesByCategory", Weight: 2},
-			home,
-		},
-		"BrowseRegions": {
-			{Next: "BrowseStoriesByRegion", Weight: 8},
-			home,
-		},
-		"BrowseStoriesByRegion": {
-			{Next: "ViewStory", Weight: 6},
-			{Next: "TopStoriesByRegion", Weight: 2},
-			home,
-		},
-		"SearchStories": {
-			{Next: "ViewStory", Weight: 5},
-			{Next: "SearchComments", Weight: 2},
-			{Next: "SearchAuthors", Weight: 1},
-			home,
-		},
-		"SearchComments": {
-			{Next: "ViewComment", Weight: 5},
-			home,
-		},
-		"SearchAuthors": {
-			{Next: "ViewAuthorInfo", Weight: 5},
-			home,
-		},
-		"ViewAuthorInfo": {
-			{Next: "UserStoryList", Weight: 3},
-			{Next: "UserCommentList", Weight: 2},
-			home,
-		},
-		"OlderStories": {
-			{Next: "ViewStory", Weight: 6},
-			{Next: "OlderStories", Weight: 2},
-			home,
-		},
-		"ViewFullStory": {
-			{Next: "StoryTextPage", Weight: 3},
-			{Next: "ViewCommentsOfStory", Weight: 3},
-			home,
-		},
-	}
 }

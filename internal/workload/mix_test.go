@@ -106,92 +106,3 @@ func TestStatsEmptyAndZeroWeight(t *testing.T) {
 		t.Error("zero-weight interactions must not contribute")
 	}
 }
-
-func TestReadWriteMixShape(t *testing.T) {
-	mix := ReadWriteMix()
-	if len(mix) != 30 {
-		t.Fatalf("mix size = %d, want 30 (24 browse + 6 write)", len(mix))
-	}
-	frac := WriteFraction(mix)
-	if frac < 0.05 || frac > 0.15 {
-		t.Errorf("write fraction = %.3f, want ~0.10 (RUBBoS RW mix)", frac)
-	}
-	// Browse-only mix writes nothing.
-	if got := WriteFraction(BrowseOnlyMix()); got != 0 {
-		t.Errorf("browse-only write fraction = %.3f, want 0", got)
-	}
-	// Write interactions flush through their final query.
-	seen := false
-	for _, ix := range mix {
-		for qi, q := range ix.Queries {
-			if q.WriteBytes > 0 {
-				seen = true
-				if qi != len(ix.Queries)-1 {
-					t.Errorf("%s: write on query %d, want final", ix.Name, qi)
-				}
-			}
-		}
-	}
-	if !seen {
-		t.Error("no writing queries in the RW mix")
-	}
-}
-
-func TestWriteFractionEmpty(t *testing.T) {
-	if WriteFraction(nil) != 0 {
-		t.Error("empty mix write fraction should be 0")
-	}
-}
-
-func TestDefaultBrowseTransitionsValid(t *testing.T) {
-	mix := BrowseOnlyMix()
-	names := make(map[string]bool, len(mix))
-	for _, ix := range mix {
-		names[ix.Name] = true
-	}
-	trans := DefaultBrowseTransitions()
-	if len(trans) == 0 {
-		t.Fatal("empty transition table")
-	}
-	for from, edges := range trans {
-		if !names[from] {
-			t.Errorf("transition from unknown %q", from)
-		}
-		if len(edges) == 0 {
-			t.Errorf("%s has no outgoing edges", from)
-		}
-		for _, e := range edges {
-			if !names[e.Next] {
-				t.Errorf("%s → unknown %q", from, e.Next)
-			}
-			if e.Weight <= 0 {
-				t.Errorf("%s → %s has weight %v", from, e.Next, e.Weight)
-			}
-		}
-	}
-}
-
-func TestGeneratorAcceptsDefaultTransitions(t *testing.T) {
-	e := simnet.NewEngine()
-	rng := simnet.NewRNG(1)
-	count := 0
-	g, err := NewGenerator(e, rng, Config{
-		Users:       20,
-		ThinkMean:   50 * simnet.Millisecond,
-		Transitions: DefaultBrowseTransitions(),
-		Submit: func(_ *Interaction, _ int64, done func()) {
-			count++
-			e.Schedule(simnet.Millisecond, done)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Start()
-	if err := e.Run(5 * simnet.Second); err != nil {
-		t.Fatal(err)
-	}
-	if count < 500 {
-		t.Errorf("transactions = %d, want a steady stream", count)
-	}
-}
