@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -28,25 +29,7 @@ func TestBatchCLIMatchesPublicAnalyze(t *testing.T) {
 	}, &simOut, &simErr); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	visits, err := traceio.ReadVisits(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := make([]transientbd.Record, len(visits))
-	for i, v := range visits {
-		recs[i] = transientbd.Record{
-			Server: v.Server, Class: v.Class,
-			Arrive: simnet.Std(simnet.Duration(v.Arrive)), Depart: simnet.Std(simnet.Duration(v.Depart)),
-			DownstreamWait: simnet.Std(v.Downstream),
-			TxnID:          v.TxnID, HopID: v.HopID,
-		}
-	}
-	rep, err := transientbd.Analyze(recs, transientbd.Config{})
+	rep, err := transientbd.Analyze(readRecords(t, path), transientbd.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,4 +83,94 @@ func TestBatchCLIMatchesPublicAnalyze(t *testing.T) {
 				parallel, strings.Join(got, "\n"), strings.Join(want, "\n"))
 		}
 	}
+}
+
+// TestFollowCLIMatchesPublicStreamReestimates pins the N* re-estimation
+// clock the two online surfaces share: on the same records at a 100 ms
+// interval, tbdetect -follow and the public Stream, both on their
+// default window and cadence, close the same intervals and re-estimate
+// N* the same number of times.
+func TestFollowCLIMatchesPublicStreamReestimates(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "visits.jsonl")
+	var simOut, simErr bytes.Buffer
+	if err := NtierSim([]string{
+		"-users", "2000", "-duration", "45s", "-ramp", "3s", "-seed", "7", "-order", "depart", "-out", path,
+	}, &simOut, &simErr); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if err := TBDetect([]string{
+		"-in", path, "-follow", "-interval", "100ms", "-shards", "1", "-selfmetrics",
+	}, &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	cliClosed := selfMetric(t, stderr.String(), "intervals closed")
+	cliReest := selfMetric(t, stderr.String(), "nstar re-estimations")
+
+	s, err := transientbd.NewStream(transientbd.StreamConfig{
+		OnlineConfig: transientbd.OnlineConfig{Interval: 100 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drained := make(chan struct{})
+	go func() {
+		for range s.Alerts() {
+		}
+		close(drained)
+	}()
+	for _, r := range readRecords(t, path) {
+		if err := s.Observe(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	<-drained
+	m := s.Metrics()
+	if m.IntervalsClosed != cliClosed {
+		t.Fatalf("intervals closed: Stream %d, tbdetect -follow %d", m.IntervalsClosed, cliClosed)
+	}
+	if m.Reestimates == 0 || m.Reestimates != cliReest {
+		t.Errorf("N* re-estimations: Stream %d, tbdetect -follow %d", m.Reestimates, cliReest)
+	}
+}
+
+// selfMetric reads one counter from a -selfmetrics block.
+func selfMetric(t *testing.T, block, name string) int64 {
+	t.Helper()
+	for _, line := range strings.Split(block, "\n") {
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), name); ok {
+			n, err := strconv.ParseInt(strings.TrimSpace(rest), 10, 64)
+			if err != nil {
+				t.Fatalf("self-metric %q: %v", name, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("no %q in the self-metrics block:\n%s", name, block)
+	return 0
+}
+
+// readRecords reads a visit JSONL file as public Records.
+func readRecords(t *testing.T, path string) []transientbd.Record {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	visits, err := traceio.ReadVisits(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]transientbd.Record, len(visits))
+	for i, v := range visits {
+		recs[i] = transientbd.Record{
+			Server: v.Server, Class: v.Class,
+			Arrive: simnet.Std(simnet.Duration(v.Arrive)), Depart: simnet.Std(simnet.Duration(v.Depart)),
+			DownstreamWait: simnet.Std(v.Downstream),
+			TxnID:          v.TxnID, HopID: v.HopID,
+		}
+	}
+	return recs
 }

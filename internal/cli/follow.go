@@ -43,7 +43,7 @@ type detectFlags struct {
 // for tbdetect, whose -interval, -raw and -top also serve the batch path).
 func (d *detectFlags) register(fs *flag.FlagSet, only string) {
 	fs.DurationVar(&d.interval, "interval", 50*time.Millisecond, "monitoring interval length (a positive whole number of microseconds)")
-	fs.DurationVar(&d.window, "window", 2*time.Minute, only+"sliding window N* is estimated over (at least 20 intervals)")
+	fs.DurationVar(&d.window, "window", simnet.Std(core.DefaultWindow), only+"sliding window N* is estimated over (at least 20 intervals)")
 	fs.DurationVar(&d.flushLag, "flushlag", time.Second, only+"how far interval closing trails the newest departure (must exceed max residence plus any feed reordering)")
 	fs.BoolVar(&d.raw, "raw", false, "disable work-unit throughput normalization")
 	fs.IntVar(&d.shards, "shards", 0, only+"shard goroutines records are hash-partitioned across (0 = GOMAXPROCS)")

@@ -81,12 +81,22 @@ type OnlineOptions struct {
 	// calibrated service times).
 	Options
 	// WindowIntervals is the sliding window size in intervals. Default
-	// 2400 (2 minutes at 50 ms).
+	// DefaultWindow at the interval (2400 at 50 ms).
 	WindowIntervals int
 	// ReestimateEvery is how many closed intervals pass between N*
-	// refreshes. Default 400 (20 s at 50 ms).
+	// refreshes. Default DefaultReestimate at the interval (400 at
+	// 50 ms), at least one.
 	ReestimateEvery int
 }
+
+// The online defaults are trace time, so every interval length slides
+// and re-estimates on the same clock.
+const (
+	// DefaultWindow is the sliding window N* is estimated over.
+	DefaultWindow = 2 * simnet.Minute
+	// DefaultReestimate is the trace time between N* refreshes.
+	DefaultReestimate = 20 * simnet.Second
+)
 
 // reservoirSize bounds per-class service-time memory, in samples.
 const reservoirSize = 256
@@ -119,13 +129,13 @@ func (r *reservoir) add(v float64) {
 func NewOnline(start simnet.Time, opts OnlineOptions) (*Online, error) {
 	opts.Options.applyDefaults()
 	if opts.WindowIntervals <= 0 {
-		opts.WindowIntervals = 2400
+		opts.WindowIntervals = int(DefaultWindow / opts.Interval)
 	}
 	if err := CheckIntervals(int64(opts.WindowIntervals), MinWindowIntervals); err != nil {
 		return nil, fmt.Errorf("core: online %w", err)
 	}
 	if opts.ReestimateEvery <= 0 {
-		opts.ReestimateEvery = 400
+		opts.ReestimateEvery = max(1, int(DefaultReestimate/opts.Interval))
 	}
 	o := &Online{
 		opts:       opts.Options,

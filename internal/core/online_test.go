@@ -33,6 +33,14 @@ func TestNewOnlineValidation(t *testing.T) {
 	if o.window != 2400 || o.reperiod != 400 {
 		t.Errorf("defaults = %d/%d, want 2400/400", o.window, o.reperiod)
 	}
+	// The defaults are trace time: 2 min and 20 s at any interval.
+	o, err = NewOnline(0, OnlineOptions{Options: Options{Interval: 100 * ms}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.window != 1200 || o.reperiod != 200 {
+		t.Errorf("defaults at 100ms = %d/%d, want 1200/200", o.window, o.reperiod)
+	}
 }
 
 func TestOnlineAdvanceClosesIntervalsInOrder(t *testing.T) {

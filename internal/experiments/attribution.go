@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"text/tabwriter"
 
@@ -64,67 +63,75 @@ func attributionConditions(seed int64, windowStart, windowEnd simnet.Time) []str
 	}
 }
 
-// Attribution runs every battery scenario, degrades its wire capture
-// with ntier.InjectFaults, re-analyzes through the lenient pipeline, and
-// checks the attribution engine's top verdict against the simulator's
-// ground-truth label.
+// Attribution runs every battery scenario in turn through
+// attributePreset.
 func Attribution(opts RunOpts) (*AttributionResult, error) {
 	out := &AttributionResult{}
 	for _, name := range ntier.ScenarioNames() {
-		cfg, err := ntier.ScenarioPreset(name, opts.Seed, opts.duration(), opts.ramp())
+		rows, err := attributePreset(name, opts)
 		if err != nil {
-			return nil, fmt.Errorf("attribution: %w", err)
+			return nil, err
 		}
-		sys, err := ntier.Build(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("attribution %s: %w", name, err)
-		}
-		res, err := sys.Run()
-		if err != nil {
-			return nil, fmt.Errorf("attribution %s: %w", name, err)
-		}
-		truthKind := ntier.ScenarioCause(name)
-		truthServers := truthServersFor(res, truthKind)
-		if len(truthServers) == 0 {
-			return nil, fmt.Errorf("attribution %s: no ground-truth record for %s", name, truthKind)
-		}
-		downstream := sys.CallGraph()
-		w := core.Window{Start: res.WindowStart, End: res.WindowEnd}
-
-		baseVisits := 0
-		for _, c := range attributionConditions(opts.Seed, res.WindowStart, res.WindowEnd) {
-			msgs := res.Messages
-			if c.spec != nil {
-				msgs, _ = ntier.InjectFaults(msgs, *c.spec)
-			}
-			verdicts, visits, _, err := attributeCapture(msgs, w, downstream)
-			if err != nil {
-				return nil, fmt.Errorf("attribution %s (%s): %w", name, c.label, err)
-			}
-			if c.spec == nil {
-				baseVisits = visits
-			}
-			row := AttributionRow{
-				Scenario:     name,
-				Condition:    c.label,
-				TruthKind:    truthKind,
-				TruthServers: truthServers,
-			}
-			if baseVisits > 0 {
-				row.Coverage = float64(visits) / float64(baseVisits)
-			}
-			if len(verdicts) > 0 {
-				top := verdicts[0]
-				row.TopKind = top.Kind
-				row.TopServer = top.Server
-				row.TopConfidence = top.Confidence
-				row.TopScore = top.Score
-				row.Match = string(top.Kind) == string(truthKind) && contains(truthServers, top.Server)
-			}
-			out.Rows = append(out.Rows, row)
-		}
+		out.Rows = append(out.Rows, rows...)
 	}
 	return out, nil
+}
+
+// attributePreset runs one battery scenario, degrades its wire capture
+// with ntier.InjectFaults, re-analyzes through the lenient pipeline, and
+// checks the attribution engine's top verdict against the simulator's
+// ground-truth label: one row per capture condition.
+func attributePreset(name string, opts RunOpts) ([]AttributionRow, error) {
+	cfg, err := ntier.ScenarioPreset(name, opts.Seed, opts.duration(), opts.ramp())
+	if err != nil {
+		return nil, fmt.Errorf("attribution: %w", err)
+	}
+	sys, res, err := simulate(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("attribution %s: %w", name, err)
+	}
+	truthKind := ntier.ScenarioCause(name)
+	truthServers := truthServersFor(res, truthKind)
+	if len(truthServers) == 0 {
+		return nil, fmt.Errorf("attribution %s: no ground-truth record for %s", name, truthKind)
+	}
+	downstream := sys.CallGraph()
+	w := core.Window{Start: res.WindowStart, End: res.WindowEnd}
+
+	var rows []AttributionRow
+	baseVisits := 0
+	for _, c := range attributionConditions(opts.Seed, res.WindowStart, res.WindowEnd) {
+		msgs := res.Messages
+		if c.spec != nil {
+			msgs, _ = ntier.InjectFaults(msgs, *c.spec)
+		}
+		verdicts, visits, _, err := attributeCapture(msgs, w, downstream)
+		if err != nil {
+			return nil, fmt.Errorf("attribution %s (%s): %w", name, c.label, err)
+		}
+		if c.spec == nil {
+			baseVisits = visits
+		}
+		row := AttributionRow{
+			Scenario:     name,
+			Condition:    c.label,
+			TruthKind:    truthKind,
+			TruthServers: truthServers,
+		}
+		if baseVisits > 0 {
+			row.Coverage = float64(visits) / float64(baseVisits)
+		}
+		if len(verdicts) > 0 {
+			top := verdicts[0]
+			row.TopKind = top.Kind
+			row.TopServer = top.Server
+			row.TopConfidence = top.Confidence
+			row.TopScore = top.Score
+			row.Match = string(top.Kind) == string(truthKind) && contains(truthServers, top.Server)
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
 }
 
 // attributeCapture runs the lenient analysis pipeline over a (possibly
@@ -170,12 +177,13 @@ func contains(xs []string, x string) bool {
 	return false
 }
 
-// Table renders the matrix.
-func (r *AttributionResult) Table(w io.Writer) {
-	fmt.Fprintln(w, "Root-cause attribution vs. simulator ground truth")
-	fmt.Fprintln(w, "=================================================")
-	fmt.Fprintln(w)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+// String renders the matrix.
+func (r *AttributionResult) String() string {
+	var b strings.Builder
+	fmt.Fprintln(&b, "Root-cause attribution vs. simulator ground truth")
+	fmt.Fprintln(&b, "=================================================")
+	fmt.Fprintln(&b)
+	tw := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "scenario\tcondition\ttruth\ttop verdict\tat\tconf\tcoverage\tmatch")
 	for _, row := range r.Rows {
 		match := "OK"
@@ -187,11 +195,12 @@ func (r *AttributionResult) Table(w io.Writer) {
 			row.TopKind, row.TopServer, row.TopConfidence, 100*row.Coverage, match)
 	}
 	tw.Flush()
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, "Tolerance: the top-ranked verdict must match the injected ground")
-	fmt.Fprintln(w, "truth (cause kind AND server) for the clean, 5% loss, and clock-skew")
-	fmt.Fprintln(w, "conditions of every scenario. Duplication and truncation rows are")
-	fmt.Fprintln(w, "reported for observability; truncation shortens the window and may")
-	fmt.Fprintln(w, "legitimately weaken periodic fingerprints.")
-	fmt.Fprintln(w, strings.Repeat("-", 60))
+	fmt.Fprintln(&b)
+	fmt.Fprintln(&b, "Tolerance: the top-ranked verdict must match the injected ground")
+	fmt.Fprintln(&b, "truth (cause kind AND server) for the clean, 5% loss, and clock-skew")
+	fmt.Fprintln(&b, "conditions of every scenario. Duplication and truncation rows are")
+	fmt.Fprintln(&b, "reported for observability; truncation shortens the window and may")
+	fmt.Fprintln(&b, "legitimately weaken periodic fingerprints.")
+	b.WriteString(strings.Repeat("-", 60))
+	return b.String()
 }

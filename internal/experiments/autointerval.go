@@ -21,12 +21,9 @@ type AutoIntervalResult struct {
 // AutoInterval runs the Fig 8 workload and scores the candidate interval
 // lengths on mysql-1.
 func AutoInterval(opts RunOpts) (*AutoIntervalResult, error) {
-	_, res, err := runScenario(scenario{
-		users:     14000,
-		speedStep: true,
-		collector: colConcurrent,
-		bursty:    true,
-	}, opts)
+	cfg := testbed(14000, opts)
+	cfg.DBSpeedStep = true
+	_, res, err := simulate(cfg)
 	if err != nil {
 		return nil, err
 	}

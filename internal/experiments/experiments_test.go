@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"io"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,6 +18,7 @@ func TestFig2ThroughputCurveShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run sweep")
 	}
+	t.Parallel()
 	wls := []int{2000, 6000, 8000, 11000, 14000}
 	r, err := Fig2(wls, QuickOpts(1))
 	if err != nil {
@@ -59,6 +60,7 @@ func TestFig2HistogramLongTail(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run")
 	}
+	t.Parallel()
 	r, err := Fig2([]int{8000}, QuickOpts(2))
 	if err != nil {
 		t.Fatal(err)
@@ -89,6 +91,7 @@ func TestFig3TableIShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run")
 	}
+	t.Parallel()
 	r, err := Fig3TableI(QuickOpts(1))
 	if err != nil {
 		t.Fatal(err)
@@ -124,6 +127,7 @@ func TestFig4ReconstructionAccuracy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run")
 	}
+	t.Parallel()
 	r, err := Fig4(QuickOpts(1))
 	if err != nil {
 		t.Fatal(err)
@@ -145,6 +149,7 @@ func TestFig5MySQLTransientCongestion(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run")
 	}
+	t.Parallel()
 	r, err := Fig5(QuickOpts(1))
 	if err != nil {
 		t.Fatal(err)
@@ -216,6 +221,7 @@ func TestFig8IntervalSensitivity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run")
 	}
+	t.Parallel()
 	r, err := Fig8(QuickOpts(1))
 	if err != nil {
 		t.Fatal(err)
@@ -247,6 +253,7 @@ func TestGCCaseShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three simulation runs")
 	}
+	t.Parallel()
 	r, err := GCCase(QuickOpts(1))
 	if err != nil {
 		t.Fatal(err)
@@ -295,6 +302,7 @@ func TestSpeedStepCaseShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four simulation runs")
 	}
+	t.Parallel()
 	r, err := SpeedStepCase(QuickOpts(1))
 	if err != nil {
 		t.Fatal(err)
@@ -369,17 +377,47 @@ func TestRegistryCompleteness(t *testing.T) {
 	}
 }
 
+// TestRegistryDeterministicRunners pins the runners that need no
+// simulation to the blocks `experiments run all -seed 1` committed for
+// them, so the registry's rendering path cannot drift unseen.
 func TestRegistryDeterministicRunners(t *testing.T) {
-	// The deterministic runners execute instantly through the registry.
+	t.Parallel()
+	full, err := os.ReadFile(filepath.Join("..", "..", "experiments_full.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, id := range []string{"fig6", "fig7", "tableII"} {
 		r, err := Find(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Run(io.Discard, RunOpts{}); err != nil {
+		var got strings.Builder
+		if err := r.Run(&got, RunOpts{}); err != nil {
 			t.Errorf("%s: %v", id, err)
+			continue
+		}
+		want, ok := committedBlock(string(full), r)
+		if !ok {
+			t.Errorf("experiments_full.txt has no %s block", id)
+			continue
+		}
+		if got.String() != want {
+			t.Errorf("%s output differs from experiments_full.txt:\n%s\nwant:\n%s", id, got.String(), want)
 		}
 	}
+}
+
+// committedBlock returns what `experiments run all` wrote for r in a
+// committed file: the text after r's header line, up to the next header.
+func committedBlock(all string, r Runner) (string, bool) {
+	_, rest, ok := strings.Cut(all, fmt.Sprintf("=== %s: %s ===\n", r.ID, r.Description))
+	if !ok {
+		return "", false
+	}
+	if i := strings.Index(rest, "\n=== "); i >= 0 {
+		rest = rest[:i+1]
+	}
+	return rest, true
 }
 
 func TestSparkline(t *testing.T) {
@@ -451,6 +489,7 @@ func TestWriteDataCSV(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run")
 	}
+	t.Parallel()
 	dir := t.TempDir()
 	if err := WriteData("fig5", dir, QuickOpts(1)); err != nil {
 		t.Fatal(err)

@@ -43,20 +43,9 @@ type ScaleOutResult struct {
 // on half-clocked CPUs.)
 func ScaleOut(opts RunOpts) (*ScaleOutResult, error) {
 	run := func(dbNodes int) (*core.Analysis, *ntier.Result, error) {
-		cfg := ntier.Config{
-			Users:    10000,
-			Duration: opts.duration(),
-			Ramp:     opts.ramp(),
-			Seed:     opts.Seed,
-			Topology: ntier.Topology{Web: 1, App: 2, Cluster: 1, DB: dbNodes},
-			Burst:    ntier.DefaultBurst(),
-		}
-		cfg.AppCollector = 2 // concurrent collector; GC out of the picture
-		sys, err := ntier.Build(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err := sys.Run()
+		cfg := testbed(10000, opts)
+		cfg.Topology = ntier.Topology{Web: 1, App: 2, Cluster: 1, DB: dbNodes}
+		_, res, err := simulate(cfg)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -125,11 +114,7 @@ type NormalizationAblationResult struct {
 // classes) at a sub-saturation workload where throughput should track
 // load almost perfectly — if throughput is measured in comparable units.
 func NormalizationAblation(opts RunOpts) (*NormalizationAblationResult, error) {
-	_, res, err := runScenario(scenario{
-		users:     5000,
-		collector: colConcurrent,
-		bursty:    true,
-	}, opts)
+	_, res, err := simulate(testbed(5000, opts))
 	if err != nil {
 		return nil, err
 	}
@@ -201,20 +186,9 @@ type GovernorSweepResult struct {
 func GovernorSweep(opts RunOpts) (*GovernorSweepResult, error) {
 	out := &GovernorSweepResult{}
 	run := func(label string, mutate func(*ntier.Config)) error {
-		cfg := ntier.Config{
-			Users:    8000,
-			Duration: opts.duration(),
-			Ramp:     opts.ramp(),
-			Seed:     opts.Seed,
-			Burst:    ntier.DefaultBurst(),
-		}
-		cfg.AppCollector = 2
+		cfg := testbed(8000, opts)
 		mutate(&cfg)
-		sys, err := ntier.Build(cfg)
-		if err != nil {
-			return err
-		}
-		res, err := sys.Run()
+		sys, res, err := simulate(cfg)
 		if err != nil {
 			return err
 		}

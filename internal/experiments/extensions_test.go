@@ -11,6 +11,7 @@ func TestScaleOutReducesCongestion(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two simulation runs")
 	}
+	t.Parallel()
 	r, err := ScaleOut(QuickOpts(1))
 	if err != nil {
 		t.Fatal(err)
@@ -31,6 +32,7 @@ func TestNormalizationAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run")
 	}
+	t.Parallel()
 	r, err := NormalizationAblation(QuickOpts(1))
 	if err != nil {
 		t.Fatal(err)
@@ -52,6 +54,7 @@ func TestGovernorSweepPolicyOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three simulation runs")
 	}
+	t.Parallel()
 	r, err := GovernorSweep(QuickOpts(1))
 	if err != nil {
 		t.Fatal(err)
@@ -81,6 +84,7 @@ func TestMVATracksMeansButMissesTail(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run sweep")
 	}
+	t.Parallel()
 	r, err := MVACompare([]int{2000, 8000}, QuickOpts(1))
 	if err != nil {
 		t.Fatal(err)
@@ -96,15 +100,17 @@ func TestMVATracksMeansButMissesTail(t *testing.T) {
 				row.Users, row.MVAThroughput, row.SimThroughput, ratio)
 		}
 	}
-	// The structural blind spot: at WL 8,000 the simulation already
-	// violates the 2s SLA on some requests while MVA's predicted mean RT
-	// stays far below the SLA.
+	// The structural blind spot: at WL 8,000 MVA's predicted mean RT
+	// stays far below the SLA, while the simulated tail sits far above
+	// that mean. The full-duration run shows the same tail crossing 2 s
+	// (experiments_mva.txt); this short one need not reach it.
 	wl8 := r.Rows[1]
 	if wl8.MVAMeanRT > 0.5 {
 		t.Errorf("MVA mean RT at WL 8,000 = %.3fs, expected small", wl8.MVAMeanRT)
 	}
-	if wl8.SimFracOver2s <= 0 {
-		t.Skip("no >2s requests in this short run; full-duration output documents the gap")
+	if wl8.SimP99RT < 2*wl8.MVAMeanRT {
+		t.Errorf("WL 8,000: simulated p99 RT %.3fs not at least twice MVA's mean %.3fs",
+			wl8.SimP99RT, wl8.MVAMeanRT)
 	}
 }
 
@@ -132,6 +138,7 @@ func TestNoisyNeighborLocalized(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run")
 	}
+	t.Parallel()
 	r, err := NoisyNeighbor(QuickOpts(1))
 	if err != nil {
 		t.Fatal(err)
@@ -174,6 +181,7 @@ func TestAutoIntervalPicksSubSecond(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run")
 	}
+	t.Parallel()
 	r, err := AutoInterval(QuickOpts(1))
 	if err != nil {
 		t.Fatal(err)

@@ -123,12 +123,9 @@ func trendLevels(tps []float64, binFrac float64, minCount int64) []float64 {
 }
 
 func speedStepRun(users int, speedStep bool, opts RunOpts) (*SpeedStepRun, error) {
-	sys, res, err := runScenario(scenario{
-		users:     users,
-		speedStep: speedStep,
-		collector: colConcurrent,
-		bursty:    true,
-	}, opts)
+	cfg := testbed(users, opts)
+	cfg.DBSpeedStep = speedStep
+	sys, res, err := simulate(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("speedstep wl %d (enabled=%v): %w", users, speedStep, err)
 	}

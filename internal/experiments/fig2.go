@@ -48,12 +48,9 @@ func Fig2(workloads []int, opts RunOpts) (*Fig2Result, error) {
 	out := &Fig2Result{}
 	var maxTP float64
 	for _, wl := range workloads {
-		_, res, err := runScenario(scenario{
-			users:     wl,
-			speedStep: true,
-			collector: colConcurrent,
-			bursty:    true,
-		}, opts)
+		cfg := testbed(wl, opts)
+		cfg.DBSpeedStep = true
+		_, res, err := simulate(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("fig2 wl %d: %w", wl, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"transientbd/internal/monitor"
+	"transientbd/internal/ntier"
 	"transientbd/internal/simnet"
 )
 
@@ -25,14 +26,11 @@ type Fig3Result struct {
 // Fig3TableI runs WL 8,000 in the §II-B configuration and collects the
 // coarse-grained monitoring views.
 func Fig3TableI(opts RunOpts) (*Fig3Result, error) {
-	sys, err := buildScenarioSystem(scenario{
-		users:     8000,
-		speedStep: true,
-		collector: colConcurrent,
-		bursty:    true,
-	}, opts)
+	cfg := testbed(8000, opts)
+	cfg.DBSpeedStep = true
+	sys, err := ntier.Build(cfg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fig3: build: %w", err)
 	}
 	// Attach a 1 s sampler (Sysstat's granularity) before running.
 	targets := make([]monitor.Target, 0, 6)

@@ -26,11 +26,7 @@ type Fig4Result struct {
 // Fig4 runs the standard system at a demanding workload and reconstructs
 // its transaction traces black-box.
 func Fig4(opts RunOpts) (*Fig4Result, error) {
-	_, res, err := runScenario(scenario{
-		users:     8000,
-		collector: colConcurrent,
-		bursty:    true,
-	}, opts)
+	_, res, err := simulate(testbed(8000, opts))
 	if err != nil {
 		return nil, err
 	}

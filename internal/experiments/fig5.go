@@ -23,12 +23,9 @@ type Fig5Result struct {
 // Fig5 runs WL 7,000 in the §II-B configuration (SpeedStep ON at MySQL,
 // bursty clients) and applies the fine-grained analysis to the MySQL tier.
 func Fig5(opts RunOpts) (*Fig5Result, error) {
-	_, res, err := runScenario(scenario{
-		users:     7000,
-		speedStep: true,
-		collector: colConcurrent,
-		bursty:    true,
-	}, opts)
+	cfg := testbed(7000, opts)
+	cfg.DBSpeedStep = true
+	_, res, err := simulate(cfg)
 	if err != nil {
 		return nil, err
 	}

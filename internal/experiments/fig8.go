@@ -35,12 +35,9 @@ type Fig8Result struct {
 
 // Fig8 analyzes the same WL 14,000 run at 20 ms, 50 ms and 1 s.
 func Fig8(opts RunOpts) (*Fig8Result, error) {
-	_, res, err := runScenario(scenario{
-		users:     14000,
-		speedStep: true,
-		collector: colConcurrent,
-		bursty:    true,
-	}, opts)
+	cfg := testbed(14000, opts)
+	cfg.DBSpeedStep = true
+	_, res, err := simulate(cfg)
 	if err != nil {
 		return nil, err
 	}

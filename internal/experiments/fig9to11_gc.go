@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"transientbd/internal/core"
+	"transientbd/internal/jvm"
 	"transientbd/internal/metrics"
+	"transientbd/internal/ntier"
 	"transientbd/internal/simnet"
 	"transientbd/internal/stats"
 	"transientbd/internal/trace"
@@ -58,14 +60,15 @@ const gcThink = 17 * simnet.Second
 func GCCase(opts RunOpts) (*GCCaseResult, error) {
 	out := &GCCaseResult{}
 	interval := 50 * simnet.Millisecond
+	run := func(users int, collector jvm.CollectorKind) (*ntier.System, *ntier.Result, error) {
+		cfg := testbed(users, opts)
+		cfg.AppCollector = collector
+		cfg.ThinkMean = gcThink
+		return simulate(cfg)
+	}
 
 	// WL 7,000 with the serial collector (Fig 9a).
-	_, res7, err := runScenario(scenario{
-		users:     7000,
-		collector: colSerial,
-		bursty:    true,
-		think:     gcThink,
-	}, opts)
+	_, res7, err := run(7000, jvm.CollectorSerial)
 	if err != nil {
 		return nil, fmt.Errorf("gc case wl7000: %w", err)
 	}
@@ -75,12 +78,7 @@ func GCCase(opts RunOpts) (*GCCaseResult, error) {
 	}
 
 	// WL 14,000 with the serial collector (Fig 9b/c, Fig 10, Fig 11c).
-	sys15, res15, err := runScenario(scenario{
-		users:     14000,
-		collector: colSerial,
-		bursty:    true,
-		think:     gcThink,
-	}, opts)
+	sys15, res15, err := run(14000, jvm.CollectorSerial)
 	if err != nil {
 		return nil, fmt.Errorf("gc case wl14000 jdk15: %w", err)
 	}
@@ -171,12 +169,7 @@ func GCCase(opts RunOpts) (*GCCaseResult, error) {
 	out.RTSD15 = stats.StdDev(rt15.Values())
 
 	// WL 14,000 with the concurrent collector (Fig 11).
-	sys16, res16, err := runScenario(scenario{
-		users:     14000,
-		collector: colConcurrent,
-		bursty:    true,
-		think:     gcThink,
-	}, opts)
+	sys16, res16, err := run(14000, jvm.CollectorConcurrent)
 	if err != nil {
 		return nil, fmt.Errorf("gc case wl14000 jdk16: %w", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"transientbd/internal/core"
 	"transientbd/internal/ntier"
 	"transientbd/internal/simnet"
+	"transientbd/internal/workload"
 )
 
 // NoisyNeighborResult demonstrates the method's generality on a third
@@ -33,31 +34,22 @@ type NoisyNeighborResult struct {
 
 // noisyNeighborConfig is the testbed both noisy-neighbor extensions run:
 // WL 7,000 with a periodic full-core hog (300 ms every 3 s) on mysql-1.
+// Client bursts are off, so the antagonist is the only transient cause.
 func noisyNeighborConfig(opts RunOpts) ntier.Config {
-	cfg := ntier.Config{
-		Users:    7000,
-		Duration: opts.duration(),
-		Ramp:     opts.ramp(),
-		Seed:     opts.Seed,
-		Antagonist: &ntier.AntagonistConfig{
-			Target:   "mysql-1",
-			Period:   3 * simnet.Second,
-			BurstLen: 300 * simnet.Millisecond,
-		},
+	cfg := testbed(7000, opts)
+	cfg.Burst = workload.BurstConfig{}
+	cfg.Antagonist = &ntier.AntagonistConfig{
+		Target:   "mysql-1",
+		Period:   3 * simnet.Second,
+		BurstLen: 300 * simnet.Millisecond,
 	}
-	cfg.AppCollector = 2
 	return cfg
 }
 
-// NoisyNeighbor runs WL 7,000 with a periodic full-core hog on mysql-1.
-// Client bursts are disabled so the antagonist is the only transient
-// cause — a controlled experiment isolating the localization question.
+// NoisyNeighbor runs WL 7,000 with a periodic full-core hog on mysql-1,
+// a controlled experiment isolating the localization question.
 func NoisyNeighbor(opts RunOpts) (*NoisyNeighborResult, error) {
-	sys, err := ntier.Build(noisyNeighborConfig(opts))
-	if err != nil {
-		return nil, fmt.Errorf("noisy neighbor: %w", err)
-	}
-	res, err := sys.Run()
+	sys, res, err := simulate(noisyNeighborConfig(opts))
 	if err != nil {
 		return nil, fmt.Errorf("noisy neighbor: %w", err)
 	}

@@ -54,11 +54,7 @@ type RobustnessResult struct {
 // because congested-fraction detection depends on per-interval load
 // shape, not on catching every message.
 func Robustness(opts RunOpts) (*RobustnessResult, error) {
-	sys, err := ntier.Build(noisyNeighborConfig(opts))
-	if err != nil {
-		return nil, fmt.Errorf("robustness: %w", err)
-	}
-	res, err := sys.Run()
+	sys, res, err := simulate(noisyNeighborConfig(opts))
 	if err != nil {
 		return nil, fmt.Errorf("robustness: %w", err)
 	}

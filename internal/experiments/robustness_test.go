@@ -9,6 +9,7 @@ func TestRobustnessGracefulDegradation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run")
 	}
+	t.Parallel()
 	r, err := Robustness(QuickOpts(1))
 	if err != nil {
 		t.Fatal(err)

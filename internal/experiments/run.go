@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"transientbd/internal/core"
+	"transientbd/internal/jvm"
 	"transientbd/internal/metrics"
 	"transientbd/internal/ntier"
 	"transientbd/internal/simnet"
@@ -43,63 +44,26 @@ func QuickOpts(seed int64) RunOpts {
 	return RunOpts{Seed: seed, Duration: 40 * simnet.Second, Ramp: 10 * simnet.Second}
 }
 
-// scenario describes which causal mechanisms are active.
-type scenario struct {
-	users     int
-	speedStep bool
-	collector int // 0 none, 1 serial, 2 concurrent
-	bursty    bool
-	heapBytes int64
-	// think overrides the client think time. The GC case study uses a
-	// longer think time so that WL 14,000 sits just below the saturation
-	// knee (the paper's §IV-A testbed shows Tomcat transiently — not
-	// permanently — bottlenecked at that workload).
-	think simnet.Duration
+// testbed returns the configuration every runner starts from: the
+// paper's 1L/2S/1L/2S deployment at the given workload, with bursty
+// clients and the concurrent ("JDK 1.6") collector, over opts' window
+// and seed. Runners switch the paper's mechanisms on from here.
+func testbed(users int, opts RunOpts) ntier.Config {
+	return ntier.Config{
+		Users:        users,
+		Duration:     opts.duration(),
+		Ramp:         opts.ramp(),
+		Seed:         opts.Seed,
+		AppCollector: jvm.CollectorConcurrent,
+		Burst:        ntier.DefaultBurst(),
+	}
 }
 
-const (
-	colNone = iota
-	colSerial
-	colConcurrent
-)
-
-// buildScenarioSystem builds an ntier system for a scenario without
-// running it (callers may attach monitors first).
-func buildScenarioSystem(sc scenario, opts RunOpts) (*ntier.System, error) {
-	cfg := ntier.Config{
-		Users:       sc.users,
-		Duration:    opts.duration(),
-		Ramp:        opts.ramp(),
-		Seed:        opts.Seed,
-		DBSpeedStep: sc.speedStep,
-	}
-	switch sc.collector {
-	case colSerial:
-		cfg.AppCollector = 1
-	case colConcurrent:
-		cfg.AppCollector = 2
-	}
-	if sc.heapBytes > 0 {
-		cfg.AppHeapBytes = sc.heapBytes
-	}
-	if sc.bursty {
-		cfg.Burst = ntier.DefaultBurst()
-	}
-	if sc.think > 0 {
-		cfg.ThinkMean = sc.think
-	}
+// simulate builds and runs one system.
+func simulate(cfg ntier.Config) (*ntier.System, *ntier.Result, error) {
 	sys, err := ntier.Build(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: build: %w", err)
-	}
-	return sys, nil
-}
-
-// runScenario builds and runs an ntier system for a scenario.
-func runScenario(sc scenario, opts RunOpts) (*ntier.System, *ntier.Result, error) {
-	sys, err := buildScenarioSystem(sc, opts)
-	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("experiments: build: %w", err)
 	}
 	res, err := sys.Run()
 	if err != nil {

@@ -56,15 +56,11 @@ func (cfg OnlineConfig) coreOptions() (core.OnlineOptions, error) {
 	}
 	window := cfg.Window
 	if window <= 0 {
-		window = 2 * time.Minute
+		window = simnet.Std(core.DefaultWindow)
 	}
 	n := simnet.FromStdDuration(window) / interval
 	if err := core.CheckIntervals(int64(n), core.MinWindowIntervals); err != nil {
 		return core.OnlineOptions{}, fmt.Errorf("transientbd: Window %v at Interval %v: %w", window, simnet.Std(interval), err)
-	}
-	reest := cfg.Reestimate
-	if reest <= 0 {
-		reest = 20 * time.Second
 	}
 	return core.OnlineOptions{
 		Options: core.Options{
@@ -73,6 +69,7 @@ func (cfg OnlineConfig) coreOptions() (core.OnlineOptions, error) {
 			RawThroughput: cfg.RawThroughput,
 		},
 		WindowIntervals: int(n),
-		ReestimateEvery: int(simnet.FromStdDuration(reest) / interval),
+		// Zero leaves the cadence to core's trace-time default.
+		ReestimateEvery: int(simnet.FromStdDuration(cfg.Reestimate) / interval),
 	}, nil
 }
