@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -253,6 +254,50 @@ func TestTBDetectWireInput(t *testing.T) {
 	}
 	if !strings.Contains(detOut.String(), "mysql-1") {
 		t.Errorf("black-box report missing servers:\n%s", detOut.String())
+	}
+}
+
+// TestTBDetectBlackBoxQualityCountsUnmatched cuts a wire capture at both
+// ends, so it holds returns whose calls were never captured and calls
+// still unanswered at the end. The black-box -quality block must count
+// both, as the unmatched calls the reconstruction reports on stderr.
+func TestTBDetectBlackBoxQualityCountsUnmatched(t *testing.T) {
+	dir := t.TempDir()
+	full := filepath.Join(dir, "messages.jsonl")
+	var simOut, simErr bytes.Buffer
+	if err := NtierSim([]string{
+		"-users", "500", "-duration", "10s", "-ramp", "3s", "-seed", "1",
+		"-out", filepath.Join(dir, "v.jsonl"), "-messages", full,
+	}, &simOut, &simErr); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	cut := filepath.Join(dir, "cut.jsonl")
+	if err := os.WriteFile(cut, []byte(strings.Join(lines[len(lines)/10:len(lines)*8/10], "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var detOut, detErr bytes.Buffer
+	if err := TBDetect([]string{"-in", cut, "-wire", "-lenient", "-blackbox", "-quality"}, &detOut, &detErr); err != nil {
+		t.Fatal(err)
+	}
+	unmatched := regexp.MustCompile(`(\d+) unmatched calls`).FindStringSubmatch(detErr.String())
+	if unmatched == nil || unmatched[1] == "0" {
+		t.Fatalf("want unmatched calls on stderr: %q", detErr.String())
+	}
+	quar := regexp.MustCompile(`visits quarantined\s+(\d+) \(orphan returns (\d+), duplicates 0, negative spans 0, in-flight (\d+), timed out 0\)`).
+		FindStringSubmatch(detOut.String())
+	if quar == nil {
+		t.Fatalf("quality block quarantines nothing:\n%s", detOut.String())
+	}
+	orphans, _ := strconv.Atoi(quar[2])
+	inFlight, _ := strconv.Atoi(quar[3])
+	if quar[1] != strconv.Itoa(orphans+inFlight) || orphans == 0 || quar[3] != unmatched[1] {
+		t.Errorf("quarantined %s (orphan returns %s, in-flight %s), want orphan returns > 0 and in-flight %s, the unmatched calls",
+			quar[1], quar[2], quar[3], unmatched[1])
 	}
 }
 

@@ -180,6 +180,9 @@ func TBDetect(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stderr, "tbdetect: black-box reconstruction: %d pairs, accuracy %.2f%%, %d unmatched calls\n",
 				rec.PairedHops, 100*rec.Accuracy(), rec.UnmatchedCalls)
 			visits = rec.Visits
+			q.InFlight = rec.UnmatchedCalls
+			q.OrphanReturns = rec.UnmatchedReturns
+			q.VisitsQuarantined = rec.UnmatchedCalls + rec.UnmatchedReturns
 		case *lenient:
 			var arep trace.AssemblyReport
 			visits, arep = trace.AssembleLenient(msgs, trace.AssembleOptions{

@@ -73,23 +73,6 @@ func SampleStdDev(xs []float64) float64 {
 	return math.Sqrt(SampleVariance(xs))
 }
 
-// MinMax returns the smallest and largest values in xs.
-func MinMax(xs []float64) (minVal, maxVal float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	minVal, maxVal = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < minVal {
-			minVal = x
-		}
-		if x > maxVal {
-			maxVal = x
-		}
-	}
-	return minVal, maxVal, nil
-}
-
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
 // interpolation between closest ranks. xs does not need to be sorted and
 // is not modified. The lower rank is found by Select on a copy and the

@@ -59,19 +59,6 @@ func TestSampleVariance(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	lo, hi, err := MinMax([]float64{3, -1, 4, 1, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo != -1 || hi != 5 {
-		t.Errorf("MinMax = (%v,%v), want (-1,5)", lo, hi)
-	}
-	if _, _, err := MinMax(nil); err != ErrEmpty {
-		t.Errorf("MinMax(nil) error = %v, want ErrEmpty", err)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	cases := []struct {
@@ -331,10 +318,7 @@ func TestDescriptiveProperties(t *testing.T) {
 		if Variance(xs) < 0 {
 			return false
 		}
-		lo, hi, err := MinMax(xs)
-		if err != nil {
-			return false
-		}
+		lo, hi := slices.Min(xs), slices.Max(xs)
 		m := Mean(xs)
 		return m >= lo-1e-9 && m <= hi+1e-9
 	}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"transientbd/internal/simnet"
@@ -71,121 +72,123 @@ func AssembleLenient(msgs []Message, opts AssembleOptions) ([]Visit, AssemblyRep
 	return visits, rep
 }
 
-func assemble(msgs []Message, opts AssembleOptions, lenient bool) ([]Visit, AssemblyReport, error) {
-	type hop struct {
-		call *Message
-		ret  *Message
-	}
-	var rep AssemblyReport
-	hops := make(map[int64]*hop, len(msgs)/2)
-	var captureEnd simnet.Time
+// hopPair holds the indices into the capture of one hop's call and
+// return message, -1 where none was captured.
+type hopPair struct{ call, ret int32 }
+
+// pairHops is the capture's one HopID index: slot maps each HopID to its
+// entry in pairs, which lists hops in first-sight order. A duplicate call
+// or return keeps the earliest-stamped copy (the first on a tie). strict
+// turns a duplicate or an invalid direction into an error; otherwise
+// they are counted in the report. Message indices are int32: a capture
+// holds fewer than 2³¹ messages.
+func pairHops(msgs []Message, strict bool) (slot map[int64]int32, pairs []hopPair, rep AssemblyReport, err error) {
+	slot = make(map[int64]int32, len(msgs)/2)
+	pairs = make([]hopPair, 0, len(msgs)/2)
 	for i := range msgs {
 		m := &msgs[i]
-		if m.At > captureEnd {
-			captureEnd = m.At
-		}
-		h := hops[m.HopID]
-		if h == nil {
-			h = &hop{}
-			hops[m.HopID] = h
-		}
-		switch m.Dir {
-		case Call:
-			if h.call != nil {
-				if !lenient {
-					return nil, rep, fmt.Errorf("trace: duplicate call for hop %d at server %q", m.HopID, m.To)
-				}
-				rep.DuplicateCalls++
-				if m.At < h.call.At {
-					h.call = m
-				}
-				continue
-			}
-			h.call = m
-		case Return:
-			if h.ret != nil {
-				if !lenient {
-					return nil, rep, fmt.Errorf("trace: duplicate return for hop %d from server %q", m.HopID, m.From)
-				}
-				rep.DuplicateReturns++
-				if m.At < h.ret.At {
-					h.ret = m
-				}
-				continue
-			}
-			h.ret = m
-		default:
-			if !lenient {
-				return nil, rep, fmt.Errorf("trace: message with invalid direction %d (from %q to %q)", int(m.Dir), m.From, m.To)
+		if m.Dir != Call && m.Dir != Return {
+			if strict {
+				return nil, nil, rep, fmt.Errorf("trace: message with invalid direction %d (from %q to %q)", int(m.Dir), m.From, m.To)
 			}
 			rep.InvalidDirection++
+			continue
+		}
+		s, ok := slot[m.HopID]
+		if !ok {
+			s = int32(len(pairs))
+			slot[m.HopID] = s
+			pairs = append(pairs, hopPair{-1, -1})
+		}
+		p := &pairs[s]
+		cur, dups := &p.call, &rep.DuplicateCalls
+		if m.Dir == Return {
+			cur, dups = &p.ret, &rep.DuplicateReturns
+		}
+		if *cur >= 0 {
+			switch {
+			case strict && m.Dir == Call:
+				return nil, nil, rep, fmt.Errorf("trace: duplicate call for hop %d at server %q", m.HopID, m.To)
+			case strict:
+				return nil, nil, rep, fmt.Errorf("trace: duplicate return for hop %d from server %q", m.HopID, m.From)
+			}
+			*dups++
+			if m.At >= msgs[*cur].At {
+				continue
+			}
+		}
+		*cur = int32(i)
+	}
+	return slot, pairs, rep, nil
+}
+
+func assemble(msgs []Message, opts AssembleOptions, lenient bool) ([]Visit, AssemblyReport, error) {
+	slot, pairs, rep, err := pairHops(msgs, !lenient)
+	if err != nil {
+		return nil, rep, err
+	}
+	var captureEnd simnet.Time
+	for i := range msgs {
+		captureEnd = max(captureEnd, msgs[i].At)
+	}
+
+	// Charge each completed hop's span to its parent as downstream wait.
+	// Calls are sequential within a visit, so spans never overlap; a
+	// parent still in flight or quarantined emits no visit anyway.
+	downstream := make([]simnet.Duration, len(pairs))
+	for _, p := range pairs {
+		if p.call < 0 || p.ret < 0 {
+			continue
+		}
+		call, ret := &msgs[p.call], &msgs[p.ret]
+		if call.ParentHop == 0 || ret.At < call.At {
+			continue
+		}
+		if ps, ok := slot[call.ParentHop]; ok {
+			downstream[ps] += ret.At - call.At
 		}
 	}
 
-	visits := make(map[int64]*Visit, len(hops))
-	var complete []*hop
-	for id, h := range hops {
-		if h.call == nil {
-			if h.ret == nil {
-				continue // only invalid-direction messages carried this hop id
-			}
+	out := make([]Visit, 0, len(pairs))
+	for s, p := range pairs {
+		if p.call < 0 {
+			ret := &msgs[p.ret]
 			if !lenient {
-				return nil, rep, fmt.Errorf("trace: return without call for hop %d from server %q", id, h.ret.From)
+				return nil, rep, fmt.Errorf("trace: return without call for hop %d from server %q", ret.HopID, ret.From)
 			}
 			rep.OrphanReturns++
 			continue
 		}
-		if h.ret == nil {
+		call := &msgs[p.call]
+		if p.ret < 0 {
 			// Unterminated: in flight at the capture boundary, or — past
 			// the watchdog — a lost return message.
-			if opts.InFlightTimeout > 0 && h.call.At+opts.InFlightTimeout <= captureEnd {
+			if opts.InFlightTimeout > 0 && call.At+opts.InFlightTimeout <= captureEnd {
 				rep.TimedOut++
 			} else {
 				rep.InFlight++
 			}
 			continue
 		}
-		if h.ret.At < h.call.At {
+		ret := &msgs[p.ret]
+		if ret.At < call.At {
 			if !lenient {
-				return nil, rep, fmt.Errorf("trace: hop %d at server %q returns before it is called", id, h.call.To)
+				return nil, rep, fmt.Errorf("trace: hop %d at server %q returns before it is called", call.HopID, call.To)
 			}
 			rep.NegativeSpans++
 			continue
 		}
-		visits[id] = &Visit{
-			Server: h.call.To,
-			Class:  h.call.Class,
-			TxnID:  h.call.TxnID,
-			HopID:  h.call.HopID,
-			Arrive: h.call.At,
-			Depart: h.ret.At,
-		}
-		complete = append(complete, h)
+		out = append(out, Visit{
+			Server:     call.To,
+			Class:      call.Class,
+			TxnID:      call.TxnID,
+			HopID:      call.HopID,
+			Arrive:     call.At,
+			Depart:     ret.At,
+			Downstream: downstream[s],
+		})
 	}
-
-	// Charge each completed hop's span to its parent visit as downstream
-	// wait. Calls are sequential within a visit, so spans never overlap.
-	for _, h := range complete {
-		if h.call.ParentHop == 0 {
-			continue
-		}
-		parent, ok := visits[h.call.ParentHop]
-		if !ok {
-			continue // parent still in flight or quarantined; its visit is gone anyway
-		}
-		parent.Downstream += h.ret.At - h.call.At
-	}
-
-	out := make([]Visit, 0, len(visits))
-	for _, v := range visits {
-		out = append(out, *v)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Arrive != out[j].Arrive {
-			return out[i].Arrive < out[j].Arrive
-		}
-		return out[i].HopID < out[j].HopID
-	})
+	slices.SortFunc(out, compareArrive)
 	rep.Visits = len(out)
 	return out, rep, nil
 }

@@ -129,6 +129,25 @@ func TestAssembleErrors(t *testing.T) {
 	}
 }
 
+// TestAssembleErrorFirstSight pins which anomaly strict assembly reports
+// when a capture holds several: the hop seen first in the capture.
+func TestAssembleErrorFirstSight(t *testing.T) {
+	msgs := []Message{
+		{At: 1, From: "b", To: "a", Dir: Return, HopID: 9},
+		{At: 5, From: "a", To: "c", Dir: Call, HopID: 1},
+		{At: 1, From: "c", To: "a", Dir: Return, HopID: 1},
+		{At: 2, From: "d", To: "a", Dir: Return, HopID: 7},
+	}
+	for range 20 {
+		if _, err := Assemble(msgs); err == nil || !strings.Contains(err.Error(), "hop 9") {
+			t.Fatalf("error %v, want the orphan return of hop 9, the first anomaly captured", err)
+		}
+		if _, err := Assemble(msgs[1:]); err == nil || !strings.Contains(err.Error(), "hop 1") {
+			t.Fatalf("error %v, want the negative span of hop 1, the first anomaly captured", err)
+		}
+	}
+}
+
 // corruptFig4Trace is the Fig 4 trace plus one of every anomaly lenient
 // assembly must quarantine.
 func corruptFig4Trace() []Message {

@@ -151,6 +151,15 @@ func (v Visit) IntraNodeDelay() simnet.Duration {
 	return d
 }
 
+// compareArrive is the order assembly and reconstruction return visits
+// in: by Arrive, then HopID.
+func compareArrive(a, b Visit) int {
+	if c := cmp.Compare(a.Arrive, b.Arrive); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.HopID, b.HopID)
+}
+
 // CompareDepart is the canonical completion order of visits, a
 // comparator for slices.SortFunc: by Depart, then Server, Arrive,
 // Class, TxnID and HopID. It is the order of a per-host completion log

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"sort"
 )
 
@@ -17,6 +18,10 @@ type ReconstructionResult struct {
 	// UnmatchedCalls counts calls with no available return (in-flight at
 	// capture end, or consumed by an earlier mis-pairing).
 	UnmatchedCalls int
+	// UnmatchedReturns counts returns dropped because their flow had no
+	// outstanding call (the call was not captured, or an earlier
+	// mis-pairing consumed it).
+	UnmatchedReturns int
 }
 
 // Accuracy returns the fraction of produced pairs that match ground truth,
@@ -69,7 +74,8 @@ func Reconstruct(msgs []Message) ReconstructionResult {
 			k := flowKey{m.To, m.From, m.Class, m.Conn}
 			q := outstanding[k]
 			if len(q) == 0 {
-				continue // return with no visible call; drop
+				res.UnmatchedReturns++
+				continue
 			}
 			call := q[0]
 			outstanding[k] = q[1:]
@@ -90,11 +96,6 @@ func Reconstruct(msgs []Message) ReconstructionResult {
 	for _, q := range outstanding {
 		res.UnmatchedCalls += len(q)
 	}
-	sort.Slice(res.Visits, func(i, j int) bool {
-		if res.Visits[i].Arrive != res.Visits[j].Arrive {
-			return res.Visits[i].Arrive < res.Visits[j].Arrive
-		}
-		return res.Visits[i].HopID < res.Visits[j].HopID
-	})
+	slices.SortFunc(res.Visits, compareArrive)
 	return res
 }

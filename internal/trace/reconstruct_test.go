@@ -65,6 +65,9 @@ func TestReconstructUnmatched(t *testing.T) {
 	if res.UnmatchedCalls != 1 {
 		t.Errorf("UnmatchedCalls = %d, want 1", res.UnmatchedCalls)
 	}
+	if res.UnmatchedReturns != 1 {
+		t.Errorf("UnmatchedReturns = %d, want 1", res.UnmatchedReturns)
+	}
 	if res.Accuracy() != 0 {
 		t.Errorf("Accuracy with no pairs = %v, want 0", res.Accuracy())
 	}

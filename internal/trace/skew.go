@@ -108,30 +108,7 @@ func solveOffsets(edges []skewEdge) map[string]simnet.Duration {
 // the returned slice is always a copy).
 func RepairSkew(msgs []Message) ([]Message, SkewReport) {
 	var rep SkewReport
-
-	type hop struct {
-		call *Message
-		ret  *Message
-	}
-	hops := make(map[int64]*hop, len(msgs)/2)
-	for i := range msgs {
-		m := &msgs[i]
-		h := hops[m.HopID]
-		if h == nil {
-			h = &hop{}
-			hops[m.HopID] = h
-		}
-		switch m.Dir {
-		case Call:
-			if h.call == nil || m.At < h.call.At {
-				h.call = m
-			}
-		case Return:
-			if h.ret == nil || m.At < h.ret.At {
-				h.ret = m
-			}
-		}
-	}
+	slot, pairs, _, _ := pairHops(msgs, false)
 
 	// minDelta[(A,B)] is the smallest observed (callee-stamp − caller-
 	// stamp) gap for the pair; negative means B's clock trails A's.
@@ -146,17 +123,20 @@ func RepairSkew(msgs []Message) ([]Message, SkewReport) {
 			rep.Violations++
 		}
 	}
-	for _, h := range hops {
-		if h.call == nil {
+	for _, p := range pairs {
+		if p.call < 0 {
 			continue
 		}
-		if h.ret != nil {
-			observe(h.call.From, h.call.To, h.ret.At-h.call.At)
+		call := &msgs[p.call]
+		if p.ret >= 0 {
+			observe(call.From, call.To, msgs[p.ret].At-call.At)
 		}
-		if h.call.ParentHop != 0 {
-			if parent := hops[h.call.ParentHop]; parent != nil && parent.call != nil {
-				observe(parent.call.From, h.call.From, h.call.At-parent.call.At)
-			}
+		if call.ParentHop == 0 {
+			continue
+		}
+		if ps, ok := slot[call.ParentHop]; ok && pairs[ps].call >= 0 {
+			parent := &msgs[pairs[ps].call]
+			observe(parent.From, call.From, call.At-parent.At)
 		}
 	}
 
