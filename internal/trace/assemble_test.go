@@ -352,3 +352,36 @@ func TestCallGraphDeduplicates(t *testing.T) {
 		t.Errorf("a calls %v, want deduplicated [b]", g["a"])
 	}
 }
+
+// TestCompareDepartTotalOrder: CompareDepart returns 0 only for identical
+// visits and is antisymmetric, so sorting and merging agree on ties.
+func TestCompareDepartTotalOrder(t *testing.T) {
+	base := Visit{Server: "tomcat-1", Class: "ViewStory", TxnID: 7, HopID: 3,
+		Arrive: 10 * ms, Depart: 20 * ms, Downstream: 4 * ms}
+	vs := []Visit{base}
+	for _, edit := range []func(*Visit){
+		func(v *Visit) { v.Depart++ },
+		func(v *Visit) { v.Server = "tomcat-2" },
+		func(v *Visit) { v.Arrive-- },
+		func(v *Visit) { v.Class = "StoriesOfTheDay" },
+		func(v *Visit) { v.TxnID++ },
+		func(v *Visit) { v.HopID-- },
+		func(v *Visit) { v.Downstream++ },
+		func(v *Visit) { v.Downstream = 0 },
+	} {
+		v := base
+		edit(&v)
+		vs = append(vs, v)
+	}
+	for i, a := range vs {
+		for j, b := range vs {
+			ab, ba := CompareDepart(a, b), CompareDepart(b, a)
+			if (ab == 0) != (a == b) {
+				t.Errorf("CompareDepart(%d, %d) = %d for visits that are equal=%v", i, j, ab, a == b)
+			}
+			if ab != -ba {
+				t.Errorf("CompareDepart not antisymmetric on (%d, %d): %d and %d", i, j, ab, ba)
+			}
+		}
+	}
+}

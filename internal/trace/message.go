@@ -162,9 +162,12 @@ func compareArrive(a, b Visit) int {
 
 // CompareDepart is the canonical completion order of visits, a
 // comparator for slices.SortFunc: by Depart, then Server, Arrive,
-// Class, TxnID and HopID. It is the order of a per-host completion log
-// (ntiersim -order depart) and of the merge head's releases, so an
-// N-agent run observes records exactly as one feed would.
+// Class, TxnID, HopID and Downstream. It is a total order on Visit (0
+// only for identical values), so a stable sort, an unstable one and a
+// merge of sorted runs all agree. It is the order of a per-host
+// completion log (ntiersim -order depart) and of the merge head's
+// releases, so an N-agent run observes records exactly as one feed
+// would.
 func CompareDepart(a, b Visit) int {
 	if c := cmp.Compare(a.Depart, b.Depart); c != 0 {
 		return c
@@ -181,5 +184,8 @@ func CompareDepart(a, b Visit) int {
 	if c := cmp.Compare(a.TxnID, b.TxnID); c != 0 {
 		return c
 	}
-	return cmp.Compare(a.HopID, b.HopID)
+	if c := cmp.Compare(a.HopID, b.HopID); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Downstream, b.Downstream)
 }
