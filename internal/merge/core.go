@@ -16,9 +16,11 @@
 // a record is observed when W reaches its departure, and an interval
 // ending at e seals when W reaches e+FlushLag — Core.advanceTo
 // interleaves the two so a coarse W jump (three nodes advancing in
-// steps) replays the identical event sequence as a fine one. That, plus
-// the deterministic sort inside each release, is what makes "N agent
-// processes ≡ 1 process" hold field-for-field (TestMergeEquivalence).
+// steps) replays the identical event sequence as a fine one. Each node
+// buffers one run in trace.CompareDepart order (a reordered batch is
+// sorted in), and a release merges the runs' prefixes that depart by W:
+// that total order is what makes "N agent processes ≡ 1 process" hold
+// field-for-field (TestMergeEquivalence).
 //
 // # Exactly-once, loss, and degraded nodes
 //
@@ -135,7 +137,9 @@ type node struct {
 	sawBatch  bool   // a batch has been applied (first-batch rule no longer applies)
 	ringStart uint64 // agent-declared lowest transmittable seq (Hello.FirstSeq)
 	watermark simnet.Time
-	buf       []trace.Visit // delivered, awaiting release (depart > obsMark)
+	buf       []trace.Visit // buf[off:] delivered, awaiting release (depart > obsMark)
+	off       int           // buf[:off] released
+	unsorted  bool          // an append broke buf[off:]'s CompareDepart order
 	sessions  int64
 	conns     int64
 	degraded  bool
@@ -169,7 +173,7 @@ type Core struct {
 
 	finished bool
 	final    *stream.Snapshot
-	release  []trace.Visit // reused release scratch
+	runs     [][]trace.Visit // reused release scratch: one prefix per node
 
 	statusA atomic.Pointer[[]NodeStatus]
 }
@@ -304,6 +308,13 @@ func (c *Core) Batch(name string, seq uint64, visits []trace.Visit) (uint64, err
 	}
 	n.lastSeq = seq
 	n.sawBatch = true
+	// Reuse the released prefix's room before growing: it is at least
+	// half the buffer, so each record is copied O(1) times.
+	if len(n.buf)+len(visits) > cap(n.buf) && 2*n.off >= len(n.buf) {
+		live := copy(n.buf, n.buf[n.off:])
+		clear(n.buf[live:])
+		n.buf, n.off = n.buf[:live], 0
+	}
 	for i := range visits {
 		v := visits[i]
 		if stream.ValidateVisit(v) != nil {
@@ -317,6 +328,9 @@ func (c *Core) Batch(name string, seq uint64, visits []trace.Visit) (uint64, err
 			// Dropped with accounting, never applied half-sealed.
 			n.dropped++
 			continue
+		}
+		if !n.unsorted && len(n.buf) > n.off && trace.CompareDepart(v, n.buf[len(n.buf)-1]) < 0 {
+			n.unsorted = true
 		}
 		n.buf = append(n.buf, v)
 		// The watermark trails the newest delivered departure by one
@@ -468,39 +482,47 @@ func (c *Core) advanceTo(w simnet.Time) {
 	c.releaseUpTo(w)
 }
 
-// releaseUpTo observes every buffered record with depart ≤ t, in a
-// deterministic total order (so equal-departure ties resolve the same
-// way at any node count).
+// releaseUpTo observes every buffered record with depart ≤ t in
+// CompareDepart order, the canonical order of the whole stream at any
+// node count and batch timing, by merging each node's sorted prefix.
 func (c *Core) releaseUpTo(t simnet.Time) {
 	if t <= c.obsMark {
 		return
 	}
 	c.obsMark = t
-	out := c.release[:0]
+	runs := c.runs[:0]
 	for _, name := range c.names {
 		n := c.nodes[name]
-		kept := n.buf[:0]
-		for _, v := range n.buf {
-			if v.Depart <= t {
-				out = append(out, v)
-			} else {
-				kept = append(kept, v)
+		buf := n.sortedBuf()
+		k := sort.Search(len(buf), func(i int) bool { return buf[i].Depart > t })
+		if k > 0 {
+			runs = append(runs, buf[:k])
+			n.off += k
+		}
+	}
+	for len(runs) > 0 {
+		m := 0
+		for i := 1; i < len(runs); i++ {
+			if trace.CompareDepart(runs[i][0], runs[m][0]) < 0 {
+				m = i
 			}
 		}
-		n.buf = kept
+		c.rt.Observe(runs[m][0]) //nolint:errcheck // pre-validated in Batch
+		if runs[m] = runs[m][1:]; len(runs[m]) == 0 {
+			runs = slices.Delete(runs, m, m+1)
+		}
 	}
-	if len(out) == 0 {
-		c.release = out
-		return
+	c.runs = runs
+}
+
+// sortedBuf restores the node's buffer to CompareDepart order if a
+// reordered batch broke it, and returns it.
+func (n *node) sortedBuf() []trace.Visit {
+	if n.unsorted {
+		slices.SortFunc(n.buf[n.off:], trace.CompareDepart)
+		n.unsorted = false
 	}
-	// Chunks release in non-decreasing departure, so the concatenated
-	// Observe order is the canonical order of the whole stream,
-	// independent of node count and batch timing.
-	slices.SortFunc(out, trace.CompareDepart)
-	for i := range out {
-		c.rt.Observe(out[i]) //nolint:errcheck // pre-validated in Batch
-	}
-	c.release = out[:0]
+	return n.buf[n.off:]
 }
 
 // Finish releases every still-buffered record (stragglers from
@@ -513,10 +535,8 @@ func (c *Core) Finish() *stream.Snapshot {
 	c.finished = true
 	var max simnet.Time
 	for _, n := range c.nodes {
-		for _, v := range n.buf {
-			if v.Depart > max {
-				max = v.Depart
-			}
+		if buf := n.sortedBuf(); len(buf) > 0 && buf[len(buf)-1].Depart > max {
+			max = buf[len(buf)-1].Depart
 		}
 	}
 	if max > c.obsMark {
@@ -580,7 +600,7 @@ func (c *Core) publishStatus() {
 			Deduped:       n.deduped,
 			Dropped:       n.dropped,
 			Invalid:       n.invalid,
-			Buffered:      int64(len(n.buf)),
+			Buffered:      int64(len(n.buf) - n.off),
 			LastFrameWall: n.lastFrame.UnixNano(),
 			WALDepth:      n.walDepth,
 			WALSegments:   n.walSegments,
