@@ -43,8 +43,8 @@ func ClassBreakdown(visits []trace.Visit, a *Analysis) []ClassStat {
 	}
 	byClass := make(map[string]*agg)
 	for _, v := range visits {
-		idx, err := a.Load.Index(v.Depart)
-		if err != nil {
+		idx, ok := a.Load.Lookup(v.Depart)
+		if !ok {
 			continue
 		}
 		g := byClass[v.Class]

@@ -97,10 +97,21 @@ func (s *IntervalSeries) End() simnet.Time {
 // Index returns the interval index containing t, or an error if t is out
 // of range.
 func (s *IntervalSeries) Index(t simnet.Time) (int, error) {
-	if t < s.start || t >= s.End() {
+	i, ok := s.Lookup(t)
+	if !ok {
 		return 0, fmt.Errorf("%w: %v not in [%v,%v)", ErrRange, t, s.start, s.End())
 	}
-	return int((t - s.start) / s.width), nil
+	return i, nil
+}
+
+// Lookup returns the interval index containing t and whether t is in
+// range: Index without building an error for callers that skip
+// out-of-range samples.
+func (s *IntervalSeries) Lookup(t simnet.Time) (int, bool) {
+	if t < s.start || t >= s.End() {
+		return 0, false
+	}
+	return int((t - s.start) / s.width), true
 }
 
 // IntervalStart returns the start time of interval i.
@@ -138,11 +149,9 @@ func (s *IntervalSeries) Add(i int, v float64) {
 // AddAt adds v to the interval containing t; samples outside the series
 // range are dropped (e.g. departures after the measurement window).
 func (s *IntervalSeries) AddAt(t simnet.Time, v float64) {
-	i, err := s.Index(t)
-	if err != nil {
-		return
+	if i, ok := s.Lookup(t); ok {
+		s.values[i] += v
 	}
-	s.values[i] += v
 }
 
 // Values returns a copy of all interval values.

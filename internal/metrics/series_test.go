@@ -67,6 +67,15 @@ func TestIndexAndBounds(t *testing.T) {
 	if _, err := s.Index(0); !errors.Is(err, ErrRange) {
 		t.Errorf("Index(before) err = %v, want ErrRange", err)
 	}
+	for _, tc := range []struct {
+		t  simnet.Time
+		i  int
+		ok bool
+	}{{simnet.Second, 0, true}, {1999 * simnet.Millisecond, 9, true}, {2 * simnet.Second, 0, false}, {0, 0, false}} {
+		if i, ok := s.Lookup(tc.t); i != tc.i || ok != tc.ok {
+			t.Errorf("Lookup(%v) = %d, %v; want %d, %v", tc.t, i, ok, tc.i, tc.ok)
+		}
+	}
 }
 
 func TestSetAddValue(t *testing.T) {
