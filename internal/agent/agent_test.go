@@ -16,7 +16,7 @@ import (
 )
 
 // testFeed renders a deterministic workload as the JSONL agents read.
-func testFeed(t *testing.T, n int) ([]trace.Visit, []byte) {
+func testFeed(t testing.TB, n int) ([]trace.Visit, []byte) {
 	t.Helper()
 	vs := chaos.Workload([]string{"a", "b"}, n, 9)
 	var buf bytes.Buffer
@@ -48,7 +48,7 @@ type scriptedServer struct {
 	stop chan struct{}
 }
 
-func newScriptedServer(t *testing.T, handle func(sess int, conn net.Conn)) *scriptedServer {
+func newScriptedServer(t testing.TB, handle func(sess int, conn net.Conn)) *scriptedServer {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -83,7 +83,7 @@ func (s *scriptedServer) close() {
 
 // readHello consumes the handshake open, failing the test on anything
 // else.
-func readHello(t *testing.T, r *wire.Reader) wire.Hello {
+func readHello(t testing.TB, r *wire.Reader) wire.Hello {
 	t.Helper()
 	f, err := r.Read()
 	if err != nil || f.Type != wire.TypeHello {

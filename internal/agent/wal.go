@@ -1,10 +1,10 @@
 package agent
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 
-	"transientbd/internal/trace"
 	"transientbd/internal/wal"
 	"transientbd/internal/wire"
 )
@@ -32,11 +32,11 @@ type walState struct {
 	// identical to the re-cut ones.
 	covered uint64
 	cur     *wal.Cursor
-	enc     []byte // reused batch-body encode scratch
 }
 
 // openWAL opens (or recovers) the agent's log and positions the refill
-// state after whatever survived on disk.
+// state after whatever survived on disk. A recovered log cut at another
+// batch size is refused here, before anything is sent.
 func openWAL(cfg Config) (*walState, wal.Recovery, error) {
 	log, rec, err := wal.Open(wal.Options{
 		Dir:          cfg.WALDir,
@@ -49,51 +49,63 @@ func openWAL(cfg Config) (*walState, wal.Recovery, error) {
 	ws := &walState{log: log, next: log.LastSeq() + 1}
 	if rec.Records > 0 {
 		ws.next = rec.FirstSeq
+		if err := ws.checkCuts(cfg.BatchSize); err != nil {
+			log.Close()
+			return nil, wal.Recovery{}, fmt.Errorf("agent: %w", err)
+		}
 	}
 	return ws, rec, nil
 }
 
-// append makes one cut batch durable.
-func (ws *walState) append(seq uint64, visits []trace.Visit) error {
-	ws.enc = wire.AppendVisits(ws.enc[:0], visits)
-	return ws.log.Append(seq, ws.enc)
+// checkCuts requires every recovered record to hold exactly size
+// records; the log's last one may hold fewer (the source's final cut).
+// Sequence numbers are positional, so a log cut at another batch size
+// would cover the wrong records of the re-read source.
+func (ws *walState) checkCuts(size int) error {
+	defer ws.invalidate()
+	for ws.next <= ws.log.LastSeq() {
+		rec, err := ws.readNext()
+		if err != nil {
+			return err
+		}
+		if rec.n != size && (rec.seq != ws.log.LastSeq() || rec.n > size) {
+			return fmt.Errorf("wal: record %d holds %d records but the batch size is %d: the log was cut at another batch size (restart with the size it was written with, or clear the log)", rec.seq, rec.n, size)
+		}
+	}
+	ws.next = ws.log.FirstSeq()
+	return nil
 }
 
-// readNext decodes the next backlog batch. The caller checks the
-// backlog is non-empty first, so io.EOF here means the log lied —
-// surfaced as an error.
-func (ws *walState) readNext() (uint64, []trace.Visit, error) {
+// readNext loads the next backlog batch: its body as stored, checked
+// well formed and counted. The caller checks the backlog is non-empty
+// first, so io.EOF here means the log lied — surfaced as an error.
+func (ws *walState) readNext() (batchRec, error) {
 	if ws.cur == nil {
 		cur, err := ws.log.ReadCursor(ws.next)
 		if err != nil {
-			return 0, nil, err
+			return batchRec{}, err
 		}
 		ws.cur = cur
 	}
 	seq, body, err := ws.cur.Next()
 	if err == io.EOF {
-		return 0, nil, fmt.Errorf("wal: backlog cursor hit end at %d", ws.next)
+		return batchRec{}, fmt.Errorf("wal: backlog cursor hit end at %d", ws.next)
 	}
 	if err != nil {
-		return 0, nil, err
+		return batchRec{}, err
 	}
-	visits, err := wire.DecodeVisits(body)
+	n, err := wire.VisitCount(body)
 	if err != nil {
-		return 0, nil, err
+		return batchRec{}, fmt.Errorf("wal: record %d: %w", seq, err)
 	}
 	ws.next = seq + 1
-	return seq, visits, nil
+	// The cursor reuses its buffer; the ring keeps the body until acked.
+	return batchRec{seq: seq, body: bytes.Clone(body), n: n}, nil
 }
 
-// advanceOver records that seq entered the ring directly (no spill):
-// the refill position moves past it without a disk read.
-func (ws *walState) advanceOver(seq uint64) {
-	ws.next = seq + 1
-	ws.invalidate()
-}
-
-// skipTo repositions the refill cursor (reconnect fast-forward past
-// batches acknowledged while they sat on disk).
+// skipTo repositions the refill cursor: past a batch that entered the
+// ring directly, or past batches acknowledged while they sat on disk
+// (reconnect fast-forward).
 func (ws *walState) skipTo(seq uint64) {
 	ws.next = seq
 	ws.invalidate()

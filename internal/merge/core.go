@@ -7,7 +7,8 @@
 // # The node barrier
 //
 // Each node contributes a watermark: the newest departure timestamp it
-// has delivered (batches and heartbeats both raise it). The global
+// has delivered. Only applied batches raise it; a heartbeat only keeps
+// the node from being degraded. The global
 // release point W is the minimum watermark over contributing nodes, so
 // no interval seals until every node has delivered past it — the same
 // guarantee the single-process runtime gets from reading one
@@ -123,7 +124,8 @@ type NodeStatus struct {
 	// LastFrameWall is the UnixNano wall time of the node's last frame.
 	LastFrameWall int64
 	// WALDepth and WALSegments mirror the agent's advertised write-ahead
-	// log state (version-2 heartbeats); Spilling means the agent is
+	// log state (carried on its heartbeats; WALDepth counts batches, not
+	// records); Spilling means the agent is
 	// buffering batches on disk beyond its send window — a head outage
 	// or backpressure being absorbed. All zero for agents without a WAL.
 	WALDepth    int64
@@ -347,27 +349,23 @@ func (c *Core) Batch(name string, seq uint64, visits []trace.Visit) (uint64, err
 	return n.lastSeq, nil
 }
 
-// Heartbeat applies a liveness/watermark frame from a node, returning
-// the cumulative acknowledgment sequence for the transport's echo.
-func (c *Core) Heartbeat(name string, maxDepart simnet.Time) (uint64, error) {
+// Heartbeat applies a liveness frame from a node, returning the
+// cumulative acknowledgment sequence for the transport's echo. It moves
+// no watermark: re-admitting a degraded node can only hold the release
+// point back, never advance it.
+func (c *Core) Heartbeat(name string) (uint64, error) {
 	n, ok := c.nodes[name]
 	if !ok {
 		return 0, fmt.Errorf("merge: heartbeat from unadmitted node %q", name)
 	}
 	n.lastFrame = c.cfg.Now()
 	n.degraded = false
-	// Same one-tick trail as Batch: the agent may still hold unsent
-	// records tied with its advertised newest departure.
-	if maxDepart-1 > n.watermark && !n.eof {
-		n.watermark = maxDepart - 1
-		c.tryAdvance()
-	}
 	c.publishStatus()
 	return n.lastSeq, nil
 }
 
 // WALStats records a node's advertised durability state (carried on
-// version-2 heartbeats) for export. Unknown nodes are ignored — the
+// heartbeats) for export. Unknown nodes are ignored — the
 // transport validates admission via Heartbeat first.
 func (c *Core) WALStats(name string, depth, segments uint64, spilling bool) {
 	n, ok := c.nodes[name]

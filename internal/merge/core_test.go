@@ -191,8 +191,8 @@ func TestCoreBarrierWaitsForExpectedNodes(t *testing.T) {
 		t.Fatalf("release point %v advanced before every expected node delivered", got)
 	}
 	c.Admit("n2", 1)
-	if _, err := c.Heartbeat("n2", vs[len(vs)-1].Depart); err != nil {
-		t.Fatalf("heartbeat: %v", err)
+	if _, err := c.Batch("n2", 1, byDepart(chaos.Workload([]string{"b"}, 200, 3))); err != nil {
+		t.Fatalf("n2 batch: %v", err)
 	}
 	if got := c.obsMark; got == 0 {
 		t.Fatalf("release point did not advance after both nodes delivered")
@@ -237,7 +237,7 @@ func TestCoreDegradeReadmitDropAccounting(t *testing.T) {
 	// Heartbeat-timeout sweep: n2 has been silent past the timeout (n1's
 	// batches above kept its own lastFrame fresh).
 	clock.Advance(cfg.HeartbeatTimeout + time.Second)
-	if _, err := c.Heartbeat("n1", f1[len(f1)-1].Depart); err != nil {
+	if _, err := c.Heartbeat("n1"); err != nil {
 		t.Fatalf("n1 heartbeat: %v", err)
 	}
 	deg := c.Tick()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"path/filepath"
 	"sort"
@@ -368,6 +369,28 @@ func TestMergeServerAuth(t *testing.T) {
 		}
 		if srv.AuthRejects() != 1 {
 			t.Errorf("AuthRejects = %d, want 1", srv.AuthRejects())
+		}
+
+		// A version-2 agent (authenticated, but heartbeats that still carry
+		// a departure horizon) is told which version the head speaks.
+		conn2, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn2.Close()
+		w2 := wire.NewWriter(conn2)
+		if err := w2.WriteHello(wire.Hello{Version: 2, Node: "v2", FirstSeq: 1}); err == nil {
+			err = w2.Flush()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err = wire.NewReader(conn2).Read()
+		if err != nil || f.Type != wire.TypeError {
+			t.Fatalf("want Error frame for a version-2 hello, got type %d err %v", f.Type, err)
+		}
+		if want := fmt.Sprintf("not supported (head speaks %d)", wire.Version); !strings.Contains(f.Error.Msg, want) {
+			t.Errorf("rejection %q does not say %q", f.Error.Msg, want)
 		}
 	})
 }

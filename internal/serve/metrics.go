@@ -177,7 +177,7 @@ var promTable = []promMetric{
 			}
 			sample(w, "tbdetect_peers_rejected_total", s.cfg.PeersRejected())
 		}},
-	{"tbdetect_agent_wal_depth", "gauge", "Records appended to this agent's write-ahead log but not yet acknowledged by the head.",
+	{"tbdetect_agent_wal_depth", "gauge", "Batches appended to this agent's write-ahead log but not yet acknowledged by the head.",
 		nodeGauge("tbdetect_agent_wal_depth", func(n merge.NodeStatus) int64 { return n.WALDepth })},
 	{"tbdetect_agent_wal_segments", "gauge", "On-disk write-ahead-log segment files held by this agent.",
 		nodeGauge("tbdetect_agent_wal_segments", func(n merge.NodeStatus) int64 { return n.WALSegments })},

@@ -59,8 +59,8 @@ func truncatedBatchFrame() []byte {
 
 // A count the payload could hold does not buy its full preallocation
 // either: a batch that fails on its second visit costs about its frame
-// buffer through Read, and less than that through DecodeVisits (the
-// write-ahead log's replay path).
+// buffer through Read, and next to nothing through VisitCount (the
+// write-ahead log's replay check), which never builds a visit.
 func TestTruncatedBatchAllocation(t *testing.T) {
 	frame := truncatedBatchFrame()
 	allocs := func(decode func() error) uint64 {
@@ -81,10 +81,10 @@ func TestTruncatedBatchAllocation(t *testing.T) {
 	}
 	body := frame[4+2 : len(frame)-4] // past length, type and seq; before the CRC
 	if got := allocs(func() error {
-		_, err := DecodeVisits(body)
+		_, err := VisitCount(body)
 		return err
-	}); got > 1<<20 {
-		t.Errorf("DecodeVisits allocated %d bytes for a %d-byte body", got, len(body))
+	}); got > 4<<10 {
+		t.Errorf("VisitCount allocated %d bytes for a %d-byte body", got, len(body))
 	}
 }
 
@@ -147,7 +147,7 @@ func FuzzWireRead(f *testing.F) {
 		}}},
 		{Type: TypeBatch, Batch: Batch{Seq: 10, Visits: []trace.Visit{}}},
 		{Type: TypeAck, Ack: Ack{Seq: 9}},
-		{Type: TypeHeartbeat, Heartbeat: Heartbeat{MaxDepart: 990, WALDepth: 41, WALSegments: 3, Spilling: true}},
+		{Type: TypeHeartbeat, Heartbeat: Heartbeat{WALDepth: 41, WALSegments: 3, Spilling: true}},
 		{Type: TypeGoodbye, Goodbye: Goodbye{FinalSeq: 10, Reason: "eof"}},
 		{Type: TypeError, Error: ErrorFrame{Msg: "version mismatch"}},
 	} {
@@ -182,6 +182,15 @@ func FuzzWireRead(f *testing.F) {
 				return
 			}
 			n := int(binary.BigEndian.Uint32(data[off:]))
+			if got.Type == TypeBatch {
+				// The agent's replay check must accept every body the frame
+				// decoder accepts, with the same count.
+				payload := data[off+5 : off+4+n]
+				_, seqLen := binary.Uvarint(payload)
+				if c, err := VisitCount(payload[seqLen:]); err != nil || c != len(got.Batch.Visits) {
+					t.Fatalf("VisitCount = %d, %v for a body that decoded to %d visits", c, err, len(got.Batch.Visits))
+				}
+			}
 			off += 4 + n + 4
 			if len(got.Batch.Visits) > n/minVisitBytes {
 				t.Fatalf("%d-byte frame decoded to %d visits", n, len(got.Batch.Visits))

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"slices"
 	"testing"
 
 	"transientbd/internal/trace"
@@ -25,7 +26,7 @@ func TestRoundtrip(t *testing.T) {
 		{Type: TypeBatch, Batch: Batch{Seq: 9, Visits: visits}},
 		{Type: TypeBatch, Batch: Batch{Seq: 10, Visits: []trace.Visit{}}},
 		{Type: TypeAck, Ack: Ack{Seq: 9}},
-		{Type: TypeHeartbeat, Heartbeat: Heartbeat{MaxDepart: -5}},
+		{Type: TypeHeartbeat, Heartbeat: Heartbeat{}},
 		{Type: TypeGoodbye, Goodbye: Goodbye{FinalSeq: 10, Reason: "eof"}},
 		{Type: TypeError, Error: ErrorFrame{Msg: "version mismatch"}},
 	}
@@ -193,10 +194,10 @@ func TestV2HandshakeFrames(t *testing.T) {
 	}
 	key := []byte("sesame")
 	frames := []Frame{
-		{Type: TypeHello, Hello: Hello{Version: 2, Node: "host-a", FirstSeq: 3, Nonce: na}},
+		{Type: TypeHello, Hello: Hello{Version: Version, Node: "host-a", FirstSeq: 3, Nonce: na}},
 		{Type: TypeChallenge, Challenge: Challenge{Nonce: nh, Proof: HeadProof(key, na, nh)}},
 		{Type: TypeAuth, Auth: Auth{MAC: AgentProof(key, "host-a", na, nh)}},
-		{Type: TypeHeartbeat, Heartbeat: Heartbeat{MaxDepart: 990, WALDepth: 41, WALSegments: 3, Spilling: true}},
+		{Type: TypeHeartbeat, Heartbeat: Heartbeat{WALDepth: 41, WALSegments: 3, Spilling: true}},
 	}
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -274,25 +275,44 @@ func TestProofProperties(t *testing.T) {
 	}
 }
 
-// DecodeVisits inverts AppendVisits — the WAL's batch-body codec is the
-// wire's.
+// AppendVisits, WriteBatchBody and VisitCount are the agent's batch
+// codec: a body encoded once frames byte-identically to WriteBatch, and
+// VisitCount refuses exactly the bodies the frame decoder refuses.
 func TestVisitPayloadCodec(t *testing.T) {
 	visits := []trace.Visit{
 		{Server: "web-1", Class: "small", TxnID: 7, HopID: 1, Arrive: 100, Depart: 260, Downstream: 40},
 		{Server: "db-1", Class: "big", TxnID: -3, HopID: 2, Arrive: 150, Depart: 240},
 	}
 	body := AppendVisits(nil, visits)
-	got, err := DecodeVisits(body)
-	if err != nil {
-		t.Fatal(err)
+	frame := func(write func(*Writer) error) []byte {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		if err := write(w); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	if !reflect.DeepEqual(got, visits) {
-		t.Fatalf("codec round trip: %+v", got)
+	viaBody := frame(func(w *Writer) error { return w.WriteBatchBody(5, body) })
+	viaVisits := frame(func(w *Writer) error { return w.WriteBatch(Batch{Seq: 5, Visits: visits}) })
+	if !bytes.Equal(viaBody, viaVisits) {
+		t.Fatalf("WriteBatchBody frame %x differs from WriteBatch's %x", viaBody, viaVisits)
 	}
-	if _, err := DecodeVisits(body[:len(body)-2]); err == nil {
-		t.Fatal("truncated body decoded cleanly")
+	if n, err := VisitCount(body); err != nil || n != len(visits) {
+		t.Fatalf("VisitCount = %d, %v; want %d", n, err, len(visits))
 	}
-	if _, err := DecodeVisits(append(body, 0)); err == nil {
-		t.Fatal("trailing byte decoded cleanly")
+	bad := [][]byte{append(slices.Clone(body), 0)}
+	for i := range body {
+		bad = append(bad, body[:i])
+	}
+	for _, b := range bad {
+		if _, err := VisitCount(b); err == nil {
+			t.Errorf("VisitCount accepted malformed body %x", b)
+		}
+		if _, err := NewReader(bytes.NewReader(frame(func(w *Writer) error { return w.WriteBatchBody(5, b) }))).Read(); err == nil {
+			t.Errorf("frame decoder accepted malformed body %x", b)
+		}
 	}
 }
