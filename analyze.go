@@ -27,9 +27,11 @@ type Record struct {
 	// to other tiers, if known (improves service-time estimation).
 	DownstreamWait time.Duration
 	// TxnID and HopID optionally link the record into its end-to-end
-	// transaction (0 = unknown). Lenient analysis uses the linkage to
-	// detect and repair cross-server clock skew; strict analysis ignores
-	// both fields.
+	// transaction (0 = unknown). Root-cause attribution derives the call
+	// graph from TxnID: a record's caller is the tightest record of the
+	// same transaction, on another server, that encloses it in time.
+	// Lenient analysis also uses the linkage to detect and repair
+	// cross-server clock skew.
 	TxnID, HopID int64
 }
 
@@ -63,12 +65,6 @@ type Config struct {
 	// forces the serial path. The report is identical at every setting —
 	// see PERFORMANCE.md for the determinism contract.
 	Parallelism int
-	// Downstream maps each server to the servers it calls. It is not
-	// required — detection and ranking never use it — but when present
-	// the root-cause attribution engine discounts congestion that merely
-	// mirrors a congested callee and chases connection-pool clips down
-	// the call chain, exactly as the wire-capture CLI path does.
-	Downstream map[string][]string
 	// Lenient makes Analyze survive degraded inputs instead of failing
 	// on the first anomaly: invalid records (no server, or departure
 	// before arrival) are quarantined rather than fatal, cross-server
@@ -185,6 +181,7 @@ func Analyze(records []Record, cfg Config) (*Report, error) {
 	}
 	var perServer map[string][]trace.Visit
 	var maxDepart simnet.Time
+	var graph map[string][]string
 	if cfg.Lenient {
 		// Skew repair needs whole transactions, so the lenient path
 		// materializes the usable visits before grouping.
@@ -200,9 +197,10 @@ func Analyze(records []Record, cfg Config) (*Report, error) {
 		if len(visits) == 0 {
 			return nil, ErrNoRecords
 		}
-		perServer, maxDepart = core.GroupRepaired(visits, opts.Quality)
+		perServer, maxDepart, graph = core.GroupRepaired(visits, opts.Quality)
 	} else {
 		perServer = make(map[string][]trace.Visit)
+		var b trace.CallGraphBuilder
 		for i := range records {
 			if err := validateRecord(i, &records[i]); err != nil {
 				return nil, err
@@ -212,7 +210,9 @@ func Analyze(records []Record, cfg Config) (*Report, error) {
 			if v.Depart > maxDepart {
 				maxDepart = v.Depart
 			}
+			b.Add(v)
 		}
+		graph = b.Graph()
 	}
 
 	sys, err := core.AnalyzeSystemGrouped(perServer, cfg.window(maxDepart), opts)
@@ -227,7 +227,7 @@ func Analyze(records []Record, cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("transientbd: no server produced an analysis")
 	}
 
-	report := newReport(sys.Ranked(), cfg.Downstream)
+	report := newReport(sys.Ranked(), graph)
 	if q := sys.Quality; q != nil {
 		report.Quality = &TraceQuality{
 			Records:        len(records),
@@ -336,18 +336,19 @@ func recordToVisit(r *Record) trace.Visit {
 // newReport shapes ranked per-server results (worst first, as both
 // engines deliver them) into the public Report and attaches the root-cause
 // verdicts — the one conversion behind Analyze, Stream.Snapshot and
-// Stream.Close, so the report surfaces cannot drift. Topology is optional:
-// the attribution engine's cross-server fingerprints work without a call
-// graph, but a caller→callee map sharpens them — mirror congestion is
-// discounted and pool clips are chased down the chain.
-func newReport(ranked []*core.Analysis, downstream map[string][]string) *Report {
+// Stream.Close, so the report surfaces cannot drift. The call graph comes
+// from the records' transaction linkage and is nil without it: the
+// attribution engine's cross-server fingerprints work without one, but a
+// caller→callee map sharpens them — mirror congestion is discounted and
+// pool clips are chased down the chain.
+func newReport(ranked []*core.Analysis, graph map[string][]string) *Report {
 	report := &Report{PerServer: make(map[string]*ServerAnalysis, len(ranked))}
 	for _, a := range ranked {
 		sa := convertAnalysis(a)
 		report.PerServer[a.Server] = sa
 		report.Ranking = append(report.Ranking, sa)
 	}
-	verdicts := cause.AttributeAnalyses(ranked, cause.Options{Downstream: downstream})
+	verdicts := cause.AttributeAnalyses(ranked, cause.Options{Downstream: graph})
 	report.Causes = make([]CauseVerdict, 0, len(verdicts))
 	for _, v := range verdicts {
 		report.Causes = append(report.Causes, CauseVerdict{

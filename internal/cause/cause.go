@@ -116,7 +116,9 @@ type Options struct {
 	// below them). The explained share is the largest co-congestion with
 	// any single callee: the fraction of the server's congested intervals
 	// during which that one callee is congested too. Names absent from
-	// the input explain nothing.
+	// the input explain nothing. Callers derive it from the trace being
+	// analysed: trace.CallGraphBuilder over visits that carry TxnID
+	// linkage, or trace.CallGraph over a wire capture.
 	Downstream map[string][]string
 }
 

@@ -417,7 +417,7 @@ func printFinalSnapshot(stdout io.Writer, snap *stream.Snapshot, window time.Dur
 	// A pure function of the snapshot: the chaos CI jobs byte-diff this
 	// output between a golden and a degraded run, so nothing here may
 	// depend on wall clocks or iteration order.
-	printVerdicts(stdout, cause.AttributeAnalyses(snap.Ranking, cause.Options{}))
+	printVerdicts(stdout, cause.AttributeAnalyses(snap.Ranking, cause.Options{Downstream: snap.Graph}))
 }
 
 // printVerdicts renders ranked root-cause verdicts, at most five in full

@@ -221,15 +221,17 @@ func TBDetect(args []string, stdout, stderr io.Writer) error {
 		q.LinesSkipped = stats.Malformed
 		q.VisitsQuarantined = stats.Invalid
 		total = len(visits)
-		perServer, maxDepart = core.GroupRepaired(visits, q)
+		perServer, maxDepart, callGraph = core.GroupRepaired(visits, q)
 	} else {
 		perServer = make(map[string][]trace.Visit)
+		var graph trace.CallGraphBuilder
 		stats, err := traceio.StreamVisitsOpts(r, ioOpts, func(batch []trace.Visit) error {
 			for _, v := range batch {
 				perServer[v.Server] = append(perServer[v.Server], v)
 				if v.Depart > maxDepart {
 					maxDepart = v.Depart
 				}
+				graph.Add(v)
 			}
 			total += len(batch)
 			return nil
@@ -238,6 +240,7 @@ func TBDetect(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		q.LinesRead = stats.Lines
+		callGraph = graph.Graph()
 	}
 	q.VisitsAssembled = total
 	if total == 0 {
@@ -315,10 +318,10 @@ func TBDetect(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	// Fingerprinted root-cause verdicts over the whole system. A wire
-	// capture sharpens them (the call graph lets the clip fingerprint
-	// chain to the deepest capped tier and discount mirror congestion),
-	// but the engine works from the per-server series alone.
+	// Fingerprinted root-cause verdicts over the whole system. The call
+	// graph (named by a wire capture's messages, implied by visits' txn
+	// linkage) sharpens them, but the engine works from the per-server
+	// series alone.
 	printVerdicts(stdout, cause.AttributeAnalyses(analysis.Ranked(), cause.Options{Downstream: callGraph}))
 
 	if *classes != "" {

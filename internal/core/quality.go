@@ -56,19 +56,23 @@ type TraceQuality struct {
 // into q, and groups the repaired visits per server, input order
 // preserved within each. It also returns the latest departure after the
 // repair — the repair moves clocks forward, so a window end taken before
-// it could cut the shifted visits off.
-func GroupRepaired(visits []trace.Visit, q *TraceQuality) (map[string][]trace.Visit, simnet.Time) {
+// it could cut the shifted visits off — and the call graph of the
+// repaired visits (trace.CallGraphBuilder), whose enclosures a skewed
+// clock would break.
+func GroupRepaired(visits []trace.Visit, q *TraceQuality) (map[string][]trace.Visit, simnet.Time, map[string][]string) {
 	visits, rep := trace.RepairVisitSkew(visits)
 	q.SkewViolations = rep.Violations
 	q.SkewOffsets = rep.Offsets
 	q.VisitsRepaired = rep.Shifted
 	var maxDepart simnet.Time
+	var graph trace.CallGraphBuilder
 	for _, v := range visits {
 		if v.Depart > maxDepart {
 			maxDepart = v.Depart
 		}
+		graph.Add(v)
 	}
-	return trace.PerServer(visits), maxDepart
+	return trace.PerServer(visits), maxDepart, graph.Graph()
 }
 
 // Coverage is the fraction of the observed input that survived into the

@@ -258,6 +258,7 @@ func TestGCCaseShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkCaseGraphs(t, "serial GC at WL 14 000")
 	// Fig 9: WL 14,000 with JDK 1.5 shows frequent transient bottlenecks
 	// and POIs; WL 7,000 far fewer.
 	if r.Fig9b.CongestedFraction <= r.Fig9a.CongestedFraction {
@@ -307,6 +308,7 @@ func TestSpeedStepCaseShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkCaseGraphs(t, "SpeedStep at WL 8 000")
 	// Fig 12: with SpeedStep the congested intervals pile up at multiple
 	// distinct throughput plateaus (one per P-state group).
 	if len(r.On8k.CongestedTPTrends) < 2 {

@@ -7,6 +7,7 @@ import (
 	"transientbd/internal/core"
 	"transientbd/internal/ntier"
 	"transientbd/internal/simnet"
+	"transientbd/internal/trace"
 	"transientbd/internal/workload"
 )
 
@@ -25,7 +26,7 @@ type NoisyNeighborResult struct {
 	Ranking []core.ServerReport
 	// Verdicts are the cause engine's ranked root-cause verdicts, which
 	// discount congestion explained by a congested downstream tier (call
-	// graph from the testbed's topology); the victim must lead here.
+	// graph derived from the run's visits); the victim must lead here.
 	Verdicts []cause.Verdict
 	// VictimUtil and TwinUtil are window-average CPU utilizations — the
 	// coarse view, which shows elevated-but-unsaturated usage.
@@ -49,7 +50,7 @@ func noisyNeighborConfig(opts RunOpts) ntier.Config {
 // NoisyNeighbor runs WL 7,000 with a periodic full-core hog on mysql-1,
 // a controlled experiment isolating the localization question.
 func NoisyNeighbor(opts RunOpts) (*NoisyNeighborResult, error) {
-	sys, res, err := simulate(noisyNeighborConfig(opts))
+	_, res, err := simulate(noisyNeighborConfig(opts))
 	if err != nil {
 		return nil, fmt.Errorf("noisy neighbor: %w", err)
 	}
@@ -57,6 +58,10 @@ func NoisyNeighbor(opts RunOpts) (*NoisyNeighborResult, error) {
 	sysA, err := core.AnalyzeSystem(res.Visits, w, core.Options{Interval: 50 * simnet.Millisecond})
 	if err != nil {
 		return nil, err
+	}
+	var graph trace.CallGraphBuilder
+	for _, v := range res.Visits {
+		graph.Add(v)
 	}
 	victim, twin := sysA.PerServer["mysql-1"], sysA.PerServer["mysql-2"]
 	if victim == nil || twin == nil {
@@ -66,7 +71,7 @@ func NoisyNeighbor(opts RunOpts) (*NoisyNeighborResult, error) {
 		Victim:     victim,
 		Twin:       twin,
 		Ranking:    sysA.Ranking,
-		Verdicts:   cause.AttributeAnalyses(sysA.Ranked(), cause.Options{Downstream: sys.CallGraph()}),
+		Verdicts:   cause.AttributeAnalyses(sysA.Ranked(), cause.Options{Downstream: graph.Graph()}),
 		VictimUtil: res.Utilization["mysql-1"],
 		TwinUtil:   res.Utilization["mysql-2"],
 	}, nil

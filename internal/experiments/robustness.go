@@ -54,14 +54,13 @@ type RobustnessResult struct {
 // because congested-fraction detection depends on per-interval load
 // shape, not on catching every message.
 func Robustness(opts RunOpts) (*RobustnessResult, error) {
-	sys, res, err := simulate(noisyNeighborConfig(opts))
+	_, res, err := simulate(noisyNeighborConfig(opts))
 	if err != nil {
 		return nil, fmt.Errorf("robustness: %w", err)
 	}
 	w := core.Window{Start: res.WindowStart, End: res.WindowEnd}
-	downstream := sys.CallGraph()
 
-	baseline, baseVisits, _, err := attributeCapture(res.Messages, w, downstream)
+	baseline, baseVisits, _, err := attributeCapture(res.Messages, w)
 	if err != nil {
 		return nil, fmt.Errorf("robustness baseline: %w", err)
 	}
@@ -91,7 +90,7 @@ func Robustness(opts RunOpts) (*RobustnessResult, error) {
 	}
 	for _, c := range conditions {
 		degraded, frep := ntier.InjectFaults(res.Messages, c.spec)
-		verdicts, visits, quarantined, err := attributeCapture(degraded, w, downstream)
+		verdicts, visits, quarantined, err := attributeCapture(degraded, w)
 		if err != nil {
 			return nil, fmt.Errorf("robustness %s: %w", c.label, err)
 		}

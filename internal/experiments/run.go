@@ -59,6 +59,9 @@ func testbed(users int, opts RunOpts) ntier.Config {
 	}
 }
 
+// simulated, when a test sets it before any runner starts, sees every run.
+var simulated func(*ntier.System, *ntier.Result)
+
 // simulate builds and runs one system.
 func simulate(cfg ntier.Config) (*ntier.System, *ntier.Result, error) {
 	sys, err := ntier.Build(cfg)
@@ -68,6 +71,9 @@ func simulate(cfg ntier.Config) (*ntier.System, *ntier.Result, error) {
 	res, err := sys.Run()
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: run: %w", err)
+	}
+	if simulated != nil {
+		simulated(sys, res)
 	}
 	return sys, res, nil
 }

@@ -478,23 +478,6 @@ func (s *System) AllServers() []*server.Server {
 	return out
 }
 
-// CallGraph returns the caller → callees server map of the tier
-// structure: web servers call the app tier, app servers call the cluster
-// tier, and the cluster middleware calls the DB tier.
-func (s *System) CallGraph() map[string][]string {
-	m := make(map[string][]string)
-	for _, hop := range [][2][]*server.Server{{s.web, s.app}, {s.app, s.cluster}, {s.cluster, s.db}} {
-		var callees []string
-		for _, srv := range hop[1] {
-			callees = append(callees, srv.Name())
-		}
-		for _, srv := range hop[0] {
-			m[srv.Name()] = callees
-		}
-	}
-	return m
-}
-
 // MeasuredWindow returns the [start, end) window covered by Result data.
 func (s *System) MeasuredWindow() (start, end simnet.Time) {
 	return s.cfg.Ramp, s.cfg.Ramp + s.cfg.Duration

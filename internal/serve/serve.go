@@ -157,7 +157,7 @@ func (s *Server) PublishSnapshot(snap *stream.Snapshot) {
 	}
 	// Attribution runs once per publication, on the producer goroutine —
 	// never per request, never on the ingest path.
-	p := &published{snap: snap, at: s.cfg.Now(), causes: cause.AttributeAnalyses(snap.Ranking, cause.Options{})}
+	p := &published{snap: snap, at: s.cfg.Now(), causes: cause.AttributeAnalyses(snap.Ranking, cause.Options{Downstream: snap.Graph})}
 	p.topKind = make(map[string]string, len(p.causes))
 	for _, v := range p.causes {
 		// Causes are ranked, so the first verdict seen per server is its

@@ -57,6 +57,10 @@ type checkpointState struct {
 	// by name, not shard index: a resumed runtime may use a different
 	// shard count and redistributes by hash.
 	Servers map[string][]byte
+	// CallGraph is the edge set derived from the transaction linkage of
+	// the visits before the cut. A checkpoint written before it existed
+	// restores an empty set, which the visits after the cut rebuild.
+	CallGraph map[string][]string
 }
 
 // ckptFileName names a checkpoint file so lexical order is Seq order.

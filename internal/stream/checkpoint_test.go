@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"transientbd/internal/simnet"
+	"transientbd/internal/trace"
 )
 
 func sampleState(seq int64) checkpointState {
@@ -182,5 +183,46 @@ func TestCheckpointPrune(t *testing.T) {
 	}
 	if names[0] != ckptFileName(5) || names[1] != ckptFileName(4) {
 		t.Fatalf("pruning kept the wrong generations: %v", names)
+	}
+}
+
+// TestResumeKeepsCallGraph: the call graph derived before a checkpoint
+// cut survives a resume, and the visits after it add to it.
+func TestResumeKeepsCallGraph(t *testing.T) {
+	dir := t.TempDir()
+	ms := simnet.Millisecond
+	run := func(resume bool, visits ...trace.Visit) *Snapshot {
+		t.Helper()
+		rt, err := New(Config{CheckpointDir: dir, Resume: resume})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			for range rt.Alerts() {
+			}
+		}()
+		for _, v := range visits {
+			if err := rt.Observe(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := rt.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		snap := rt.Snapshot()
+		rt.Abort()
+		return snap
+	}
+	first := run(false,
+		trace.Visit{Server: "apache", TxnID: 1, Arrive: 0, Depart: 10 * ms},
+		trace.Visit{Server: "tomcat", TxnID: 1, Arrive: 1 * ms, Depart: 9 * ms})
+	if want := map[string][]string{"apache": {"tomcat"}}; !reflect.DeepEqual(first.Graph, want) {
+		t.Fatalf("graph before the cut %v, want %v", first.Graph, want)
+	}
+	resumed := run(true,
+		trace.Visit{Server: "mysql", TxnID: 2, Arrive: 12 * ms, Depart: 13 * ms},
+		trace.Visit{Server: "tomcat", TxnID: 2, Arrive: 11 * ms, Depart: 14 * ms})
+	if want := map[string][]string{"apache": {"tomcat"}, "tomcat": {"mysql"}}; !reflect.DeepEqual(resumed.Graph, want) {
+		t.Fatalf("graph after resume %v, want %v", resumed.Graph, want)
 	}
 }

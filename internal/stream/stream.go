@@ -260,6 +260,10 @@ type Snapshot struct {
 	// core.Online.Snapshot, worst first (core.SortWorstFirst). Servers
 	// with no closed intervals yet are omitted.
 	Ranking []*core.Analysis
+	// Graph is the caller → callees server map derived from every
+	// observed visit's transaction linkage (trace.CallGraphBuilder); nil
+	// when no visit carried a TxnID. It is the snapshot's own copy.
+	Graph map[string][]string
 	// Metrics is the runtime's counter block at snapshot time.
 	Metrics Metrics
 }
@@ -349,6 +353,7 @@ type Runtime struct {
 	ckptSeq      int64
 	lastCkptMark simnet.Time
 	resume       ResumeInfo
+	graph        trace.CallGraphBuilder
 
 	alerts  chan Alert
 	merge   chan mergeMsg
@@ -503,6 +508,7 @@ func (r *Runtime) restore(st *checkpointState) []string {
 	r.congested.Store(st.Congested)
 	r.pois.Store(st.POIs)
 	r.reestimates.Store(st.Reestimates)
+	r.graph.AddEdges(st.CallGraph)
 	for name, blob := range st.Servers {
 		s := r.shards[r.shardOf(name)]
 		o, err := core.NewOnline(0, r.cfg.Online)
@@ -583,6 +589,7 @@ func (r *Runtime) Observe(v trace.Visit) error {
 		return err
 	}
 	r.observed.Add(1)
+	r.graph.Add(v)
 	si := r.shardOf(v.Server)
 	b := r.pending[si]
 	if b == nil {
@@ -761,6 +768,7 @@ func (r *Runtime) collectCheckpoint(reply chan shardCkptReply) error {
 		Reestimates:     r.reestimates.Load(),
 		Interval:        r.cfg.Online.Options.Interval,
 		Servers:         servers,
+		CallGraph:       r.graph.Graph(),
 	}
 	if err := writeCheckpoint(r.cfg.CheckpointDir, st); err != nil {
 		r.ckptFailed.Add(1)
@@ -828,7 +836,7 @@ func (r *Runtime) Snapshot() *Snapshot {
 		all = append(all, <-reply...)
 	}
 	core.SortWorstFirst(all)
-	return &Snapshot{At: r.mark, Ranking: all, Metrics: r.Metrics()}
+	return &Snapshot{At: r.mark, Ranking: all, Graph: r.graph.Graph(), Metrics: r.Metrics()}
 }
 
 // Close seals the stream: it advances the watermark past the newest

@@ -73,3 +73,26 @@ func BenchmarkRepairSkew(b *testing.B) {
 		RepairSkew(msgs)
 	}
 }
+
+// BenchmarkCallGraph times CallGraphBuilder over the assembled synthetic
+// capture in completion order, a fresh builder per pass as one analysis
+// uses it.
+func BenchmarkCallGraph(b *testing.B) {
+	visits, err := Assemble(benchCapture(benchTxns, false))
+	if err != nil {
+		b.Fatal(err)
+	}
+	slices.SortFunc(visits, CompareDepart)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var g CallGraphBuilder
+		for _, v := range visits {
+			g.Add(v)
+		}
+		benchGraph = g.Graph()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(visits)), "ns/record")
+}
+
+var benchGraph map[string][]string

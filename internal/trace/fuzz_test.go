@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"transientbd/internal/simnet"
@@ -90,4 +92,103 @@ func FuzzAssemble(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzCallGraph drives CallGraphBuilder two ways. Arbitrary bytes become
+// hostile visits (equal timestamps, zero-length and inverted spans,
+// transactions colliding in one slot, more than graphSlotVisits visits in
+// one transaction): the builder must not panic, and every edge must join
+// two different servers of the input. The same bytes also shape a set of
+// well-nested transactions (each a call tree whose children lie strictly
+// inside their caller and apart from each other, on another server than
+// the caller): fed in arrival order and in completion order, the builder
+// must find exactly the trees' caller → callee edges.
+func FuzzCallGraph(f *testing.F) {
+	f.Add([]byte{1, 0, 10, 0, 0, 1, 0, 1, 2, 0, 20, 0, 1, 0, 0, 1})
+	f.Add([]byte("arbitrary seed bytes for the corpus........"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		names := []string{"apache", "tomcat", "cjdbc", "mysql", "memcached"}
+		var b CallGraphBuilder
+		inInput := map[string]bool{}
+		for i := 0; i+6 <= len(data) && i < 6*4096; i += 6 {
+			d := data[i : i+6]
+			v := Visit{
+				Server: names[int(d[0])%len(names)],
+				TxnID:  int64(d[1]%4) * graphSlots, // 0 (no linkage) or one shared slot
+				Arrive: simnet.Time(d[2]) * 10,
+				Depart: simnet.Time(d[3]) * 10,
+			}
+			if d[4]&1 == 1 {
+				v.TxnID++
+			}
+			inInput[v.Server] = true
+			b.Add(v)
+		}
+		for from, tos := range b.Graph() {
+			for _, to := range tos {
+				if from == to || !inInput[from] || !inInput[to] {
+					t.Fatalf("edge %s → %s is not between two input servers", from, to)
+				}
+			}
+		}
+
+		visits, want := nestedTxns(data, names)
+		if got := graphOf(visits, compareArrive); !reflect.DeepEqual(got, want) {
+			t.Fatalf("arrival order: %v, want %v", got, want)
+		}
+		if got := graphOf(visits, CompareDepart); !reflect.DeepEqual(got, want) {
+			t.Fatalf("completion order: %v, want %v", got, want)
+		}
+	})
+}
+
+// nestedTxns expands fuzz bytes into well-nested transactions with
+// distinct slots, each of at most graphSlotVisits visits, overlapping in
+// time, and returns them with their call trees' server edges.
+func nestedTxns(data []byte, names []string) ([]Visit, map[string][]string) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		c := int(data[0])
+		data = data[1:]
+		return c
+	}
+	var visits []Visit
+	edges := map[string]map[string]bool{}
+	for txn := int64(1); len(data) > 0 && txn < 64; txn++ {
+		n := 0
+		var grow func(server int, lo, hi simnet.Time)
+		grow = func(server int, lo, hi simnet.Time) {
+			n++
+			visits = append(visits, Visit{Server: names[server], TxnID: txn, HopID: int64(n), Arrive: lo, Depart: hi})
+			kids := next() % 4
+			w := (hi - lo) / simnet.Time(kids+1)
+			for k := range kids {
+				if n == graphSlotVisits || w < 4 {
+					return
+				}
+				callee := (server + 1 + next()%(len(names)-1)) % len(names)
+				if edges[names[server]] == nil {
+					edges[names[server]] = map[string]bool{}
+				}
+				edges[names[server]][names[callee]] = true
+				start := lo + simnet.Time(k)*w + w/2
+				grow(callee, start+1, start+w-1)
+			}
+		}
+		start := simnet.Time(txn) * 1000
+		grow(next()%len(names), start, start+1<<20)
+	}
+	var want map[string][]string
+	for from, tos := range edges {
+		if want == nil {
+			want = map[string][]string{}
+		}
+		for to := range tos {
+			want[from] = append(want[from], to)
+		}
+		slices.Sort(want[from])
+	}
+	return visits, want
 }

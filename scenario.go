@@ -111,10 +111,6 @@ type ScenarioResult struct {
 	WindowStart, WindowEnd time.Duration
 	// Servers lists server names, web tier first.
 	Servers []string
-	// Topology maps each server to the servers it calls, derived from
-	// the simulated testbed's tier structure — ready to pass as
-	// Config.Downstream so attribution can discount mirror congestion.
-	Topology map[string][]string
 	// GroundTruth lists one injection record per configured mechanism
 	// (empty when the scenario injected none) — the labels the
 	// attribution engine's verdicts are validated against.
@@ -191,7 +187,6 @@ func RunScenario(sc Scenario) (*ScenarioResult, error) {
 	for _, srv := range sys.AllServers() {
 		out.Servers = append(out.Servers, srv.Name())
 	}
-	out.Topology = sys.CallGraph()
 	for _, g := range res.GroundTruth {
 		rec := GroundTruthRecord{
 			Cause:   string(g.Cause),
@@ -213,6 +208,8 @@ func RunScenario(sc Scenario) (*ScenarioResult, error) {
 			Arrive:         simnet.Std(simnet.Duration(v.Arrive)),
 			Depart:         simnet.Std(simnet.Duration(v.Depart)),
 			DownstreamWait: simnet.Std(v.Downstream),
+			TxnID:          v.TxnID,
+			HopID:          v.HopID,
 		})
 	}
 	return out, nil
@@ -228,7 +225,6 @@ func AnalyzeScenario(sc Scenario) (*ScenarioResult, *Report, error) {
 	report, err := Analyze(res.Records, Config{
 		WindowStart: res.WindowStart,
 		WindowEnd:   res.WindowEnd,
-		Downstream:  res.Topology,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -33,6 +33,13 @@ func TestRunScenarioSmoke(t *testing.T) {
 	if res.WindowStart != 5*time.Second || res.WindowEnd != 20*time.Second {
 		t.Errorf("window = [%v,%v]", res.WindowStart, res.WindowEnd)
 	}
+	// Every record keeps its transaction linkage: Analyze derives the
+	// call graph from it, and lenient skew repair needs it.
+	for i, r := range res.Records {
+		if r.TxnID == 0 || r.HopID == 0 {
+			t.Fatalf("record %d (%s) has TxnID %d, HopID %d; want both linked", i, r.Server, r.TxnID, r.HopID)
+		}
+	}
 }
 
 func TestRunScenarioValidation(t *testing.T) {

@@ -43,12 +43,6 @@ type StreamConfig struct {
 	// Corrupt checkpoint files fall back to the previous generation, then
 	// to a cold start — never an error.
 	Resume bool
-
-	// Downstream is the optional caller→callee server map for root-cause
-	// attribution, with the same semantics as Config.Downstream. Pass the
-	// same map to Analyze and NewStream and the two surfaces emit
-	// field-identical verdicts for equivalent windows.
-	Downstream map[string][]string
 }
 
 // StreamResumeInfo describes what NewStream restored when
@@ -124,11 +118,10 @@ type StreamMetrics struct {
 // the window with the batch decision stage; while the window covers the
 // whole stream it is identical to Analyze of the same records.
 type Stream struct {
-	rt         *stream.Runtime
-	alerts     chan OnlineAlert
-	downstream map[string][]string
-	closed     bool
-	final      *Report
+	rt     *stream.Runtime
+	alerts chan OnlineAlert
+	closed bool
+	final  *Report
 }
 
 // ErrClosed is returned by Observe, Advance and Checkpoint after Close
@@ -153,7 +146,7 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Stream{rt: rt, alerts: make(chan OnlineAlert, 256), downstream: cfg.Downstream}
+	s := &Stream{rt: rt, alerts: make(chan OnlineAlert, 256)}
 	go func() {
 		defer close(s.alerts)
 		for a := range rt.Alerts() {
@@ -260,7 +253,7 @@ func (s *Stream) Metrics() StreamMetrics {
 // Servers with no closed intervals yet are omitted. Returns nil before
 // any interval has closed.
 func (s *Stream) Snapshot() *Report {
-	return convertStreamSnapshot(s.rt.Snapshot(), s.downstream)
+	return convertStreamSnapshot(s.rt.Snapshot())
 }
 
 // Close seals the stream: every interval with data is closed and its
@@ -270,17 +263,17 @@ func (s *Stream) Snapshot() *Report {
 // consumer) for Close to complete.
 func (s *Stream) Close() *Report {
 	if !s.closed {
-		s.final = convertStreamSnapshot(s.rt.Close(), s.downstream)
+		s.final = convertStreamSnapshot(s.rt.Close())
 		s.closed = true
 	}
 	return s.final
 }
 
-// convertStreamSnapshot is newReport over a runtime snapshot's ranking;
-// nil before any interval has closed.
-func convertStreamSnapshot(snap *stream.Snapshot, downstream map[string][]string) *Report {
+// convertStreamSnapshot is newReport over a runtime snapshot's ranking
+// and call graph; nil before any interval has closed.
+func convertStreamSnapshot(snap *stream.Snapshot) *Report {
 	if snap == nil || len(snap.Ranking) == 0 {
 		return nil
 	}
-	return newReport(snap.Ranking, downstream)
+	return newReport(snap.Ranking, snap.Graph)
 }
