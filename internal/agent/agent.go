@@ -28,7 +28,8 @@
 //
 // A handshake rejection (Error frame in place of Welcome, or a version
 // mismatch) is terminal — retrying an incompatible head forever helps
-// nobody. Every other failure reconnects.
+// nobody. Every other failure reconnects, and Config.MaxDials bounds the
+// attempts in a row that get nothing new acknowledged.
 package agent
 
 import (
@@ -77,8 +78,11 @@ type Config struct {
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	// MaxDials caps *consecutive* failed connection attempts before the
-	// run fails (the counter resets on a completed handshake). 0 means
-	// retry forever (until the context cancels).
+	// run fails: a failed dial, or a session that ends with batches
+	// outstanding and none newly acknowledged (a head refusing the same
+	// batch every time). The counter and the backoff reset when a
+	// session acknowledges something new. 0 means retry forever (until
+	// the context cancels).
 	MaxDials int
 	// Lenient skips undecodable source lines (counted in
 	// Metrics.Source) instead of failing the run.
@@ -305,6 +309,7 @@ func (a *run) loop(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		acked := a.ackedSeq
 		if session > 0 || fails > 0 {
 			if err := a.sleepDrain(ctx, a.jitter(backoff)); err != nil {
 				var term *terminalError
@@ -339,8 +344,6 @@ func (a *run) loop(ctx context.Context) error {
 			a.cfg.Logf("agent %s: connect: %v (attempt %d)", a.cfg.Node, err, fails)
 			continue
 		}
-		fails = 0
-		backoff = a.cfg.BackoffBase
 		session++
 		if session > 1 {
 			a.m.Reconnects++
@@ -359,6 +362,14 @@ func (a *run) loop(ctx context.Context) error {
 		var term *terminalError
 		if errors.As(err, &term) {
 			return term.err
+		}
+		// A session fails when it ends with batches outstanding and none
+		// of them newly acknowledged: a head refusing the same batch
+		// every time must not be redialled forever without backoff.
+		if a.ackedSeq > acked || len(a.pending) == 0 && !a.hasBacklog() {
+			fails, backoff = 0, a.cfg.BackoffBase
+		} else if fails++; a.cfg.MaxDials > 0 && fails >= a.cfg.MaxDials {
+			return fmt.Errorf("agent: giving up after %d consecutive failed connection attempts: batch %d was not acknowledged: %w", fails, a.ackedSeq+1, err)
 		}
 		a.cfg.Logf("agent %s: session ended: %v (reconnecting)", a.cfg.Node, err)
 	}

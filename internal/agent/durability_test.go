@@ -564,3 +564,88 @@ func TestAgentWALRefusesOtherBatchSize(t *testing.T) {
 		checkDelivered(t, applied, vs, cfg.BatchSize, 1, 10)
 	})
 }
+
+// TestAgentRefusedBatchEndsRun: a head that answers batch 5 with an Error
+// frame every time ends the run within MaxDials sessions of the last one
+// that got anything acknowledged, naming the batch and the head's text; a
+// head that refuses it once gets every batch delivered, in order.
+func TestAgentRefusedBatchEndsRun(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		refusals int
+	}{{"every time", -1}, {"once", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			var applied []wire.Batch
+			sessions, refused := 0, 0
+			srv := newScriptedServer(t, func(_ int, conn net.Conn) {
+				r, w := wire.NewReader(conn), wire.NewWriter(conn)
+				readHello(t, r)
+				mu.Lock()
+				sessions++
+				resume := uint64(len(applied))
+				mu.Unlock()
+				w.WriteWelcome(wire.Welcome{Version: wire.Version, LastAcked: resume})
+				w.Flush()
+				for {
+					f, err := r.Read()
+					if err != nil {
+						return
+					}
+					switch f.Type {
+					case wire.TypeBatch:
+						mu.Lock()
+						refuse := f.Batch.Seq == 5 && (tc.refusals < 0 || refused < tc.refusals)
+						if refuse {
+							refused++
+						} else if f.Batch.Seq == uint64(len(applied))+1 {
+							applied = append(applied, wire.Batch{Seq: f.Batch.Seq, Visits: slices.Clone(f.Batch.Visits)})
+						}
+						mu.Unlock()
+						if refuse {
+							w.WriteError(wire.ErrorFrame{Msg: "batch 5 does not decode"})
+							w.Flush()
+							return
+						}
+						w.WriteAck(wire.Ack{Seq: f.Batch.Seq})
+					case wire.TypeHeartbeat:
+						w.WriteAck(wire.Ack{Seq: 0})
+					case wire.TypeGoodbye:
+						w.WriteGoodbye(wire.Goodbye{FinalSeq: f.Goodbye.FinalSeq, Reason: "ack"})
+					}
+					if err := w.Flush(); err != nil {
+						return
+					}
+				}
+			})
+			defer srv.close()
+
+			cfg := testCfg(srv.addr())
+			cfg.MaxDials = 3
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			vs, feed := testFeed(t, 95)
+			_, err := Run(ctx, bytes.NewReader(feed), cfg)
+			srv.close()
+			mu.Lock()
+			defer mu.Unlock()
+			if tc.refusals < 0 {
+				if err == nil || !strings.Contains(err.Error(), "batch 5 was not acknowledged") ||
+					!strings.Contains(err.Error(), "batch 5 does not decode") {
+					t.Fatalf("want a terminal error naming batch 5 and the head's text, got %v", err)
+				}
+				// The first session applies batches 1–4; each later one is
+				// refused on batch 5.
+				if sessions != 1+cfg.MaxDials {
+					t.Errorf("%d sessions, want %d", sessions, 1+cfg.MaxDials)
+				}
+				checkDelivered(t, applied, vs, cfg.BatchSize, 1, 4)
+				return
+			}
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			checkDelivered(t, applied, vs, cfg.BatchSize, 1, 10)
+		})
+	}
+}

@@ -58,7 +58,7 @@ func Agent(args []string, stdout, stderr io.Writer) error {
 		iotimeout  = fs.Duration("iotimeout", 10*time.Second, "handshake and write deadline; the idle read timeout is max(this, 3x heartbeat)")
 		backoff    = fs.Duration("backoff", 100*time.Millisecond, "initial reconnect backoff (exponential, ±50% jitter)")
 		backoffmax = fs.Duration("backoffmax", 5*time.Second, "reconnect backoff cap")
-		maxdials   = fs.Int("maxdials", 0, "consecutive failed connection attempts before giving up (0 = retry until signalled)")
+		maxdials   = fs.Int("maxdials", 0, "consecutive failed connection attempts (dials, or sessions that get nothing new acknowledged) before giving up (0 = retry until signalled)")
 		lenient    = fs.Bool("lenient", false, "skip undecodable source lines (counted) instead of failing the run")
 		wal        = fs.String("wal", "", "write-ahead-log directory: batches are durable on disk before they are sent, a head outage spills there instead of stalling the source, and a restart replays the log (keep it stable per node; empty = memory-only)")
 		authkey    = fs.String("authkey", "", "shared key for the mutual HMAC handshake with the head (prefer -authkeyfile: argv is visible in ps)")
