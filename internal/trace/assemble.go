@@ -193,16 +193,6 @@ func assemble(msgs []Message, opts AssembleOptions, lenient bool) ([]Visit, Asse
 	return out, rep, nil
 }
 
-// PerServer groups visits by server name, preserving input order within
-// each server.
-func PerServer(visits []Visit) map[string][]Visit {
-	out := make(map[string][]Visit)
-	for _, v := range visits {
-		out[v.Server] = append(out[v.Server], v)
-	}
-	return out
-}
-
 // Filter returns the visits at the named server.
 func Filter(visits []Visit, server string) []Visit {
 	var out []Visit
