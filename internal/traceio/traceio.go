@@ -8,7 +8,10 @@
 // bounded batches and hands each batch to a callback, so consumers (like
 // tbdetect) can fold records into their own per-server state without the
 // process ever holding a second full copy of the trace; its memory use is
-// O(batch), independent of trace length.
+// O(batch), independent of trace length. tbdetect -in runs it on a
+// goroutine of its own, whose callback copies each batch into one of a
+// few owned buffers; the caller's goroutine folds them, in order, into a
+// trace.Grouper and the call graph while later batches are decoded.
 //
 // A batch ends when it holds BatchSize records or when the source has no
 // further complete line buffered, whichever comes first: a decoded record
