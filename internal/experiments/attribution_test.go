@@ -34,7 +34,9 @@ import (
 // against a floor: batch analysis of the run's visits, and the streaming
 // runtime replaying those visits in completion order with tbdetect
 // -follow's defaults. A floor is the count of scenarios an engine names
-// correctly today; a regression fails, and a gain raises the floor.
+// correctly today; a regression fails, and a gain raises the floor. They
+// also count where a self-estimated online snapshot disagrees with batch
+// (onlineDisagreements), against the presets' agreement ceiling.
 func TestAttributionMatchesGroundTruth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario battery is seconds-per-cell")
@@ -49,8 +51,10 @@ func TestAttributionMatchesGroundTruth(t *testing.T) {
 	opts := QuickOpts(1)
 	var mu sync.Mutex
 	matched := map[string]int{}
+	disagree := map[string]int{}
 	// Cleanup runs once every parallel subtest has finished.
 	t.Cleanup(func() {
+		checkAgreement(t, "presets", disagree)
 		for engine, floor := range floors {
 			if matched[engine] < floor {
 				t.Errorf("%s engine names %d of 6 clean scenarios, floor %d", engine, matched[engine], floor)
@@ -81,7 +85,8 @@ func TestAttributionMatchesGroundTruth(t *testing.T) {
 				}
 			}
 			byDepart := visitsByDepart(res)
-			snap, err := replayFollow(inWindow(byDepart, res))
+			inWin := inWindow(byDepart, res)
+			snap, err := replayFollow(inWin)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,8 +105,15 @@ func TestAttributionMatchesGroundTruth(t *testing.T) {
 			for _, m := range graphMismatches(sys, res, byDepart, snap.Graph) {
 				t.Error(m)
 			}
+			counts, err := onlineDisagreements(res, inWin)
+			if err != nil {
+				t.Fatal(err)
+			}
 			mu.Lock()
 			defer mu.Unlock()
+			for server, n := range counts {
+				disagree[name+"/"+server] = n
+			}
 			if rows[0].Match {
 				matched["wire"]++
 			}
@@ -229,13 +241,21 @@ func graphMismatches(sys *ntier.System, res *ntier.Result, byDepart []trace.Visi
 	return out
 }
 
-// caseGraphs holds graphMismatches for the paper's two case-study runs,
-// keyed by caseGraphRun's names, as simulate hands them over.
+// caseGraphs holds a caseCheck for each of the paper's two case-study
+// runs, keyed by caseGraphRun's names, as simulate hands them over.
 var caseGraphs sync.Map
+
+// caseCheck is what caseGraphRun found on one case-study run: its
+// graphMismatches and its onlineDisagreements.
+type caseCheck struct {
+	mismatches []string
+	disagree   map[string]int
+}
 
 func init() { simulated = caseGraphRun }
 
-// caseGraphRun records graphMismatches for the case-study runs: the
+// caseGraphRun records graphMismatches and onlineDisagreements for the
+// case-study runs: the
 // serial collector at WL 14 000 (TestGCCaseShape) and SpeedStep at
 // WL 8 000 (TestSpeedStepCaseShape). Other runners simulate the same
 // configurations; the first run of each is checked.
@@ -254,24 +274,32 @@ func caseGraphRun(sys *ntier.System, res *ntier.Result) {
 		return
 	}
 	byDepart := visitsByDepart(res)
-	snap, err := replayFollow(inWindow(byDepart, res))
+	inWin := inWindow(byDepart, res)
+	snap, err := replayFollow(inWin)
 	if err != nil {
-		caseGraphs.Store(name, []string{err.Error()})
+		caseGraphs.Store(name, caseCheck{mismatches: []string{err.Error()}})
 		return
 	}
-	caseGraphs.Store(name, graphMismatches(sys, res, byDepart, snap.Graph))
+	c := caseCheck{mismatches: graphMismatches(sys, res, byDepart, snap.Graph)}
+	if c.disagree, err = onlineDisagreements(res, inWin); err != nil {
+		c.mismatches = append(c.mismatches, err.Error())
+	}
+	caseGraphs.Store(name, c)
 }
 
-// checkCaseGraphs fails t with the named case-study run's mismatches.
+// checkCaseGraphs fails t with the named case-study run's mismatches, and
+// when its online snapshot disagrees with batch beyond the run's ceiling.
 func checkCaseGraphs(t *testing.T, name string) {
 	t.Helper()
 	got, ok := caseGraphs.Load(name)
 	if !ok {
 		t.Fatalf("no %s run was simulated", name)
 	}
-	for _, m := range got.([]string) {
+	c := got.(caseCheck)
+	for _, m := range c.mismatches {
 		t.Errorf("%s: %s", name, m)
 	}
+	checkAgreement(t, name, c.disagree)
 }
 
 // lenientDigests pins the lenient wire path — RepairSkew, then
