@@ -423,12 +423,14 @@ func TestTBDetectParallelFlagDeterministic(t *testing.T) {
 // TestFollowMode pipes a simulated trace through tbdetect's online mode
 // end to end: congestion alerts must stream out, the final ranked
 // snapshot must print, and -selfmetrics must account for every record.
+// The trace runs 20 s, so congestion still comes after the first live N*,
+// which takes half a re-estimation period (10 s of trace).
 func TestFollowMode(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "visits.jsonl")
 	var simOut, simErr bytes.Buffer
 	if err := NtierSim([]string{
-		"-users", "3000", "-duration", "15s", "-ramp", "3s",
+		"-users", "3000", "-duration", "20s", "-ramp", "3s",
 		"-speedstep", "-seed", "7", "-out", out,
 	}, &simOut, &simErr); err != nil {
 		t.Fatal(err)

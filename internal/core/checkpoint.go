@@ -5,15 +5,15 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"math"
 
 	"transientbd/internal/simnet"
 )
 
 // This file is the durable-state codec for Online: MarshalState captures
 // everything the analyzer would lose in a crash — the sealed-interval
-// ring, the per-class service-time reservoirs, the N* estimate, the
-// normalization caches and the closure cursor — and RestoreState puts an
+// ring, the per-class delay histograms of the re-estimation epochs, the
+// N* estimate, the service-time table and the closure cursor — and
+// RestoreState puts an
 // analyzer built with the same options back into exactly that state.
 // Continuing a restored analyzer over the remaining feed is
 // field-identical to never having stopped (the checkpoint property test
@@ -24,9 +24,8 @@ import (
 // gob-encoded state struct carrying an explicit Version. Gob decodes by
 // field name — fields added in a future version are ignored by older
 // state structs and fields missing from an old checkpoint are left zero —
-// so new code reads old checkpoints; checkpoints written by a NEWER
-// version than the reader are refused outright (ErrStateVersion) instead
-// of being half-understood.
+// so additions keep the version; a checkpoint of any other version is
+// refused outright (ErrStateVersion) instead of being half-understood.
 
 // onlineStateMagic prefixes every marshaled Online state so foreign bytes
 // fail fast instead of confusing the gob decoder.
@@ -34,8 +33,9 @@ const onlineStateMagic = "TBD-ONLINE-STATE\n"
 
 // onlineStateVersion is the current codec version. Bump it when a field
 // changes meaning (not when one is merely added: gob's name-based decoding
-// keeps additions compatible).
-const onlineStateVersion = 1
+// keeps additions compatible). Version 2 replaced version 1's per-class
+// sample buffers with the epoch histograms, and its work units with work.
+const onlineStateVersion = 2
 
 // Restore errors, distinguishable so callers can decide between falling
 // back to an older checkpoint (corrupt) and refusing to run (mismatch).
@@ -43,22 +43,15 @@ var (
 	// ErrStateCorrupt reports bytes that are not a marshaled Online state
 	// or fail structural validation.
 	ErrStateCorrupt = errors.New("core: online state corrupt")
-	// ErrStateVersion reports a checkpoint written by a newer codec
-	// version than this binary understands.
-	ErrStateVersion = errors.New("core: online state from a newer version")
+	// ErrStateVersion reports a checkpoint written by a codec version
+	// other than the one this binary reads.
+	ErrStateVersion = errors.New("core: online state from another version")
 	// ErrStateMismatch reports a checkpoint whose analyzer configuration
 	// (interval grid, window, re-estimation cadence, normalization mode)
 	// differs from the restoring analyzer's: continuing would silently
 	// change semantics, so a config change requires a cold start.
 	ErrStateMismatch = errors.New("core: online state config mismatch")
 )
-
-// reservoirState is the serialized form of one class's service-time
-// reservoir.
-type reservoirState struct {
-	Samples []float64
-	Next    int
-}
 
 // onlineState is the serialized form of an Online. Configuration fields
 // are echoed so a restore into a differently-configured analyzer fails
@@ -70,29 +63,29 @@ type onlineState struct {
 	Interval      simnet.Duration
 	Window        int
 	Reperiod      int
-	ReservoirCap  int
 	RawThroughput bool
 
 	// Dynamic state.
 	Start       simnet.Time
 	Closed      int64
 	LoadTime    []float64
-	Units       []float64
+	Work        []float64
 	RingIdx     []int64
-	Reservoirs  map[string]reservoirState
 	NStar       NStarResult
 	HasNStar    bool
 	Reestimates int64
 
-	// Normalization state: the calibrated table (if any) plus the cached
-	// table/unit and the refresh countdown. These must round-trip exactly
-	// — the work-unit count credited to each completion depends on the
-	// cache contents at observation time, so dropping them would make a
-	// resumed run drift from an uninterrupted one.
-	FixedSvc   ServiceTimes
-	CachedSvc  ServiceTimes
-	CachedUnit simnet.Duration
-	SinceSvc   int
+	// Normalization state: the table completions are normalized with, and
+	// the self-estimator's epoch histograms and counters. These must
+	// round-trip exactly — the work credited to each completion depends on
+	// the table at observation time, and the next table on the histograms,
+	// so dropping them would make a resumed run drift from an
+	// uninterrupted one.
+	Svc      ServiceTimes
+	Hists    map[string]delayHist
+	EpochIdx []int64
+	Seen     int64
+	SeenAt   int64
 }
 
 // MarshalState serializes the analyzer's complete dynamic state. The
@@ -104,26 +97,20 @@ func (o *Online) MarshalState() ([]byte, error) {
 		Interval:      o.opts.Interval,
 		Window:        o.window,
 		Reperiod:      o.reperiod,
-		ReservoirCap:  reservoirSize,
 		RawThroughput: o.opts.RawThroughput,
 		Start:         o.start,
 		Closed:        o.closed,
 		LoadTime:      o.loadTime,
-		Units:         o.units,
+		Work:          o.work,
 		RingIdx:       o.ringIdx,
 		NStar:         o.nstar,
 		HasNStar:      o.hasNStar,
 		Reestimates:   o.reestimates,
-		FixedSvc:      o.fixedSvc,
-		CachedSvc:     o.cachedSvc,
-		CachedUnit:    o.cachedUnit,
-		SinceSvc:      o.sinceSvc,
-	}
-	if len(o.reservoirs) > 0 {
-		st.Reservoirs = make(map[string]reservoirState, len(o.reservoirs))
-		for class, r := range o.reservoirs {
-			st.Reservoirs[class] = reservoirState{Samples: r.samples, Next: r.next}
-		}
+		Svc:           o.svc,
+		Hists:         o.hists,
+		EpochIdx:      o.epochIdx,
+		Seen:          o.seen,
+		SeenAt:        o.seenAt,
 	}
 	var buf bytes.Buffer
 	buf.WriteString(onlineStateMagic)
@@ -136,10 +123,9 @@ func (o *Online) MarshalState() ([]byte, error) {
 // RestoreState overwrites the analyzer's dynamic state with a previously
 // marshaled one. The receiver must have been built with the same
 // OnlineOptions that produced the checkpoint (interval, window,
-// re-estimation cadence, normalization mode) and by a binary with the
-// same reservoir size —
-// mismatches return ErrStateMismatch and leave the receiver untouched, as
-// do corrupt bytes (ErrStateCorrupt) and checkpoints from a newer codec
+// re-estimation cadence, normalization mode) — mismatches return
+// ErrStateMismatch and leave the receiver untouched, as do corrupt bytes
+// (ErrStateCorrupt) and checkpoints of another codec version
 // (ErrStateVersion). On success, continuing the analyzer over the
 // remaining feed is field-identical to never having stopped.
 func (o *Online) RestoreState(data []byte) error {
@@ -150,59 +136,70 @@ func (o *Online) RestoreState(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data[len(onlineStateMagic):])).Decode(&st); err != nil {
 		return fmt.Errorf("%w: %v", ErrStateCorrupt, err)
 	}
-	if st.Version > onlineStateVersion {
-		return fmt.Errorf("%w: checkpoint v%d, this binary reads up to v%d",
+	if st.Version != onlineStateVersion {
+		return fmt.Errorf("%w: checkpoint v%d, this binary reads v%d",
 			ErrStateVersion, st.Version, onlineStateVersion)
 	}
 	if st.Interval != o.opts.Interval || st.Window != o.window ||
-		st.Reperiod != o.reperiod || st.ReservoirCap != reservoirSize ||
-		st.RawThroughput != o.opts.RawThroughput {
-		return fmt.Errorf("%w: checkpoint (interval %v, window %d, reperiod %d, reservoir %d, raw %v) vs analyzer (interval %v, window %d, reperiod %d, reservoir %d, raw %v)",
+		st.Reperiod != o.reperiod || st.RawThroughput != o.opts.RawThroughput {
+		return fmt.Errorf("%w: checkpoint (interval %v, window %d, reperiod %d, raw %v) vs analyzer (interval %v, window %d, reperiod %d, raw %v)",
 			ErrStateMismatch,
-			st.Interval, st.Window, st.Reperiod, st.ReservoirCap, st.RawThroughput,
-			o.opts.Interval, o.window, o.reperiod, reservoirSize, o.opts.RawThroughput)
+			st.Interval, st.Window, st.Reperiod, st.RawThroughput,
+			o.opts.Interval, o.window, o.reperiod, o.opts.RawThroughput)
 	}
 	// Structural validation: a corrupt-but-decodable payload must not be
 	// able to panic the analyzer later (ring indexing trusts these
 	// lengths).
-	if len(st.LoadTime) != st.Window || len(st.Units) != st.Window || len(st.RingIdx) != st.Window {
+	if len(st.LoadTime) != st.Window || len(st.Work) != st.Window || len(st.RingIdx) != st.Window {
 		return fmt.Errorf("%w: ring length %d/%d/%d != window %d",
-			ErrStateCorrupt, len(st.LoadTime), len(st.Units), len(st.RingIdx), st.Window)
+			ErrStateCorrupt, len(st.LoadTime), len(st.Work), len(st.RingIdx), st.Window)
 	}
 	if st.Closed < 0 || st.Start < 0 {
 		return fmt.Errorf("%w: negative cursor (closed %d, start %v)", ErrStateCorrupt, st.Closed, st.Start)
 	}
-	// A still-filling reservoir has never wrapped, so its cursor is 0; and
-	// a NaN or ±Inf sample is no delay (serviceTable's selection also
-	// requires NaN-free samples).
-	for class, r := range st.Reservoirs {
-		if len(r.Samples) > st.ReservoirCap || r.Next < 0 || (r.Next >= st.ReservoirCap && st.ReservoirCap > 0) ||
-			(len(r.Samples) < st.ReservoirCap && r.Next != 0) {
-			return fmt.Errorf("%w: reservoir %q (%d samples, next %d, cap %d)",
-				ErrStateCorrupt, class, len(r.Samples), r.Next, st.ReservoirCap)
+	if o.hists != nil {
+		if err := checkEpochs(&st, len(o.epochIdx)); err != nil {
+			return err
 		}
-		for _, x := range r.Samples {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return fmt.Errorf("%w: reservoir %q holds sample %v", ErrStateCorrupt, class, x)
-			}
+		o.hists = st.Hists
+		if o.hists == nil { // gob sends no empty map
+			o.hists = make(map[string]delayHist)
 		}
+		o.epochIdx, o.seen, o.seenAt = st.EpochIdx, st.Seen, st.SeenAt
 	}
 
 	o.start = st.Start
 	o.closed = st.Closed
 	o.loadTime = st.LoadTime
-	o.units = st.Units
+	o.work = st.Work
 	o.ringIdx = st.RingIdx
 	o.nstar = st.NStar
 	o.hasNStar = st.HasNStar
 	o.reestimates = st.Reestimates
-	o.fixedSvc = st.FixedSvc
-	o.cachedSvc = st.CachedSvc
-	o.cachedUnit = st.CachedUnit
-	o.sinceSvc = st.SinceSvc
-	o.reservoirs = make(map[string]*reservoir, len(st.Reservoirs))
-	for class, r := range st.Reservoirs {
-		o.reservoirs[class] = &reservoir{samples: r.Samples, next: r.Next}
+	o.svc = st.Svc
+	return nil
+}
+
+// checkEpochs validates a self-estimated state's histogram ring against
+// the ring of epochs the restoring analyzer keeps, so a corrupt but
+// decodable payload cannot make count or rebuildTable index out of range.
+func checkEpochs(st *onlineState, epochs int) error {
+	if len(st.EpochIdx) != epochs {
+		return fmt.Errorf("%w: epoch ring length %d, want %d", ErrStateCorrupt, len(st.EpochIdx), epochs)
+	}
+	for slot, e := range st.EpochIdx {
+		if e < -1 || e >= 0 && e%int64(epochs) != int64(slot) {
+			return fmt.Errorf("%w: epoch %d in ring slot %d of %d", ErrStateCorrupt, e, slot, epochs)
+		}
+	}
+	for class, h := range st.Hists {
+		if len(h) != epochs*histBuckets {
+			return fmt.Errorf("%w: class %q holds %d counts, want %d epochs × %d buckets",
+				ErrStateCorrupt, class, len(h), epochs, histBuckets)
+		}
+	}
+	if st.Seen < 0 || st.SeenAt < 0 || st.SeenAt > st.Seen {
+		return fmt.Errorf("%w: delay counters seen %d, at last table %d", ErrStateCorrupt, st.Seen, st.SeenAt)
 	}
 	return nil
 }

@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
-	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"transientbd/internal/simnet"
@@ -101,9 +101,10 @@ func TestOnlineCheckpointRoundTrip(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for trial := int64(0); trial < 12; trial++ {
 				rng := rand.New(rand.NewSource(1000 + trial))
-				// ~360 visits a class: past reservoirSize, so cuts land on
-				// reservoirs that have wrapped as well as ones still filling.
-				ops := genCkptOps(rng, 1200)
+				// ~1 000 visits a class over ~14 s: past the 12 s the
+				// six-epoch histogram ring spans, so cuts land before and
+				// after it wraps, and before and after the first N*.
+				ops := genCkptOps(rng, 3600)
 				cut := 1 + rng.Intn(len(ops)-1)
 
 				golden, err := NewOnline(0, opts)
@@ -174,28 +175,22 @@ func TestOnlineRestoreRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Decodable states no Online can reach: a sample that is no delay,
-	// and a cursor on a reservoir that has not wrapped yet (300 ops feed
-	// each class well under reservoirSize samples).
-	editSmall := func(edit func(r *reservoirState)) []byte {
-		return editState(t, blob, func(st *onlineState) {
-			r := st.Reservoirs["small"]
-			if len(r.Samples) == 0 || len(r.Samples) >= reservoirSize {
-				t.Fatalf("reservoir \"small\" holds %d samples: want a filling one", len(r.Samples))
-			}
-			edit(&r)
-			st.Reservoirs["small"] = r
-		})
+	// Decodable states no Online can reach: a histogram ring of the wrong
+	// length, an epoch in a slot it does not map to, a class with the
+	// wrong bucket count, and delay counters that went backwards.
+	if len(decodeState(t, blob).Hists["small"]) == 0 {
+		t.Fatal("checkpoint holds no histogram for class \"small\"")
 	}
 	cases := map[string][]byte{
-		"empty":          {},
-		"garbage":        []byte("not a checkpoint at all, sorry"),
-		"truncated":      blob[:len(blob)/2],
-		"bad-magic":      append([]byte("XXD-ONLINE-STATE\n"), blob[len(onlineStateMagic):]...),
-		"nan-sample":     editSmall(func(r *reservoirState) { r.Samples[1] = math.NaN() }),
-		"inf-sample":     editSmall(func(r *reservoirState) { r.Samples[0] = math.Inf(1) }),
-		"neg-inf-sample": editSmall(func(r *reservoirState) { r.Samples[2] = math.Inf(-1) }),
-		"filling-cursor": editSmall(func(r *reservoirState) { r.Next = 1 }),
+		"empty":            {},
+		"garbage":          []byte("not a checkpoint at all, sorry"),
+		"truncated":        blob[:len(blob)/2],
+		"bad-magic":        append([]byte("XXD-ONLINE-STATE\n"), blob[len(onlineStateMagic):]...),
+		"short-epoch-ring": editState(t, blob, func(st *onlineState) { st.EpochIdx = st.EpochIdx[1:] }),
+		"epoch-off-slot":   editState(t, blob, func(st *onlineState) { st.EpochIdx[0] = 1 }),
+		"epoch-below--1":   editState(t, blob, func(st *onlineState) { st.EpochIdx[1] = -2 }),
+		"bucket-count":     editState(t, blob, func(st *onlineState) { st.Hists["small"] = st.Hists["small"][1:] }),
+		"counters":         editState(t, blob, func(st *onlineState) { st.SeenAt = st.Seen + 1 }),
 	}
 	for name, data := range cases {
 		o, err := NewOnline(0, opts)
@@ -223,6 +218,47 @@ func TestOnlineRestoreRejectsCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 		_ = o.RestoreState(mut) // must not panic; error is acceptable
+	}
+}
+
+// TestOnlineRestoreRejectsVersion1: a checkpoint of the codec version
+// that kept sample reservoirs is refused with ErrStateVersion, naming both
+// versions, and leaves the analyzer cold.
+func TestOnlineRestoreRejectsVersion1(t *testing.T) {
+	// The fields a version-1 writer sent, reservoirs included.
+	type reservoirV1 struct {
+		Samples []float64
+		Next    int
+	}
+	v1 := struct {
+		Version      int
+		Window       int
+		Reperiod     int
+		ReservoirCap int
+		LoadTime     []float64
+		Units        []float64
+		RingIdx      []int64
+		Reservoirs   map[string]reservoirV1
+	}{
+		Version: 1, Window: 100, Reperiod: 20, ReservoirCap: 256,
+		LoadTime: make([]float64, 100), Units: make([]float64, 100), RingIdx: make([]int64, 100),
+		Reservoirs: map[string]reservoirV1{"small": {Samples: []float64{2000, 2100}}},
+	}
+	var buf bytes.Buffer
+	buf.WriteString(onlineStateMagic)
+	if err := gob.NewEncoder(&buf).Encode(&v1); err != nil {
+		t.Fatal(err)
+	}
+	o, err := NewOnline(0, OnlineOptions{WindowIntervals: 100, ReestimateEvery: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rerr := o.RestoreState(buf.Bytes())
+	if !errors.Is(rerr, ErrStateVersion) || !strings.Contains(rerr.Error(), "checkpoint v1, this binary reads v2") {
+		t.Fatalf("RestoreState(v1) = %v, want ErrStateVersion naming v1 and v2", rerr)
+	}
+	if o.IntervalsClosed() != 0 || len(o.hists) != 0 {
+		t.Errorf("refused restore changed the analyzer: %d closed, %d classes", o.IntervalsClosed(), len(o.hists))
 	}
 }
 
@@ -280,18 +316,25 @@ func TestOnlineRestoreRejectsNewerVersion(t *testing.T) {
 	}
 }
 
-// editState decodes a marshaled state, applies edit and re-encodes it,
-// for building payloads that decode but must not restore.
-func editState(t *testing.T, blob []byte, edit func(st *onlineState)) []byte {
+// decodeState decodes a marshaled state.
+func decodeState(t *testing.T, blob []byte) *onlineState {
 	t.Helper()
 	var st onlineState
 	if err := gob.NewDecoder(bytes.NewReader(blob[len(onlineStateMagic):])).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	edit(&st)
+	return &st
+}
+
+// editState decodes a marshaled state, applies edit and re-encodes it,
+// for building payloads that decode but must not restore.
+func editState(t *testing.T, blob []byte, edit func(st *onlineState)) []byte {
+	t.Helper()
+	st := decodeState(t, blob)
+	edit(st)
 	var buf bytes.Buffer
 	buf.WriteString(onlineStateMagic)
-	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -22,13 +22,13 @@ const onlineAllocBudget = 0
 // onlineAllocBudget (zero) heap allocations.
 //
 // The budget holds on the calibrated-table path (OnlineOptions
-// .ServiceTimes set): normalization is fixed, so no reservoir is fed and
-// no service table is rebuilt. The drifting-reservoir path is amortized
-// instead — it rebuilds its service-time map every svcRefresh
-// observations — and is deliberately not pinned to zero. N*
-// re-estimation is likewise amortized (every ReestimateEvery intervals);
-// the test pushes it out of the measured region to isolate the
-// per-record cost, which is what must be flat.
+// .ServiceTimes set): normalization is fixed, so no delay histogram is fed
+// and no service table is rebuilt. The self-estimated path allocates a
+// new table map at each rebuild, which happens only as intervals close
+// (every ReestimateEvery intervals once N* exists), so it is amortized
+// and deliberately not pinned to zero. N* re-estimation is likewise
+// amortized; the test pushes it out of the measured region to isolate
+// the per-record cost, which is what must be flat.
 func TestOnlineObserveAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; budget is meaningless under -race")

@@ -14,9 +14,11 @@ import (
 // trace: 95 classes in a skewed mix, 10 k records a trace second in
 // departure order, a 30 s window of 50 ms intervals, and AdvanceAppend
 // every 8 intervals one second behind the feed, as a shard does at its
-// barriers. The warm-up wraps every class's reservoir, so refreshes work
-// on full 256-sample reservoirs. One op is one Observe plus its share of
-// the AdvanceAppend calls.
+// barriers. Every Observe counts a delay into its class's histogram for
+// the current re-estimation epoch. The 15 s warm-up gets past the first
+// N*, so the service table is rebuilt only at the periodic N*
+// re-estimation, every 20 s of trace. One op is one Observe plus its share
+// of the AdvanceAppend calls.
 func BenchmarkOnlineObserveSelfEstimated(b *testing.B) {
 	const (
 		classes = 95

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"transientbd/internal/simnet"
@@ -200,5 +201,64 @@ func TestOnlineSnapshotOrderInvariance(t *testing.T) {
 		if got := run(shuffled); !reflect.DeepEqual(got, base) {
 			t.Errorf("trial %d: snapshot depends on observation order", trial)
 		}
+	}
+}
+
+// TestOnlineSelfEstimatedOrderInvariance is the same property for a
+// self-estimating analyzer fed as a stream shard feeds it: barrier by
+// barrier, with AdvanceAppend between barriers, each barrier's visits in
+// a different order. The Snapshot must be bit-identical, because the
+// service-time table is rebuilt only as intervals close and each
+// interval's work is an exact sum.
+func TestOnlineSelfEstimatedOrderInvariance(t *testing.T) {
+	const (
+		iv      = 50 * simnet.Millisecond
+		barrier = 8 * iv
+		lag     = 2 * iv
+	)
+	visits := propVisits(11, 4000)
+	slices.SortFunc(visits, trace.CompareDepart)
+	end := (visits[len(visits)-1].Depart/barrier + 2) * barrier
+	for name, opts := range map[string]OnlineOptions{
+		"defaults":          {},
+		"wrapping ring":     {WindowIntervals: 120, ReestimateEvery: 40},
+		"epoch over window": {WindowIntervals: 40, ReestimateEvery: 60},
+	} {
+		t.Run(name, func(t *testing.T) {
+			run := func(rng *rand.Rand) *Analysis {
+				o, err := NewOnline(0, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var alerts []Alert
+				rest := visits
+				for b := barrier; b <= end; b += barrier {
+					n := 0
+					for n < len(rest) && rest[n].Depart < b {
+						n++
+					}
+					batch := slices.Clone(rest[:n])
+					rest = rest[n:]
+					if rng != nil {
+						rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+					}
+					for _, v := range batch {
+						o.Observe(v)
+					}
+					alerts = o.AdvanceAppend(b-lag, alerts[:0])
+				}
+				return o.Snapshot()
+			}
+			base := run(nil)
+			if base == nil || len(base.ServiceTimes) != 3 || base.CongestedIntervals == 0 {
+				t.Fatalf("workload exercises too little: %+v", base)
+			}
+			rng := rand.New(rand.NewSource(5))
+			for trial := 0; trial < 3; trial++ {
+				if got := run(rng); !reflect.DeepEqual(got, base) {
+					t.Errorf("trial %d: snapshot depends on the order within barriers", trial)
+				}
+			}
+		})
 	}
 }

@@ -64,7 +64,7 @@ func Fig7() (*Fig7Result, error) {
 	}
 	w := core.Window{Start: 0, End: 300 * ms}
 	svc := core.ServiceTimes{"Req1": 30 * ms, "Req2": 10 * ms}
-	unit := core.WorkUnit(svc)
+	unit := 10 * ms // the paper's unit for this example, not the detector's 100 µs quantum
 
 	load, err := core.LoadSeries(visits, w, 100*ms)
 	if err != nil {

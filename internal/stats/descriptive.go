@@ -145,64 +145,6 @@ func Select(xs []float64, k int) float64 {
 	return xs[k]
 }
 
-// nearCap is how many values SelectNear keeps between its guess and rank
-// k before it gives up and runs Select.
-const nearCap = 16
-
-// SelectNear returns the value Select(xs, k) returns, starting from guess,
-// a value expected at or near rank k — typically the answer for a slightly
-// different xs. One pass counts the values below and equal to guess; if
-// guess still holds rank k, it is the answer. Otherwise a second pass keeps
-// the values between guess and rank k in a fixed buffer of nearCap. When
-// more than that lie between them, SelectNear is Select, and only then is
-// xs reordered. xs and guess must hold no NaN; 0 ≤ k < len(xs).
-func SelectNear(xs []float64, k int, guess float64) float64 {
-	below, equal := 0, 0
-	for _, x := range xs {
-		below += b2i(x < guess)
-		equal += b2i(x == guess)
-	}
-	// The answer is the m-th largest value below guess, or with sign -1
-	// the m-th smallest above it: the m-th largest sign·x below sign·guess.
-	sign, m := 1.0, below-k
-	switch {
-	case k < below:
-	case k < below+equal:
-		return guess
-	default:
-		sign, m = -1, k-below-equal+1
-	}
-	if m > nearCap {
-		return Select(xs, k)
-	}
-	// The m largest sign·x below sign·guess so far, descending; a -Inf left
-	// in place is right, as there are at least m values below guess.
-	var buf [nearCap]float64
-	for i := range m {
-		buf[i] = math.Inf(-1)
-	}
-	g := sign * guess
-	for _, x := range xs {
-		if x *= sign; x < g && x > buf[m-1] {
-			i := m - 1
-			for ; i > 0 && buf[i-1] < x; i-- {
-				buf[i] = buf[i-1]
-			}
-			buf[i] = x
-		}
-	}
-	return sign * buf[m-1]
-}
-
-// b2i compiles to a flag-set, not a branch, so the counting pass does not
-// mispredict on samples that straddle the guess.
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) (float64, error) {
 	return Percentile(xs, 50)

@@ -170,103 +170,6 @@ func TestSelectMatchesSort(t *testing.T) {
 	}
 }
 
-// TestSelectNearMatchesSort is SelectNear's property test against
-// sort.Float64s: random lengths 1–600, heavy ties, a sprinkling of ±Inf,
-// every k, and guesses at the rank, one and two ranks off either way, past
-// the buffer, between two samples and outside the range. A guess that is a
-// sample within nearCap ranks of k must also leave xs as it was.
-func TestSelectNearMatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 150; trial++ {
-		n := 1 + rng.Intn(600)
-		span := 1 + rng.Intn(1<<rng.Intn(12))
-		xs := make([]float64, n)
-		for i := range xs {
-			switch rng.Intn(40) {
-			case 0:
-				xs[i] = math.Inf(1)
-			case 1:
-				xs[i] = math.Inf(-1)
-			default:
-				xs[i] = float64(rng.Intn(span))
-			}
-		}
-		sorted := slices.Clone(xs)
-		sort.Float64s(sorted)
-		at := func(i int) float64 { return sorted[min(max(i, 0), n-1)] }
-		for k := range xs {
-			near := []float64{at(k), at(k - 1), at(k + 1), at(k - 2), at(k + 2), at(k - nearCap), at(k + nearCap)}
-			far := []float64{at(k - nearCap - 1), at(k + nearCap + 1), at(k - 3*nearCap), at(k + 3*nearCap),
-				sorted[0] - 1, sorted[n-1] + 1, math.Inf(-1), math.Inf(1)}
-			if lo, hi := at(k), at(k+1); lo != hi && !math.IsInf(lo, 0) && !math.IsInf(hi, 0) {
-				far = append(far, (lo+hi)/2)
-			}
-			for i, guess := range append(near, far...) {
-				buf := slices.Clone(xs)
-				if got := SelectNear(buf, k, guess); got != sorted[k] {
-					t.Fatalf("trial %d: SelectNear(n=%d, k=%d, guess %v) = %v, want %v", trial, n, k, guess, got, sorted[k])
-				}
-				if i < len(near) && !slices.Equal(buf, xs) {
-					t.Fatalf("trial %d: SelectNear(n=%d, k=%d, guess %v) reordered xs", trial, n, k, guess)
-				}
-			}
-		}
-	}
-}
-
-// FuzzSelectNear checks SelectNear against a sort for arbitrary samples
-// (one per byte, so ties are heavy), rank and guess.
-func FuzzSelectNear(f *testing.F) {
-	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6}, uint16(2), 4.0)
-	f.Add([]byte{7, 7, 7, 7, 0, 255}, uint16(5), -1.0)
-	f.Fuzz(func(t *testing.T, data []byte, k uint16, guess float64) {
-		if len(data) == 0 || math.IsNaN(guess) {
-			return
-		}
-		xs := make([]float64, len(data))
-		for i, b := range data {
-			xs[i] = float64(int8(b))
-		}
-		sorted := slices.Clone(xs)
-		sort.Float64s(sorted)
-		r := int(k) % len(xs)
-		if got := SelectNear(xs, r, guess); got != sorted[r] {
-			t.Fatalf("SelectNear(%v, %d, %v) = %v, want %v", data, r, guess, got, sorted[r])
-		}
-	})
-}
-
-// BenchmarkSelectNear times one class's service-table refresh as core.Online
-// makes it: 256 samples, rank 25 (the 10th percentile), a tenth of the
-// samples replaced between refreshes, and the last answer as the guess;
-// "select" is the same refresh by Select alone.
-func BenchmarkSelectNear(b *testing.B) {
-	for _, near := range []bool{true, false} {
-		name := map[bool]string{true: "near", false: "select"}[near]
-		b.Run(name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			draws := make([]float64, 1<<16) // cycled
-			for i := range draws {
-				draws[i] = math.Round(200 * math.Exp(rng.NormFloat64()))
-			}
-			ring, buf := slices.Clone(draws[:256]), make([]float64, 256)
-			est, next, d := Select(slices.Clone(ring), 25), 0, 0
-			b.ResetTimer()
-			for range b.N {
-				for range 24 {
-					ring[next], next, d = draws[d], (next+1)%len(ring), (d+1)%len(draws)
-				}
-				copy(buf, ring)
-				if near {
-					est = SelectNear(buf, 25, est)
-				} else {
-					est = Select(buf, 25)
-				}
-			}
-		})
-	}
-}
-
 func TestMedian(t *testing.T) {
 	got, err := Median([]float64{5, 1, 9})
 	if err != nil || got != 5 {

@@ -74,10 +74,11 @@ const (
 	// barrier fan-out — not the analyzers — the scaling ceiling at high
 	// shard counts. The interval series are identical at any cadence for
 	// a feed whose disorder stays within FlushLag, but with self-estimated
-	// service times a re-estimation samples the reservoir as of the
-	// barrier that closed its trigger interval, so the cadence is part of
-	// what live classifications near N* depend on — which is why it is
-	// one fixed value and not a setting. Final Snapshot reclassification
+	// service times the table each completion is normalized with is
+	// rebuilt only as intervals close, from the delays counted by the
+	// barrier that closed them, so the cadence is part of what the
+	// throughput series and live classifications depend on — which is why
+	// it is one fixed value and not a setting. Final Snapshot reclassification
 	// is cadence-independent. Explicit Advance and Close are not
 	// coalesced.
 	barrierEvery = 8
@@ -667,8 +668,8 @@ func (r *Runtime) Advance(now simnet.Time) {
 // the delivery schedule a pure function of the feed and the barrier
 // cadence — every record reaches its analyzer before the first barrier
 // after it was observed, so nothing else (checkpoint cadence, snapshot
-// timing, queue luck) can shift which records the self-estimation
-// reservoirs have seen when a re-estimation fires. A conditional flush
+// timing, queue luck) can shift which records the self-estimator's
+// histograms hold when a closing interval rebuilds the service table. A conditional flush
 // here — e.g. holding back a batch whose records only touch intervals
 // past w — changes classifications the moment anything else forces an
 // early flush, which is exactly how a checkpointed run came to diverge

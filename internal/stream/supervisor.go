@@ -11,10 +11,12 @@
 //
 // Recovery is exact for transient faults when no records were late: the
 // rebuilt state is the checkpoint cut plus a replay of every batch
-// processed since (each replayed under the shard watermark it originally
-// ran under, so mid-stream servers keep their original grid anchor), and
-// the fast-forward to the current watermark re-closes intervals whose
-// alerts already went out without re-emitting them. Retention is capped
+// processed since, each under the shard watermark it originally ran
+// under: the analyzers are advanced to that watermark before it, so they
+// see the original barrier schedule (the self-estimated service table is
+// rebuilt as intervals close), and a mid-stream server keeps its original
+// grid anchor. The fast-forward to the current watermark re-closes
+// intervals whose alerts already went out without re-emitting them. Retention is capped
 // (retainCap records per shard); batches evicted by the cap before
 // the next checkpoint are unrecoverable and are counted in RecordsLost
 // if a rebuild actually needs them.
@@ -308,16 +310,21 @@ func (r *Runtime) rebuild(s *shard) {
 	s.reSum = re
 }
 
-// replayBatch re-applies one retained batch during a rebuild. Hooks are
-// not re-invoked (fault injection must not re-fire inside recovery) and
-// the batch is guarded by its own recover: a batch that panics even on
-// replay is dropped, reported by the caller.
+// replayBatch re-applies one retained batch during a rebuild, after
+// advancing the shard's analyzers to the watermark it originally ran
+// under (their closures are discarded: the alerts went out before the
+// panic). Hooks are not re-invoked (fault injection must not re-fire
+// inside recovery) and the batch is guarded by its own recover: a batch
+// that panics even on replay is dropped, reported by the caller.
 func (r *Runtime) replayBatch(s *shard, rb retainedBatch) (ok bool) {
 	defer func() {
 		if recover() != nil {
 			ok = false
 		}
 	}()
+	for _, name := range s.names {
+		s.servers[name].Advance(rb.mark)
+	}
 	for i := range rb.recs.rows {
 		v := &rb.recs.rows[i]
 		o := s.servers[v.Server]
