@@ -52,15 +52,15 @@ type TraceQuality struct {
 
 // GroupRepaired is the last ingestion step of the lenient visit path,
 // shared by the public Analyze and tbdetect -lenient: it repairs
-// cross-server clock skew where TxnID linkage permits, tallies the repair
-// into q, and groups the repaired visits per server, input order
-// preserved within each. It also returns the latest departure after the
+// cross-server clock skew where TxnID linkage permits, in place (both
+// callers own the slice they pass), tallies the repair into q, and groups
+// the repaired visits per server, input order preserved within each. It also returns the latest departure after the
 // repair — the repair moves clocks forward, so a window end taken before
 // it could cut the shifted visits off — and the call graph of the
 // repaired visits (trace.CallGraphBuilder), whose enclosures a skewed
 // clock would break.
 func GroupRepaired(visits []trace.Visit, q *TraceQuality) (map[string][]trace.Visit, simnet.Time, map[string][]string) {
-	visits, rep := trace.RepairVisitSkew(visits)
+	rep := trace.RepairVisitSkew(visits)
 	q.SkewViolations = rep.Violations
 	q.SkewOffsets = rep.Offsets
 	q.VisitsRepaired = rep.Shifted

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"transientbd/internal/simnet"
@@ -176,15 +178,20 @@ func RepairSkew(msgs []Message) ([]Message, SkewReport) {
 // window and interval bookkeeping sane. Visits with TxnID 0 (unknown
 // transaction) contribute no constraints but are still shifted if their
 // server's offset is known.
-func RepairVisitSkew(visits []Visit) ([]Visit, SkewReport) {
+//
+// The repair shifts visits in place: the caller must own the slice. The
+// one extra allocation is an index per visit, stably sorted by TxnID so
+// each transaction's visits stay in input order.
+func RepairVisitSkew(visits []Visit) SkewReport {
 	var rep SkewReport
 
-	byTxn := make(map[int64][]int)
-	for i, v := range visits {
-		if v.TxnID != 0 {
-			byTxn[v.TxnID] = append(byTxn[v.TxnID], i)
+	order := make([]int, 0, len(visits))
+	for i := range visits {
+		if visits[i].TxnID != 0 {
+			order = append(order, i)
 		}
 	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(visits[a].TxnID, visits[b].TxnID) })
 
 	type pairKey struct{ from, to string }
 	lbs := make(map[pairKey]simnet.Duration)
@@ -198,8 +205,14 @@ func RepairVisitSkew(visits []Visit) ([]Visit, SkewReport) {
 			lbs[k] = lb
 		}
 	}
-	for _, idxs := range byTxn {
-		if len(idxs) < 2 {
+	for len(order) > 0 {
+		n := 1
+		for n < len(order) && visits[order[n]].TxnID == visits[order[0]].TxnID {
+			n++
+		}
+		idxs := order[:n]
+		order = order[n:]
+		if n < 2 {
 			continue
 		}
 		entry := idxs[0]
@@ -231,16 +244,14 @@ func RepairVisitSkew(visits []Visit) ([]Visit, SkewReport) {
 	}
 	rep.Offsets = solveOffsets(edges)
 
-	out := make([]Visit, len(visits))
-	copy(out, visits)
 	if rep.Repaired() {
-		for i := range out {
-			if off, ok := rep.Offsets[out[i].Server]; ok {
-				out[i].Arrive += off
-				out[i].Depart += off
+		for i := range visits {
+			if off, ok := rep.Offsets[visits[i].Server]; ok {
+				visits[i].Arrive += off
+				visits[i].Depart += off
 				rep.Shifted++
 			}
 		}
 	}
-	return out, rep
+	return rep
 }

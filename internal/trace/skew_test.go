@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 
 	"transientbd/internal/simnet"
@@ -103,7 +104,8 @@ func TestRepairVisitSkew(t *testing.T) {
 			visits[i].Depart -= 5 * ms
 		}
 	}
-	repaired, rep := RepairVisitSkew(visits)
+	repaired := slices.Clone(visits)
+	rep := RepairVisitSkew(repaired)
 	if !rep.Repaired() || rep.Offsets["mysql"] <= 0 {
 		t.Fatalf("mysql visit skew not repaired: %+v", rep)
 	}
@@ -125,7 +127,7 @@ func TestRepairVisitSkew(t *testing.T) {
 		}
 	}
 	// Clean visits come back unchanged.
-	if _, rep := RepairVisitSkew(base); rep.Repaired() || rep.Violations != 0 {
+	if rep := RepairVisitSkew(base); rep.Repaired() || rep.Violations != 0 {
 		t.Errorf("clean visits reported skew: %+v", rep)
 	}
 }
@@ -135,7 +137,7 @@ func TestRepairVisitSkewIgnoresUnknownTxn(t *testing.T) {
 		{Server: "a", TxnID: 0, Arrive: 0, Depart: 10 * ms},
 		{Server: "b", TxnID: 0, Arrive: 100 * ms, Depart: 101 * ms},
 	}
-	_, rep := RepairVisitSkew(visits)
+	rep := RepairVisitSkew(visits)
 	if rep.Repaired() || rep.Violations != 0 {
 		t.Errorf("txn-less visits produced constraints: %+v", rep)
 	}
