@@ -88,16 +88,14 @@ type Config struct {
 	// Metrics.Source) instead of failing the run.
 	Lenient bool
 	// WALDir, when set, enables the write-ahead log: every cut batch is
-	// appended there before entering the send ring, a head outage
-	// longer than the window spills to disk instead of stalling the
-	// source read, and a restarted agent replays the log so `kill -9`
-	// is byte-equivalent to an uninterrupted run. The directory must be
-	// stable across restarts, one per node.
+	// appended there before entering the send ring and sent once an
+	// fsync covers it, a head outage longer than the window spills to
+	// disk instead of stalling the source read, and a restarted agent
+	// replays the log so `kill -9` is byte-equivalent to an uninterrupted
+	// run. The directory must be stable across restarts, one per node.
 	WALDir string
-	// WALSegmentBytes is the log's segment rotation threshold (default
-	// 4 MiB); WALNoSync skips the per-append fsync (tests).
+	// WALSegmentBytes is the log's segment rotation threshold (default 4 MiB).
 	WALSegmentBytes int
-	WALNoSync       bool
 	// AuthKey, when set, is the shared key for the mutual HMAC
 	// handshake (wire protocol version 2 and later). The head must hold
 	// the same key; a mismatch — either direction — is a terminal error,
@@ -144,11 +142,16 @@ type Metrics struct {
 	// replay); WALCovered counts re-read source records dropped because
 	// the recovered log already held their batch; WALSpillPeak is the
 	// most batches ever waiting on disk beyond the in-memory window
-	// (>0 means spill mode happened). All zero without Config.WALDir.
+	// (>0 means spill mode happened); WALSyncs counts the fsyncs the log
+	// issued, each covering every batch appended while the one before it
+	// ran. All zero without Config.WALDir.
 	WALAppended  int64
 	WALRecovered int64
 	WALCovered   int64
 	WALSpillPeak int64
+	WALSyncs     int64
+	// Refused counts sessions the head ended with an Error frame.
+	Refused int64
 	// Source is the decode accounting of the JSONL reader.
 	Source traceio.Stats
 }
@@ -174,7 +177,10 @@ type run struct {
 	m   Metrics
 
 	pending     []batchRec // unacked ring, ordered by seq
+	unsent      int        // pending[unsent:] are not yet written on this connection
 	wal         *walState  // nil without Config.WALDir
+	durable     uint64     // the WAL's durable mark, as its last sync signal found it
+	synced      <-chan struct{}
 	nextSeq     uint64
 	ackedSeq    uint64
 	srcDone     bool
@@ -233,7 +239,7 @@ func Run(ctx context.Context, src io.Reader, cfg Config) (Metrics, error) {
 		if err != nil {
 			return Metrics{}, err
 		}
-		a.wal = ws
+		a.wal, a.synced = ws, walSynced(ws.log)
 		defer ws.close()
 		if rec.Records > 0 {
 			// Restart replay: everything below the log's first record was
@@ -252,6 +258,9 @@ func Run(ctx context.Context, src io.Reader, cfg Config) (Metrics, error) {
 	}
 	go a.readSource(ctx, src)
 	err := a.loop(ctx)
+	if a.wal != nil {
+		a.m.WALSyncs = a.wal.log.Syncs()
+	}
 	return a.m, err
 }
 
@@ -436,7 +445,7 @@ func (a *run) sleepDrain(ctx context.Context, d time.Duration) error {
 				}
 				continue
 			}
-			if _, err := a.intake(b); err != nil {
+			if err := a.intake(b); err != nil {
 				return err
 			}
 		}
@@ -573,6 +582,16 @@ func (a *run) popAcked(s uint64) {
 	}
 	if cut > 0 {
 		a.pending = a.pending[:copy(a.pending, a.pending[cut:])]
+		a.unsent = max(a.unsent-cut, 0)
+	}
+}
+
+// ack applies the head's acknowledgment of every batch through s.
+func (a *run) ack(s uint64) {
+	if s > a.ackedSeq {
+		a.ackedSeq = s
+		a.popAcked(s)
+		a.truncateWAL()
 	}
 }
 
@@ -595,11 +614,11 @@ func (a *run) sourceExhausted() error {
 
 // intake admits one cut source batch: assign its positional sequence,
 // drop it if a recovered log or the head's resume cursor already covers
-// it, make it durable, and either hand it to the ring (returned non-nil,
-// for the caller to transmit) or leave it spilled on disk when the
-// window is full or older spill is still queued — delivery is FIFO, a
-// fresh batch may not jump the backlog.
-func (a *run) intake(b batchRec) (*batchRec, error) {
+// it, append it to the WAL, and either hand it to the ring (for pump to
+// send once it is durable) or leave it spilled on disk when the window is
+// full or older spill is still queued — delivery is FIFO, a fresh batch
+// may not jump the backlog.
+func (a *run) intake(b batchRec) error {
 	b.seq = a.nextSeq
 	a.nextSeq++
 	a.m.RecordsRead += int64(b.n)
@@ -608,35 +627,34 @@ func (a *run) intake(b batchRec) (*batchRec, error) {
 		// byte-for-byte (sequences are positional), so the re-read copy
 		// is redundant.
 		a.m.WALCovered += int64(b.n)
-		return nil, nil
+		return nil
 	}
 	if b.seq <= a.ackedSeq {
 		// The head already applied this batch in a previous incarnation
 		// of this agent.
 		a.m.ResumeSkipped += int64(b.n)
-		return nil, nil
+		return nil
 	}
 	if a.wal != nil {
 		spill := a.hasBacklog() || len(a.pending) >= a.cfg.Window
 		if err := a.wal.log.Append(b.seq, b.body); err != nil {
-			return nil, &terminalError{fmt.Errorf("agent: %w", err)}
+			return &terminalError{fmt.Errorf("agent: %w", err)}
 		}
 		a.m.WALAppended++
 		if spill {
 			if backlog := int64(a.wal.log.LastSeq() - a.wal.next + 1); backlog > a.m.WALSpillPeak {
 				a.m.WALSpillPeak = backlog
 			}
-			return nil, nil
+			return nil
 		}
 		a.wal.skipTo(b.seq + 1) // it entered the ring directly: no disk read
 	}
 	a.pending = append(a.pending, b)
-	return &a.pending[len(a.pending)-1], nil
+	return nil
 }
 
-// refill drains the on-disk backlog into freed window slots, transmits
-// the reloaded batches in order and flushes. Called at session start,
-// after the ring retransmit, and after every acknowledgment.
+// refill drains the on-disk backlog into freed window slots, then pumps.
+// Called at session start and after every acknowledgment.
 func (a *run) refill(w *wire.Writer, flush func() error) error {
 	for len(a.pending) < a.cfg.Window && a.hasBacklog() {
 		rec, err := a.wal.readNext()
@@ -648,28 +666,30 @@ func (a *run) refill(w *wire.Writer, flush func() error) error {
 			continue
 		}
 		a.pending = append(a.pending, rec)
-		if err := a.send(w, &a.pending[len(a.pending)-1]); err != nil {
+	}
+	return a.pump(w, flush)
+}
+
+// pump writes, in order, the ring entries this connection has not carried
+// yet, up to the WAL's durable mark — no batch reaches the socket before
+// an fsync covers it — and flushes. It is the only writer of batch
+// frames, and counts records on a batch's first send and a retransmit on
+// every later one.
+func (a *run) pump(w *wire.Writer, flush func() error) error {
+	for ; a.unsent < len(a.pending) && (a.wal == nil || a.pending[a.unsent].seq <= a.durable); a.unsent++ {
+		rec := &a.pending[a.unsent]
+		if err := w.WriteBatchBody(rec.seq, rec.body); err != nil {
 			return err
+		}
+		a.m.BatchesSent++
+		if rec.sent {
+			a.m.Retransmits++
+		} else {
+			rec.sent = true
+			a.m.RecordsSent += int64(rec.n)
 		}
 	}
 	return flush()
-}
-
-// send writes one ring entry's batch frame — the only place batch
-// frames are written — and counts it: records on its first send, a
-// retransmit on every later one.
-func (a *run) send(w *wire.Writer, rec *batchRec) error {
-	if err := w.WriteBatchBody(rec.seq, rec.body); err != nil {
-		return err
-	}
-	a.m.BatchesSent++
-	if rec.sent {
-		a.m.Retransmits++
-	} else {
-		rec.sent = true
-		a.m.RecordsSent += int64(rec.n)
-	}
-	return nil
 }
 
 // truncateWAL drops log segments wholly at or below the acknowledgment
@@ -693,7 +713,7 @@ type inFrame struct {
 // stream new batches, heartbeats and acknowledgments until the head
 // echoes our Goodbye (done), the connection fails (reconnect), or the
 // context cancels. Single writer: only this goroutine touches w.
-func (a *run) session(ctx context.Context, conn net.Conn) (bool, error) {
+func (a *run) session(ctx context.Context, conn net.Conn) (done bool, err error) {
 	defer conn.Close()
 	w := wire.NewWriter(conn)
 	idle := a.cfg.IOTimeout
@@ -705,6 +725,7 @@ func (a *run) session(ctx context.Context, conn net.Conn) (bool, error) {
 	defer close(stop)
 	inCh := make(chan inFrame, 8)
 	go func() {
+		defer close(inCh)
 		r := wire.NewReader(conn)
 		for {
 			conn.SetReadDeadline(time.Now().Add(idle))
@@ -720,18 +741,32 @@ func (a *run) session(ctx context.Context, conn net.Conn) (bool, error) {
 		}
 	}()
 
+	// A write error can end the session before the reader has delivered
+	// the acks, or the refusal, the head sent ahead of the failure. Acks
+	// decide whether the session got anything acknowledged, so let the
+	// reader deliver them and end (at the latest at its idle deadline).
+	defer func() {
+		if done || ctx.Err() != nil || errors.As(err, new(*terminalError)) {
+			return
+		}
+		for in := range inCh {
+			switch in.f.Type { // zero after a read error
+			case wire.TypeAck:
+				a.ack(in.f.Ack.Seq)
+			case wire.TypeError:
+				a.m.Refused++
+			}
+		}
+	}()
+
 	flush := func() error {
 		conn.SetWriteDeadline(time.Now().Add(a.cfg.IOTimeout))
 		return w.Flush()
 	}
 
 	// Retransmit the unacknowledged ring in order before anything new;
-	// batches that waited on disk follow (refill flushes both).
-	for i := range a.pending {
-		if err := a.send(w, &a.pending[i]); err != nil {
-			return false, err
-		}
-	}
+	// batches that waited on disk follow (refill pumps both).
+	a.unsent = 0
 	if err := a.refill(w, flush); err != nil {
 		return false, err
 	}
@@ -762,17 +797,20 @@ func (a *run) session(ctx context.Context, conn net.Conn) (bool, error) {
 				}
 				continue
 			}
-			rec, err := a.intake(b)
+			if err := a.intake(b); err != nil {
+				return false, err
+			}
+			if err := a.pump(w, flush); err != nil {
+				return false, err
+			}
+
+		case <-a.synced:
+			d, err := a.wal.log.Durable()
 			if err != nil {
-				return false, err
+				return false, &terminalError{fmt.Errorf("agent: %w", err)}
 			}
-			if rec == nil {
-				continue // covered, already acked, or spilled to disk
-			}
-			if err := a.send(w, rec); err != nil {
-				return false, err
-			}
-			if err := flush(); err != nil {
+			a.durable = d
+			if err := a.pump(w, flush); err != nil {
 				return false, err
 			}
 
@@ -783,9 +821,7 @@ func (a *run) session(ctx context.Context, conn net.Conn) (bool, error) {
 			switch in.f.Type {
 			case wire.TypeAck:
 				if s := in.f.Ack.Seq; s > a.ackedSeq {
-					a.ackedSeq = s
-					a.popAcked(s)
-					a.truncateWAL()
+					a.ack(s)
 					if err := a.refill(w, flush); err != nil {
 						return false, err
 					}
@@ -798,6 +834,7 @@ func (a *run) session(ctx context.Context, conn net.Conn) (bool, error) {
 				// FinalSeq is applied. Clean completion.
 				return true, nil
 			case wire.TypeError:
+				a.m.Refused++
 				return false, fmt.Errorf("agent: merge head error: %s", in.f.Error.Msg)
 			default:
 				return false, fmt.Errorf("agent: unexpected frame type %d mid-session", in.f.Type)

@@ -43,7 +43,6 @@ func BenchmarkAgentSpill(b *testing.B) {
 	cfg := testCfg(srv.addr())
 	cfg.BatchSize = 512
 	cfg.Window = 1
-	cfg.WALNoSync = true
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

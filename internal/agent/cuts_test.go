@@ -165,7 +165,6 @@ func TestAgentCutsSurviveRestartMidCut(t *testing.T) {
 		srv1 := newScriptedServer(t, head1.handle)
 		cfg := testCfg(srv1.addr())
 		cfg.WALDir = walDir
-		cfg.WALNoSync = true
 
 		pr, pw := io.Pipe()
 		ctx, cancel := context.WithCancel(context.Background())

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"transientbd/internal/trace"
+	"transientbd/internal/wal"
 	"transientbd/internal/wire"
 )
 
@@ -213,7 +214,6 @@ func TestAgentWALSpillAbsorbsHeadOutage(t *testing.T) {
 			cfg.Window = 2
 			if withWAL {
 				cfg.WALDir = t.TempDir()
-				cfg.WALNoSync = true
 			}
 			cfg.OnSourceDrained = func() { drained.Store(true) }
 			cfg.Dial = func(addr string) (net.Conn, error) {
@@ -295,7 +295,6 @@ func TestAgentRestartReplaysWAL(t *testing.T) {
 	cfg.Window = 2
 	cfg.WALDir = walDir
 	cfg.WALSegmentBytes = 128 // one batch per segment: exact truncation
-	cfg.WALNoSync = true
 	var drainOnce sync.Once
 	cfg.OnSourceDrained = func() { drainOnce.Do(func() { close(drainedCh) }) }
 
@@ -510,7 +509,6 @@ func spillAll(t *testing.T, walDir string, feed []byte, size int) {
 	cfg := testCfg("127.0.0.1:1") // never reached
 	cfg.BatchSize = size
 	cfg.WALDir = walDir
-	cfg.WALNoSync = true
 	cfg.Dial = func(string) (net.Conn, error) { return nil, errors.New("head down") }
 	cfg.OnSourceDrained = cancel
 	if _, err := Run(ctx, bytes.NewReader(feed), cfg); !errors.Is(err, context.Canceled) {
@@ -551,7 +549,6 @@ func TestAgentWALRefusesOtherBatchSize(t *testing.T) {
 		defer srv.close()
 		cfg := testCfg(srv.addr())
 		cfg.WALDir = walDir
-		cfg.WALNoSync = true
 		m, err := Run(context.Background(), bytes.NewReader(feed), cfg)
 		if err != nil {
 			t.Fatalf("restart: %v", err)
@@ -625,7 +622,7 @@ func TestAgentRefusedBatchEndsRun(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			vs, feed := testFeed(t, 95)
-			_, err := Run(ctx, bytes.NewReader(feed), cfg)
+			m, err := Run(ctx, bytes.NewReader(feed), cfg)
 			srv.close()
 			mu.Lock()
 			defer mu.Unlock()
@@ -634,10 +631,10 @@ func TestAgentRefusedBatchEndsRun(t *testing.T) {
 					!strings.Contains(err.Error(), "batch 5 does not decode") {
 					t.Fatalf("want a terminal error naming batch 5 and the head's text, got %v", err)
 				}
-				// The first session applies batches 1–4; each later one is
-				// refused on batch 5.
-				if sessions != 1+cfg.MaxDials {
-					t.Errorf("%d sessions, want %d", sessions, 1+cfg.MaxDials)
+				// The first session applies batches 1–4; each session,
+				// that one included, is refused on batch 5.
+				if sessions != 1+cfg.MaxDials || m.Refused != int64(sessions) {
+					t.Errorf("%d sessions, %d refused, want %d refused sessions", sessions, m.Refused, 1+cfg.MaxDials)
 				}
 				checkDelivered(t, applied, vs, cfg.BatchSize, 1, 4)
 				return
@@ -645,7 +642,163 @@ func TestAgentRefusedBatchEndsRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
+			if m.Refused != 1 {
+				t.Errorf("Refused = %d, want 1", m.Refused)
+			}
 			checkDelivered(t, applied, vs, cfg.BatchSize, 1, 10)
 		})
 	}
+}
+
+// holdSyncs holds back the WAL's sync news from every agent the test
+// starts, as if each log's syncer were stuck in fsync, until release.
+func holdSyncs(t *testing.T) (release func()) {
+	orig, gate, done := walSynced, make(chan struct{}), make(chan struct{})
+	walSynced = func(l *wal.Log) <-chan struct{} {
+		held := make(chan struct{}, 1)
+		go func() {
+			select {
+			case <-gate:
+			case <-done:
+				return
+			}
+			for {
+				select {
+				case <-l.Synced():
+					select {
+					case held <- struct{}{}:
+					default:
+					}
+				case <-done:
+					return
+				}
+			}
+		}()
+		return held
+	}
+	t.Cleanup(func() {
+		walSynced = orig
+		close(done)
+	})
+	var once sync.Once
+	return func() { once.Do(func() { close(gate) }) }
+}
+
+// TestAgentSendsOnlyDurableBatches: no batch frame reaches the head
+// before the WAL has made it durable. With the sync news held, the agent
+// reads its whole source into the log while the head sees heartbeats and
+// no batch; once it flows, every batch arrives, once and in order.
+func TestAgentSendsOnlyDurableBatches(t *testing.T) {
+	release := holdSyncs(t)
+	var mu sync.Mutex
+	var applied []wire.Batch
+	heartbeats := make(chan struct{}, 1)
+	srv := newScriptedServer(t, func(_ int, conn net.Conn) {
+		r, w := wire.NewReader(conn), wire.NewWriter(conn)
+		readHello(t, r)
+		w.WriteWelcome(wire.Welcome{Version: wire.Version})
+		w.Flush()
+		for {
+			f, err := r.Read()
+			if err != nil {
+				return
+			}
+			switch f.Type {
+			case wire.TypeBatch:
+				mu.Lock()
+				applied = append(applied, wire.Batch{Seq: f.Batch.Seq, Visits: slices.Clone(f.Batch.Visits)})
+				mu.Unlock()
+				w.WriteAck(wire.Ack{Seq: f.Batch.Seq})
+			case wire.TypeHeartbeat:
+				select {
+				case heartbeats <- struct{}{}:
+				default:
+				}
+				w.WriteAck(wire.Ack{Seq: 0})
+			case wire.TypeGoodbye:
+				w.WriteGoodbye(wire.Goodbye{FinalSeq: f.Goodbye.FinalSeq, Reason: "ack"})
+			}
+			if err := w.Flush(); err != nil {
+				return
+			}
+		}
+	})
+	defer srv.close()
+	defer release() // a failed check must not leave the run waiting
+
+	drained := make(chan struct{})
+	cfg := testCfg(srv.addr())
+	cfg.WALDir = t.TempDir()
+	cfg.OnSourceDrained = func() { close(drained) }
+	vs, feed := testFeed(t, 95)
+	type result struct {
+		m   Metrics
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		m, err := Run(context.Background(), bytes.NewReader(feed), cfg)
+		done <- result{m, err}
+	}()
+	<-drained
+	for live := 0; live < 3; { // heartbeats after the source drained: the session is up
+		select {
+		case <-heartbeats:
+			live++
+		case res := <-done:
+			t.Fatalf("the run ended (%v) with no sync news: nothing can have waited for a durable mark", res.err)
+		}
+	}
+	mu.Lock()
+	early := len(applied)
+	mu.Unlock()
+	if early != 0 {
+		t.Fatalf("the head received %d batch frames before any sync reached the agent", early)
+	}
+	release()
+	res := <-done
+	if res.err != nil {
+		t.Fatalf("Run: %v", res.err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	checkDelivered(t, applied, vs, cfg.BatchSize, 1, 10)
+	if res.m.WALSyncs == 0 {
+		t.Error("WALSyncs = 0: the log issued no fsync")
+	}
+}
+
+// TestAgentKilledBetweenAppendAndSync: an agent killed once its whole
+// source is in the WAL, before any sync reached its send path, has sent
+// nothing; its next incarnation replays the log, and the head gets every
+// batch once with the bytes of an uninterrupted run.
+func TestAgentKilledBetweenAppendAndSync(t *testing.T) {
+	var mu sync.Mutex
+	var applied []wire.Batch
+	srv := newScriptedServer(t, ackingServer(t, 0, 0, &mu, &applied))
+	defer srv.close()
+	vs, feed := testFeed(t, 95)
+	release := holdSyncs(t)
+	ctx, kill := context.WithCancel(context.Background())
+	defer kill()
+	cfg := testCfg(srv.addr())
+	cfg.WALDir = t.TempDir()
+	cfg.OnSourceDrained = kill
+	m1, err := Run(ctx, bytes.NewReader(feed), cfg)
+	if !errors.Is(err, context.Canceled) || m1.WALAppended != 10 || m1.BatchesSent != 0 {
+		t.Fatalf("run 1: %v with %d batches appended and %d sent, want context.Canceled, 10 and 0", err, m1.WALAppended, m1.BatchesSent)
+	}
+
+	release()
+	cfg.OnSourceDrained = nil
+	m2, err := Run(context.Background(), bytes.NewReader(feed), cfg)
+	if err != nil {
+		t.Fatalf("run 2: %v", err)
+	}
+	if m2.WALRecovered != 10 || m2.WALCovered != int64(len(vs)) {
+		t.Errorf("run 2 recovered %d batches and covered %d records, want 10 and %d", m2.WALRecovered, m2.WALCovered, len(vs))
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	checkDelivered(t, applied, vs, cfg.BatchSize, 1, 10)
 }

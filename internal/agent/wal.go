@@ -12,8 +12,8 @@ import (
 // walState wires a wal.Log into the agent's delivery state machine.
 // With a WAL configured the log — not the in-memory ring — is the
 // source of truth for unacknowledged batches: every cut batch is
-// appended before it is offered to the network, the ring becomes a
-// bounded cache of the next Window unacknowledged batches, and
+// appended, and sent only once the log has made it durable, the ring
+// becomes a bounded cache of the next Window unacknowledged batches, and
 // anything beyond the window waits on disk (spill mode) instead of
 // stalling the source read. Acknowledgments truncate whole segments;
 // a restart reopens the log and replays it from the head's resume
@@ -34,6 +34,10 @@ type walState struct {
 	cur     *wal.Cursor
 }
 
+// walSynced is where the agent takes the log's sync signal; tests wrap it
+// to hold the syncer's news back.
+var walSynced = (*wal.Log).Synced
+
 // openWAL opens (or recovers) the agent's log and positions the refill
 // state after whatever survived on disk. A recovered log cut at another
 // batch size is refused here, before anything is sent.
@@ -41,7 +45,6 @@ func openWAL(cfg Config) (*walState, wal.Recovery, error) {
 	log, rec, err := wal.Open(wal.Options{
 		Dir:          cfg.WALDir,
 		SegmentBytes: cfg.WALSegmentBytes,
-		NoSync:       cfg.WALNoSync,
 	})
 	if err != nil {
 		return nil, wal.Recovery{}, fmt.Errorf("agent: %w", err)

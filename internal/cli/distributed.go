@@ -146,8 +146,8 @@ func runAgent(r io.Reader, stdout, stderr io.Writer, opts agentOpts) error {
 		fmt.Fprintf(stderr, "tbdetect: "+format+"\n", args...)
 	}
 	m, err := agent.Run(ctx, r, cfg)
-	fmt.Fprintf(stdout, "agent %s: %d records read, %d sent in %d batches (%d retransmits), %d acked, %d reconnects, %d resume-skipped\n",
-		cfg.Node, m.RecordsRead, m.RecordsSent, m.BatchesSent, m.Retransmits, m.BatchesAcked, m.Reconnects, m.ResumeSkipped)
+	fmt.Fprintf(stdout, "agent %s: %d records read, %d sent in %d batches (%d retransmits), %d acked, %d reconnects, %d resume-skipped, %d wal-syncs, %d refused\n",
+		cfg.Node, m.RecordsRead, m.RecordsSent, m.BatchesSent, m.Retransmits, m.BatchesAcked, m.Reconnects, m.ResumeSkipped, m.WALSyncs, m.Refused)
 	select {
 	case <-interrupted:
 		// A signalled agent exits clean: everything acknowledged is

@@ -121,7 +121,6 @@ func runTCPDurable(t *testing.T, feeds map[string][]trace.Visit, arm durableArm)
 			BackoffBase:    5 * time.Millisecond,
 			BackoffMax:     50 * time.Millisecond,
 			WALDir:         filepath.Join(walRoot, name),
-			WALNoSync:      true,
 			AuthKey:        equivAuthKey,
 		}
 	}

@@ -78,7 +78,8 @@ func writeCheckpoint(dir string, st checkpointState) error {
 }
 
 // writeFramed wraps payload in the checkpoint frame (magic + CRC-32) and
-// writes it to dir/name via a synced temp file and an atomic rename.
+// writes it to dir/name via a synced temp file, an atomic rename and a
+// synced directory.
 func writeFramed(dir, name string, payload []byte) error {
 	var buf bytes.Buffer
 	buf.Grow(len(ckptMagic) + 4 + len(payload))
@@ -107,7 +108,16 @@ func writeFramed(dir, name string, payload []byte) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), filepath.Join(dir, name))
+	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
+		return err
+	}
+	// The rename survives an OS crash only once the directory is synced.
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // readCheckpointFile loads and validates one checkpoint file.

@@ -4,30 +4,13 @@ import (
 	"bufio"
 	"encoding/json"
 	"strconv"
+
+	"transientbd/internal/trace"
 )
 
-const (
-	// maxLineBytes caps one input line, terminator included, so input with
-	// no newlines cannot make the reader buffer without limit.
-	maxLineBytes = 1 << 20
-	// internCap and internMaxLen bound the per-read name table.
-	internCap    = 1024
-	internMaxLen = 64
-)
-
-// interner shares one string per distinct name seen during a read.
-type interner map[string]string
-
-func (t interner) get(b []byte) string {
-	if s, ok := t[string(b)]; ok { // the conversion does not allocate
-		return s
-	}
-	s := string(b)
-	if len(t) < internCap && len(s) <= internMaxLen {
-		t[s] = s
-	}
-	return s
-}
+// maxLineBytes caps one input line, terminator included, so input with no
+// newlines cannot make the reader buffer without limit.
+const maxLineBytes = 1 << 20
 
 // scanner walks one canonical JSON object: `{"key":value,...}`, only spaces
 // and tabs between tokens, each key at most once, strings of printable ASCII
@@ -149,14 +132,14 @@ func (s *scanner) int(bit uint) int64 {
 }
 
 // fastVisit decodes a canonical visit line; ok is false for any other line.
-func fastVisit(line []byte, names interner) (rec visitRecord, ok bool) {
+func fastVisit(line []byte, names trace.Names) (rec visitRecord, ok bool) {
 	s := scanner{b: line} // one scanner for the line, not a copy per key
 	for {
 		switch key := s.key(); string(key) {
 		case "server":
-			rec.Server = names.get(s.str(1 << 0))
+			rec.Server = names.Intern(s.str(1 << 0))
 		case "class":
-			rec.Class = names.get(s.str(1 << 1))
+			rec.Class = names.Intern(s.str(1 << 1))
 		case "txn":
 			rec.TxnID = s.int(1 << 2)
 		case "hop":
@@ -174,20 +157,20 @@ func fastVisit(line []byte, names interner) (rec visitRecord, ok bool) {
 }
 
 // fastMessage is fastVisit for the wire-message schema.
-func fastMessage(line []byte, names interner) (rec messageRecord, ok bool) {
+func fastMessage(line []byte, names trace.Names) (rec messageRecord, ok bool) {
 	s := scanner{b: line}
 	for {
 		switch key := s.key(); string(key) {
 		case "at_us":
 			rec.AtUS = s.int(1 << 0)
 		case "from":
-			rec.From = names.get(s.str(1 << 1))
+			rec.From = names.Intern(s.str(1 << 1))
 		case "to":
-			rec.To = names.get(s.str(1 << 2))
+			rec.To = names.Intern(s.str(1 << 2))
 		case "dir":
-			rec.Dir = names.get(s.str(1 << 3))
+			rec.Dir = names.Intern(s.str(1 << 3))
 		case "class":
-			rec.Class = names.get(s.str(1 << 4))
+			rec.Class = names.Intern(s.str(1 << 4))
 		case "conn":
 			rec.Conn = s.int(1 << 5)
 		case "txn":

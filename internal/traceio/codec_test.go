@@ -139,12 +139,12 @@ func byteLines(canonical bool) []string {
 // Whenever the fast path takes a line, encoding/json must take it too and
 // produce the identical record. (Lines the fast path declines go through
 // encoding/json in the decoder itself, so they are equal by construction.)
-func fuzzFastVsJSON[T comparable](f *testing.F, fast func([]byte, interner) (T, bool)) {
+func fuzzFastVsJSON[T comparable](f *testing.F, fast func([]byte, trace.Names) (T, bool)) {
 	for _, s := range append(append([]string{canonicalMessage}, canonicalVisits...), offCanonical...) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, line []byte) {
-		got, ok := fast(line, make(interner))
+		got, ok := fast(line, make(trace.Names))
 		if !ok {
 			return
 		}
@@ -165,7 +165,7 @@ func FuzzMessageFastVsJSON(f *testing.F) { fuzzFastVsJSON(f, fastMessage) }
 // off the canonical form: a regression that sent every line to the
 // fallback would pass each equality test and lose only the speed.
 func TestFastPathTakesCanonicalLines(t *testing.T) {
-	names := make(interner)
+	names := make(trace.Names)
 	for _, s := range canonicalVisits {
 		if _, ok := fastVisit([]byte(s), names); !ok {
 			t.Errorf("fast visit path declines %s", s)

@@ -31,7 +31,7 @@
 // allocation. Any other line goes through encoding/json, which alone
 // decides whether it is accepted, what it decodes to and what the error
 // says; the input picks the path, no option does. Names are interned per
-// read (internCap names of at most internMaxLen bytes). A line past
+// read (trace.Names). A line past
 // maxLineBytes is dropped up to its newline and counts as malformed.
 //
 // # Degraded inputs
@@ -278,7 +278,7 @@ func StreamVisitsOpts(r io.Reader, opts StreamOptions, fn func(batch []trace.Vis
 		batch = batch[:0]
 		return err
 	}
-	names := make(interner)
+	names := make(trace.Names)
 	stats, err := decodeLines(r, opts, deliver, func(line int, data []byte) (bool, error) {
 		rec, ok := fastVisit(data, names)
 		if !ok { // its own record, so rec stays off the heap on the fast path
@@ -368,7 +368,7 @@ func WriteMessages(w io.Writer, msgs []trace.Message) error {
 // error policy, reporting what it skipped.
 func ReadMessagesOpts(r io.Reader, opts StreamOptions) ([]trace.Message, Stats, error) {
 	var out []trace.Message
-	names := make(interner)
+	names := make(trace.Names)
 	stats, err := decodeLines(r, opts, nil, func(line int, data []byte) (bool, error) {
 		rec, ok := fastMessage(data, names)
 		if !ok {

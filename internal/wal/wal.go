@@ -1,7 +1,7 @@
 // Package wal is a segment-rotated, CRC-framed write-ahead log of
 // sequence-numbered records: the durability layer under the trace
 // agent's send ring (internal/agent). Every batch the agent cuts is
-// appended here before it is offered to the network, so a head outage
+// appended here and sent only once it is durable, so a head outage
 // longer than the in-memory send window spills to disk instead of
 // stalling ingest, and a `kill -9` of the agent loses nothing the log
 // has fsynced.
@@ -27,18 +27,22 @@
 //
 // # Crash safety
 //
-// Appends are single write(2) calls followed (by default) by fsync, so
-// a record is either wholly present or wholly absent after a process
-// kill; a record cut mid-write by an OS crash fails its length or CRC
-// check and is discarded by the next Open, which physically truncates
-// the segment back to the last whole frame. Truncation by
-// acknowledgment (TruncateThrough) removes only whole segments, so it
-// can never tear a record either.
+// Appends are single write(2) calls, so a record is either wholly
+// present or wholly absent after a process kill; a record cut mid-write
+// by an OS crash fails its length or CRC check and is discarded by the
+// next Open, which physically truncates the segment back to the last
+// whole frame. Truncation by acknowledgment (TruncateThrough) removes
+// only whole segments, so it can never tear a record either.
 //
-// A Log is NOT goroutine-safe: the agent's single run loop owns it.
+// Appends do not wait for fsync. The log's syncer commits them in
+// groups: it fsyncs what was appended while its previous fsync ran, and
+// the directory for a new segment, then raises the durable mark.
+//
+// A Log's methods are for one goroutine: the agent's run loop owns it.
 package wal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -46,8 +50,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // MaxRecordSize bounds a record payload (sequence varint + body), so a
@@ -66,9 +73,9 @@ type Options struct {
 	// past it is closed and the next append starts a new one. Default
 	// 4 MiB.
 	SegmentBytes int
-	// NoSync skips the per-append fsync. Appends remain atomic against
-	// a process kill (they are single write calls); an OS crash may
-	// lose the unsynced tail. Tests use it for speed.
+	// NoSync skips every fsync: the durable mark follows the appends.
+	// Appends remain atomic against a process kill (they are single
+	// write calls); an OS crash may lose the unsynced tail.
 	NoSync bool
 }
 
@@ -94,17 +101,28 @@ type segment struct {
 	size  int64
 }
 
-// Log is an open write-ahead log. Not goroutine-safe.
+// Log is an open write-ahead log. Its methods are for one goroutine.
 type Log struct {
 	opts Options
 	segs []segment
 	cur  *os.File // active tail segment file (nil until needed)
 
 	firstSeq uint64 // 0 when empty
-	lastSeq  uint64 // survives emptiness: the contiguity anchor for appends
 	records  int
 
 	scratch []byte // reused append frame
+
+	// Shared with the syncer under mu (the owner may read lastSeq without
+	// it): the first fsync error stops the durable mark for good.
+	mu      sync.Mutex
+	lastSeq uint64   // survives emptiness: the contiguity anchor for appends
+	durable uint64   // every record through it is fsynced
+	dirty   []string // files written since the syncer's last round
+	err     error
+	kick    chan struct{} // wakes the syncer; closed by Close
+	synced  chan struct{} // one pending signal: a sync round ended
+	done    chan struct{} // closed when the syncer exits
+	syncs   atomic.Int64
 }
 
 // Open scans dir (creating it if missing), validates every record, and
@@ -131,7 +149,7 @@ func Open(opts Options) (*Log, Recovery, error) {
 	}
 	sort.Strings(names)
 
-	l := &Log{opts: opts}
+	l := &Log{opts: opts, kick: make(chan struct{}, 1), synced: make(chan struct{}, 1), done: make(chan struct{})}
 	var rec Recovery
 	damaged := false // a tear ends the log: later segments are unreachable
 	for _, name := range names {
@@ -168,12 +186,70 @@ func Open(opts Options) (*Log, Recovery, error) {
 		l.records += int(seg.last - seg.first + 1)
 		l.segs = append(l.segs, seg)
 	}
+	// What survived may never have been fsynced (a killed process leaves
+	// it in the page cache): the syncer's first round covers it.
+	for _, s := range l.segs {
+		l.dirty = append(l.dirty, s.path)
+	}
+	l.dirty = append(l.dirty, opts.Dir)
+	l.kick <- struct{}{}
+	go l.syncLoop()
 	rec.Segments = len(l.segs)
 	rec.Records = l.records
 	rec.FirstSeq = l.firstSeq
 	rec.LastSeq = l.lastSeq
 	return l, rec, nil
 }
+
+// syncLoop is the log's syncer. Each round fsyncs the files written
+// since the last one, each through a handle of its own, then raises the
+// durable mark to the newest record written before it began. It exits
+// once Close has stopped the kicks.
+func (l *Log) syncLoop() {
+	defer close(l.done)
+	for range l.kick {
+		l.mu.Lock()
+		target, paths := l.lastSeq, slices.Compact(l.dirty)
+		l.dirty = nil
+		l.mu.Unlock()
+		if l.opts.NoSync {
+			paths = nil
+		}
+		var err error
+		for _, path := range paths {
+			// A segment removed meanwhile held only acknowledged records.
+			if f, oerr := os.Open(path); oerr == nil {
+				l.syncs.Add(1)
+				err = cmp.Or(err, f.Sync(), f.Close())
+			} else if !os.IsNotExist(oerr) {
+				err = cmp.Or(err, oerr)
+			}
+		}
+		l.mu.Lock()
+		if l.err = cmp.Or(l.err, err); l.err == nil {
+			l.durable = target
+		}
+		l.mu.Unlock()
+		select {
+		case l.synced <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// Durable returns the newest sequence the syncer has made durable, and
+// the fsync error that stopped it, if any.
+func (l *Log) Durable() (uint64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.durable, l.err
+}
+
+// Synced holds a signal once a sync round has ended: read Durable then.
+func (l *Log) Synced() <-chan struct{} { return l.synced }
+
+// Syncs returns the number of fsyncs issued so far.
+func (l *Log) Syncs() int64 { return l.syncs.Load() }
 
 // scanSegment validates one segment, physically truncating it to the
 // last whole, contiguous record. prevSeq/havePrev anchor cross-segment
@@ -308,10 +384,10 @@ func segName(seq uint64) string {
 	return fmt.Sprintf("%022d%s", seq, segSuffix)
 }
 
-// Append durably adds one record. seq must be LastSeq+1 when the log
-// has ever held a record (contiguity is the recovery invariant); the
-// very first append sets the origin. The body is copied to disk before
-// Append returns.
+// Append adds one record, durable once Durable reaches seq. seq must be
+// LastSeq+1 when the log has ever held a record (contiguity is the
+// recovery invariant); the very first append sets the origin. The body
+// is written to the segment before Append returns.
 func (l *Log) Append(seq uint64, body []byte) error {
 	if seq == 0 {
 		return errors.New("wal: sequence 0 is reserved")
@@ -337,19 +413,23 @@ func (l *Log) Append(seq uint64, body []byte) error {
 	if _, err := l.cur.Write(l.scratch); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	if !l.opts.NoSync {
-		if err := l.cur.Sync(); err != nil {
-			return fmt.Errorf("wal: sync: %w", err)
-		}
-	}
 	seg := &l.segs[len(l.segs)-1]
 	seg.last = seq
 	seg.size += int64(len(l.scratch))
-	l.lastSeq = seq
 	if l.records == 0 {
 		l.firstSeq = seq
 	}
 	l.records++
+	l.mu.Lock()
+	if l.lastSeq = seq; seq == seg.first {
+		l.dirty = append(l.dirty, l.opts.Dir) // a new segment's directory entry
+	}
+	l.dirty = append(l.dirty, seg.path)
+	l.mu.Unlock()
+	select {
+	case l.kick <- struct{}{}:
+	default:
+	}
 	return nil
 }
 
@@ -415,15 +495,18 @@ func (l *Log) TruncateThrough(seq uint64) (int, error) {
 	return removed, nil
 }
 
-// Close releases the active segment file. The log remains valid on
-// disk; Open resumes it.
+// Close lets the syncer finish what is pending and stop, releases the
+// active segment file, and returns the first fsync or close error. Call
+// it once. The log remains valid on disk; Open resumes it.
 func (l *Log) Close() error {
+	close(l.kick)
+	<-l.done
 	if l.cur == nil {
-		return nil
+		return l.err
 	}
 	err := l.cur.Close()
 	l.cur = nil
-	return err
+	return cmp.Or(l.err, err)
 }
 
 // Cursor reads records in sequence order. It holds its own file

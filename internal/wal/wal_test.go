@@ -368,3 +368,77 @@ func FuzzWALReplay(f *testing.F) {
 		l2.Close()
 	})
 }
+
+// waitDurable blocks until the syncer has made seq durable.
+func waitDurable(t testing.TB, l *Log, seq uint64) {
+	t.Helper()
+	for {
+		d, err := l.Durable()
+		if err != nil {
+			t.Fatalf("sync: %v", err)
+		}
+		if d > l.LastSeq() {
+			t.Fatalf("durable mark %d passed the last append %d", d, l.LastSeq())
+		}
+		if d >= seq {
+			return
+		}
+		<-l.Synced()
+	}
+}
+
+// With fsync on, appends return before they are durable and the syncer
+// catches up across rotations and truncation; a reopened log's syncer
+// makes what it recovered durable before anything is appended.
+func TestDurableMark(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(Options{Dir: dir, SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 1, 60)
+	waitDurable(t, l, 60)
+	if _, err := l.TruncateThrough(60); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 61, 90)
+	waitDurable(t, l, 90)
+	if l.Syncs() == 0 {
+		t.Error("no fsync issued for 90 appends")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	l2, rec, err := Open(Options{Dir: dir, SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if rec.FirstSeq != 61 || rec.LastSeq != 90 {
+		t.Fatalf("reopened: recovered [%d, %d], want [61, 90]", rec.FirstSeq, rec.LastSeq)
+	}
+	waitDurable(t, l2, 90)
+	if l2.Syncs() == 0 {
+		t.Error("the recovered log was not fsynced")
+	}
+}
+
+// BenchmarkAppendDurable appends agent-sized batch bodies with fsync on
+// and waits until the last is durable: the group commit's cost per batch.
+func BenchmarkAppendDurable(b *testing.B) {
+	l, _, err := Open(Options{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	body := bytes.Repeat([]byte{7}, 512*40)
+	b.SetBytes(int64(len(body)))
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		if err := l.Append(uint64(i), body); err != nil {
+			b.Fatal(err)
+		}
+	}
+	waitDurable(b, l, uint64(b.N))
+	b.ReportMetric(float64(l.Syncs())/float64(b.N), "fsyncs/batch")
+}

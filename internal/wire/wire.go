@@ -55,6 +55,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"transientbd/internal/simnet"
 	"transientbd/internal/trace"
@@ -126,7 +127,9 @@ type Welcome struct {
 	LastAcked uint64
 }
 
-// Batch carries one sequence-numbered slice of completed visits.
+// Batch carries one sequence-numbered slice of completed visits. A
+// Reader reuses Visits: a decoded batch is valid until its Reader's next
+// Read.
 type Batch struct {
 	Seq    uint64
 	Visits []trace.Visit
@@ -271,10 +274,10 @@ func (r *payloadReader) bytes() []byte {
 	return append([]byte(nil), b...)
 }
 
-func (r *payloadReader) visit() trace.Visit {
+func (r *payloadReader) visit(names trace.Names) trace.Visit {
 	var v trace.Visit
-	v.Server = r.string()
-	v.Class = r.string()
+	v.Server = names.Intern(r.field())
+	v.Class = names.Intern(r.field())
 	v.TxnID = r.varint()
 	v.HopID = r.varint()
 	v.Arrive = simnet.Time(r.varint())
@@ -302,12 +305,13 @@ const minVisitBytes = 7
 // append as its visits decode.
 const maxVisitPrealloc = 1024
 
-// visits reads a count-prefixed batch body. A count the rest of the
-// payload cannot hold at minVisitBytes a visit is a forged header, not a
-// big batch, and is rejected before anything is allocated for it. A count
-// that fits reserves at most maxVisitPrealloc visits, so a body that
-// fails partway costs what it decoded, not what it claimed.
-func (r *payloadReader) visits() []trace.Visit {
+// visits reads a count-prefixed batch body into vs[:0], interning names.
+// A count the rest of the payload cannot hold at minVisitBytes a visit is
+// a forged header, not a big batch, and is rejected before anything is
+// allocated for it. A count that fits grows vs by at most
+// maxVisitPrealloc visits up front, so a body that fails partway costs
+// what it decoded, not what it claimed.
+func (r *payloadReader) visits(vs []trace.Visit, names trace.Names) []trace.Visit {
 	count := r.uvarint()
 	if r.err != nil {
 		return nil
@@ -316,9 +320,12 @@ func (r *payloadReader) visits() []trace.Visit {
 		r.err = fmt.Errorf("wire: visit count %d overruns payload", count)
 		return nil
 	}
-	vs := make([]trace.Visit, 0, min(count, maxVisitPrealloc))
+	vs = slices.Grow(vs[:0], int(min(count, maxVisitPrealloc)))
 	for i := uint64(0); i < count && r.err == nil; i++ {
-		vs = append(vs, r.visit())
+		vs = append(vs, r.visit(names))
+	}
+	if vs == nil {
+		vs = []trace.Visit{} // an empty batch decodes to an empty, not a nil, slice
 	}
 	return vs
 }
@@ -497,15 +504,20 @@ type Frame struct {
 }
 
 // Reader decodes frames from a connection. Not safe for concurrent
-// use.
+// use. In steady state it decodes a batch frame without allocating: the
+// frame scratch and the visits are reused, and names are interned for
+// the connection.
 type Reader struct {
-	r   *bufio.Reader
-	buf []byte // reused frame scratch
+	r      *bufio.Reader
+	hdr    [4]byte // length and CRC scratch: a local escapes through io.ReadFull
+	buf    []byte  // reused frame scratch
+	visits []trace.Visit
+	names  trace.Names
 }
 
 // NewReader wraps r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReader(r)}
+	return &Reader{r: bufio.NewReader(r), names: make(trace.Names)}
 }
 
 // Read decodes the next frame. io.EOF is returned only at a clean
@@ -513,11 +525,11 @@ func NewReader(r io.Reader) *Reader {
 // Any CRC, size or parse failure means framing is lost: the caller
 // must close the connection.
 func (r *Reader) Read() (Frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
+	hdr := r.hdr[:]
+	if _, err := io.ReadFull(r.r, hdr); err != nil {
 		return Frame{}, err // io.EOF here is a clean boundary
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n < 1 || n > MaxFrameSize {
 		return Frame{}, ErrFrameTooBig
 	}
@@ -531,20 +543,20 @@ func (r *Reader) Read() (Frame, error) {
 		}
 		return Frame{}, err
 	}
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r.r, hdr); err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
 		return Frame{}, err
 	}
-	if binary.BigEndian.Uint32(hdr[:]) != crc32.ChecksumIEEE(r.buf) {
+	if binary.BigEndian.Uint32(hdr) != crc32.ChecksumIEEE(r.buf) {
 		return Frame{}, ErrBadCRC
 	}
-	return decodeFrame(r.buf)
+	return r.decode(r.buf)
 }
 
-// decodeFrame parses one checksummed frame body (type byte + payload).
-func decodeFrame(body []byte) (Frame, error) {
+// decode parses one checksummed frame body (type byte + payload).
+func (r *Reader) decode(body []byte) (Frame, error) {
 	f := Frame{Type: body[0]}
 	p := payloadReader{buf: body[1:]}
 	switch f.Type {
@@ -567,7 +579,8 @@ func decodeFrame(body []byte) (Frame, error) {
 		}
 		f.Welcome = Welcome{Version: int(ver), LastAcked: p.uvarint()}
 	case TypeBatch:
-		f.Batch = Batch{Seq: p.uvarint(), Visits: p.visits()}
+		f.Batch = Batch{Seq: p.uvarint(), Visits: p.visits(r.visits, r.names)}
+		r.visits = f.Batch.Visits
 	case TypeAck:
 		f.Ack = Ack{Seq: p.uvarint()}
 	case TypeHeartbeat:

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
+	"transientbd/internal/simnet"
 	"transientbd/internal/trace"
 )
 
@@ -169,13 +172,13 @@ func crcOf(b []byte) uint32 {
 
 // Unknown frame types and trailing bytes are both protocol errors.
 func TestUnknownTypeAndTrailing(t *testing.T) {
-	if _, err := decodeFrame([]byte{99}); err == nil {
+	if _, err := NewReader(nil).decode([]byte{99}); err == nil {
 		t.Fatal("unknown type decoded cleanly")
 	}
 	body := []byte{TypeAck}
 	body = binary.AppendUvarint(body, 7)
 	body = append(body, 0xAB) // trailing garbage
-	if _, err := decodeFrame(body); err == nil {
+	if _, err := NewReader(nil).decode(body); err == nil {
 		t.Fatal("trailing bytes decoded cleanly")
 	}
 }
@@ -235,7 +238,7 @@ func TestV2HandshakeFrames(t *testing.T) {
 	// whatever follows the version — another shape, or garbage — is not
 	// parsed, so the receiver can still phrase a readable rejection.
 	for _, rest := range [][]byte{nil, {0x09, 'o', 'l', 'd'}, {0xff, 0xff, 0xff}} {
-		got, err := decodeFrame(append([]byte{TypeHello, 1}, rest...))
+		got, err := NewReader(nil).decode(append([]byte{TypeHello, 1}, rest...))
 		if err != nil {
 			t.Fatalf("v1 hello with payload %x: %v", rest, err)
 		}
@@ -248,7 +251,7 @@ func TestV2HandshakeFrames(t *testing.T) {
 	body := []byte{TypeAuth}
 	body = binary.AppendUvarint(body, maxAuthBlob+1)
 	body = append(body, make([]byte, maxAuthBlob+1)...)
-	if _, err := decodeFrame(body); err == nil {
+	if _, err := NewReader(nil).decode(body); err == nil {
 		t.Fatal("oversized MAC decoded cleanly")
 	}
 }
@@ -315,4 +318,108 @@ func TestVisitPayloadCodec(t *testing.T) {
 			t.Errorf("frame decoder accepted malformed body %x", b)
 		}
 	}
+}
+
+// loopReader serves frames over and over, so a Reader never runs dry.
+type loopReader struct {
+	frames []byte
+	off    int
+}
+
+func (l *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, l.frames[l.off:])
+	l.off = (l.off + n) % len(l.frames)
+	return n, nil
+}
+
+// agentBatch is an agent's default cut: 512 visits over six servers and
+// 40 classes.
+func agentBatch() []trace.Visit {
+	vs := make([]trace.Visit, 512)
+	for i := range vs {
+		vs[i] = trace.Visit{Server: fmt.Sprintf("tier-%d", i%6), Class: fmt.Sprintf("class-%d", i%40),
+			TxnID: int64(i), HopID: 1, Arrive: simnet.Time(10 * i), Depart: simnet.Time(10*i + 7), Downstream: 3}
+	}
+	return vs
+}
+
+// encodeBatches frames each of batches, sequence-numbered from 1.
+func encodeBatches(t testing.TB, batches ...[]trace.Visit) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for i, vs := range batches {
+		if err := w.WriteBatch(Batch{Seq: uint64(i + 1), Visits: vs}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// Once a connection has interned its names and grown its visits slice, a
+// batch frame decodes without allocating.
+func TestReaderBatchAllocs(t *testing.T) {
+	vs := agentBatch()
+	r := NewReader(&loopReader{frames: encodeBatches(t, vs, vs[:100])})
+	read := func() {
+		f, err := r.Read()
+		if err != nil || f.Type != TypeBatch || len(f.Batch.Visits) == 0 {
+			t.Fatalf("read a batch: %+v, %v", f.Type, err)
+		}
+	}
+	read()
+	read()
+	if got := testing.AllocsPerRun(100, read); got != 0 {
+		t.Errorf("a batch frame costs %v allocations, want 0", got)
+	}
+	f, err := r.Read()
+	if f.Batch.Seq != 1 {
+		f, err = r.Read()
+	}
+	if err != nil || !reflect.DeepEqual(f.Batch.Visits, vs) {
+		t.Fatalf("batch 1 after reuse decodes to %d visits (err %v), want the %d written", len(f.Batch.Visits), err, len(vs))
+	}
+}
+
+// A connection's name table stops at 1 024 names of at most 64 bytes;
+// names past either bound still decode exactly.
+func TestReaderInternBounds(t *testing.T) {
+	var a, b []trace.Visit
+	for i := range 1500 {
+		a = append(a, trace.Visit{Server: fmt.Sprintf("server-%d", i), Class: strings.Repeat("c", 60+i%10), Arrive: 1, Depart: 2})
+		b = append(b, trace.Visit{Server: fmt.Sprintf("other-%d", i), Class: strings.Repeat("d", 65), Arrive: 3, Depart: 4})
+	}
+	r := NewReader(bytes.NewReader(encodeBatches(t, a, b)))
+	for _, want := range [][]trace.Visit{a, b} {
+		f, err := r.Read()
+		if err != nil || !reflect.DeepEqual(f.Batch.Visits, want) {
+			t.Fatalf("batch of %d long or distinct names decodes to %d visits (err %v)", len(want), len(f.Batch.Visits), err)
+		}
+		if len(r.names) != 1024 {
+			t.Errorf("name table holds %d names, want its cap of 1024", len(r.names))
+		}
+	}
+	for name := range r.names {
+		if len(name) > 64 {
+			t.Errorf("name table holds a %d-byte name", len(name))
+		}
+	}
+}
+
+// BenchmarkReaderBatch decodes agent-sized batch frames on one
+// connection: the head's per-record decode cost in steady state.
+func BenchmarkReaderBatch(b *testing.B) {
+	vs := agentBatch()
+	r := NewReader(&loopReader{frames: encodeBatches(b, vs)})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := r.Read(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vs)), "ns/record")
 }
