@@ -257,10 +257,15 @@ func init() { simulated = caseGraphRun }
 // caseGraphRun records graphMismatches and onlineDisagreements for the
 // case-study runs: the
 // serial collector at WL 14 000 (TestGCCaseShape) and SpeedStep at
-// WL 8 000 (TestSpeedStepCaseShape). Other runners simulate the same
-// configurations; the first run of each is checked.
+// WL 8 000 (TestSpeedStepCaseShape), both at QuickOpts(1). Other runners
+// simulate the same configurations; the first run of each is checked. A
+// run at another seed or span is another configuration, and is skipped:
+// TestFig2HistogramLongTail runs SpeedStep at WL 8 000 with seed 2.
 func caseGraphRun(sys *ntier.System, res *ntier.Result) {
 	cfg := sys.Config()
+	if q := testbed(cfg.Users, QuickOpts(1)); cfg.Seed != q.Seed || cfg.Duration != q.Duration || cfg.Ramp != q.Ramp {
+		return
+	}
 	var name string
 	switch {
 	case cfg.Users == 14000 && cfg.AppCollector == jvm.CollectorSerial:

@@ -36,7 +36,9 @@
 //
 // Appends do not wait for fsync. The log's syncer commits them in
 // groups: it fsyncs what was appended while its previous fsync ran, and
-// the directory for a new segment, then raises the durable mark.
+// the directory for a new segment, then raises the durable mark. A
+// caller that must not act on an unsynced record waits for Durable to
+// reach it; Synced signals each round.
 //
 // A Log's methods are for one goroutine: the agent's run loop owns it.
 package wal
@@ -125,8 +127,9 @@ type Log struct {
 	syncs   atomic.Int64
 }
 
-// Open scans dir (creating it if missing), validates every record, and
-// truncates any torn tail so appends resume after the last whole frame.
+// Open scans dir (creating it if missing), validates every record,
+// truncates any torn tail so appends resume after the last whole frame,
+// and fsyncs what survives.
 func Open(opts Options) (*Log, Recovery, error) {
 	if opts.Dir == "" {
 		return nil, Recovery{}, errors.New("wal: Options.Dir is required")
@@ -163,7 +166,7 @@ func Open(opts Options) (*Log, Recovery, error) {
 			}
 			continue
 		}
-		seg, torn, err := scanSegment(path, l.lastSeq, l.records > 0)
+		seg, torn, err := scanSegment(path, l.lastSeq, l.records > 0, !opts.NoSync)
 		if err != nil {
 			return nil, Recovery{}, err
 		}
@@ -186,12 +189,9 @@ func Open(opts Options) (*Log, Recovery, error) {
 		l.records += int(seg.last - seg.first + 1)
 		l.segs = append(l.segs, seg)
 	}
-	// What survived may never have been fsynced (a killed process leaves
-	// it in the page cache): the syncer's first round covers it.
-	for _, s := range l.segs {
-		l.dirty = append(l.dirty, s.path)
-	}
-	l.dirty = append(l.dirty, opts.Dir)
+	// scanSegment synced what survived; the first round syncs the
+	// directory entries under it before raising the durable mark.
+	l.dirty = []string{opts.Dir}
 	l.kick <- struct{}{}
 	go l.syncLoop()
 	rec.Segments = len(l.segs)
@@ -216,14 +216,15 @@ func (l *Log) syncLoop() {
 			paths = nil
 		}
 		var err error
+		// None is gone: a segment here holds a record not yet durable,
+		// hence not acknowledged, and truncation removes only acked ones.
 		for _, path := range paths {
-			// A segment removed meanwhile held only acknowledged records.
-			if f, oerr := os.Open(path); oerr == nil {
+			f, ferr := os.Open(path)
+			if ferr == nil {
 				l.syncs.Add(1)
-				err = cmp.Or(err, f.Sync(), f.Close())
-			} else if !os.IsNotExist(oerr) {
-				err = cmp.Or(err, oerr)
+				ferr = cmp.Or(f.Sync(), f.Close())
 			}
+			err = cmp.Or(err, ferr)
 		}
 		l.mu.Lock()
 		if l.err = cmp.Or(l.err, err); l.err == nil {
@@ -252,9 +253,11 @@ func (l *Log) Synced() <-chan struct{} { return l.synced }
 func (l *Log) Syncs() int64 { return l.syncs.Load() }
 
 // scanSegment validates one segment, physically truncating it to the
-// last whole, contiguous record. prevSeq/havePrev anchor cross-segment
-// contiguity. Returns the surviving extent and the bytes truncated.
-func scanSegment(path string, prevSeq uint64, havePrev bool) (segment, int64, error) {
+// last whole, contiguous record, and fsyncs it if truncated or if sync is
+// set: a killed process may have left what survives unsynced. prevSeq/
+// havePrev anchor cross-segment contiguity. Returns the surviving extent
+// and the bytes truncated.
+func scanSegment(path string, prevSeq uint64, havePrev, sync bool) (segment, int64, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return segment{}, 0, fmt.Errorf("wal: %w", err)
@@ -294,6 +297,8 @@ func scanSegment(path string, prevSeq uint64, havePrev bool) (segment, int64, er
 		if err := f.Truncate(seg.size); err != nil {
 			return segment{}, 0, fmt.Errorf("wal: truncate torn tail: %w", err)
 		}
+	}
+	if torn > 0 || sync {
 		if err := f.Sync(); err != nil {
 			return segment{}, 0, fmt.Errorf("wal: %w", err)
 		}
