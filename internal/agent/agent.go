@@ -176,11 +176,11 @@ type run struct {
 	cfg Config
 	m   Metrics
 
-	pending     []batchRec // unacked ring, ordered by seq
-	unsent      int        // pending[unsent:] are not yet written on this connection
-	wal         *walState  // nil without Config.WALDir
-	durable     uint64     // the WAL's durable mark, as its last sync signal found it
-	synced      <-chan struct{}
+	pending     []batchRec      // unacked ring, ordered by seq
+	unsent      int             // pending[unsent:] are not yet written on this connection
+	wal         *walState       // nil without Config.WALDir
+	durable     uint64          // the WAL's durable mark, as its last sync signal found it
+	synced      <-chan struct{} // the WAL's sync signal; nil without one
 	nextSeq     uint64
 	ackedSeq    uint64
 	srcDone     bool
@@ -559,14 +559,10 @@ func (a *run) connect(ctx context.Context) (_ net.Conn, _ wire.Welcome, terminal
 // batch at any sequence), which is logged, never silent.
 func (a *run) fastForward(lastAcked uint64) {
 	if lastAcked > a.ackedSeq {
-		a.ackedSeq = lastAcked
-		a.popAcked(lastAcked)
-		if a.wal != nil {
-			if lastAcked+1 > a.wal.next {
-				a.wal.skipTo(lastAcked + 1)
-			}
-			a.truncateWAL()
+		if a.wal != nil && lastAcked+1 > a.wal.next {
+			a.wal.skipTo(lastAcked + 1)
 		}
+		a.ack(lastAcked)
 	} else if lastAcked < a.ackedSeq {
 		a.cfg.Logf("agent %s: merge head resume cursor %d behind ours %d (head restarted cold; acknowledged batches between are lost)",
 			a.cfg.Node, lastAcked, a.ackedSeq)

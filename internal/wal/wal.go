@@ -35,10 +35,12 @@
 // only whole segments, so it can never tear a record either.
 //
 // Appends do not wait for fsync. The log's syncer commits them in
-// groups: it fsyncs what was appended while its previous fsync ran, and
-// the directory for a new segment, then raises the durable mark. A
-// caller that must not act on an unsynced record waits for Durable to
-// reach it; Synced signals each round.
+// groups: it fsyncs the tail segment, covering everything appended while
+// its previous fsync ran, then raises the durable mark. Rotation fsyncs
+// the segment it closes and the directory holding the new one, and Open
+// fsyncs what a killed process left unsynced. A caller that must not act
+// on an unsynced record waits for Durable to reach it; Synced signals
+// each round.
 //
 // A Log's methods are for one goroutine: the agent's run loop owns it.
 package wal
@@ -52,7 +54,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -117,9 +118,9 @@ type Log struct {
 	// Shared with the syncer under mu (the owner may read lastSeq without
 	// it): the first fsync error stops the durable mark for good.
 	mu      sync.Mutex
-	lastSeq uint64   // survives emptiness: the contiguity anchor for appends
-	durable uint64   // every record through it is fsynced
-	dirty   []string // files written since the syncer's last round
+	lastSeq uint64 // survives emptiness: the contiguity anchor for appends
+	tail    string // the segment holding lastSeq
+	durable uint64 // every record through it is fsynced
 	err     error
 	kick    chan struct{} // wakes the syncer; closed by Close
 	synced  chan struct{} // one pending signal: a sync round ended
@@ -129,7 +130,7 @@ type Log struct {
 
 // Open scans dir (creating it if missing), validates every record,
 // truncates any torn tail so appends resume after the last whole frame,
-// and fsyncs what survives.
+// and fsyncs the surviving tail and the directory.
 func Open(opts Options) (*Log, Recovery, error) {
 	if opts.Dir == "" {
 		return nil, Recovery{}, errors.New("wal: Options.Dir is required")
@@ -166,7 +167,7 @@ func Open(opts Options) (*Log, Recovery, error) {
 			}
 			continue
 		}
-		seg, torn, err := scanSegment(path, l.lastSeq, l.records > 0, !opts.NoSync)
+		seg, torn, err := scanSegment(path, l.lastSeq, l.records > 0)
 		if err != nil {
 			return nil, Recovery{}, err
 		}
@@ -189,10 +190,16 @@ func Open(opts Options) (*Log, Recovery, error) {
 		l.records += int(seg.last - seg.first + 1)
 		l.segs = append(l.segs, seg)
 	}
-	// scanSegment synced what survived; the first round syncs the
-	// directory entries under it before raising the durable mark.
-	l.dirty = []string{opts.Dir}
-	l.kick <- struct{}{}
+	// Rotation synced every segment but the tail; a killed process may
+	// have left the tail and the directory's entries unsynced.
+	if n := len(l.segs); n > 0 {
+		err = l.fsync(l.segs[n-1].path)
+	}
+	if err = cmp.Or(err, l.fsync(opts.Dir)); err != nil {
+		return nil, Recovery{}, err
+	}
+	l.durable = l.lastSeq
+	l.synced <- struct{}{} // this was a sync round
 	go l.syncLoop()
 	rec.Segments = len(l.segs)
 	rec.Records = l.records
@@ -201,36 +208,26 @@ func Open(opts Options) (*Log, Recovery, error) {
 	return l, rec, nil
 }
 
-// syncLoop is the log's syncer. Each round fsyncs the files written
-// since the last one, each through a handle of its own, then raises the
-// durable mark to the newest record written before it began. It exits
-// once Close has stopped the kicks.
+// syncLoop is the log's syncer. Each round with news fsyncs the tail
+// segment through a handle of its own, then raises the durable mark to
+// the newest record written before the round began. The tail still
+// exists: it holds a record not yet durable, so not acknowledged, and
+// truncation removes only acknowledged segments. It exits once Close has
+// stopped the kicks.
 func (l *Log) syncLoop() {
 	defer close(l.done)
 	for range l.kick {
 		l.mu.Lock()
-		target, paths := l.lastSeq, slices.Compact(l.dirty)
-		l.dirty = nil
+		target, tail, news := l.lastSeq, l.tail, l.lastSeq > l.durable && l.err == nil
 		l.mu.Unlock()
-		if l.opts.NoSync {
-			paths = nil
-		}
-		var err error
-		// None is gone: a segment here holds a record not yet durable,
-		// hence not acknowledged, and truncation removes only acked ones.
-		for _, path := range paths {
-			f, ferr := os.Open(path)
-			if ferr == nil {
-				l.syncs.Add(1)
-				ferr = cmp.Or(f.Sync(), f.Close())
+		if news {
+			err := l.fsync(tail)
+			l.mu.Lock()
+			if l.err = err; err == nil {
+				l.durable = target
 			}
-			err = cmp.Or(err, ferr)
+			l.mu.Unlock()
 		}
-		l.mu.Lock()
-		if l.err = cmp.Or(l.err, err); l.err == nil {
-			l.durable = target
-		}
-		l.mu.Unlock()
 		select {
 		case l.synced <- struct{}{}:
 		default:
@@ -252,12 +249,28 @@ func (l *Log) Synced() <-chan struct{} { return l.synced }
 // Syncs returns the number of fsyncs issued so far.
 func (l *Log) Syncs() int64 { return l.syncs.Load() }
 
-// scanSegment validates one segment, physically truncating it to the
-// last whole, contiguous record, and fsyncs it if truncated or if sync is
-// set: a killed process may have left what survives unsynced. prevSeq/
-// havePrev anchor cross-segment contiguity. Returns the surviving extent
-// and the bytes truncated.
-func scanSegment(path string, prevSeq uint64, havePrev, sync bool) (segment, int64, error) {
+// fsync flushes a segment or the directory to stable storage, unless
+// NoSync is set.
+func (l *Log) fsync(path string) error {
+	if l.opts.NoSync {
+		return nil
+	}
+	f, err := os.Open(path)
+	if err == nil {
+		l.syncs.Add(1)
+		err = cmp.Or(f.Sync(), f.Close())
+	}
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	return nil
+}
+
+// scanSegment validates one segment, physically truncating (and
+// fsyncing) it to the last whole, contiguous record. prevSeq/havePrev
+// anchor cross-segment contiguity. Returns the surviving extent and the
+// bytes truncated.
+func scanSegment(path string, prevSeq uint64, havePrev bool) (segment, int64, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return segment{}, 0, fmt.Errorf("wal: %w", err)
@@ -297,8 +310,6 @@ func scanSegment(path string, prevSeq uint64, havePrev, sync bool) (segment, int
 		if err := f.Truncate(seg.size); err != nil {
 			return segment{}, 0, fmt.Errorf("wal: truncate torn tail: %w", err)
 		}
-	}
-	if torn > 0 || sync {
 		if err := f.Sync(); err != nil {
 			return segment{}, 0, fmt.Errorf("wal: %w", err)
 		}
@@ -426,10 +437,7 @@ func (l *Log) Append(seq uint64, body []byte) error {
 	}
 	l.records++
 	l.mu.Lock()
-	if l.lastSeq = seq; seq == seg.first {
-		l.dirty = append(l.dirty, l.opts.Dir) // a new segment's directory entry
-	}
-	l.dirty = append(l.dirty, seg.path)
+	l.lastSeq, l.tail = seq, seg.path
 	l.mu.Unlock()
 	select {
 	case l.kick <- struct{}{}:
@@ -452,17 +460,24 @@ func (l *Log) tailForAppend(seq uint64) error {
 		}
 		return nil
 	}
-	// Rotate: close the full tail (if open) and start a new segment.
+	// Rotate: sync and close the full tail (if open), then start a new
+	// segment and sync its directory entry, so the syncer need only ever
+	// sync the tail.
 	if l.cur != nil {
-		if err := l.cur.Close(); err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
+		err := cmp.Or(l.fsync(l.cur.Name()), l.cur.Close())
 		l.cur = nil
+		if err != nil {
+			return err
+		}
 	}
 	path := filepath.Join(l.opts.Dir, segName(seq))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
+	}
+	if err := l.fsync(l.opts.Dir); err != nil {
+		f.Close()
+		return err
 	}
 	l.segs = append(l.segs, segment{path: path, first: seq, last: seq - 1})
 	l.cur = f

@@ -388,8 +388,8 @@ func waitDurable(t testing.TB, l *Log, seq uint64) {
 }
 
 // With fsync on, appends return before they are durable and the syncer
-// catches up across rotations and truncation; a reopened log's syncer
-// makes what it recovered durable before anything is appended.
+// catches up across rotations and truncation; a reopened log fsyncs what
+// it recovered and is durable through it before anything is appended.
 func TestDurableMark(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := Open(Options{Dir: dir, SegmentBytes: 256})
