@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"transientbd/internal/core"
@@ -126,15 +127,22 @@ func visitJSONL(t testing.TB, n int, bad ...int) []byte {
 	return []byte(strings.Join(lines, ""))
 }
 
-// collect reads data with read and returns a copy of every batch handed
-// over, in order.
-func collect(data []byte, opts traceio.StreamOptions, read func(io.Reader, traceio.StreamOptions, func([]trace.Visit) error) (traceio.Stats, error)) ([][]trace.Visit, traceio.Stats, error) {
-	var batches [][]trace.Visit
-	stats, err := read(bytes.NewReader(data), opts, func(batch []trace.Visit) error {
-		batches = append(batches, slices.Clone(batch))
+// collect reads src with read and returns every visit handed over, in
+// order.
+func collect(src io.Reader, opts traceio.StreamOptions, read func(io.Reader, traceio.StreamOptions, func([]trace.Visit) error) (traceio.Stats, error)) ([]trace.Visit, traceio.Stats, error) {
+	var visits []trace.Visit
+	stats, err := read(src, opts, func(batch []trace.Visit) error {
+		visits = append(visits, batch...)
 		return nil
 	})
-	return batches, stats, err
+	return visits, stats, err
+}
+
+// parallel is traceio.StreamVisitsParallel at the given worker count.
+func parallel(workers int) func(io.Reader, traceio.StreamOptions, func([]trace.Visit) error) (traceio.Stats, error) {
+	return func(r io.Reader, opts traceio.StreamOptions, fn func([]trace.Visit) error) (traceio.Stats, error) {
+		return traceio.StreamVisitsParallel(r, opts, workers, fn)
+	}
 }
 
 // waitGoroutines fails unless the goroutine count falls back to base: a
@@ -149,35 +157,63 @@ func waitGoroutines(t *testing.T, base int, what string) {
 	}
 }
 
+// TestDecodeAheadMatchesStreamVisits holds the parallel reader tbdetect
+// -in decodes with to StreamVisitsOpts on inputs of many blocks: the same
+// visits in the same order, Stats and error, and no goroutine left. A
+// read that fails hands over a prefix of the input's visits.
 func TestDecodeAheadMatchesStreamVisits(t *testing.T) {
 	n := 5*traceio.DefaultBatch + 123
+	clean := visitJSONL(t, n)
+	errSource := errors.New("source failed")
 	cases := []struct {
 		name string
 		data []byte
 		opts traceio.StreamOptions
+		cut  int // > 0: the source fails after this many bytes of data
 	}{
-		{"default batches", visitJSONL(t, n), traceio.StreamOptions{}},
-		{"small batches", visitJSONL(t, n), traceio.StreamOptions{BatchSize: 1000}},
-		{"skip bad lines", visitJSONL(t, n, 7, 9000, n-2), traceio.StreamOptions{Policy: traceio.Skip}},
-		{"strict bad line", visitJSONL(t, n, 3*traceio.DefaultBatch+5), traceio.StreamOptions{}},
+		{"default batches", clean, traceio.StreamOptions{}, 0},
+		{"small batches", clean, traceio.StreamOptions{BatchSize: 1000}, 0},
+		{"skip bad lines", visitJSONL(t, n, 7, 9000, n-2), traceio.StreamOptions{Policy: traceio.Skip}, 0},
+		{"strict bad line", visitJSONL(t, n, 3*traceio.DefaultBatch+5), traceio.StreamOptions{}, 0},
+		{"source error", clean, traceio.StreamOptions{Policy: traceio.Skip}, bytes.LastIndexByte(clean[:len(clean)*3/4], '\n') + 1},
 	}
 	for _, c := range cases {
+		source := func() io.Reader {
+			if c.cut > 0 {
+				return io.MultiReader(bytes.NewReader(c.data[:c.cut]), iotest.ErrReader(errSource))
+			}
+			return bytes.NewReader(c.data)
+		}
+		all, _, _ := collect(bytes.NewReader(c.data), traceio.StreamOptions{Policy: traceio.Skip}, traceio.StreamVisitsOpts)
+		want, wantStats, wantErr := collect(source(), c.opts, traceio.StreamVisitsOpts)
 		t.Run(c.name, func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			want, wantStats, wantErr := collect(c.data, c.opts, traceio.StreamVisitsOpts)
-			got, gotStats, gotErr := collect(c.data, c.opts, decodeAhead)
-			waitGoroutines(t, base, "after the read")
-			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-				t.Fatalf("error %v, want %v", gotErr, wantErr)
-			}
-			if !reflect.DeepEqual(gotStats, wantStats) {
-				t.Errorf("stats %+v, want %+v", gotStats, wantStats)
-			}
-			if len(want) < 3 {
-				t.Fatalf("only %d batches decoded", len(want))
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%d batches differ from StreamVisitsOpts' %d, in order", len(got), len(want))
+			for _, workers := range []int{1, 3} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					base := runtime.NumGoroutine()
+					got, gotStats, gotErr := collect(source(), c.opts, parallel(workers))
+					waitGoroutines(t, base, "after the read")
+					if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+						t.Fatalf("error %v, want %v", gotErr, wantErr)
+					}
+					if c.cut > 0 && !errors.Is(gotErr, errSource) {
+						t.Errorf("error %v does not wrap the source's", gotErr)
+					}
+					if !reflect.DeepEqual(gotStats, wantStats) {
+						t.Errorf("stats %+v, want %+v", gotStats, wantStats)
+					}
+					if wantErr != nil {
+						if len(got) > len(all) || !slices.Equal(got, all[:len(got)]) {
+							t.Errorf("the %d visits handed over before the error are not a prefix of the input's", len(got))
+						}
+						return
+					}
+					if len(want) < 3*traceio.DefaultBatch {
+						t.Fatalf("only %d visits decoded", len(want))
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%d visits differ from StreamVisitsOpts' %d, in order", len(got), len(want))
+					}
+				})
 			}
 		})
 	}
@@ -187,7 +223,7 @@ func TestDecodeAheadConsumerError(t *testing.T) {
 	base := runtime.NumGoroutine()
 	boom := errors.New("boom")
 	calls := 0
-	_, err := decodeAhead(bytes.NewReader(visitJSONL(t, 20*traceio.DefaultBatch)), traceio.StreamOptions{BatchSize: 100},
+	_, err := traceio.StreamVisitsParallel(bytes.NewReader(visitJSONL(t, 20*traceio.DefaultBatch)), traceio.StreamOptions{BatchSize: 100}, 0,
 		func([]trace.Visit) error {
 			if calls++; calls == 2 {
 				return boom
@@ -204,18 +240,22 @@ func TestDecodeAheadConsumerError(t *testing.T) {
 }
 
 // BenchmarkIngestVisits times what strict tbdetect -in does before its
-// analysis: decode, group per server, latest departure and call graph.
+// analysis: decode, group per server, latest departure and call graph,
+// with one decode worker and with GOMAXPROCS.
 func BenchmarkIngestVisits(b *testing.B) {
 	data := visitJSONL(b, 200_000)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for range b.N {
-		if _, _, _, err := readVisits(bytes.NewReader(data), traceio.StreamOptions{}, &core.TraceQuality{}); err != nil {
-			b.Fatal(err)
-		}
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for range b.N {
+				if _, _, _, err := readVisits(bytes.NewReader(data), traceio.StreamOptions{}, workers, &core.TraceQuality{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*200_000), "ns/record")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*200_000), "ns/record")
 }
 
 // TestTBDetectWindowEndsAtLastDeparture pins tbdetect -in's default

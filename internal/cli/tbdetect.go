@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -90,7 +91,7 @@ func TBDetect(args []string, stdout, stderr io.Writer) error {
 		to       = fs.Duration("to", 0, "analysis window end (0 = end of trace)")
 		classes  = fs.String("classes", "", "also print the per-class breakdown for this server")
 		auto     = fs.Bool("auto", false, "choose the monitoring interval automatically (overrides -interval)")
-		parallel = fs.Int("parallel", 0, "worker goroutines for the per-server analyses (0 = GOMAXPROCS, 1 = serial; results are identical)")
+		parallel = fs.Int("parallel", 0, "worker goroutines for decoding a visit trace (at most one a core) and for the per-server analyses (0 = GOMAXPROCS, 1 = serial; results are identical)")
 		lenient  = fs.Bool("lenient", false, "survive degraded traces: skip corrupt lines, quarantine anomalous hops, repair clock skew")
 		quality  = fs.Bool("quality", false, "print the trace-quality block (lines skipped, visits quarantined, skew repairs)")
 		inflight = fs.Duration("inflight", 0, "with -wire -lenient: count unterminated visits older than this as timed out rather than in flight (0 = off)")
@@ -145,11 +146,11 @@ func TBDetect(args []string, stdout, stderr io.Writer) error {
 		})
 	}
 	// Ingest straight into the per-server grouping the analysis needs.
-	// The strict visit path folds in each batch while a goroutine of its
-	// own decodes the next (readVisits), so the only full-trace state is
-	// the grouped map itself; the wire path — and the lenient visit path,
-	// whose skew repair needs whole transactions — has to materialize the
-	// trace first.
+	// A visit trace is decoded on -parallel workers, at most one a core,
+	// and the strict path folds each batch in, in input order, as it
+	// arrives (readVisits), so the only full-trace state is the grouped
+	// map itself; the wire path — and the lenient visit path, whose skew
+	// repair needs whole transactions — has to materialize the trace first.
 	q := &core.TraceQuality{}
 	ioOpts := traceio.StreamOptions{Policy: traceio.Strict}
 	if *lenient {
@@ -208,7 +209,7 @@ func TBDetect(args []string, stdout, stderr io.Writer) error {
 			}
 		}
 		perServer = trace.PerServer(visits)
-	} else if perServer, maxDepart, callGraph, err = readVisits(r, ioOpts, q); err != nil {
+	} else if perServer, maxDepart, callGraph, err = readVisits(r, ioOpts, min(*parallel, runtime.GOMAXPROCS(0)), q); err != nil {
 		return err
 	}
 	if q.VisitsAssembled == 0 {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -74,7 +75,7 @@ func (c fragmentCase) lenient() fragmentCase {
 	return c
 }
 
-// readOutcome is everything a caller can see of one StreamVisitsOpts read.
+// readOutcome is everything a caller can see of one read.
 type readOutcome struct {
 	visits []trace.Visit
 	stats  string // Stats with the line errors rendered as text
@@ -83,8 +84,21 @@ type readOutcome struct {
 
 func (c fragmentCase) read(t testing.TB, r io.Reader) readOutcome {
 	t.Helper()
+	return c.readWith(t, r, StreamVisitsOpts)
+}
+
+// readParallel is read through StreamVisitsParallel on workers goroutines.
+func (c fragmentCase) readParallel(t testing.TB, r io.Reader, workers int) readOutcome {
+	t.Helper()
+	return c.readWith(t, r, func(r io.Reader, opts StreamOptions, fn func([]trace.Visit) error) (Stats, error) {
+		return StreamVisitsParallel(r, opts, workers, fn)
+	})
+}
+
+func (c fragmentCase) readWith(t testing.TB, r io.Reader, read func(io.Reader, StreamOptions, func([]trace.Visit) error) (Stats, error)) readOutcome {
+	t.Helper()
 	var out readOutcome
-	stats, err := StreamVisitsOpts(r, c.opts, func(batch []trace.Visit) error {
+	stats, err := read(r, c.opts, func(batch []trace.Visit) error {
 		if len(batch) == 0 || len(batch) > c.opts.BatchSize {
 			t.Errorf("%s: batch of %d records, want 1..%d", c.name, len(batch), c.opts.BatchSize)
 		}
@@ -118,7 +132,7 @@ func (c fragmentCase) checkAgainst(t testing.TB, how string, got, want, lenient 
 		}
 		return
 	}
-	if len(got.visits) > len(lenient.visits) || !reflect.DeepEqual(got.visits, lenient.visits[:len(got.visits)]) {
+	if len(got.visits) > len(lenient.visits) || !slices.Equal(got.visits, lenient.visits[:len(got.visits)]) {
 		t.Errorf("%s %s: records handed over before the error are not a prefix of the input's", c.name, how)
 	}
 }

@@ -8,10 +8,10 @@
 // bounded batches and hands each batch to a callback, so consumers (like
 // tbdetect) can fold records into their own per-server state without the
 // process ever holding a second full copy of the trace; its memory use is
-// O(batch), independent of trace length. tbdetect -in runs it on a
-// goroutine of its own, whose callback copies each batch into one of a
-// few owned buffers; the caller's goroutine folds them, in order, into a
-// trace.Grouper and the call graph while later batches are decoded.
+// O(batch), independent of trace length. StreamVisitsParallel is that read
+// for a whole file (tbdetect -in): one goroutine cuts it into blocks of
+// lines, workers decode them, and the caller folds the visits, in input
+// order, into a trace.Grouper while later blocks decode on other cores.
 //
 // A batch ends when it holds BatchSize records or when the source has no
 // further complete line buffered, whichever comes first: a decoded record
@@ -48,8 +48,9 @@
 // # Concurrency
 //
 // The free functions are safe to call concurrently on distinct readers
-// and writers, but a single reader or writer must not be shared: JSONL
-// decoding is inherently sequential. StreamVisitsOpts reuses its batch slice
+// and writers, but a single reader or writer must not be shared: cutting
+// JSONL into lines is sequential, though decoding them need not be
+// (StreamVisitsParallel). Both stream readers reuse their batch slices
 // between callback invocations — the callback must finish with (or copy)
 // the batch before returning, and must not retain it.
 package traceio
@@ -211,11 +212,11 @@ func (ir *idleReader) Read(p []byte) (int, error) {
 	return ir.r.Read(p)
 }
 
-// decodeLines drives the shared line-oriented read loop: decode is called
-// with each non-blank line and reports whether the failure (if any) was a
-// malformed line (bad JSON) or an invalid record. idle, when non-nil, is
-// called before each read of r (see idleReader).
-func decodeLines(r io.Reader, opts StreamOptions, idle func() error, decode func(line int, data []byte) (malformed bool, err error)) (Stats, error) {
+// decodeLines drives the shared line-oriented read loop: each line goes
+// through Stats.take with decode, which reports whether a failure (if any)
+// was a malformed line (bad JSON) or an invalid record. idle, when non-nil,
+// is called before each read of r (see idleReader).
+func decodeLines(r io.Reader, opts StreamOptions, idle func() error, decode func(data []byte) (malformed bool, err error)) (Stats, error) {
 	var stats Stats
 	src := &idleReader{r: r, idle: idle}
 	lr := lineReader{br: bufio.NewReaderSize(src, 64<<10)}
@@ -224,30 +225,73 @@ func decodeLines(r io.Reader, opts StreamOptions, idle func() error, decode func
 		if src.err != nil {
 			return stats, src.err
 		}
-		if trimmed := bytes.TrimSpace(data); len(trimmed) > 0 {
-			stats.Lines++
-			malformed, derr := true, errLineTooLong
-			if len(data) <= maxLineBytes {
-				malformed, derr = decode(line, trimmed)
-			}
-			if derr != nil {
-				var abort errAbort
-				if errors.As(derr, &abort) {
-					return stats, abort.err
-				}
-				if opts.Policy == Strict {
-					return stats, fmt.Errorf("traceio: line %d: %w", line, derr)
-				}
-				stats.record(line, malformed, derr)
-			}
+		if err := stats.take(line, data, opts.Policy, decode); err != nil {
+			return stats, err
 		}
 		if rerr != nil {
-			if errors.Is(rerr, io.EOF) {
-				return stats, nil
-			}
-			return stats, fmt.Errorf("traceio: read line %d: %w", line, rerr)
+			return stats, readEnd(line, rerr)
 		}
 	}
+}
+
+// take handles line number line, as lineReader returned it, the way every
+// reader here does: a blank line is passed over, one past maxLineBytes is
+// malformed, any other goes to decode without its surrounding blanks. A
+// bad line is counted under Skip; under Strict, or when decode aborts,
+// take returns the error that ends the read.
+func (s *Stats) take(line int, data []byte, policy Policy, decode func([]byte) (bool, error)) error {
+	trimmed := bytes.TrimSpace(data)
+	if len(trimmed) == 0 {
+		return nil
+	}
+	s.Lines++
+	malformed, err := true, errLineTooLong
+	if len(data) <= maxLineBytes {
+		malformed, err = decode(trimmed)
+	}
+	if err == nil {
+		return nil
+	}
+	var abort errAbort
+	if errors.As(err, &abort) {
+		return abort.err
+	}
+	if policy == Strict {
+		return fmt.Errorf("traceio: line %d: %w", line, err)
+	}
+	s.record(line, malformed, err)
+	return nil
+}
+
+// readEnd is what a read returns when the source ends at line with err:
+// nil at EOF.
+func readEnd(line int, err error) error {
+	if errors.Is(err, io.EOF) {
+		return nil
+	}
+	return fmt.Errorf("traceio: read line %d: %w", line, err)
+}
+
+// decodeVisit decodes and validates one visit line, trimmed of blanks:
+// through the fast path when the line is canonical, encoding/json
+// otherwise. malformed tells bad JSON from an invalid record.
+func decodeVisit(data []byte, names trace.Names) (v trace.Visit, malformed bool, err error) {
+	rec, ok := fastVisit(data, names)
+	if !ok { // its own record, so rec stays off the heap on the fast path
+		slow := new(visitRecord)
+		if err := json.Unmarshal(data, slow); err != nil {
+			return v, true, fmt.Errorf("decode visit: %w", err)
+		}
+		rec = *slow
+	}
+	if rec.Server == "" {
+		return v, false, errors.New("visit has no server")
+	}
+	if rec.DepartUS < rec.ArriveUS {
+		return v, false, errors.New("visit departs before arriving")
+	}
+	return trace.Visit{Server: rec.Server, Class: rec.Class, TxnID: rec.TxnID, HopID: rec.HopID,
+		Arrive: simnet.Time(rec.ArriveUS), Depart: simnet.Time(rec.DepartUS), Downstream: simnet.Duration(rec.DownstrUS)}, false, nil
 }
 
 // StreamVisitsOpts reads JSONL visits until EOF, passing them to fn in
@@ -279,31 +323,12 @@ func StreamVisitsOpts(r io.Reader, opts StreamOptions, fn func(batch []trace.Vis
 		return err
 	}
 	names := make(trace.Names)
-	stats, err := decodeLines(r, opts, deliver, func(line int, data []byte) (bool, error) {
-		rec, ok := fastVisit(data, names)
-		if !ok { // its own record, so rec stays off the heap on the fast path
-			slow := new(visitRecord)
-			if err := json.Unmarshal(data, slow); err != nil {
-				return true, fmt.Errorf("decode visit: %w", err)
-			}
-			rec = *slow
+	stats, err := decodeLines(r, opts, deliver, func(data []byte) (bool, error) {
+		v, malformed, err := decodeVisit(data, names)
+		if err != nil {
+			return malformed, err
 		}
-		if rec.Server == "" {
-			return false, errors.New("visit has no server")
-		}
-		if rec.DepartUS < rec.ArriveUS {
-			return false, errors.New("visit departs before arriving")
-		}
-		batch = append(batch, trace.Visit{
-			Server:     rec.Server,
-			Class:      rec.Class,
-			TxnID:      rec.TxnID,
-			HopID:      rec.HopID,
-			Arrive:     simnet.Time(rec.ArriveUS),
-			Depart:     simnet.Time(rec.DepartUS),
-			Downstream: simnet.Duration(rec.DownstrUS),
-		})
-		if len(batch) == batchSize {
+		if batch = append(batch, v); len(batch) == batchSize {
 			if err := deliver(); err != nil {
 				return false, errAbort{err: err}
 			}
@@ -369,7 +394,7 @@ func WriteMessages(w io.Writer, msgs []trace.Message) error {
 func ReadMessagesOpts(r io.Reader, opts StreamOptions) ([]trace.Message, Stats, error) {
 	var out []trace.Message
 	names := make(trace.Names)
-	stats, err := decodeLines(r, opts, nil, func(line int, data []byte) (bool, error) {
+	stats, err := decodeLines(r, opts, nil, func(data []byte) (bool, error) {
 		rec, ok := fastMessage(data, names)
 		if !ok {
 			slow := new(messageRecord)
